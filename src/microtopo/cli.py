@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 from . import __version__, network, profiles
@@ -92,7 +91,9 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--pmu-accuracy", type=float, default=None)
     p_exp.add_argument("--scada-sigma", type=float, default=None)
     p_exp.add_argument("--scada-accuracy", type=float, default=None)
-    p_exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_exp.add_argument("--jobs", type=int, default=None,
+                       help="worker processes (default: the config's jobs key, "
+                            "else the CPU count)")
     p_exp.add_argument("--out-dir", default="results")
     return parser
 
@@ -104,10 +105,7 @@ def _injections_for(graph, args) -> InjectionSnapshot:
         raise ConfigError("either --zero-load or --profile with --t is required")
     if not 0 <= args.t < profiles.N_STEPS:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
-    if args.profile == "default":
-        profs = profiles.generate_default_profiles(graph)
-    else:
-        profs = profiles.load_profiles_csv(args.profile)
+    profs = profiles.load_profiles(graph, args.profile)
     return profiles.injections_at(graph, profs, args.t)
 
 
@@ -155,10 +153,7 @@ def cmd_powerflow(args) -> int:
 
 def cmd_library(args) -> int:
     graph, topologies = load_network(args.net)
-    if args.profile == "default":
-        profs = profiles.generate_default_profiles(graph)
-    else:
-        profs = profiles.load_profiles_csv(args.profile)
+    profs = profiles.load_profiles(graph, args.profile)
     inj = {t: profiles.injections_at(graph, profs, t)
            for t in range(profiles.N_STEPS)}
     library = build_library(graph, topologies, inj)

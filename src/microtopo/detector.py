@@ -7,7 +7,7 @@ applies three voting criteria over the row minima.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ SIGNALS = ("angle", "magnitude")
 INCONCLUSIVE = "inconclusive"
 
 
-class LibraryError(Exception):
+class LibraryError(PowerFlowError):
     """A library power flow failed for a specific (topology, time) pair."""
 
 
@@ -41,10 +41,6 @@ class TopologyLibrary:
         except KeyError:
             raise KeyError(f"no library entry for topology {topology_id} at t={t}") from None
 
-    @property
-    def time_indices(self) -> tuple[int, ...]:
-        return tuple(sorted({t for (_, t) in self.entries}))
-
 
 @dataclass(frozen=True)
 class DifferenceMatrices:
@@ -57,6 +53,7 @@ class DifferenceMatrices:
     mdm: np.ndarray
     pmu_bus_ids: tuple[int, ...]
     topology_ids: tuple[str, ...]
+    _votes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def matrix(self, signal: str) -> np.ndarray:
         if signal == "angle":
@@ -64,6 +61,13 @@ class DifferenceMatrices:
         if signal == "magnitude":
             return self.mdm
         raise ValueError(f"unknown signal {signal!r}")
+
+    def votes(self, signal: str) -> tuple[str | None, ...]:
+        """Per-row votes of one signal, computed on first use and shared by
+        RMV, ORMV and the per-bus tallies."""
+        if signal not in self._votes:
+            self._votes[signal] = row_votes(self.matrix(signal), self.topology_ids)
+        return self._votes[signal]
 
 
 @dataclass(frozen=True)
@@ -78,40 +82,51 @@ def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
                   injections_by_step: dict[int, InjectionSnapshot],
                   tol: float = 1e-8) -> TopologyLibrary:
     """Solve the power flow for every (candidate topology, time step) pair."""
+    return solve_library({topo.id: build_ybus(graph, topo) for topo in topologies},
+                         injections_by_step, graph.slack_index, tol=tol)
+
+
+def solve_library(ybus_by_topo: dict[str, np.ndarray],
+                  injections_by_step: dict[int, InjectionSnapshot],
+                  slack_index: int, tol: float = 1e-8) -> TopologyLibrary:
+    """Library from prebuilt admittance matrices; columns follow the order
+    of `ybus_by_topo`."""
     entries: dict[tuple[str, int], PowerFlowSolution] = {}
-    slack = graph.slack_index
-    for topo in topologies:
-        ybus = build_ybus(graph, topo)
+    for topo_id, ybus in ybus_by_topo.items():
         for t, inj in injections_by_step.items():
             try:
-                entries[(topo.id, t)] = solve_newton_raphson(
-                    ybus, inj, tol=tol, slack_index=slack)
+                entries[(topo_id, t)] = solve_newton_raphson(
+                    ybus, inj, tol=tol, slack_index=slack_index)
             except PowerFlowError as exc:
                 raise LibraryError(
-                    f"power flow failed for topology {topo.id} at t={t}: {exc}"
+                    f"power flow failed for topology {topo_id} at t={t}: {exc}"
                 ) from exc
-    return TopologyLibrary(topology_ids=tuple(t.id for t in topologies), entries=entries)
+    return TopologyLibrary(topology_ids=tuple(ybus_by_topo), entries=entries)
 
 
 def compute_difference_matrices(measurements, library: TopologyLibrary,
                                 t: int) -> DifferenceMatrices:
-    """ADM/MDM at time step t for one measurement set."""
+    """ADM/MDM at time step t for one measurement set; rows sorted by bus id."""
     phasors = sorted(measurements.phasors, key=lambda m: m.bus_id)
+    bus_ids = tuple(ph.bus_id for ph in phasors)
     topo_ids = library.topology_ids
-    adm = np.zeros((len(phasors), len(topo_ids)))
-    mdm = np.zeros_like(adm)
+    va_calc = np.empty((len(bus_ids), len(topo_ids)))
+    vm_calc = np.empty_like(va_calc)
     for col, q in enumerate(topo_ids):
         sol = library.solution(q, t)
-        for row, ph in enumerate(phasors):
-            if ph.bus_id not in sol.bus_ids:
-                raise LibraryError(
-                    f"μPMU bus {ph.bus_id} missing from library solution "
-                    f"for topology {q} at t={t}")
-            adm[row, col] = abs(ph.va_meas - sol.va_at(ph.bus_id))
-            mdm[row, col] = abs(ph.vm_meas - sol.vm_at(ph.bus_id))
-    return DifferenceMatrices(adm=adm, mdm=mdm,
-                              pmu_bus_ids=tuple(ph.bus_id for ph in phasors),
-                              topology_ids=topo_ids)
+        position = {bus: i for i, bus in enumerate(sol.bus_ids)}
+        try:
+            rows = [position[bus] for bus in bus_ids]
+        except KeyError as exc:
+            raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
+                               f"for topology {q} at t={t}") from None
+        va_calc[:, col] = np.take(sol.va_deg, rows)
+        vm_calc[:, col] = np.take(sol.vm, rows)
+    va_meas = np.array([ph.va_meas for ph in phasors])
+    vm_meas = np.array([ph.vm_meas for ph in phasors])
+    return DifferenceMatrices(adm=np.abs(va_meas[:, None] - va_calc),
+                              mdm=np.abs(vm_meas[:, None] - vm_calc),
+                              pmu_bus_ids=bus_ids, topology_ids=topo_ids)
 
 
 def row_votes(matrix: np.ndarray, topology_ids: tuple[str, ...]) -> tuple[str | None, ...]:
@@ -121,12 +136,9 @@ def row_votes(matrix: np.ndarray, topology_ids: tuple[str, ...]) -> tuple[str | 
     systematically for the slack bus (its calculated state is identical
     under every topology).
     """
-    votes: list[str | None] = []
-    for row in matrix:
-        m = row.min()
-        winners = np.flatnonzero(row == m)
-        votes.append(topology_ids[winners[0]] if len(winners) == 1 else None)
-    return tuple(votes)
+    n_min = np.count_nonzero(matrix == matrix.min(axis=1, keepdims=True), axis=1)
+    return tuple(topology_ids[w] if n == 1 else None
+                 for w, n in zip(matrix.argmin(axis=1).tolist(), n_min.tolist()))
 
 
 def detect_rmv(matrices: DifferenceMatrices, signal: str) -> DetectionOutcome:
@@ -134,7 +146,7 @@ def detect_rmv(matrices: DifferenceMatrices, signal: str) -> DetectionOutcome:
 
     A tie in the vote count (or no informative row) is inconclusive.
     """
-    votes = row_votes(matrices.matrix(signal), matrices.topology_ids)
+    votes = matrices.votes(signal)
     counts: dict[str, int] = {}
     for v in votes:
         if v is not None:
@@ -157,7 +169,7 @@ def detect_armv(matrices: DifferenceMatrices, signal: str) -> DetectionOutcome:
 
 def detect_ormv(matrices: DifferenceMatrices, signal: str) -> DetectionOutcome:
     """Overall-row-minimum voting: conclusive only on unanimous row votes."""
-    votes = row_votes(matrices.matrix(signal), matrices.topology_ids)
+    votes = matrices.votes(signal)
     informative = [v for v in votes if v is not None]
     if informative and all(v == informative[0] for v in informative):
         return DetectionOutcome("ormv", signal, informative[0], votes)

@@ -64,14 +64,6 @@ class MeasurementSet:
     scada: tuple[ScadaPowerMeasurement, ...]
     rng_seed: int
 
-    @property
-    def n_pmu(self) -> int:
-        return len(self.phasors)
-
-    @property
-    def n_meas(self) -> int:
-        return 2 * self.n_pmu
-
 
 def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.random.Generator:
     """Independent, reproducible random stream for one (trial, device) pair.

@@ -144,6 +144,13 @@ def load_profiles_csv(path: str | Path) -> list[LoadProfile]:
     return profiles
 
 
+def load_profiles(graph: NetworkGraph, source: str | Path) -> list[LoadProfile]:
+    """Profiles named by a config or CLI value: "default" or a CSV path."""
+    if source == "default":
+        return generate_default_profiles(graph)
+    return load_profiles_csv(source)
+
+
 def injections_at(graph: NetworkGraph, profiles: list[LoadProfile],
                   t: int) -> InjectionSnapshot:
     """Net injection snapshot (generation minus load) at time step t."""

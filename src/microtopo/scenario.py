@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -20,10 +21,9 @@ from .detector import (
     INCONCLUSIVE,
     SIGNALS,
     DifferenceMatrices,
-    build_library,
     compute_difference_matrices,
     detect,
-    row_votes,
+    solve_library,
 )
 from .measurements import (
     DeviceKind,
@@ -60,7 +60,7 @@ class ScenarioConfig:
     master_seed: int = 20160517
     criteria: tuple[str, ...] = CRITERIA
     signals: tuple[str, ...] = SIGNALS
-    jobs: int = 1
+    jobs: int = os.cpu_count() or 1
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -93,6 +93,7 @@ _CONFIG_PARSERS = {
     "criteria": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
     "signals": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
     "jobs": int,
+    "tol": float,
 }
 
 
@@ -150,7 +151,6 @@ class ExperimentContext:
     graph: NetworkGraph
     topologies: tuple[TopologyConfig, ...]
     ybus_by_topo: dict
-    load_profiles: tuple
     true_injections: tuple[InjectionSnapshot, ...]
     scada_buses: tuple[int, ...]
     pmu_spec: DeviceSpec
@@ -167,10 +167,7 @@ class ExperimentContext:
 
 def build_context(config: ScenarioConfig) -> ExperimentContext:
     graph, topologies = load_network(config.network)
-    if config.profile == "default":
-        profs = profiles.generate_default_profiles(graph)
-    else:
-        profs = profiles.load_profiles_csv(config.profile)
+    profs = profiles.load_profiles(graph, config.profile)
     true_inj = tuple(profiles.injections_at(graph, profs, t)
                      for t in range(profiles.N_STEPS))
     scada_buses = profiles.profile_buses(profs)
@@ -191,7 +188,7 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
     return ExperimentContext(
         config=config, graph=graph, topologies=tuple(topologies),
         ybus_by_topo={t.id: build_ybus(graph, t) for t in topologies},
-        load_profiles=tuple(profs), true_injections=true_inj,
+        true_injections=true_inj,
         scada_buses=scada_buses, pmu_spec=pmu_spec, scada_spec=scada_spec,
         pmu_offsets_by_rep=pmu_offsets, scada_offsets_by_rep=scada_offsets)
 
@@ -235,17 +232,15 @@ def run_trial(ctx: ExperimentContext, true_topology_id: str, t: int,
 
     lib_inj = InjectionSnapshot.from_bus_map(
         ctx.graph, {m.bus_id: (m.p_meas, m.q_meas) for m in scada})
-    library = build_library(ctx.graph, list(ctx.topologies), {t: lib_inj},
+    library = solve_library(ctx.ybus_by_topo, {t: lib_inj}, ctx.graph.slack_index,
                             tol=config.tol)
     matrices = compute_difference_matrices(meas, library, t)
 
     outcomes = {(c, s): detect(matrices, c, s)
                 for c in config.criteria for s in config.signals}
-    votes = {s: row_votes(matrices.matrix(s), matrices.topology_ids)
-             for s in config.signals}
     return TrialResult(true_topology=true_topology_id, time_index=t,
                        trial_index=trial_index, outcomes=outcomes,
-                       votes_by_signal=votes,
+                       votes_by_signal={s: matrices.votes(s) for s in config.signals},
                        matrices=matrices if collect_matrices else None)
 
 
@@ -323,9 +318,8 @@ class DetectionRateReport:
         return c["correct"] / max(1, sum(c.values()))
 
 
-def _run_chunk(config: ScenarioConfig, tasks: list[tuple[int, int]]) -> DetectionRateReport:
+def _run_chunk(ctx: ExperimentContext, tasks: list[tuple[int, int]]) -> DetectionRateReport:
     """Run all 96 steps for each (topology position, repetition) task."""
-    ctx = _context_cached(config)
     report = _empty_report(ctx)
     for topo_pos, rep in tasks:
         topo_id = ctx.topology_ids[topo_pos]
@@ -334,16 +328,6 @@ def _run_chunk(config: ScenarioConfig, tasks: list[tuple[int, int]]) -> Detectio
                                trial_index_for(ctx, topo_pos, t, rep), rep=rep)
             report.record(result)
     return report
-
-
-_CTX_CACHE: dict[ScenarioConfig, ExperimentContext] = {}
-
-
-def _context_cached(config: ScenarioConfig) -> ExperimentContext:
-    if config not in _CTX_CACHE:
-        _CTX_CACHE.clear()
-        _CTX_CACHE[config] = build_context(config)
-    return _CTX_CACHE[config]
 
 
 def _empty_report(ctx: ExperimentContext) -> DetectionRateReport:
@@ -361,19 +345,18 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     Deterministic for a given config (including master_seed) regardless of
     the job count, because every trial derives its own RNG streams.
     """
-    ctx = _context_cached(config)
+    ctx = build_context(config)
     tasks = [(pos, rep)
              for pos in range(len(ctx.topologies))
              for rep in range(config.repetitions)]
-    report = _empty_report(ctx)
     if config.jobs <= 1 or len(tasks) == 1:
-        report.merge(_run_chunk(config, tasks))
-        return report
+        return _run_chunk(ctx, tasks)
 
+    report = _empty_report(ctx)
     n_chunks = min(config.jobs * 4, len(tasks))
     chunks = [tasks[i::n_chunks] for i in range(n_chunks)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        for partial in pool.map(_run_chunk, [config] * len(chunks), chunks):
+        for partial in pool.map(_run_chunk, [ctx] * len(chunks), chunks):
             report.merge(partial)
     return report
 

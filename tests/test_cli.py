@@ -1,8 +1,10 @@
 import csv
+import os
 
 import pytest
 
-from microtopo.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from microtopo import cli
+from microtopo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 
 def test_version(capsys):
@@ -76,6 +78,42 @@ def test_library_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5 * 96 * 5
     assert {r["topology"] for r in rows} == {"I", "II", "III", "IV", "V"}
+
+
+def test_library_divergence_is_numerical_error(tmp_path, capsys):
+    heavy = tmp_path / "heavy.csv"
+    rows = ["time_index,bus_id,p_pu,q_pu"]
+    rows += [f"{t},{bus},-9.0,0.0" for t in range(96) for bus in (2, 3, 4, 5)]
+    heavy.write_text("\n".join(rows) + "\n")
+    assert main(["library", "--profile", str(heavy)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical error:" in err
+    assert "power flow failed for topology" in err
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("key, flag, want", [
+    ("jobs = 2\n", [], 2),
+    ("jobs = 2\n", ["--jobs", "1"], 1),
+    ("", [], os.cpu_count() or 1),
+])
+def test_experiment_jobs_precedence(tmp_path, monkeypatch, key, flag, want):
+    """--jobs beats the config's jobs key, which beats the CPU count."""
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("network = fivebus.net\n" + key)
+    seen = []
+
+    def fake_run_experiment(config):
+        seen.append(config.jobs)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    with pytest.raises(_Stop):
+        main(["experiment", str(cfg)] + flag)
+    assert seen == [want]
 
 
 def test_detect_zero_noise_and_dump(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from microtopo.detector import (
     INCONCLUSIVE,
     SIGNALS,
     DifferenceMatrices,
+    LibraryError,
     build_library,
     compute_difference_matrices,
     detect,
@@ -72,10 +75,14 @@ def test_criteria_against_brute_force_on_random_matrices():
             c1, c2 = rng.choice(5, size=2, replace=False)
             mat[r, c2] = mat[r, c1] = mat[r].min()
         m = _matrices(mat, ids)
-        assert detect_rmv(m, "angle").verdict == _oracle_rmv(mat, ids)
+        rmv, ormv = detect_rmv(m, "angle"), detect_ormv(m, "angle")
+        assert rmv.verdict == _oracle_rmv(mat, ids)
         assert detect_armv(m, "angle").verdict == _oracle_armv(mat, ids)
-        assert detect_ormv(m, "angle").verdict == _oracle_ormv(mat, ids)
+        assert ormv.verdict == _oracle_ormv(mat, ids)
         assert list(row_votes(mat, ids)) == _oracle_row_votes(mat, ids)
+        # RMV and ORMV share the votes computed once per signal
+        assert list(m.votes("angle")) == _oracle_row_votes(mat, ids)
+        assert rmv.per_row_votes is ormv.per_row_votes is m.votes("angle")
 
 
 def test_armv_scale_invariance():
@@ -165,13 +172,56 @@ def zero_noise_setup(graph, topologies):
 
 def test_library_covers_all_pairs(zero_noise_setup, topologies):
     library, injections = zero_noise_setup
-    assert library.time_indices == tuple(sorted(injections))
+    assert {t for (_, t) in library.entries} == set(injections)
     for topo in topologies:
         for t in injections:
             sol = library.solution(topo.id, t)
             assert sol.max_mismatch < 1e-8
     with pytest.raises(KeyError):
         library.solution("I", 999)
+
+
+def _loop_difference_matrices(phasors, library, t):
+    """Cell-by-cell ADM/MDM, independent of the broadcast path."""
+    rows = sorted(phasors, key=lambda m: m.bus_id)
+    adm = np.zeros((len(rows), len(library.topology_ids)))
+    mdm = np.zeros_like(adm)
+    for col, q in enumerate(library.topology_ids):
+        sol = library.solution(q, t)
+        for row, ph in enumerate(rows):
+            adm[row, col] = abs(ph.va_meas - sol.va_at(ph.bus_id))
+            mdm[row, col] = abs(ph.vm_meas - sol.vm_at(ph.bus_id))
+    return adm, mdm
+
+
+class _Bag:
+    def __init__(self, phasors):
+        self.phasors = phasors
+
+
+def test_difference_matrices_match_cell_loop_bit_for_bit(zero_noise_setup):
+    library, injections = zero_noise_setup
+    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.00025, accuracy=0.00025)
+    rng = np.random.default_rng(5)
+    for q in library.topology_ids:
+        for t in injections:
+            meas = list(sample_pmu(library.solution(q, t), spec, rng, time_index=t))
+            rng.shuffle(meas)  # rows are sorted by bus id whatever the input order
+            m = compute_difference_matrices(_Bag(meas), library, t)
+            adm, mdm = _loop_difference_matrices(meas, library, t)
+            assert m.pmu_bus_ids == (1, 2, 3, 4, 5)
+            assert m.adm.tobytes() == adm.tobytes()
+            assert m.mdm.tobytes() == mdm.tobytes()
+
+
+def test_pmu_bus_missing_from_library_raises(zero_noise_setup):
+    library, _ = zero_noise_setup
+    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
+    meas = sample_pmu(library.solution("I", 48), spec, np.random.default_rng(0),
+                      time_index=48)
+    stray = meas + (dataclasses.replace(meas[0], bus_id=9),)
+    with pytest.raises(LibraryError, match="bus 9 missing"):
+        compute_difference_matrices(_Bag(stray), library, 48)
 
 
 def test_zero_noise_detection_matches_truth(zero_noise_setup, graph, topologies):

@@ -2,6 +2,9 @@ import csv
 
 import pytest
 
+from microtopo.detector import build_library, solve_library
+from microtopo.measurements import derive_rng_stream, sample_scada
+from microtopo.powerflow import InjectionSnapshot
 from microtopo.scenario import (
     ConfigError,
     build_context,
@@ -46,6 +49,12 @@ def test_unknown_config_key(tmp_path):
         load_config(bad)
 
 
+def test_tol_key_parses(tmp_path):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("network = fivebus.net\ntol = 1e-9\n")
+    assert load_config(cfg).tol == 1e-9
+
+
 def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         load_config(PAPER_CFG, repetitions=0)
@@ -83,6 +92,24 @@ def test_trial_determinism():
     m_c = run_trial(ctx, "II", 40, trial_index=78, collect_matrices=True).matrices
     assert (m_a.adm != m_c.adm).any()
     assert c.true_topology == d.true_topology == "II"
+
+
+def test_trial_library_matches_build_library():
+    """The trial path solves with the context's Ybus; the public
+    build_library builds its own. Both give the same solutions."""
+    ctx = build_context(_tiny_config())
+    rng = derive_rng_stream(ctx.config.master_seed, 1, "scada")
+    injections = {}
+    for t in (0, 48, 76):
+        scada = sample_scada(ctx.true_injections[t], ctx.scada_spec, rng, ctx.scada_buses)
+        injections[t] = InjectionSnapshot.from_bus_map(
+            ctx.graph, {m.bus_id: (m.p_meas, m.q_meas) for m in scada})
+    trial = solve_library(ctx.ybus_by_topo, injections, ctx.graph.slack_index,
+                          tol=ctx.config.tol)
+    public = build_library(ctx.graph, list(ctx.topologies), injections,
+                           tol=ctx.config.tol)
+    assert trial.topology_ids == public.topology_ids == ctx.topology_ids
+    assert trial.entries == public.entries
 
 
 def test_zero_noise_trial_always_correct():
