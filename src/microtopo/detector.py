@@ -16,7 +16,7 @@ from .powerflow import (
     InjectionSnapshot,
     PowerFlowError,
     PowerFlowSolution,
-    solve_newton_raphson,
+    solve_newton_raphson_batch,
 )
 
 CRITERIA = ("rmv", "armv", "ormv")
@@ -89,18 +89,25 @@ def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
 def solve_library(ybus_by_topo: dict[str, np.ndarray],
                   injections_by_step: dict[int, InjectionSnapshot],
                   slack_index: int, tol: float = 1e-8) -> TopologyLibrary:
-    """Library from prebuilt admittance matrices; columns follow the order
-    of `ybus_by_topo`."""
+    """Library from prebuilt admittance matrices, solved as one stacked
+    Newton-Raphson call over every (topology, step) case; columns follow the
+    order of `ybus_by_topo`. The first failed case in (topology, step) order
+    raises `LibraryError`."""
+    cases = [(topo_id, t) for topo_id in ybus_by_topo for t in injections_by_step]
+    snapshots = list(injections_by_step.values())
+    batch = solve_newton_raphson_batch(
+        np.repeat(np.stack(list(ybus_by_topo.values())), len(snapshots), axis=0),
+        np.tile([inj.p for inj in snapshots], (len(ybus_by_topo), 1)),
+        np.tile([inj.q for inj in snapshots], (len(ybus_by_topo), 1)),
+        tol=tol, slack_index=slack_index)
     entries: dict[tuple[str, int], PowerFlowSolution] = {}
-    for topo_id, ybus in ybus_by_topo.items():
-        for t, inj in injections_by_step.items():
-            try:
-                entries[(topo_id, t)] = solve_newton_raphson(
-                    ybus, inj, tol=tol, slack_index=slack_index)
-            except PowerFlowError as exc:
-                raise LibraryError(
-                    f"power flow failed for topology {topo_id} at t={t}: {exc}"
-                ) from exc
+    for i, (topo_id, t) in enumerate(cases):
+        try:
+            entries[(topo_id, t)] = batch.solution(i, injections_by_step[t].bus_ids)
+        except PowerFlowError as exc:
+            raise LibraryError(
+                f"power flow failed for topology {topo_id} at t={t}: {exc}"
+            ) from exc
     return TopologyLibrary(topology_ids=tuple(ybus_by_topo), entries=entries)
 
 

@@ -105,60 +105,157 @@ def compute_mismatch(ybus: np.ndarray, inj: InjectionSnapshot,
     return dp, dq
 
 
-def _solution(inj, vm, va_rad, iterations, mism) -> PowerFlowSolution:
+def _solution(bus_ids, vm, va_deg, iterations, mism) -> PowerFlowSolution:
     return PowerFlowSolution(
-        bus_ids=inj.bus_ids,
-        vm=tuple(float(x) for x in vm),
-        va_deg=tuple(float(x) for x in np.degrees(va_rad)),
-        iterations=iterations,
+        bus_ids=tuple(bus_ids),
+        vm=tuple(np.asarray(vm, dtype=float).tolist()),
+        va_deg=tuple(np.asarray(va_deg, dtype=float).tolist()),
+        iterations=int(iterations),
         max_mismatch=float(mism),
     )
+
+
+@dataclass(frozen=True)
+class BatchPowerFlow:
+    """Per-case outcome of `solve_newton_raphson_batch` over B cases.
+
+    `iterations` counts the Newton steps taken: to convergence, to the
+    singular Jacobian, or max_iter for a case that diverged. `mismatch` is
+    the last max mismatch of each case (NaN when its state went non-finite).
+    """
+
+    vm: np.ndarray  # (B, n) p.u.
+    va_deg: np.ndarray  # (B, n) degrees
+    iterations: np.ndarray  # (B,) int
+    mismatch: np.ndarray  # (B,)
+    converged: np.ndarray  # (B,) bool
+    singular: np.ndarray  # (B,) bool: stopped on a singular Jacobian
+
+    def error(self, i: int) -> PowerFlowError | None:
+        """The exception case i failed with, None when it converged."""
+        if self.converged[i]:
+            return None
+        if self.singular[i]:
+            return SingularJacobianError(f"singular Jacobian at iteration {self.iterations[i]}")
+        mism = float(self.mismatch[i])
+        return DivergedError(
+            f"Newton-Raphson did not converge in {self.iterations[i]} iterations "
+            f"(last mismatch {mism:.3e} p.u.)", last_mismatch=mism)
+
+    def solution(self, i: int, bus_ids: tuple[int, ...]) -> PowerFlowSolution:
+        """Case i as a `PowerFlowSolution`; raises its error if it failed."""
+        err = self.error(i)
+        if err is not None:
+            raise err
+        return _solution(bus_ids, self.vm[i], self.va_deg[i], self.iterations[i],
+                         self.mismatch[i])
+
+
+def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
+                               tol: float = 1e-8, max_iter: int = 50,
+                               slack_index: int = 0) -> BatchPowerFlow:
+    """Polar Newton-Raphson over a stack of B cases from a flat start.
+
+    `ybus` is (B, n, n); `p` and `q` are (B, n) specified injections, whose
+    slack entries are ignored. The Jacobian is MATPOWER's dSbus_dV in polar
+    form, built by broadcasting over the stack, and each iteration makes one
+    stacked solve. A case leaves the active set as soon as its own mismatch
+    is under `tol`, so it takes the same steps, with the same arithmetic, as
+    when solved alone; a diverging, non-finite or singular case leaves the
+    other cases' results unchanged. `vm`/`va_deg` hold the solution of
+    converged cases only.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n_case, n = p.shape
+    # Work with the slack bus moved to position 0, so that the PQ buses are
+    # the slice 1: and their blocks are views, not per-iteration copies.
+    order = np.r_[slack_index, np.delete(np.arange(n), slack_index)]
+    k = n - 1
+    diag = np.arange(k)
+    ybus = np.asarray(ybus)[:, order][:, :, order]
+    y_rows = ybus[:, 1:, :]  # PQ rows, every column: injected currents
+    y_pq = ybus[:, 1:, 1:]  # PQ rows and columns: Jacobian
+    p_spec = p[:, order[1:]]
+    q_spec = q[:, order[1:]]
+    vm = np.ones((n_case, n))
+    va = np.zeros((n_case, n))
+
+    vm_out = np.ones((n_case, n))
+    va_out = np.zeros((n_case, n))
+    iterations = np.full(n_case, max_iter)
+    mismatch = np.full(n_case, np.inf)
+    converged = np.zeros(n_case, dtype=bool)
+    singular = np.zeros(n_case, dtype=bool)
+    case = np.arange(n_case)  # case number of each active row
+
+    for iteration in range(max_iter + 1):
+        v = vm * np.exp(1j * va)
+        v_pq = v[:, 1:]
+        i_pq = (y_rows * v[:, None, :]).sum(axis=2)
+        s_calc = v_pq * np.conj(i_pq)
+        rhs = np.concatenate([p_spec - s_calc.real, q_spec - s_calc.imag], axis=1)
+        mism = np.abs(rhs).max(axis=1)
+        mismatch[case] = mism
+        done = mism < tol
+        if done.any():
+            finished = case[done]
+            converged[finished] = True
+            iterations[finished] = iteration
+            vm_out[finished] = vm[done]
+            va_out[finished] = va[done]
+            if done.all():
+                break
+            active = ~done
+            case, y_rows, y_pq, p_spec, q_spec, vm, va, v_pq, i_pq, rhs = (
+                x[active] for x in (case, y_rows, y_pq, p_spec, q_spec,
+                                    vm, va, v_pq, i_pq, rhs))
+        if iteration == max_iter:
+            break
+
+        e_pq = v_pq / vm[:, 1:]
+        ds_dvm = v_pq[:, :, None] * np.conj(y_pq * e_pq[:, None, :])
+        ds_dvm[:, diag, diag] += np.conj(i_pq) * e_pq
+        ds_dva = -1j * v_pq[:, :, None] * np.conj(y_pq * v_pq[:, None, :])
+        ds_dva[:, diag, diag] += 1j * v_pq * np.conj(i_pq)
+        ds = np.concatenate([ds_dva, ds_dvm], axis=2)
+        jac = np.concatenate([ds.real, ds.imag], axis=1)
+        try:
+            dx = np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # A singular case fails the whole stacked call: solve case by
+            # case so the others still step, and stop the singular ones.
+            dx = np.zeros_like(rhs)
+            ok = np.ones(len(case), dtype=bool)
+            for row in range(len(case)):
+                try:
+                    dx[row] = np.linalg.solve(jac[row], rhs[row])
+                except np.linalg.LinAlgError:
+                    ok[row] = False
+            singular[case[~ok]] = True
+            iterations[case[~ok]] = iteration
+            if not ok.any():
+                break
+            case, y_rows, y_pq, p_spec, q_spec, vm, va, dx = (
+                x[ok] for x in (case, y_rows, y_pq, p_spec, q_spec, vm, va, dx))
+        va[:, 1:] += dx[:, :k]
+        vm[:, 1:] += dx[:, k:]
+
+    bus_order = np.argsort(order)
+    return BatchPowerFlow(vm=vm_out[:, bus_order], va_deg=np.degrees(va_out[:, bus_order]),
+                          iterations=iterations, mismatch=mismatch,
+                          converged=converged, singular=singular)
 
 
 def solve_newton_raphson(ybus: np.ndarray, inj: InjectionSnapshot,
                          tol: float = 1e-8, max_iter: int = 50,
                          slack_index: int = 0) -> PowerFlowSolution:
-    """Polar Newton-Raphson power flow from a flat start (1.0 p.u., 0 deg)."""
-    n = len(inj.bus_ids)
-    pq = np.array([i for i in range(n) if i != slack_index])
-    p_spec = np.asarray(inj.p)
-    q_spec = np.asarray(inj.q)
-    vm = np.ones(n)
-    va = np.zeros(n)
-    mism = np.inf
-
-    for iteration in range(max_iter + 1):
-        v = vm * np.exp(1j * va)
-        ibus = ybus @ v
-        s_calc = v * np.conj(ibus)
-        dp = p_spec[pq] - s_calc.real[pq]
-        dq = q_spec[pq] - s_calc.imag[pq]
-        mism = max(np.max(np.abs(dp)), np.max(np.abs(dq)))
-        if mism < tol:
-            return _solution(inj, vm, va, iteration, mism)
-        if iteration == max_iter:
-            break
-
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_e = np.diag(v / vm)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_e) + np.conj(diag_i) @ diag_e
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        j = np.block([
-            [ds_dva.real[np.ix_(pq, pq)], ds_dvm.real[np.ix_(pq, pq)]],
-            [ds_dva.imag[np.ix_(pq, pq)], ds_dvm.imag[np.ix_(pq, pq)]],
-        ])
-        try:
-            dx = np.linalg.solve(j, np.concatenate([dp, dq]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"singular Jacobian at iteration {iteration}") from exc
-        k = len(pq)
-        va[pq] += dx[:k]
-        vm[pq] += dx[k:]
-
-    raise DivergedError(
-        f"Newton-Raphson did not converge in {max_iter} iterations "
-        f"(last mismatch {mism:.3e} p.u.)", last_mismatch=float(mism))
+    """Polar Newton-Raphson power flow from a flat start (1.0 p.u., 0 deg):
+    `solve_newton_raphson_batch` over a stack of one case."""
+    batch = solve_newton_raphson_batch(ybus[None], np.asarray(inj.p)[None],
+                                       np.asarray(inj.q)[None], tol=tol,
+                                       max_iter=max_iter, slack_index=slack_index)
+    return batch.solution(0, inj.bus_ids)
 
 
 def solve_fixed_point_oracle(ybus: np.ndarray, inj: InjectionSnapshot,
@@ -185,7 +282,7 @@ def solve_fixed_point_oracle(ybus: np.ndarray, inj: InjectionSnapshot,
         err = s_spec - s_calc
         mism = np.max(np.abs(np.concatenate([err.real[pq], err.imag[pq]])))
         if mism < tol:
-            return _solution(inj, np.abs(v), np.angle(v), iteration, mism)
+            return _solution(inj.bus_ids, np.abs(v), np.degrees(np.angle(v)), iteration, mism)
 
     raise DivergedError(
         f"fixed-point oracle did not converge in {max_iter} sweeps "

@@ -7,6 +7,7 @@ profiles. All powers are per-unit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -116,24 +117,40 @@ def generate_default_profiles(graph: NetworkGraph) -> list[LoadProfile]:
             for bus_id in pq_ids]
 
 
-def load_profiles_csv(path: str | Path) -> list[LoadProfile]:
-    """Read profiles from CSV with header time_index,bus_id,p_pu,q_pu.
-
-    Values are net injections (generation minus load, generation positive);
-    each bus needs all 96 time steps.
-    """
+def _read_profile_rows(path: str | Path) -> tuple[dict, dict[int, int]]:
+    """{bus: {t: (p, q)}} from a profile CSV, and the line on which each bus
+    first appears. Malformed rows raise ValueError naming path:line."""
     path = Path(path)
     per_bus: dict[int, dict[int, tuple[float, float]]] = {}
+    first_line: dict[int, int] = {}
+    row_line: dict[tuple[int, int], int] = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         expected = {"time_index", "bus_id", "p_pu", "q_pu"}
         if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected header columns {sorted(expected)}")
         for row in reader:
-            t = int(row["time_index"])
-            bus = int(row["bus_id"])
-            per_bus.setdefault(bus, {})[t] = (float(row["p_pu"]), float(row["q_pu"]))
+            line = reader.line_num
+            try:
+                t = int(row["time_index"])
+                bus = int(row["bus_id"])
+                value = (float(row["p_pu"]), float(row["q_pu"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line}: cannot parse row: {exc}") from None
+            if not all(math.isfinite(x) for x in value):
+                raise ValueError(f"{path}:{line}: p_pu and q_pu must be finite")
+            if not 0 <= t < N_STEPS:
+                raise ValueError(f"{path}:{line}: time_index {t} is outside 0..{N_STEPS - 1}")
+            if (t, bus) in row_line:
+                raise ValueError(f"{path}:{line}: duplicate row for time_index {t}, "
+                                 f"bus {bus} (first on line {row_line[(t, bus)]})")
+            row_line[(t, bus)] = line
+            first_line.setdefault(bus, line)
+            per_bus.setdefault(bus, {})[t] = value
+    return per_bus, first_line
 
+
+def _profiles_from_rows(path: str | Path, per_bus: dict) -> list[LoadProfile]:
     profiles = []
     for bus, steps in sorted(per_bus.items()):
         missing = set(range(N_STEPS)) - set(steps)
@@ -144,11 +161,32 @@ def load_profiles_csv(path: str | Path) -> list[LoadProfile]:
     return profiles
 
 
+def load_profiles_csv(path: str | Path) -> list[LoadProfile]:
+    """Read profiles from CSV with header time_index,bus_id,p_pu,q_pu.
+
+    Values are net injections (generation minus load, generation positive);
+    each bus needs all 96 time steps, each (time_index, bus_id) one row.
+    """
+    per_bus, _ = _read_profile_rows(path)
+    return _profiles_from_rows(path, per_bus)
+
+
 def load_profiles(graph: NetworkGraph, source: str | Path) -> list[LoadProfile]:
-    """Profiles named by a config or CLI value: "default" or a CSV path."""
+    """Profiles named by a config or CLI value: "default" or a CSV path.
+
+    A CSV row for a bus the network lacks, or for the slack bus (whose
+    injection is not specified), is rejected with its line number.
+    """
     if source == "default":
         return generate_default_profiles(graph)
-    return load_profiles_csv(source)
+    per_bus, first_line = _read_profile_rows(source)
+    for bus, line in first_line.items():
+        if bus not in graph.bus_ids:
+            raise ValueError(f"{source}:{line}: bus {bus} is not in the network")
+        if bus == graph.slack_bus.id:
+            raise ValueError(f"{source}:{line}: bus {bus} is the slack bus, "
+                             "which takes no injection profile")
+    return _profiles_from_rows(source, per_bus)
 
 
 def injections_at(graph: NetworkGraph, profiles: list[LoadProfile],

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import profiles
 from .detector import (
     CRITERIA,
@@ -36,11 +38,24 @@ from .measurements import (
     sample_scada,
 )
 from .network import NetworkGraph, TopologyConfig, build_ybus, load_network
-from .powerflow import InjectionSnapshot, solve_newton_raphson
+from .powerflow import InjectionSnapshot, solve_newton_raphson_batch
+# Not called here since trials solve in stacks, but kept importable from this
+# module: perfbench/test_perfbench.py checks through this name that the layer
+# tracer rebinds a function imported by another module.
+from .powerflow import solve_newton_raphson  # noqa: F401
 
 
 class ConfigError(Exception):
     """Experiment configuration file is invalid."""
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which under an affinity mask (taskset,
+    container CPU sets) can be fewer than the machine has."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def fixture_path(name: str) -> Path:
@@ -60,7 +75,7 @@ class ScenarioConfig:
     master_seed: int = 20160517
     criteria: tuple[str, ...] = CRITERIA
     signals: tuple[str, ...] = SIGNALS
-    jobs: int = os.cpu_count() or 1
+    jobs: int = field(default_factory=_usable_cpus)
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -211,37 +226,63 @@ def trial_index_for(ctx: ExperimentContext, topo_pos: int, t: int, rep: int) -> 
 def run_trial(ctx: ExperimentContext, true_topology_id: str, t: int,
               trial_index: int, rep: int = 0,
               collect_matrices: bool = False) -> TrialResult:
-    """One end-to-end detection trial.
+    """One end-to-end detection trial: the task path over a single step."""
+    return _run_trials(ctx, true_topology_id, rep, [(t, trial_index)],
+                       collect_matrices)[0]
 
-    True state from true injections and the true topology; measurements
-    sampled with device noise; candidate library solved from the SCADA
-    readings; voting applied to the difference matrices.
+
+def _run_trials(ctx: ExperimentContext, true_topology_id: str, rep: int,
+                trials: list[tuple[int, int]],
+                collect_matrices: bool = False) -> list[TrialResult]:
+    """Detection trials of one true topology and repetition, given as
+    (time step, trial index) pairs.
+
+    True states come from the true injections and topology, in one stacked
+    power flow; measurements are sampled with device noise from each
+    trial's own streams; the candidate library of every trial is solved
+    from its SCADA readings, in a second stacked power flow; voting is
+    applied to each trial's difference matrices. A case's power flow does
+    not depend on the other cases of its stack, so the results are those
+    of solving each trial alone.
     """
     config = ctx.config
-    inj_true = ctx.true_injections[t]
-    true_sol = solve_newton_raphson(ctx.ybus_by_topo[true_topology_id], inj_true,
-                                    tol=config.tol, slack_index=ctx.graph.slack_index)
+    graph = ctx.graph
+    steps = [t for t, _ in trials]
+    ybus = ctx.ybus_by_topo[true_topology_id]
+    true_states = solve_newton_raphson_batch(
+        np.broadcast_to(ybus, (len(steps),) + ybus.shape),
+        [ctx.true_injections[t].p for t in steps],
+        [ctx.true_injections[t].q for t in steps],
+        tol=config.tol, slack_index=graph.slack_index)
 
-    pmu_rng = derive_rng_stream(config.master_seed, trial_index, "pmu")
-    phasors = sample_pmu(true_sol, ctx.pmu_spec, pmu_rng, time_index=t,
-                         offsets=ctx.pmu_offsets_by_rep[rep])
-    scada_rng = derive_rng_stream(config.master_seed, trial_index, "scada")
-    scada = sample_scada(inj_true, ctx.scada_spec, scada_rng, ctx.scada_buses,
-                         time_index=t, offsets=ctx.scada_offsets_by_rep[rep])
-    meas = MeasurementSet(phasors=phasors, scada=scada, rng_seed=config.master_seed)
+    measured = {}
+    lib_inj = {}
+    for i, (t, trial_index) in enumerate(trials):
+        inj_true = ctx.true_injections[t]
+        true_sol = true_states.solution(i, inj_true.bus_ids)
+        pmu_rng = derive_rng_stream(config.master_seed, trial_index, "pmu")
+        phasors = sample_pmu(true_sol, ctx.pmu_spec, pmu_rng, time_index=t,
+                             offsets=ctx.pmu_offsets_by_rep[rep])
+        scada_rng = derive_rng_stream(config.master_seed, trial_index, "scada")
+        scada = sample_scada(inj_true, ctx.scada_spec, scada_rng, ctx.scada_buses,
+                             time_index=t, offsets=ctx.scada_offsets_by_rep[rep])
+        measured[t] = MeasurementSet(phasors=phasors, scada=scada,
+                                     rng_seed=config.master_seed)
+        lib_inj[t] = InjectionSnapshot.from_bus_map(
+            graph, {m.bus_id: (m.p_meas, m.q_meas) for m in scada})
+    library = solve_library(ctx.ybus_by_topo, lib_inj, graph.slack_index, tol=config.tol)
 
-    lib_inj = InjectionSnapshot.from_bus_map(
-        ctx.graph, {m.bus_id: (m.p_meas, m.q_meas) for m in scada})
-    library = solve_library(ctx.ybus_by_topo, {t: lib_inj}, ctx.graph.slack_index,
-                            tol=config.tol)
-    matrices = compute_difference_matrices(meas, library, t)
-
-    outcomes = {(c, s): detect(matrices, c, s)
-                for c in config.criteria for s in config.signals}
-    return TrialResult(true_topology=true_topology_id, time_index=t,
-                       trial_index=trial_index, outcomes=outcomes,
-                       votes_by_signal={s: matrices.votes(s) for s in config.signals},
-                       matrices=matrices if collect_matrices else None)
+    results = []
+    for t, trial_index in trials:
+        matrices = compute_difference_matrices(measured[t], library, t)
+        outcomes = {(c, s): detect(matrices, c, s)
+                    for c in config.criteria for s in config.signals}
+        results.append(TrialResult(
+            true_topology=true_topology_id, time_index=t, trial_index=trial_index,
+            outcomes=outcomes,
+            votes_by_signal={s: matrices.votes(s) for s in config.signals},
+            matrices=matrices if collect_matrices else None))
+    return results
 
 
 @dataclass
@@ -319,13 +360,13 @@ class DetectionRateReport:
 
 
 def _run_chunk(ctx: ExperimentContext, tasks: list[tuple[int, int]]) -> DetectionRateReport:
-    """Run all 96 steps for each (topology position, repetition) task."""
+    """Run all 96 steps for each (topology position, repetition) task, one
+    task at a time: a task's stacked power flows are its unit of work."""
     report = _empty_report(ctx)
     for topo_pos, rep in tasks:
-        topo_id = ctx.topology_ids[topo_pos]
-        for t in range(profiles.N_STEPS):
-            result = run_trial(ctx, topo_id, t,
-                               trial_index_for(ctx, topo_pos, t, rep), rep=rep)
+        trials = [(t, trial_index_for(ctx, topo_pos, t, rep))
+                  for t in range(profiles.N_STEPS)]
+        for result in _run_trials(ctx, ctx.topology_ids[topo_pos], rep, trials):
             report.record(result)
     return report
 

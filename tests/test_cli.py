@@ -91,17 +91,42 @@ def test_library_divergence_is_numerical_error(tmp_path, capsys):
     assert "power flow failed for topology" in err
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("0,9,-0.1,0.0", "bus 9 is not in the network"),
+    ("0,1,-0.1,0.0", "bus 1 is the slack bus"),
+    ("500,2,-0.1,0.0", "time_index 500 is outside 0..95"),
+    ("0,2,-0.2,0.0", "duplicate row for time_index 0, bus 2 (first on line 2)"),
+    ("0,3,abc,0.0", "cannot parse row"),
+], ids=["unknown_bus", "slack_bus", "time_outside_day", "duplicate", "not_a_number"])
+def test_bad_profile_row_is_rejected_with_its_line(tmp_path, capsys, bad_row, message):
+    """Each malformed profile row exits 2 with path:line, never a traceback
+    or a silently dropped row. The bad row is line 98, after a valid bus-2
+    profile."""
+    profile = tmp_path / "profile.csv"
+    rows = ["time_index,bus_id,p_pu,q_pu"] + [f"{t},2,-0.05,-0.01" for t in range(96)]
+    profile.write_text("\n".join(rows + [bad_row]) + "\n")
+    assert main(["powerflow", "--topo", "I", "--profile", str(profile),
+                 "--t", "0"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {profile}:98: {message}" in err
+
+
 class _Stop(Exception):
     pass
+
+
+# CPUs this process may run on: under an affinity mask, fewer than cpu_count().
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("key, flag, want", [
     ("jobs = 2\n", [], 2),
     ("jobs = 2\n", ["--jobs", "1"], 1),
-    ("", [], os.cpu_count() or 1),
+    ("", [], USABLE_CPUS),
 ])
 def test_experiment_jobs_precedence(tmp_path, monkeypatch, key, flag, want):
-    """--jobs beats the config's jobs key, which beats the CPU count."""
+    """--jobs beats the config's jobs key, which beats the usable CPU count."""
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text("network = fivebus.net\n" + key)
     seen = []

@@ -17,8 +17,11 @@ from microtopo.detector import (
     detect_ormv,
     detect_rmv,
     row_votes,
+    solve_library,
 )
 from microtopo.measurements import DeviceKind, DeviceSpec, sample_pmu
+from microtopo.network import build_ybus
+from microtopo.powerflow import DivergedError, InjectionSnapshot, solve_newton_raphson
 
 
 def _matrices(mat, ids=None):
@@ -179,6 +182,25 @@ def test_library_covers_all_pairs(zero_noise_setup, topologies):
             assert sol.max_mismatch < 1e-8
     with pytest.raises(KeyError):
         library.solution("I", 999)
+
+
+def test_library_reports_first_failed_case_in_topology_step_order(graph, topo_by_id):
+    """Topology A diverges at t=1 and topology B is singular at every step:
+    (A, 1) comes first in (topology, step) order, (B, 0) in step order."""
+    ybus = build_ybus(graph, topo_by_id["I"])
+    isolated = ybus.copy()
+    i5 = graph.bus_index(5)
+    isolated[i5, :] = isolated[:, i5] = 0.0
+    injections = {0: InjectionSnapshot.from_bus_map(graph, {3: (-0.1, -0.05)}),
+                  1: InjectionSnapshot.from_bus_map(graph, {4: (-50.0, -20.0)})}
+    with pytest.raises(LibraryError, match="topology A at t=1: Newton-Raphson") as err:
+        solve_library({"A": ybus, "B": isolated}, injections, graph.slack_index)
+    cause = err.value.__cause__
+    assert isinstance(cause, DivergedError)
+    with pytest.raises(DivergedError) as alone:
+        solve_newton_raphson(ybus, injections[1], slack_index=graph.slack_index)
+    assert cause.last_mismatch == alone.value.last_mismatch
+    assert str(cause) == str(alone.value)
 
 
 def _loop_difference_matrices(phasors, library, t):

@@ -6,9 +6,11 @@ from microtopo.network import NetworkGraph, build_ybus
 from microtopo.powerflow import (
     DivergedError,
     InjectionSnapshot,
+    SingularJacobianError,
     compute_mismatch,
     solve_fixed_point_oracle,
     solve_newton_raphson,
+    solve_newton_raphson_batch,
 )
 
 # Oracle-derived reference for topology I with a 0.1 + j0.05 p.u. load at
@@ -163,3 +165,77 @@ def test_injection_snapshot_validation(graph):
         InjectionSnapshot.from_bus_map(graph, {99: (1.0, 0.0)})
     with pytest.raises(ValueError):
         InjectionSnapshot(bus_ids=(1, 2), p=(0.0, float("nan")), q=(0.0, 0.0))
+
+
+@pytest.fixture(scope="module")
+def fixture_stack(graph, topologies):
+    """All 480 (topology, t) fixture cases as one stack: ybus, p, q, snapshots."""
+    profs = profiles.generate_default_profiles(graph)
+    snapshots = [profiles.injections_at(graph, profs, t) for t in range(96)]
+    cases = [(build_ybus(graph, topo), inj) for topo in topologies for inj in snapshots]
+    return (np.stack([y for y, _ in cases]), np.array([inj.p for _, inj in cases]),
+            np.array([inj.q for _, inj in cases]), cases)
+
+
+def test_batch_agrees_with_oracle_on_all_fixture_cases(fixture_stack):
+    ybus, p, q, cases = fixture_stack
+    batch = solve_newton_raphson_batch(ybus, p, q, tol=1e-10)
+    assert batch.converged.all()
+    for i, (y, inj) in enumerate(cases):
+        fp = solve_fixed_point_oracle(y, inj, tol=1e-10)
+        assert np.max(np.abs(batch.vm[i] - fp.vm)) < 1e-8
+        assert np.max(np.abs(batch.va_deg[i] - fp.va_deg)) < 1e-6
+
+
+def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_stack):
+    ybus, p, q, cases = fixture_stack
+    batch = solve_newton_raphson_batch(ybus, p, q)
+    for i in range(len(cases)):
+        alone = solve_newton_raphson_batch(ybus[i:i + 1], p[i:i + 1], q[i:i + 1])
+        assert alone.iterations[0] == batch.iterations[i]
+        assert alone.mismatch[0] == batch.mismatch[i]
+        assert np.array_equal(alone.vm[0], batch.vm[i])
+        assert np.array_equal(alone.va_deg[0], batch.va_deg[i])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_failed_cases_leave_the_others_unchanged(fixture_stack, graph):
+    """A diverging, a non-finite and a singular case are flagged per case;
+    the converging cases of the same stack keep their solo results."""
+    ybus, p, q, cases = fixture_stack
+    good = [0, 137, 300, 479]
+    isolated = ybus[0].copy()  # bus 5 cut off: a zero Jacobian row
+    i5 = graph.bus_index(5)
+    isolated[i5, :] = isolated[:, i5] = 0.0
+    heavy = p[0].copy()
+    heavy[graph.bus_index(4)] = -50.0
+    stack_y = np.stack([ybus[good[0]], ybus[0], ybus[good[1]], ybus[0], isolated,
+                        ybus[good[2]], ybus[good[3]]])
+    stack_p = np.stack([p[good[0]], heavy, p[good[1]], np.full_like(heavy, np.nan),
+                        p[0], p[good[2]], p[good[3]]])
+    stack_q = np.stack([q[good[0]], q[0], q[good[1]], q[0], q[0], q[good[2]], q[good[3]]])
+    mixed = solve_newton_raphson_batch(stack_y, stack_p, stack_q, max_iter=20)
+    assert mixed.converged.tolist() == [True, False, True, False, False, True, True]
+    assert mixed.singular.tolist() == [False, False, False, False, True, False, False]
+    for row, i in zip((0, 2, 5, 6), good):
+        alone = solve_newton_raphson_batch(ybus[i:i + 1], p[i:i + 1], q[i:i + 1],
+                                           max_iter=20)
+        assert mixed.iterations[row] == alone.iterations[0]
+        assert np.array_equal(mixed.vm[row], alone.vm[0])
+        assert np.array_equal(mixed.va_deg[row], alone.va_deg[0])
+    for row in (1, 3):
+        assert isinstance(mixed.error(row), DivergedError)
+        assert mixed.iterations[row] == 20
+    assert mixed.mismatch[1] > 1.0
+    assert np.isnan(mixed.mismatch[3])
+    assert isinstance(mixed.error(4), SingularJacobianError)
+    bus_ids = cases[0][1].bus_ids
+    with pytest.raises(SingularJacobianError):
+        mixed.solution(4, bus_ids)
+    # the scalar solver is the stack of one: the same errors and mismatch
+    inj = InjectionSnapshot(bus_ids=bus_ids, p=tuple(heavy), q=tuple(q[0]))
+    with pytest.raises(DivergedError) as err:
+        solve_newton_raphson(ybus[0], inj, max_iter=20)
+    assert err.value.last_mismatch == mixed.mismatch[1]
+    with pytest.raises(SingularJacobianError):
+        solve_newton_raphson(isolated, cases[0][1])

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from microtopo import scenario
 from microtopo.detector import build_library, solve_library
 from microtopo.measurements import derive_rng_stream, sample_scada
 from microtopo.powerflow import InjectionSnapshot
@@ -110,6 +111,32 @@ def test_trial_library_matches_build_library():
                            tol=ctx.config.tol)
     assert trial.topology_ids == public.topology_ids == ctx.topology_ids
     assert trial.entries == public.entries
+
+
+@pytest.mark.parametrize("topo_pos, rep, steps", [
+    (0, 0, (0, 47, 95)),
+    (2, 1, (12, 76)),
+    (4, 1, (30, 60)),
+])
+def test_run_trial_matches_task_path(topo_pos, rep, steps):
+    """A trial run alone (one-case stacks) gives the verdicts, per-row votes
+    and matrices that the experiment's task path (96-step stacks) records
+    for the same trial index."""
+    ctx = build_context(_tiny_config(repetitions=2, master_seed=3))
+    topo_id = ctx.topology_ids[topo_pos]
+    task = scenario._run_trials(
+        ctx, topo_id, rep,
+        [(t, trial_index_for(ctx, topo_pos, t, rep)) for t in range(96)],
+        collect_matrices=True)
+    for t in steps:
+        alone = run_trial(ctx, topo_id, t, trial_index_for(ctx, topo_pos, t, rep),
+                          rep=rep, collect_matrices=True)
+        recorded = task[t]
+        assert (recorded.time_index, recorded.trial_index) == (t, alone.trial_index)
+        assert alone.outcomes == recorded.outcomes
+        assert alone.votes_by_signal == recorded.votes_by_signal
+        assert alone.matrices.adm.tobytes() == recorded.matrices.adm.tobytes()
+        assert alone.matrices.mdm.tobytes() == recorded.matrices.mdm.tobytes()
 
 
 def test_zero_noise_trial_always_correct():
