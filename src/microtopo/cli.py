@@ -106,7 +106,7 @@ def _injections_for(graph, args) -> InjectionSnapshot:
     if not 0 <= args.t < profiles.N_STEPS:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     profs = profiles.load_profiles(graph, args.profile)
-    return profiles.injections_at(graph, profs, args.t)
+    return profiles.injections_by_step(graph, profs)[args.t]
 
 
 def _find_topology(topologies, topo_id):
@@ -154,8 +154,7 @@ def cmd_powerflow(args) -> int:
 def cmd_library(args) -> int:
     graph, topologies = load_network(args.net)
     profs = profiles.load_profiles(graph, args.profile)
-    inj = {t: profiles.injections_at(graph, profs, t)
-           for t in range(profiles.N_STEPS)}
+    inj = dict(enumerate(profiles.injections_by_step(graph, profs)))
     library = build_library(graph, topologies, inj)
     print(f"library: {len(topologies)} topologies x {profiles.N_STEPS} steps "
           f"= {len(library.entries)} solutions")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkGraph, TopologyConfig, build_ybus
+from .network import NetworkGraph, TopologyConfig, bus_positions, build_ybus
 from .powerflow import (
     InjectionSnapshot,
     PowerFlowError,
@@ -114,25 +114,20 @@ def solve_library(ybus_by_topo: dict[str, np.ndarray],
 def compute_difference_matrices(measurements, library: TopologyLibrary,
                                 t: int) -> DifferenceMatrices:
     """ADM/MDM at time step t for one measurement set; rows sorted by bus id."""
-    phasors = sorted(measurements.phasors, key=lambda m: m.bus_id)
-    bus_ids = tuple(ph.bus_id for ph in phasors)
+    phasors = measurements.phasors
     topo_ids = library.topology_ids
-    va_calc = np.empty((len(bus_ids), len(topo_ids)))
-    vm_calc = np.empty_like(va_calc)
-    for col, q in enumerate(topo_ids):
-        sol = library.solution(q, t)
-        position = {bus: i for i, bus in enumerate(sol.bus_ids)}
-        try:
-            rows = [position[bus] for bus in bus_ids]
-        except KeyError as exc:
-            raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
-                               f"for topology {q} at t={t}") from None
-        va_calc[:, col] = np.take(sol.va_deg, rows)
-        vm_calc[:, col] = np.take(sol.vm, rows)
-    va_meas = np.array([ph.va_meas for ph in phasors])
-    vm_meas = np.array([ph.vm_meas for ph in phasors])
-    return DifferenceMatrices(adm=np.abs(va_meas[:, None] - va_calc),
-                              mdm=np.abs(vm_meas[:, None] - vm_calc),
+    solutions = [library.solution(q, t) for q in topo_ids]
+    order = np.argsort(phasors.bus_ids, kind="stable")
+    bus_ids = tuple(phasors.bus_ids[i] for i in order)
+    try:
+        rows = bus_positions(solutions[0].bus_ids, bus_ids)
+    except KeyError as exc:
+        raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
+                           f"for topology {topo_ids[0]} at t={t}") from None
+    va_calc = np.stack([sol.va_deg for sol in solutions], axis=1)[rows]
+    vm_calc = np.stack([sol.vm for sol in solutions], axis=1)[rows]
+    return DifferenceMatrices(adm=np.abs(phasors.va_deg[order, None] - va_calc),
+                              mdm=np.abs(phasors.vm[order, None] - vm_calc),
                               pmu_bus_ids=bus_ids, topology_ids=topo_ids)
 
 

@@ -8,10 +8,11 @@ the measured power itself.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .network import bus_positions
 from .powerflow import InjectionSnapshot, PowerFlowSolution
 
 
@@ -24,16 +25,14 @@ class DeviceKind:
 class DeviceSpec:
     """Noise model of one measurement device class.
 
-    sigma and accuracy are relative fractions (0.00025 means 0.025%).
-    For μPMUs the angle sigma/offset are interpreted in radians by default
-    (angle_in_radians=False switches to degrees).
+    sigma and accuracy are relative fractions (0.00025 means 0.025%). For
+    μPMUs the angle sigma and offset bound are in radians.
     """
 
     kind: str
     sigma: float
     accuracy: float = 0.0
     nominal_voltage: float = 1.0
-    angle_in_radians: bool = True
 
     def __post_init__(self):
         if self.sigma < 0 or self.accuracy < 0:
@@ -41,27 +40,43 @@ class DeviceSpec:
 
 
 @dataclass(frozen=True)
-class PhasorMeasurement:
-    bus_id: int
-    vm_meas: float
-    va_meas: float  # degrees
+class PhasorSet:
+    """Measured voltage phasors at one time step, one entry per bus."""
+
+    bus_ids: tuple[int, ...]
+    vm: np.ndarray  # p.u.
+    va_deg: np.ndarray  # degrees
     time_index: int
 
 
 @dataclass(frozen=True)
 class ScadaPowerMeasurement:
+    """One bus of a `ScadaSet`, for callers that read bus by bus."""
+
     bus_id: int
     p_meas: float
     q_meas: float
+
+
+@dataclass(frozen=True)
+class ScadaSet:
+    """Measured net injections at one time step, one entry per monitored bus."""
+
+    bus_ids: tuple[int, ...]
+    p: np.ndarray
+    q: np.ndarray
     time_index: int
+
+    def __iter__(self):
+        return map(ScadaPowerMeasurement, self.bus_ids, self.p.tolist(), self.q.tolist())
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
     """All measurements available to the detector at one time step."""
 
-    phasors: tuple[PhasorMeasurement, ...]
-    scada: tuple[ScadaPowerMeasurement, ...]
+    phasors: PhasorSet
+    scada: ScadaSet
     rng_seed: int
 
 
@@ -78,78 +93,72 @@ def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.
 
 @dataclass(frozen=True)
 class PmuOffsets:
-    """Per-bus systematic offsets, drawn once per experiment run."""
+    """Systematic offsets by bus position, drawn once per experiment run."""
 
-    vm: dict[int, float] = field(default_factory=dict)
-    va_deg: dict[int, float] = field(default_factory=dict)
+    vm: np.ndarray  # p.u.
+    va_deg: np.ndarray  # degrees
 
 
 def draw_pmu_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> PmuOffsets:
-    bound_vm = spec.accuracy * spec.nominal_voltage
-    bound_ang = spec.accuracy
-    vm = {}
-    va = {}
-    for bus in bus_ids:
-        vm[bus] = float(rng.uniform(-bound_vm, bound_vm))
-        off = float(rng.uniform(-bound_ang, bound_ang))
-        va[bus] = float(np.degrees(off)) if spec.angle_in_radians else off
-    return PmuOffsets(vm=vm, va_deg=va)
+    """Offsets uniform within the accuracy bound, drawn bus by bus, the
+    magnitude's before the angle's."""
+    bound = np.array([spec.accuracy * spec.nominal_voltage, spec.accuracy])
+    off = rng.uniform(-bound, bound, size=(len(bus_ids), 2))
+    return PmuOffsets(vm=off[:, 0], va_deg=np.degrees(off[:, 1]))
 
 
-def draw_scada_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> dict[int, float]:
-    return {bus: float(rng.uniform(-spec.accuracy, spec.accuracy)) for bus in bus_ids}
+def draw_scada_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> np.ndarray:
+    """Relative offsets by position in `bus_ids`, uniform within the accuracy."""
+    return rng.uniform(-spec.accuracy, spec.accuracy, size=len(bus_ids))
+
+
+def _gaussian(rng: np.random.Generator, sigmas: tuple[float, float], n: int) -> np.ndarray:
+    """(n, 2) zero-mean noise, column j with std sigmas[j], equal to n pairs
+    of scalar `rng.normal(0, sigma)` draws; a zero std draws nothing and
+    gives zeros."""
+    sigmas = np.asarray(sigmas)
+    live = sigmas > 0
+    noise = np.zeros((n, 2))
+    noise[:, live] = rng.standard_normal((n, np.count_nonzero(live))) * sigmas[live]
+    return noise
 
 
 def sample_pmu(true_solution: PowerFlowSolution, spec: DeviceSpec,
                rng: np.random.Generator, time_index: int = 0,
-               offsets: PmuOffsets | None = None) -> tuple[PhasorMeasurement, ...]:
+               offsets: PmuOffsets | None = None) -> PhasorSet:
     """Noisy voltage phasor per bus of the true power-flow state.
 
     Magnitude noise std is sigma * nominal_voltage (absolute, p.u.); angle
-    noise std is sigma in radians (reported in degrees).
+    noise std is sigma in radians (reported in degrees). Noise is drawn bus
+    by bus, magnitude before angle.
     """
     if spec.kind != DeviceKind.MICRO_PMU:
         raise ValueError(f"expected a {DeviceKind.MICRO_PMU} spec, got {spec.kind}")
-    offsets = offsets or PmuOffsets()
-    sigma_vm = spec.sigma * spec.nominal_voltage
-    sigma_va_deg = float(np.degrees(spec.sigma)) if spec.angle_in_radians else spec.sigma
-
-    out = []
-    for bus_id, vm, va in zip(true_solution.bus_ids, true_solution.vm,
-                              true_solution.va_deg):
-        noise_vm = rng.normal(0.0, sigma_vm) if sigma_vm > 0 else 0.0
-        noise_va = rng.normal(0.0, sigma_va_deg) if sigma_va_deg > 0 else 0.0
-        out.append(PhasorMeasurement(
-            bus_id=bus_id,
-            vm_meas=vm + offsets.vm.get(bus_id, 0.0) + noise_vm,
-            va_meas=va + offsets.va_deg.get(bus_id, 0.0) + noise_va,
-            time_index=time_index,
-        ))
-    return tuple(out)
+    noise = _gaussian(rng, (spec.sigma * spec.nominal_voltage, np.degrees(spec.sigma)),
+                      len(true_solution.bus_ids))
+    vm, va = true_solution.vm, true_solution.va_deg
+    if offsets is not None:
+        vm, va = vm + offsets.vm, va + offsets.va_deg
+    return PhasorSet(bus_ids=true_solution.bus_ids, vm=vm + noise[:, 0],
+                     va_deg=va + noise[:, 1], time_index=time_index)
 
 
 def sample_scada(true_injections: InjectionSnapshot, spec: DeviceSpec,
                  rng: np.random.Generator, measured_buses,
-                 time_index: int = 0,
-                 offsets: dict[int, float] | None = None) -> tuple[ScadaPowerMeasurement, ...]:
+                 time_index: int = 0, offsets: np.ndarray | None = None) -> ScadaSet:
     """Noisy net power injection per monitored bus.
 
     Multiplicative model: p_meas = p_true * (1 + offset + N(0, sigma)),
-    so a zero true injection measures exactly zero.
+    so a zero true injection measures exactly zero. `offsets` holds one
+    offset per bus of `measured_buses`, in that order. Noise is drawn bus by
+    bus, p before q.
     """
     if spec.kind != DeviceKind.SCADA:
         raise ValueError(f"expected a {DeviceKind.SCADA} spec, got {spec.kind}")
-    offsets = offsets or {}
-    out = []
-    for bus_id in measured_buses:
-        idx = true_injections.bus_ids.index(bus_id)
-        off = offsets.get(bus_id, 0.0)
-        factor_p = 1.0 + off + (rng.normal(0.0, spec.sigma) if spec.sigma > 0 else 0.0)
-        factor_q = 1.0 + off + (rng.normal(0.0, spec.sigma) if spec.sigma > 0 else 0.0)
-        out.append(ScadaPowerMeasurement(
-            bus_id=bus_id,
-            p_meas=true_injections.p[idx] * factor_p,
-            q_meas=true_injections.q[idx] * factor_q,
-            time_index=time_index,
-        ))
-    return tuple(out)
+    rows = bus_positions(true_injections.bus_ids, measured_buses)
+    base = 1.0 if offsets is None else 1.0 + offsets[:, None]
+    factor = base + _gaussian(rng, (spec.sigma, spec.sigma), len(rows))
+    return ScadaSet(bus_ids=tuple(measured_buses),
+                    p=true_injections.p[rows] * factor[:, 0],
+                    q=true_injections.q[rows] * factor[:, 1],
+                    time_index=time_index)

@@ -122,6 +122,13 @@ class NetworkGraph:
         return tuple(l for l in self.lines if l.switch_id in topo.closed_switches)
 
 
+def bus_positions(bus_ids: tuple[int, ...], wanted) -> list[int]:
+    """Position in `bus_ids` of each bus of `wanted`, in the order of
+    `wanted`; a bus missing from `bus_ids` raises KeyError with its id."""
+    position = {bus: i for i, bus in enumerate(bus_ids)}
+    return [position[bus] for bus in wanted]
+
+
 def build_incidence_matrix(graph: NetworkGraph, topo: TopologyConfig) -> np.ndarray:
     """Oriented incidence matrix over closed lines.
 

@@ -33,18 +33,18 @@ class SingularJacobianError(PowerFlowError):
 class InjectionSnapshot:
     """Net per-bus power injection (generation minus load), per-unit.
 
-    Entries are ordered like the network buses; the slack entry is fixed
-    at zero (the slack bus carries no injection specification).
+    `p` and `q` are float arrays ordered like the network buses; the slack
+    entry is fixed at zero (the slack bus carries no injection specification).
     """
 
     bus_ids: tuple[int, ...]
-    p: tuple[float, ...]
-    q: tuple[float, ...]
+    p: np.ndarray
+    q: np.ndarray
 
     def __post_init__(self):
         if not (len(self.bus_ids) == len(self.p) == len(self.q)):
             raise ValueError("bus_ids, p and q must have equal length")
-        if not all(np.isfinite(self.p)) or not all(np.isfinite(self.q)):
+        if not np.isfinite((self.p, self.q)).all():
             raise ValueError("injections must be finite")
 
     @classmethod
@@ -54,38 +54,22 @@ class InjectionSnapshot:
         unknown = set(injections) - set(graph.bus_ids)
         if unknown:
             raise KeyError(f"injections reference unknown buses: {sorted(unknown)}")
-        slack_id = graph.slack_bus.id
-        p = []
-        q = []
-        for bus in graph.buses:
-            if bus.id == slack_id:
-                p.append(0.0)
-                q.append(0.0)
-            else:
-                pi, qi = injections.get(bus.id, (0.0, 0.0))
-                p.append(float(pi))
-                q.append(float(qi))
-        return cls(bus_ids=graph.bus_ids, p=tuple(p), q=tuple(q))
+        bus_ids = graph.bus_ids
+        pq = np.array([injections.get(bus, (0.0, 0.0)) for bus in bus_ids], dtype=float)
+        pq[graph.slack_index] = 0.0
+        return cls(bus_ids=bus_ids, p=pq[:, 0], q=pq[:, 1])
 
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Converged bus voltages: magnitude in p.u., angle in degrees."""
+    """Converged bus voltages by bus position: magnitude in p.u., angle in
+    degrees."""
 
     bus_ids: tuple[int, ...]
-    vm: tuple[float, ...]
-    va_deg: tuple[float, ...]
+    vm: np.ndarray
+    va_deg: np.ndarray
     iterations: int
     max_mismatch: float
-
-    def vm_at(self, bus_id: int) -> float:
-        return self.vm[self.bus_ids.index(bus_id)]
-
-    def va_at(self, bus_id: int) -> float:
-        return self.va_deg[self.bus_ids.index(bus_id)]
-
-    def complex_voltages(self) -> np.ndarray:
-        return np.asarray(self.vm) * np.exp(1j * np.radians(self.va_deg))
 
 
 def compute_mismatch(ybus: np.ndarray, inj: InjectionSnapshot,
@@ -103,16 +87,6 @@ def compute_mismatch(ybus: np.ndarray, inj: InjectionSnapshot,
     dp[slack_index] = 0.0
     dq[slack_index] = 0.0
     return dp, dq
-
-
-def _solution(bus_ids, vm, va_deg, iterations, mism) -> PowerFlowSolution:
-    return PowerFlowSolution(
-        bus_ids=tuple(bus_ids),
-        vm=tuple(np.asarray(vm, dtype=float).tolist()),
-        va_deg=tuple(np.asarray(va_deg, dtype=float).tolist()),
-        iterations=int(iterations),
-        max_mismatch=float(mism),
-    )
 
 
 @dataclass(frozen=True)
@@ -147,8 +121,9 @@ class BatchPowerFlow:
         err = self.error(i)
         if err is not None:
             raise err
-        return _solution(bus_ids, self.vm[i], self.va_deg[i], self.iterations[i],
-                         self.mismatch[i])
+        return PowerFlowSolution(bus_ids=bus_ids, vm=self.vm[i], va_deg=self.va_deg[i],
+                                 iterations=int(self.iterations[i]),
+                                 max_mismatch=float(self.mismatch[i]))
 
 
 def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -282,7 +257,9 @@ def solve_fixed_point_oracle(ybus: np.ndarray, inj: InjectionSnapshot,
         err = s_spec - s_calc
         mism = np.max(np.abs(np.concatenate([err.real[pq], err.imag[pq]])))
         if mism < tol:
-            return _solution(inj.bus_ids, np.abs(v), np.degrees(np.angle(v)), iteration, mism)
+            return PowerFlowSolution(bus_ids=inj.bus_ids, vm=np.abs(v),
+                                     va_deg=np.degrees(np.angle(v)), iterations=iteration,
+                                     max_mismatch=float(mism))
 
     raise DivergedError(
         f"fixed-point oracle did not converge in {max_iter} sweeps "

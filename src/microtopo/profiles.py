@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import BusKind, NetworkGraph
+from .network import BusKind, NetworkGraph, bus_positions
 from .powerflow import InjectionSnapshot
 
 N_STEPS = 96  # one day at 15-minute resolution
@@ -189,16 +189,17 @@ def load_profiles(graph: NetworkGraph, source: str | Path) -> list[LoadProfile]:
     return _profiles_from_rows(source, per_bus)
 
 
-def injections_at(graph: NetworkGraph, profiles: list[LoadProfile],
-                  t: int) -> InjectionSnapshot:
-    """Net injection snapshot (generation minus load) at time step t."""
-    totals: dict[int, tuple[float, float]] = {}
-    for prof in profiles:
-        sign = prof.klass.injection_sign
-        p, q = prof.values[t]
-        p0, q0 = totals.get(prof.bus_id, (0.0, 0.0))
-        totals[prof.bus_id] = (p0 + sign * p, q0 + sign * q)
-    return InjectionSnapshot.from_bus_map(graph, totals)
+def injections_by_step(graph: NetworkGraph,
+                       profiles: list[LoadProfile]) -> tuple[InjectionSnapshot, ...]:
+    """Net injection snapshot (generation minus load) at each time step."""
+    pq = np.zeros((N_STEPS, graph.n_bus, 2))
+    rows = bus_positions(graph.bus_ids, [prof.bus_id for prof in profiles])
+    for prof, row in zip(profiles, rows):
+        pq[:, row] += prof.klass.injection_sign * np.array(prof.values)
+    pq[:, graph.slack_index] = 0.0
+    bus_ids = graph.bus_ids
+    return tuple(InjectionSnapshot(bus_ids=bus_ids, p=step[:, 0], q=step[:, 1])
+                 for step in pq)
 
 
 def profile_buses(profiles: list[LoadProfile]) -> tuple[int, ...]:

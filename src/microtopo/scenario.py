@@ -37,7 +37,7 @@ from .measurements import (
     sample_pmu,
     sample_scada,
 )
-from .network import NetworkGraph, TopologyConfig, build_ybus, load_network
+from .network import NetworkGraph, TopologyConfig, build_ybus, bus_positions, load_network
 from .powerflow import InjectionSnapshot, solve_newton_raphson_batch
 # Not called here since trials solve in stacks, but kept importable from this
 # module: perfbench/test_perfbench.py checks through this name that the layer
@@ -88,12 +88,18 @@ class ScenarioConfig:
             raise ConfigError("jobs must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
-        for c in self.criteria:
-            if c not in CRITERIA:
-                raise ConfigError(f"unknown criterion {c!r}")
-        for s in self.signals:
-            if s not in SIGNALS:
-                raise ConfigError(f"unknown signal {s!r}")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
+        for key, kind, known in (("criteria", "criterion", CRITERIA),
+                                 ("signals", "signal", SIGNALS)):
+            names = getattr(self, key)
+            if not names:
+                raise ConfigError(f"{key} must name at least one {kind}")
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ConfigError(f"unknown {kind} {name!r}")
+                if name in names[:i]:
+                    raise ConfigError(f"{kind} {name!r} is listed twice")
 
 
 _CONFIG_PARSERS = {
@@ -183,8 +189,7 @@ class ExperimentContext:
 def build_context(config: ScenarioConfig) -> ExperimentContext:
     graph, topologies = load_network(config.network)
     profs = profiles.load_profiles(graph, config.profile)
-    true_inj = tuple(profiles.injections_at(graph, profs, t)
-                     for t in range(profiles.N_STEPS))
+    true_inj = profiles.injections_by_step(graph, profs)
     scada_buses = profiles.profile_buses(profs)
     pmu_spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=config.pmu_sigma,
                           accuracy=config.pmu_accuracy,
@@ -255,21 +260,25 @@ def _run_trials(ctx: ExperimentContext, true_topology_id: str, rep: int,
         [ctx.true_injections[t].q for t in steps],
         tol=config.tol, slack_index=graph.slack_index)
 
+    bus_ids = graph.bus_ids
+    scada_rows = bus_positions(bus_ids, ctx.scada_buses)
+    lib_p = np.zeros((len(trials), len(bus_ids)))
+    lib_q = np.zeros_like(lib_p)
     measured = {}
-    lib_inj = {}
     for i, (t, trial_index) in enumerate(trials):
-        inj_true = ctx.true_injections[t]
-        true_sol = true_states.solution(i, inj_true.bus_ids)
         pmu_rng = derive_rng_stream(config.master_seed, trial_index, "pmu")
-        phasors = sample_pmu(true_sol, ctx.pmu_spec, pmu_rng, time_index=t,
-                             offsets=ctx.pmu_offsets_by_rep[rep])
+        phasors = sample_pmu(true_states.solution(i, bus_ids), ctx.pmu_spec, pmu_rng,
+                             time_index=t, offsets=ctx.pmu_offsets_by_rep[rep])
         scada_rng = derive_rng_stream(config.master_seed, trial_index, "scada")
-        scada = sample_scada(inj_true, ctx.scada_spec, scada_rng, ctx.scada_buses,
-                             time_index=t, offsets=ctx.scada_offsets_by_rep[rep])
+        scada = sample_scada(ctx.true_injections[t], ctx.scada_spec, scada_rng,
+                             ctx.scada_buses, time_index=t,
+                             offsets=ctx.scada_offsets_by_rep[rep])
         measured[t] = MeasurementSet(phasors=phasors, scada=scada,
                                      rng_seed=config.master_seed)
-        lib_inj[t] = InjectionSnapshot.from_bus_map(
-            graph, {m.bus_id: (m.p_meas, m.q_meas) for m in scada})
+        lib_p[i, scada_rows] = scada.p
+        lib_q[i, scada_rows] = scada.q
+    lib_inj = {t: InjectionSnapshot(bus_ids=bus_ids, p=lib_p[i], q=lib_q[i])
+               for i, t in enumerate(steps)}
     library = solve_library(ctx.ybus_by_topo, lib_inj, graph.slack_index, tol=config.tol)
 
     results = []

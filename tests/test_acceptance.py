@@ -69,7 +69,7 @@ def test_zero_noise_detection_is_perfect():
 
 def test_power_flow_against_independent_oracle():
     graph, topologies = load_network(fixture_path("fivebus.net"))
-    profs = profiles.generate_default_profiles(graph)
+    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
 
     max_dvm = 0.0
     max_dva = 0.0
@@ -78,7 +78,7 @@ def test_power_flow_against_independent_oracle():
     for topo in topologies:
         ybus = build_ybus(graph, topo)
         for t in range(96):
-            inj = profiles.injections_at(graph, profs, t)
+            inj = day[t]
             nr = solve_newton_raphson(ybus, inj, tol=1e-10)
             fp = solve_fixed_point_oracle(ybus, inj, tol=1e-10)
             max_dvm = max(max_dvm, float(np.max(np.abs(np.subtract(nr.vm, fp.vm)))))

@@ -141,6 +141,23 @@ def test_experiment_jobs_precedence(tmp_path, monkeypatch, key, flag, want):
     assert seen == [want]
 
 
+@pytest.mark.parametrize("key, argv, message", [
+    ("criteria =\n", ["experiment"], "criteria must name at least one criterion"),
+    ("signals = angle, angle\n", ["experiment"], "signal 'angle' is listed twice"),
+    ("", ["experiment", "--seed", "-1"], "master_seed must be >= 0"),
+    ("", ["detect", "--topo", "I", "--seed", "-1"], "master_seed must be >= 0"),
+], ids=["empty_criteria", "duplicate_signal", "experiment_negative_seed",
+        "detect_negative_seed"])
+def test_bad_config_exits_2_before_any_trial(tmp_path, capsys, key, argv, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("network = fivebus.net\n" + key)
+    if argv[0] == "experiment":
+        argv = argv[:1] + [str(cfg), "--out-dir", str(tmp_path / "out")] + argv[1:]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_detect_zero_noise_and_dump(tmp_path, capsys):
     dump = tmp_path / "matrices.csv"
     assert main(["detect", "--topo", "III", "--t", "30", "--seed", "5",

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from microtopo import profiles
 from microtopo.detector import (
@@ -88,6 +91,53 @@ def test_criteria_against_brute_force_on_random_matrices():
         assert rmv.per_row_votes is ormv.per_row_votes is m.votes("angle")
 
 
+# Integer-valued entries keep column sums exact, so permuting rows cannot
+# move a column mean by round-off; the narrow range makes row ties common.
+_MATRICES = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 5)),
+                   elements=st.integers(0, 20).map(float))
+
+
+def _verdicts(mat, ids):
+    m = _matrices(mat, ids)
+    return [fn(m, "angle").verdict for fn in (detect_rmv, detect_armv, detect_ormv)]
+
+
+def _assume_unique_min_column_mean(mat):
+    # ARMV breaks an exact tie of column means toward the first column, a
+    # rule that does not commute with permutations.
+    means = mat.mean(axis=0)
+    assume(np.count_nonzero(means == means.min()) == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=_MATRICES, data=st.data())
+def test_permuting_columns_permutes_the_verdict(mat, data):
+    _assume_unique_min_column_mean(mat)
+    ids = tuple(f"T{j}" for j in range(mat.shape[1]))
+    perm = data.draw(st.permutations(range(mat.shape[1])))
+    assert _verdicts(mat[:, perm], tuple(ids[j] for j in perm)) == _verdicts(mat, ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=_MATRICES, data=st.data())
+def test_permuting_rows_leaves_the_verdict(mat, data):
+    _assume_unique_min_column_mean(mat)
+    ids = tuple(f"T{j}" for j in range(mat.shape[1]))
+    perm = data.draw(st.permutations(range(mat.shape[0])))
+    assert _verdicts(mat[perm], ids) == _verdicts(mat, ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=_MATRICES, col=st.integers(0, 4), extra=st.integers(1, 20).map(float))
+def test_raising_a_column_never_makes_it_win(mat, col, extra):
+    col %= mat.shape[1]
+    ids = tuple(f"T{j}" for j in range(mat.shape[1]))
+    raised = mat.copy()
+    raised[:, col] += extra
+    for before, after in zip(_verdicts(mat, ids), _verdicts(raised, ids)):
+        assert before == ids[col] or after != ids[col]
+
+
 def test_armv_scale_invariance():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -168,7 +218,8 @@ def test_unknown_criterion_and_signal():
 @pytest.fixture(scope="module")
 def zero_noise_setup(graph, topologies):
     profs = profiles.generate_default_profiles(graph)
-    injections = {t: profiles.injections_at(graph, profs, t) for t in (12, 48, 76)}
+    day = profiles.injections_by_step(graph, profs)
+    injections = {t: day[t] for t in (12, 48, 76)}
     library = build_library(graph, topologies, injections)
     return library, injections
 
@@ -205,14 +256,15 @@ def test_library_reports_first_failed_case_in_topology_step_order(graph, topo_by
 
 def _loop_difference_matrices(phasors, library, t):
     """Cell-by-cell ADM/MDM, independent of the broadcast path."""
-    rows = sorted(phasors, key=lambda m: m.bus_id)
+    rows = sorted(range(len(phasors.bus_ids)), key=lambda i: phasors.bus_ids[i])
     adm = np.zeros((len(rows), len(library.topology_ids)))
     mdm = np.zeros_like(adm)
     for col, q in enumerate(library.topology_ids):
         sol = library.solution(q, t)
-        for row, ph in enumerate(rows):
-            adm[row, col] = abs(ph.va_meas - sol.va_at(ph.bus_id))
-            mdm[row, col] = abs(ph.vm_meas - sol.vm_at(ph.bus_id))
+        for row, i in enumerate(rows):
+            k = sol.bus_ids.index(phasors.bus_ids[i])
+            adm[row, col] = abs(phasors.va_deg[i] - sol.va_deg[k])
+            mdm[row, col] = abs(phasors.vm[i] - sol.vm[k])
     return adm, mdm
 
 
@@ -227,8 +279,11 @@ def test_difference_matrices_match_cell_loop_bit_for_bit(zero_noise_setup):
     rng = np.random.default_rng(5)
     for q in library.topology_ids:
         for t in injections:
-            meas = list(sample_pmu(library.solution(q, t), spec, rng, time_index=t))
-            rng.shuffle(meas)  # rows are sorted by bus id whatever the input order
+            meas = sample_pmu(library.solution(q, t), spec, rng, time_index=t)
+            # rows are sorted by bus id whatever the input order
+            perm = rng.permutation(len(meas.bus_ids))
+            meas = dataclasses.replace(meas, bus_ids=tuple(meas.bus_ids[i] for i in perm),
+                                       vm=meas.vm[perm], va_deg=meas.va_deg[perm])
             m = compute_difference_matrices(_Bag(meas), library, t)
             adm, mdm = _loop_difference_matrices(meas, library, t)
             assert m.pmu_bus_ids == (1, 2, 3, 4, 5)
@@ -241,7 +296,7 @@ def test_pmu_bus_missing_from_library_raises(zero_noise_setup):
     spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
     meas = sample_pmu(library.solution("I", 48), spec, np.random.default_rng(0),
                       time_index=48)
-    stray = meas + (dataclasses.replace(meas[0], bus_id=9),)
+    stray = dataclasses.replace(meas, bus_ids=meas.bus_ids[:-1] + (9,))
     with pytest.raises(LibraryError, match="bus 9 missing"):
         compute_difference_matrices(_Bag(stray), library, 48)
 

@@ -1,9 +1,16 @@
-"""Seeded experiment output against committed reference files.
+"""Seeded output against committed reference files.
 
-tests/data/golden/ holds rates.csv and confusion.csv of
-`microtopo experiment --seed 7 --reps 1 --jobs 1` on the bundled paper.cfg.
+tests/data/golden/ holds, generated by the code before the array-first
+refactor of the trial path:
+- rates.csv and confusion.csv of
+  `microtopo experiment --seed 7 --reps 1 --jobs 1` on the bundled paper.cfg;
+- detect_III_t30_seed5.txt and detect_III_t30_seed5_matrices.csv, the
+  stdout and the `--dump-matrices` CSV of
+  `microtopo detect --topo III --t 30 --seed 5`.
+LIBRARY_SHA256 is the digest of the `microtopo library --out` CSV.
 A refactor must leave them byte-identical.
 """
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -11,6 +18,7 @@ import pytest
 from microtopo.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+LIBRARY_SHA256 = "a0c5f8cd74cfda3cd9b1b3aa8e6e15635680d71f7974b1ccecbcbaf8e0ac4973"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -23,3 +31,20 @@ def test_seeded_output_matches_golden_files(tmp_path, capsys, jobs):
             "is intentional, regenerate the golden files with "
             "`microtopo experiment --seed 7 --reps 1 --jobs 1 "
             "--out-dir tests/data/golden` and explain the change in CHANGES.md.")
+
+
+def test_detect_output_matches_golden_files(tmp_path, capsys):
+    """Pins the μPMU noise draws, the ADM/MDM values and the verdicts of one
+    seeded trial."""
+    dump = tmp_path / "matrices.csv"
+    assert main(["detect", "--topo", "III", "--t", "30", "--seed", "5",
+                 "--dump-matrices", str(dump)]) == EXIT_OK
+    golden_out = (GOLDEN / "detect_III_t30_seed5.txt").read_text()
+    assert capsys.readouterr().out == golden_out + f"wrote {dump}\n"
+    assert dump.read_bytes() == (GOLDEN / "detect_III_t30_seed5_matrices.csv").read_bytes()
+
+
+def test_library_csv_matches_golden_digest(tmp_path, capsys):
+    out = tmp_path / "library.csv"
+    assert main(["library", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LIBRARY_SHA256

@@ -32,9 +32,10 @@ def true_injections(graph):
 def test_zero_noise_pmu_is_exact(true_solution):
     spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
     rng = np.random.default_rng(0)
-    for m in sample_pmu(true_solution, spec, rng):
-        assert m.vm_meas == true_solution.vm_at(m.bus_id)
-        assert m.va_meas == true_solution.va_at(m.bus_id)
+    meas = sample_pmu(true_solution, spec, rng)
+    assert meas.bus_ids == true_solution.bus_ids
+    assert np.array_equal(meas.vm, true_solution.vm)
+    assert np.array_equal(meas.va_deg, true_solution.va_deg)
 
 
 def test_zero_noise_scada_is_exact(true_injections):
@@ -53,9 +54,9 @@ def test_pmu_noise_statistics(true_solution):
     err_vm = np.empty(n)
     err_va = np.empty(n)
     for i in range(n):
-        m = sample_pmu(true_solution, PMU, rng)[2]
-        err_vm[i] = m.vm_meas - true_solution.vm_at(m.bus_id)
-        err_va[i] = m.va_meas - true_solution.va_at(m.bus_id)
+        m = sample_pmu(true_solution, PMU, rng)
+        err_vm[i] = m.vm[2] - true_solution.vm[2]
+        err_va[i] = m.va_deg[2] - true_solution.va_deg[2]
 
     sigma_vm = PMU.sigma
     sigma_va = np.degrees(PMU.sigma)
@@ -67,20 +68,43 @@ def test_pmu_noise_statistics(true_solution):
         assert abs(np.mean(z ** 4) - 3.0) < 0.2  # excess kurtosis
 
 
-def test_angle_sigma_unit_conversion(true_solution):
-    """angle_in_radians toggles the interpretation of sigma for angles."""
-    rad = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.01, angle_in_radians=True)
-    deg = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.01, angle_in_radians=False)
-    n = 20_000
+@pytest.mark.parametrize("sigma, nominal", [(0.00025, 1.0), (0.0, 1.0), (0.00025, 0.0)])
+def test_pmu_draws_match_scalar_sequence(true_solution, sigma, nominal):
+    """Offsets and noise equal, bit for bit, those of one scalar draw per bus
+    and quantity (magnitude before angle), and a zero std draws nothing."""
+    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma, accuracy=0.00025,
+                      nominal_voltage=nominal)
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    meas = sample_pmu(true_solution, spec, rng,
+                      offsets=draw_pmu_offsets(true_solution.bus_ids, spec, rng))
+    offsets = [(ref.uniform(-spec.accuracy * nominal, spec.accuracy * nominal),
+                float(np.degrees(ref.uniform(-spec.accuracy, spec.accuracy))))
+               for _ in true_solution.bus_ids]
+    sigma_vm, sigma_va = sigma * nominal, float(np.degrees(sigma))
+    for i, (off_vm, off_va) in enumerate(offsets):
+        noise_vm = ref.normal(0.0, sigma_vm) if sigma_vm > 0 else 0.0
+        noise_va = ref.normal(0.0, sigma_va) if sigma_va > 0 else 0.0
+        assert meas.vm[i] == true_solution.vm[i] + off_vm + noise_vm
+        assert meas.va_deg[i] == true_solution.va_deg[i] + off_va + noise_va
+    assert rng.random() == ref.random()
 
-    def angle_std(spec):
-        rng = np.random.default_rng(7)
-        errs = [sample_pmu(true_solution, spec, rng)[0].va_meas
-                - true_solution.va_at(true_solution.bus_ids[0]) for _ in range(n)]
-        return np.std(errs)
 
-    assert angle_std(rad) == pytest.approx(np.degrees(0.01), rel=0.05)
-    assert angle_std(deg) == pytest.approx(0.01, rel=0.05)
+@pytest.mark.parametrize("sigma", [0.025, 0.0])
+def test_scada_draws_match_scalar_sequence(true_injections, sigma):
+    spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=sigma, accuracy=0.0005)
+    buses = (4, 3)
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    meas = sample_scada(true_injections, spec, rng, buses,
+                        offsets=draw_scada_offsets(buses, spec, rng))
+    offsets = [ref.uniform(-spec.accuracy, spec.accuracy) for _ in buses]
+    assert meas.bus_ids == buses
+    for i, (bus, off) in enumerate(zip(buses, offsets)):
+        idx = true_injections.bus_ids.index(bus)
+        factor_p = 1.0 + off + (ref.normal(0.0, sigma) if sigma > 0 else 0.0)
+        factor_q = 1.0 + off + (ref.normal(0.0, sigma) if sigma > 0 else 0.0)
+        assert meas.p[i] == true_injections.p[idx] * factor_p
+        assert meas.q[i] == true_injections.q[idx] * factor_q
+    assert rng.random() == ref.random()
 
 
 def test_scada_multiplicative(true_injections):
@@ -108,21 +132,25 @@ def test_systematic_offsets_within_bounds():
     rng = np.random.default_rng(3)
     for _ in range(50):
         off = draw_pmu_offsets((1, 2, 3, 4, 5), PMU, rng)
-        for bus in (1, 2, 3, 4, 5):
-            assert abs(off.vm[bus]) <= PMU.accuracy
-            assert abs(off.va_deg[bus]) <= np.degrees(PMU.accuracy)
+        assert off.vm.shape == off.va_deg.shape == (5,)
+        assert np.all(np.abs(off.vm) <= PMU.accuracy)
+        assert np.all(np.abs(off.va_deg) <= np.degrees(PMU.accuracy))
         soff = draw_scada_offsets((2, 4), SCADA, rng)
-        assert all(abs(v) <= SCADA.accuracy for v in soff.values())
+        assert soff.shape == (2,)
+        assert np.all(np.abs(soff) <= SCADA.accuracy)
 
 
 def test_offsets_applied_to_samples(true_solution):
     spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
-    off = PmuOffsets(vm={2: 0.001}, va_deg={2: 0.05})
+    # offsets are by bus position: bus 2 is position 1
+    off = PmuOffsets(vm=np.array([0.0, 0.001, 0.0, 0.0, 0.0]),
+                     va_deg=np.array([0.0, 0.05, 0.0, 0.0, 0.0]))
     rng = np.random.default_rng(0)
-    meas = {m.bus_id: m for m in sample_pmu(true_solution, spec, rng, offsets=off)}
-    assert meas[2].vm_meas == true_solution.vm_at(2) + 0.001
-    assert meas[2].va_meas == true_solution.va_at(2) + 0.05
-    assert meas[3].vm_meas == true_solution.vm_at(3)
+    meas = sample_pmu(true_solution, spec, rng, offsets=off)
+    assert true_solution.bus_ids[1] == 2
+    assert meas.vm[1] == true_solution.vm[1] + 0.001
+    assert meas.va_deg[1] == true_solution.va_deg[1] + 0.05
+    assert meas.vm[2] == true_solution.vm[2]
 
 
 def test_spec_kind_checked(true_solution, true_injections):

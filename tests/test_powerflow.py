@@ -35,22 +35,22 @@ def test_zero_injection_flat_profile(graph, topologies, topo_by_id):
 def test_bus3_load_case(graph, topo_by_id):
     inj = InjectionSnapshot.from_bus_map(graph, {3: (-0.1, -0.05)})
     sol = solve_newton_raphson(_ybus(graph, topo_by_id, "I"), inj, tol=1e-10)
-    assert sol.vm_at(3) == pytest.approx(BUS3_LOAD_VM, abs=1e-9)
-    assert sol.va_at(3) == pytest.approx(BUS3_LOAD_VA, abs=1e-7)
+    assert sol.vm[graph.bus_index(3)] == pytest.approx(BUS3_LOAD_VM, abs=1e-9)
+    assert sol.va_deg[graph.bus_index(3)] == pytest.approx(BUS3_LOAD_VA, abs=1e-7)
     # zero-injection buses hanging off bus 3 sit at the bus-3 voltage
     for bus in (4, 5):
-        assert sol.vm_at(bus) == pytest.approx(sol.vm_at(3), abs=1e-10)
-        assert sol.va_at(bus) == pytest.approx(sol.va_at(3), abs=1e-8)
+        assert sol.vm[graph.bus_index(bus)] == pytest.approx(sol.vm[graph.bus_index(3)], abs=1e-10)
+        assert sol.va_deg[graph.bus_index(bus)] == pytest.approx(sol.va_deg[graph.bus_index(3)], abs=1e-8)
     # no current on L12
-    assert sol.vm_at(2) == pytest.approx(1.0, abs=1e-10)
-    assert sol.va_at(2) == pytest.approx(0.0, abs=1e-8)
+    assert sol.vm[graph.bus_index(2)] == pytest.approx(1.0, abs=1e-10)
+    assert sol.va_deg[graph.bus_index(2)] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_slack_bus_pinned(graph, topo_by_id):
     inj = InjectionSnapshot.from_bus_map(graph, {3: (-0.1, -0.05)})
     sol = solve_newton_raphson(_ybus(graph, topo_by_id, "V"), inj)
-    assert sol.vm_at(1) == 1.0
-    assert sol.va_at(1) == 0.0
+    assert sol.vm[graph.bus_index(1)] == 1.0
+    assert sol.va_deg[graph.bus_index(1)] == 0.0
 
 
 def test_mismatch_zero_at_solution(graph, topo_by_id):
@@ -87,9 +87,9 @@ def test_oracle_agrees_with_nr_on_bus3_case(graph, topo_by_id):
 @pytest.mark.parametrize("topo_id", ["I", "II", "III", "IV", "V"])
 def test_oracle_agrees_with_nr_over_profile(graph, topo_by_id, topo_id):
     ybus = _ybus(graph, topo_by_id, topo_id)
-    profs = profiles.generate_default_profiles(graph)
+    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
     for t in range(0, 96, 12):
-        inj = profiles.injections_at(graph, profs, t)
+        inj = day[t]
         nr = solve_newton_raphson(ybus, inj, tol=1e-10)
         fp = solve_fixed_point_oracle(ybus, inj, tol=1e-10)
         assert np.max(np.abs(np.subtract(nr.vm, fp.vm))) < 1e-8
@@ -97,33 +97,31 @@ def test_oracle_agrees_with_nr_over_profile(graph, topo_by_id, topo_id):
 
 
 def test_oracle_converges_at_meshed_peak(graph, topo_by_id):
-    profs = profiles.generate_default_profiles(graph)
-    peak = max(range(96), key=lambda t: sum(
-        abs(profiles.injections_at(graph, profs, t).p[i]) for i in range(5)))
-    inj = profiles.injections_at(graph, profs, peak)
+    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
+    inj = max(day, key=lambda snap: sum(abs(snap.p[i]) for i in range(5)))
     sol = solve_fixed_point_oracle(_ybus(graph, topo_by_id, "V"), inj, tol=1e-10)
     assert sol.max_mismatch < 1e-10
 
 
 def test_nr_converges_fast_all_fixture_cases(graph, topologies):
-    profs = profiles.generate_default_profiles(graph)
+    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
     for topo in topologies:
         ybus = build_ybus(graph, topo)
         for t in range(96):
-            sol = solve_newton_raphson(ybus, profiles.injections_at(graph, profs, t))
+            sol = solve_newton_raphson(ybus, day[t])
             assert sol.iterations <= 10
             assert sol.max_mismatch < 1e-8
 
 
 def test_complex_power_balance(graph, topologies):
-    profs = profiles.generate_default_profiles(graph)
+    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
     tol = 1e-8
     for topo in topologies:
         ybus = build_ybus(graph, topo)
         for t in range(0, 96, 7):
-            inj = profiles.injections_at(graph, profs, t)
+            inj = day[t]
             sol = solve_newton_raphson(ybus, inj, tol=tol)
-            v = sol.complex_voltages()
+            v = sol.vm * np.exp(1j * np.radians(sol.va_deg))
             s_inj = v * np.conj(ybus @ v)  # includes the slack contribution
             losses = 0.0
             for line in graph.closed_lines(topo):
@@ -149,8 +147,8 @@ def test_solution_invariant_under_bus_reordering(graph, topo_by_id):
                                  InjectionSnapshot.from_bus_map(shuffled, load),
                                  slack_index=shuffled.slack_index)
     for bus in order:
-        assert sol_a.vm_at(bus) == pytest.approx(sol_b.vm_at(bus), abs=1e-10)
-        assert sol_a.va_at(bus) == pytest.approx(sol_b.va_at(bus), abs=1e-8)
+        assert sol_a.vm[graph.bus_index(bus)] == pytest.approx(sol_b.vm[shuffled.bus_index(bus)], abs=1e-10)
+        assert sol_a.va_deg[graph.bus_index(bus)] == pytest.approx(sol_b.va_deg[shuffled.bus_index(bus)], abs=1e-8)
 
 
 def test_nr_diverges_on_impossible_load(graph, topo_by_id):
@@ -170,8 +168,7 @@ def test_injection_snapshot_validation(graph):
 @pytest.fixture(scope="module")
 def fixture_stack(graph, topologies):
     """All 480 (topology, t) fixture cases as one stack: ybus, p, q, snapshots."""
-    profs = profiles.generate_default_profiles(graph)
-    snapshots = [profiles.injections_at(graph, profs, t) for t in range(96)]
+    snapshots = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
     cases = [(build_ybus(graph, topo), inj) for topo in topologies for inj in snapshots]
     return (np.stack([y for y, _ in cases]), np.array([inj.p for _, inj in cases]),
             np.array([inj.q for _, inj in cases]), cases)

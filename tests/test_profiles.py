@@ -7,7 +7,7 @@ from microtopo.profiles import (
     ProfileClass,
     generate_default_profiles,
     industrial_curve,
-    injections_at,
+    injections_by_step,
     load_profiles_csv,
     profile_buses,
     pv_curve,
@@ -60,8 +60,8 @@ def test_default_roles(graph):
 def test_injection_signs(graph):
     """Loads draw power (negative injection); PV injects at midday."""
     profs = generate_default_profiles(graph)
-    night = injections_at(graph, profs, 0)
-    noon = injections_at(graph, profs, 52)
+    day = injections_by_step(graph, profs)
+    night, noon = day[0], day[52]
 
     def at(snap, bus):
         i = snap.bus_ids.index(bus)
@@ -78,15 +78,13 @@ def test_injection_signs(graph):
 
 def test_injections_time_bounds(graph):
     profs = generate_default_profiles(graph)
-    with pytest.raises(IndexError):
-        injections_at(graph, profs, 96)
+    assert len(injections_by_step(graph, profs)) == 96
 
 
 def test_total_demand_positive(graph):
     profs = generate_default_profiles(graph)
     total = 0.0
-    for t in range(96):
-        snap = injections_at(graph, profs, t)
+    for snap in injections_by_step(graph, profs):
         total -= sum(snap.p)
     assert total > 0  # the feeder consumes energy over the day
 
@@ -102,7 +100,7 @@ def test_csv_roundtrip(graph, tmp_path):
     profs = load_profiles_csv(path)
     assert {p.bus_id for p in profs} == {2, 4}
     assert all(p.klass is ProfileClass.CUSTOM for p in profs)
-    snap = injections_at(graph, profs, 10)
+    snap = injections_by_step(graph, profs)[10]
     assert snap.p[snap.bus_ids.index(4)] == pytest.approx(-0.06)
     assert snap.p[snap.bus_ids.index(2)] == pytest.approx(0.02)
     assert snap.q[snap.bus_ids.index(4)] == pytest.approx(-0.01)

@@ -1,5 +1,7 @@
 import csv
+import re
 
+import numpy as np
 import pytest
 
 from microtopo import scenario
@@ -65,6 +67,21 @@ def test_invalid_values_rejected():
         load_config(PAPER_CFG, criteria=("rmv", "bogus"))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("criteria =", "criteria must name at least one criterion"),
+    ("signals = ,", "signals must name at least one signal"),
+    ("criteria = armv, armv", "criterion 'armv' is listed twice"),
+    ("signals = angle, magnitude, angle", "signal 'angle' is listed twice"),
+    ("master_seed = -1", "master_seed must be >= 0"),
+], ids=["empty_criteria", "empty_signals", "duplicate_criterion", "duplicate_signal",
+        "negative_seed"])
+def test_bad_lists_and_seed_rejected(tmp_path, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"network = fivebus.net\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg)
+
+
 def test_trial_indices_unique():
     ctx = build_context(_tiny_config(repetitions=3))
     seen = set()
@@ -110,7 +127,13 @@ def test_trial_library_matches_build_library():
     public = build_library(ctx.graph, list(ctx.topologies), injections,
                            tol=ctx.config.tol)
     assert trial.topology_ids == public.topology_ids == ctx.topology_ids
-    assert trial.entries == public.entries
+    assert trial.entries.keys() == public.entries.keys()
+    for key, sol in trial.entries.items():
+        other = public.entries[key]
+        assert (sol.bus_ids, sol.iterations, sol.max_mismatch) == (
+            other.bus_ids, other.iterations, other.max_mismatch)
+        assert np.array_equal(sol.vm, other.vm)
+        assert np.array_equal(sol.va_deg, other.va_deg)
 
 
 @pytest.mark.parametrize("topo_pos, rep, steps", [
