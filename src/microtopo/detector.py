@@ -13,6 +13,7 @@ import numpy as np
 
 from .network import NetworkGraph, TopologyConfig, bus_positions, build_ybus
 from .powerflow import (
+    BatchPowerFlow,
     InjectionSnapshot,
     PowerFlowError,
     PowerFlowSolution,
@@ -89,26 +90,39 @@ def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
 def solve_library(ybus_by_topo: dict[str, np.ndarray],
                   injections_by_step: dict[int, InjectionSnapshot],
                   slack_index: int, tol: float = 1e-8) -> TopologyLibrary:
-    """Library from prebuilt admittance matrices, solved as one stacked
-    Newton-Raphson call over every (topology, step) case; columns follow the
-    order of `ybus_by_topo`. The first failed case in (topology, step) order
-    raises `LibraryError`."""
-    cases = [(topo_id, t) for topo_id in ybus_by_topo for t in injections_by_step]
+    """Library from prebuilt admittance matrices (`solve_library_batch`);
+    columns follow the order of `ybus_by_topo`."""
+    steps = list(injections_by_step)
     snapshots = list(injections_by_step.values())
-    batch = solve_newton_raphson_batch(
-        np.repeat(np.stack(list(ybus_by_topo.values())), len(snapshots), axis=0),
-        np.tile([inj.p for inj in snapshots], (len(ybus_by_topo), 1)),
-        np.tile([inj.q for inj in snapshots], (len(ybus_by_topo), 1)),
-        tol=tol, slack_index=slack_index)
-    entries: dict[tuple[str, int], PowerFlowSolution] = {}
-    for i, (topo_id, t) in enumerate(cases):
-        try:
-            entries[(topo_id, t)] = batch.solution(i, injections_by_step[t].bus_ids)
-        except PowerFlowError as exc:
-            raise LibraryError(
-                f"power flow failed for topology {topo_id} at t={t}: {exc}"
-            ) from exc
+    batch = solve_library_batch(ybus_by_topo, [inj.p for inj in snapshots],
+                                [inj.q for inj in snapshots], steps, slack_index, tol=tol)
+    cases = [(topo_id, t) for topo_id in ybus_by_topo for t in steps]
+    entries = {case: batch.solution(i, snapshots[i % len(steps)].bus_ids)
+               for i, case in enumerate(cases)}
     return TopologyLibrary(topology_ids=tuple(ybus_by_topo), entries=entries)
+
+
+def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,
+                        slack_index: int, tol: float = 1e-8) -> BatchPowerFlow:
+    """Every (topology, step) case as one stacked Newton-Raphson call.
+
+    `p` and `q` are (steps, buses) injections. Case i is topology
+    i // len(steps) and step i % len(steps), so `vm`/`va_deg` reshape to
+    (topology, step, bus). The first failed case in (topology, step) order
+    raises `LibraryError`.
+    """
+    n_step = len(steps)
+    batch = solve_newton_raphson_batch(
+        np.repeat(np.stack(list(ybus_by_topo.values())), n_step, axis=0),
+        np.tile(p, (len(ybus_by_topo), 1)), np.tile(q, (len(ybus_by_topo), 1)),
+        tol=tol, slack_index=slack_index)
+    failed = np.flatnonzero(~batch.converged)
+    if failed.size:
+        topo, step = divmod(int(failed[0]), n_step)
+        err = batch.error(failed[0])
+        raise LibraryError(f"power flow failed for topology {list(ybus_by_topo)[topo]} "
+                           f"at t={steps[step]}: {err}") from err
+    return batch
 
 
 def compute_difference_matrices(measurements, library: TopologyLibrary,
@@ -129,6 +143,22 @@ def compute_difference_matrices(measurements, library: TopologyLibrary,
     return DifferenceMatrices(adm=np.abs(phasors.va_deg[order, None] - va_calc),
                               mdm=np.abs(phasors.vm[order, None] - vm_calc),
                               pmu_bus_ids=bus_ids, topology_ids=topo_ids)
+
+
+def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
+                      lib_va_deg: np.ndarray, bus_ids) -> tuple[np.ndarray, np.ndarray]:
+    """ADM and MDM of many trials at once, as (trials, rows, topologies)
+    stacks with rows sorted by bus id.
+
+    `vm`/`va_deg` are measured (trials, buses) arrays and `lib_vm`/
+    `lib_va_deg` the (topologies, trials, buses) library states, all by
+    position in `bus_ids`.
+    """
+    order = np.argsort(bus_ids, kind="stable")
+    va_calc = lib_va_deg[:, :, order].transpose(1, 2, 0)
+    vm_calc = lib_vm[:, :, order].transpose(1, 2, 0)
+    return (np.abs(va_deg[:, order, None] - va_calc),
+            np.abs(vm[:, order, None] - vm_calc))
 
 
 def row_votes(matrix: np.ndarray, topology_ids: tuple[str, ...]) -> tuple[str | None, ...]:
@@ -186,3 +216,28 @@ def detect(matrices: DifferenceMatrices, criterion: str, signal: str) -> Detecti
     if criterion == "ormv":
         return detect_ormv(matrices, signal)
     raise ValueError(f"unknown criterion {criterion!r}")
+
+
+def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """All three criteria over a (trials, rows, topologies) stack of ADM or
+    MDM matrices, with the rules of `detect`.
+
+    Returns the verdict codes per criterion, each a (trials,) array, and the
+    (trials, rows) row votes. A code is a topology column, or the number of
+    topologies for an inconclusive verdict or an abstaining row.
+    """
+    n_trial, _, n_topo = stack.shape
+    n_min = np.count_nonzero(stack == stack.min(axis=2, keepdims=True), axis=2)
+    votes = np.where(n_min == 1, stack.argmin(axis=2), n_topo)
+    counts = np.count_nonzero(votes[:, :, None] == np.arange(n_topo), axis=1)
+    informative = counts.sum(axis=1)
+    best = counts.max(axis=1)
+    leader = counts.argmax(axis=1)
+    n_leaders = np.count_nonzero(counts == best[:, None], axis=1)
+    inconclusive = np.full(n_trial, n_topo)
+    verdicts = {
+        "rmv": np.where((informative > 0) & (n_leaders == 1), leader, inconclusive),
+        "armv": stack.mean(axis=1).argmin(axis=1),
+        "ormv": np.where((informative > 0) & (best == informative), leader, inconclusive),
+    }
+    return verdicts, votes

@@ -7,6 +7,7 @@ the measured power itself.
 """
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -80,15 +81,21 @@ class MeasurementSet:
     rng_seed: int
 
 
+@functools.lru_cache(maxsize=None)
+def _device_key(device_id: str) -> int:
+    return zlib.crc32(device_id.encode("utf-8"))
+
+
 def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.random.Generator:
     """Independent, reproducible random stream for one (trial, device) pair.
 
     Streams are collision-free regardless of the order trials execute in,
-    so parallel experiment runs stay deterministic.
+    so parallel experiment runs stay deterministic. The generator is
+    `np.random.default_rng(SeedSequence([master_seed, trial_index,
+    crc32(device_id)]))`, built without the `default_rng` wrapper.
     """
-    device_key = zlib.crc32(device_id.encode("utf-8"))
-    seq = np.random.SeedSequence([int(master_seed), int(trial_index), device_key])
-    return np.random.default_rng(seq)
+    seq = np.random.SeedSequence([int(master_seed), int(trial_index), _device_key(device_id)])
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 @dataclass(frozen=True)
@@ -112,53 +119,74 @@ def draw_scada_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> n
     return rng.uniform(-spec.accuracy, spec.accuracy, size=len(bus_ids))
 
 
-def _gaussian(rng: np.random.Generator, sigmas: tuple[float, float], n: int) -> np.ndarray:
-    """(n, 2) zero-mean noise, column j with std sigmas[j], equal to n pairs
-    of scalar `rng.normal(0, sigma)` draws; a zero std draws nothing and
-    gives zeros."""
-    sigmas = np.asarray(sigmas)
-    live = sigmas > 0
-    noise = np.zeros((n, 2))
-    noise[:, live] = rng.standard_normal((n, np.count_nonzero(live))) * sigmas[live]
+def _gaussian(rngs, sigmas: tuple[float, float], n: int) -> np.ndarray:
+    """(len(rngs), n, 2) zero-mean noise, column j with std sigmas[j]; trial
+    i draws from rngs[i] as n pairs of scalar `rng.normal(0, sigma)` draws
+    would. A zero std draws nothing and gives zeros."""
+    live = [j for j, sigma in enumerate(sigmas) if sigma > 0]
+    draws = np.empty((len(rngs), n, len(live)))
+    for rng, out in zip(rngs, draws):
+        rng.standard_normal(out=out)
+    if len(live) == len(sigmas):
+        return draws * sigmas
+    noise = np.zeros((len(rngs), n, len(sigmas)))
+    noise[..., live] = draws * np.take(sigmas, live)
     return noise
 
 
-def sample_pmu(true_solution: PowerFlowSolution, spec: DeviceSpec,
-               rng: np.random.Generator, time_index: int = 0,
-               offsets: PmuOffsets | None = None) -> PhasorSet:
-    """Noisy voltage phasor per bus of the true power-flow state.
+def _check_kind(spec: DeviceSpec, kind: str):
+    if spec.kind != kind:
+        raise ValueError(f"expected a {kind} spec, got {spec.kind}")
+
+
+def pmu_readings(vm: np.ndarray, va_deg: np.ndarray, spec: DeviceSpec, rngs,
+                 offsets: PmuOffsets | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy (magnitude, angle) readings of true states given by bus
+    position, as (len(rngs), buses) arrays; trial i draws from rngs[i].
 
     Magnitude noise std is sigma * nominal_voltage (absolute, p.u.); angle
     noise std is sigma in radians (reported in degrees). Noise is drawn bus
     by bus, magnitude before angle.
     """
-    if spec.kind != DeviceKind.MICRO_PMU:
-        raise ValueError(f"expected a {DeviceKind.MICRO_PMU} spec, got {spec.kind}")
-    noise = _gaussian(rng, (spec.sigma * spec.nominal_voltage, np.degrees(spec.sigma)),
-                      len(true_solution.bus_ids))
-    vm, va = true_solution.vm, true_solution.va_deg
+    _check_kind(spec, DeviceKind.MICRO_PMU)
+    noise = _gaussian(rngs, (spec.sigma * spec.nominal_voltage, np.degrees(spec.sigma)),
+                      vm.shape[-1])
     if offsets is not None:
-        vm, va = vm + offsets.vm, va + offsets.va_deg
-    return PhasorSet(bus_ids=true_solution.bus_ids, vm=vm + noise[:, 0],
-                     va_deg=va + noise[:, 1], time_index=time_index)
+        vm, va_deg = vm + offsets.vm, va_deg + offsets.va_deg
+    return vm + noise[..., 0], va_deg + noise[..., 1]
+
+
+def scada_readings(p: np.ndarray, q: np.ndarray, spec: DeviceSpec, rngs,
+                   offsets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy (p, q) readings of true injections at the monitored buses, as
+    (len(rngs), buses) arrays; trial i draws from rngs[i].
+
+    Multiplicative model: p_meas = p_true * (1 + offset + N(0, sigma)),
+    so a zero true injection measures exactly zero. `offsets` holds one
+    offset per monitored bus. Noise is drawn bus by bus, p before q.
+    """
+    _check_kind(spec, DeviceKind.SCADA)
+    base = 1.0 if offsets is None else 1.0 + offsets[:, None]
+    factor = base + _gaussian(rngs, (spec.sigma, spec.sigma), p.shape[-1])
+    return p * factor[..., 0], q * factor[..., 1]
+
+
+def sample_pmu(true_solution: PowerFlowSolution, spec: DeviceSpec,
+               rng: np.random.Generator, time_index: int = 0,
+               offsets: PmuOffsets | None = None) -> PhasorSet:
+    """Noisy voltage phasor per bus of one true power-flow state
+    (`pmu_readings` of one trial)."""
+    vm, va_deg = pmu_readings(true_solution.vm, true_solution.va_deg, spec, (rng,), offsets)
+    return PhasorSet(bus_ids=true_solution.bus_ids, vm=vm[0], va_deg=va_deg[0],
+                     time_index=time_index)
 
 
 def sample_scada(true_injections: InjectionSnapshot, spec: DeviceSpec,
                  rng: np.random.Generator, measured_buses,
                  time_index: int = 0, offsets: np.ndarray | None = None) -> ScadaSet:
-    """Noisy net power injection per monitored bus.
-
-    Multiplicative model: p_meas = p_true * (1 + offset + N(0, sigma)),
-    so a zero true injection measures exactly zero. `offsets` holds one
-    offset per bus of `measured_buses`, in that order. Noise is drawn bus by
-    bus, p before q.
-    """
-    if spec.kind != DeviceKind.SCADA:
-        raise ValueError(f"expected a {DeviceKind.SCADA} spec, got {spec.kind}")
+    """Noisy net power injection per bus of `measured_buses` at one step
+    (`scada_readings` of one trial); `offsets` follows `measured_buses`."""
     rows = bus_positions(true_injections.bus_ids, measured_buses)
-    base = 1.0 if offsets is None else 1.0 + offsets[:, None]
-    factor = base + _gaussian(rng, (spec.sigma, spec.sigma), len(rows))
-    return ScadaSet(bus_ids=tuple(measured_buses),
-                    p=true_injections.p[rows] * factor[:, 0],
-                    q=true_injections.q[rows] * factor[:, 1],
-                    time_index=time_index)
+    p, q = scada_readings(true_injections.p[rows], true_injections.q[rows], spec,
+                          (rng,), offsets)
+    return ScadaSet(bus_ids=tuple(measured_buses), p=p[0], q=q[0], time_index=time_index)

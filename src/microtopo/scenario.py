@@ -10,7 +10,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -23,19 +22,19 @@ from .detector import (
     INCONCLUSIVE,
     SIGNALS,
     DifferenceMatrices,
-    compute_difference_matrices,
     detect,
-    solve_library,
+    difference_stacks,
+    solve_library_batch,
+    vote_stack,
 )
 from .measurements import (
     DeviceKind,
     DeviceSpec,
-    MeasurementSet,
     derive_rng_stream,
     draw_pmu_offsets,
     draw_scada_offsets,
-    sample_pmu,
-    sample_scada,
+    pmu_readings,
+    scada_readings,
 )
 from .network import NetworkGraph, TopologyConfig, build_ybus, bus_positions, load_network
 from .powerflow import InjectionSnapshot, solve_newton_raphson_batch
@@ -185,6 +184,11 @@ class ExperimentContext:
     def topology_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.topologies)
 
+    @property
+    def pmu_bus_ids(self) -> tuple[int, ...]:
+        """The μPMU buses in ADM/MDM row order: sorted by bus id."""
+        return tuple(sorted(self.graph.bus_ids))
+
 
 def build_context(config: ScenarioConfig) -> ExperimentContext:
     graph, topologies = load_network(config.network)
@@ -231,137 +235,145 @@ def trial_index_for(ctx: ExperimentContext, topo_pos: int, t: int, rep: int) -> 
 def run_trial(ctx: ExperimentContext, true_topology_id: str, t: int,
               trial_index: int, rep: int = 0,
               collect_matrices: bool = False) -> TrialResult:
-    """One end-to-end detection trial: the task path over a single step."""
-    return _run_trials(ctx, true_topology_id, rep, [(t, trial_index)],
-                       collect_matrices)[0]
+    """One end-to-end detection trial: the task path over a single step,
+    voted by the single-matrix `detect`."""
+    true_vm, true_va = _solve_true_states(ctx, true_topology_id, [t])
+    adm, mdm = _task_stacks(ctx, rep, [t], [trial_index], true_vm, true_va)
+    matrices = DifferenceMatrices(adm=adm[0], mdm=mdm[0], pmu_bus_ids=ctx.pmu_bus_ids,
+                                  topology_ids=ctx.topology_ids)
+    config = ctx.config
+    return TrialResult(
+        true_topology=true_topology_id, time_index=t, trial_index=trial_index,
+        outcomes={(c, s): detect(matrices, c, s)
+                  for c in config.criteria for s in config.signals},
+        votes_by_signal={s: matrices.votes(s) for s in config.signals},
+        matrices=matrices if collect_matrices else None)
 
 
-def _run_trials(ctx: ExperimentContext, true_topology_id: str, rep: int,
-                trials: list[tuple[int, int]],
-                collect_matrices: bool = False) -> list[TrialResult]:
-    """Detection trials of one true topology and repetition, given as
-    (time step, trial index) pairs.
+def _injection_table(ctx: ExperimentContext, steps) -> tuple[np.ndarray, np.ndarray]:
+    """True (p, q) injections as (steps, buses) arrays."""
+    return (np.array([ctx.true_injections[t].p for t in steps]),
+            np.array([ctx.true_injections[t].q for t in steps]))
 
-    True states come from the true injections and topology, in one stacked
-    power flow; measurements are sampled with device noise from each
-    trial's own streams; the candidate library of every trial is solved
-    from its SCADA readings, in a second stacked power flow; voting is
-    applied to each trial's difference matrices. A case's power flow does
-    not depend on the other cases of its stack, so the results are those
-    of solving each trial alone.
+
+def _solve_true_states(ctx: ExperimentContext, topology_id: str,
+                       steps) -> tuple[np.ndarray, np.ndarray]:
+    """True (vm, va_deg) of one topology at `steps`, as (steps, buses)
+    arrays from one stacked power flow; the first failed step raises its
+    error."""
+    ybus = ctx.ybus_by_topo[topology_id]
+    p, q = _injection_table(ctx, steps)
+    batch = solve_newton_raphson_batch(
+        np.broadcast_to(ybus, (len(steps),) + ybus.shape), p, q,
+        tol=ctx.config.tol, slack_index=ctx.graph.slack_index)
+    failed = np.flatnonzero(~batch.converged)
+    if failed.size:
+        raise batch.error(failed[0])
+    return batch.vm, batch.va_deg
+
+
+def _task_stacks(ctx: ExperimentContext, rep: int, steps, trial_indices,
+                 true_vm: np.ndarray, true_va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ADM and MDM stacks, (trials, rows, topologies), of the trials of one
+    repetition at `steps`, trial i having index trial_indices[i] and true
+    state (true_vm[i], true_va[i]).
+
+    Each trial samples its μPMU and SCADA readings from its own two
+    streams; the candidate library of every trial is solved from its SCADA
+    readings in one stacked power flow. A case's power flow does not depend
+    on the other cases of its stack, so the results are those of solving
+    each trial alone.
     """
     config = ctx.config
     graph = ctx.graph
-    steps = [t for t, _ in trials]
-    ybus = ctx.ybus_by_topo[true_topology_id]
-    true_states = solve_newton_raphson_batch(
-        np.broadcast_to(ybus, (len(steps),) + ybus.shape),
-        [ctx.true_injections[t].p for t in steps],
-        [ctx.true_injections[t].q for t in steps],
-        tol=config.tol, slack_index=graph.slack_index)
+    pmu_vm, pmu_va = pmu_readings(
+        true_vm, true_va, ctx.pmu_spec,
+        [derive_rng_stream(config.master_seed, i, "pmu") for i in trial_indices],
+        ctx.pmu_offsets_by_rep[rep])
+    p, q = _injection_table(ctx, steps)
+    rows = bus_positions(graph.bus_ids, ctx.scada_buses)
+    scada_p, scada_q = scada_readings(
+        p[:, rows], q[:, rows], ctx.scada_spec,
+        [derive_rng_stream(config.master_seed, i, "scada") for i in trial_indices],
+        ctx.scada_offsets_by_rep[rep])
+    lib_p = np.zeros_like(p)
+    lib_q = np.zeros_like(q)
+    lib_p[:, rows] = scada_p
+    lib_q[:, rows] = scada_q
+    library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, steps,
+                                  graph.slack_index, tol=config.tol)
+    shape = (len(ctx.topologies), len(steps), len(graph.bus_ids))
+    return difference_stacks(pmu_vm, pmu_va, library.vm.reshape(shape),
+                             library.va_deg.reshape(shape), graph.bus_ids)
 
-    bus_ids = graph.bus_ids
-    scada_rows = bus_positions(bus_ids, ctx.scada_buses)
-    lib_p = np.zeros((len(trials), len(bus_ids)))
-    lib_q = np.zeros_like(lib_p)
-    measured = {}
-    for i, (t, trial_index) in enumerate(trials):
-        pmu_rng = derive_rng_stream(config.master_seed, trial_index, "pmu")
-        phasors = sample_pmu(true_states.solution(i, bus_ids), ctx.pmu_spec, pmu_rng,
-                             time_index=t, offsets=ctx.pmu_offsets_by_rep[rep])
-        scada_rng = derive_rng_stream(config.master_seed, trial_index, "scada")
-        scada = sample_scada(ctx.true_injections[t], ctx.scada_spec, scada_rng,
-                             ctx.scada_buses, time_index=t,
-                             offsets=ctx.scada_offsets_by_rep[rep])
-        measured[t] = MeasurementSet(phasors=phasors, scada=scada,
-                                     rng_seed=config.master_seed)
-        lib_p[i, scada_rows] = scada.p
-        lib_q[i, scada_rows] = scada.q
-    lib_inj = {t: InjectionSnapshot(bus_ids=bus_ids, p=lib_p[i], q=lib_q[i])
-               for i, t in enumerate(steps)}
-    library = solve_library(ctx.ybus_by_topo, lib_inj, graph.slack_index, tol=config.tol)
 
-    results = []
-    for t, trial_index in trials:
-        matrices = compute_difference_matrices(measured[t], library, t)
-        outcomes = {(c, s): detect(matrices, c, s)
-                    for c in config.criteria for s in config.signals}
-        results.append(TrialResult(
-            true_topology=true_topology_id, time_index=t, trial_index=trial_index,
-            outcomes=outcomes,
-            votes_by_signal={s: matrices.votes(s) for s in config.signals},
-            matrices=matrices if collect_matrices else None))
-    return results
+ROW_OUTCOMES = ("correct", "incorrect", "abstain")
 
 
 @dataclass
 class DetectionRateReport:
-    """Aggregated Monte Carlo outcome counts."""
+    """Aggregated Monte Carlo outcome counts, as integer arrays indexed by
+    position in `topology_ids`, `criteria`, `signals` and `pmu_bus_ids`."""
 
     topology_ids: tuple[str, ...]
-    pmu_bus_ids: tuple[int, ...]
+    pmu_bus_ids: tuple[int, ...]  # sorted by bus id, like the ADM/MDM rows
     criteria: tuple[str, ...]
     signals: tuple[str, ...]
-    repetitions: int
-    # (true, criterion, signal) -> Counter with correct/incorrect/inconclusive
-    agg: dict = field(default_factory=dict)
-    # (true, criterion, signal) -> Counter over detected topology id / inconclusive
-    confusion: dict = field(default_factory=dict)
-    # (true, signal, bus) -> Counter with correct/incorrect/abstain
-    per_bus: dict = field(default_factory=dict)
+    # (true, criterion, signal, detected); detected position
+    # len(topology_ids) counts inconclusive verdicts
+    confusion: np.ndarray = field(init=False)
+    # (true, signal, row, outcome), outcomes in ROW_OUTCOMES order
+    row_votes: np.ndarray = field(init=False)
 
-    def _counter(self, table: dict, key) -> Counter:
-        if key not in table:
-            table[key] = Counter()
-        return table[key]
+    def __post_init__(self):
+        n_topo = len(self.topology_ids)
+        self.confusion = np.zeros(
+            (n_topo, len(self.criteria), len(self.signals), n_topo + 1), dtype=np.int64)
+        self.row_votes = np.zeros(
+            (n_topo, len(self.signals), len(self.pmu_bus_ids), len(ROW_OUTCOMES)),
+            dtype=np.int64)
 
-    def record(self, result: TrialResult):
-        true = result.true_topology
-        for (crit, sig), outcome in result.outcomes.items():
-            c = self._counter(self.agg, (true, crit, sig))
-            if outcome.verdict == true:
-                c["correct"] += 1
-            elif outcome.verdict == INCONCLUSIVE:
-                c["inconclusive"] += 1
-            else:
-                c["incorrect"] += 1
-            self._counter(self.confusion, (true, crit, sig))[outcome.verdict] += 1
-        for sig, votes in result.votes_by_signal.items():
-            for bus, vote in zip(self.pmu_bus_ids, votes):
-                c = self._counter(self.per_bus, (true, sig, bus))
-                if vote is None:
-                    c["abstain"] += 1
-                elif vote == true:
-                    c["correct"] += 1
-                else:
-                    c["incorrect"] += 1
+    def record_task(self, true_pos: int, stacks: dict[str, np.ndarray]):
+        """Count the verdicts and row votes of a stack of trials whose true
+        topology is `topology_ids[true_pos]`; `stacks` maps each signal to
+        its (trials, rows, topologies) difference matrices."""
+        n_topo = len(self.topology_ids)
+        for s, signal in enumerate(self.signals):
+            verdicts, votes = vote_stack(stacks[signal])
+            for c, criterion in enumerate(self.criteria):
+                self.confusion[true_pos, c, s] += np.bincount(verdicts[criterion],
+                                                              minlength=n_topo + 1)
+            outcome = np.where(votes == true_pos, 0, np.where(votes == n_topo, 2, 1))
+            self.row_votes[true_pos, s] += np.count_nonzero(
+                outcome[:, :, None] == np.arange(len(ROW_OUTCOMES)), axis=0)
 
     def merge(self, other: "DetectionRateReport"):
-        for key, counter in other.agg.items():
-            self._counter(self.agg, key).update(counter)
-        for key, counter in other.confusion.items():
-            self._counter(self.confusion, key).update(counter)
-        for key, counter in other.per_bus.items():
-            self._counter(self.per_bus, key).update(counter)
+        self.confusion += other.confusion
+        self.row_votes += other.row_votes
 
     # -- rate accessors -------------------------------------------------
 
+    def _cell(self, true: str, criterion: str, signal: str) -> np.ndarray:
+        return self.confusion[self.topology_ids.index(true),
+                              self.criteria.index(criterion), self.signals.index(signal)]
+
     def n_trials(self, true: str, criterion: str, signal: str) -> int:
-        return sum(self.agg[(true, criterion, signal)].values())
+        return int(self._cell(true, criterion, signal).sum())
 
     def correct_rate(self, true: str, criterion: str, signal: str) -> float:
-        c = self.agg[(true, criterion, signal)]
-        return c["correct"] / max(1, sum(c.values()))
+        cell = self._cell(true, criterion, signal)
+        return int(cell[self.topology_ids.index(true)]) / max(1, int(cell.sum()))
 
     def inconclusive_rate(self, true: str, criterion: str, signal: str) -> float:
-        c = self.agg[(true, criterion, signal)]
-        return c["inconclusive"] / max(1, sum(c.values()))
+        cell = self._cell(true, criterion, signal)
+        return int(cell[-1]) / max(1, int(cell.sum()))
 
-    def overall_counts(self, criterion: str, signal: str) -> Counter:
-        total = Counter()
-        for true in self.topology_ids:
-            total.update(self.agg[(true, criterion, signal)])
-        return total
+    def overall_counts(self, criterion: str, signal: str) -> dict[str, int]:
+        cells = self.confusion[:, self.criteria.index(criterion), self.signals.index(signal)]
+        correct = int(np.trace(cells))
+        inconclusive = int(cells[:, -1].sum())
+        return {"correct": correct, "incorrect": int(cells.sum()) - correct - inconclusive,
+                "inconclusive": inconclusive}
 
     def overall_correct_rate(self, criterion: str, signal: str) -> float:
         c = self.overall_counts(criterion, signal)
@@ -370,30 +382,35 @@ class DetectionRateReport:
 
 def _run_chunk(ctx: ExperimentContext, tasks: list[tuple[int, int]]) -> DetectionRateReport:
     """Run all 96 steps for each (topology position, repetition) task, one
-    task at a time: a task's stacked power flows are its unit of work."""
+    task at a time: a task's stacks are its unit of work. The true states of
+    a topology are solved once per chunk and shared by its repetitions."""
     report = _empty_report(ctx)
+    steps = range(profiles.N_STEPS)
+    true_states = {}  # topology position -> (vm, va_deg)
     for topo_pos, rep in tasks:
-        trials = [(t, trial_index_for(ctx, topo_pos, t, rep))
-                  for t in range(profiles.N_STEPS)]
-        for result in _run_trials(ctx, ctx.topology_ids[topo_pos], rep, trials):
-            report.record(result)
+        if topo_pos not in true_states:
+            true_states[topo_pos] = _solve_true_states(ctx, ctx.topology_ids[topo_pos], steps)
+        adm, mdm = _task_stacks(ctx, rep, steps,
+                                [trial_index_for(ctx, topo_pos, t, rep) for t in steps],
+                                *true_states[topo_pos])
+        report.record_task(topo_pos, {"angle": adm, "magnitude": mdm})
     return report
 
 
 def _empty_report(ctx: ExperimentContext) -> DetectionRateReport:
     return DetectionRateReport(
         topology_ids=ctx.topology_ids,
-        pmu_bus_ids=ctx.graph.bus_ids,
+        pmu_bus_ids=ctx.pmu_bus_ids,
         criteria=ctx.config.criteria,
-        signals=ctx.config.signals,
-        repetitions=ctx.config.repetitions)
+        signals=ctx.config.signals)
 
 
 def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     """Full Monte Carlo sweep: every topology x 96 steps x R repetitions.
 
     Deterministic for a given config (including master_seed) regardless of
-    the job count, because every trial derives its own RNG streams.
+    the job count, because every trial derives its own RNG streams and the
+    chunks' integer counts are summed.
     """
     ctx = build_context(config)
     tasks = [(pos, rep)
@@ -403,8 +420,12 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
         return _run_chunk(ctx, tasks)
 
     report = _empty_report(ctx)
-    n_chunks = min(config.jobs * 4, len(tasks))
-    chunks = [tasks[i::n_chunks] for i in range(n_chunks)]
+    # One contiguous chunk of the topology-major task list per worker: tasks
+    # cost alike, and a chunk spans few topologies, so it solves few
+    # true-state stacks.
+    n_chunks = min(config.jobs, len(tasks))
+    chunks = [tasks[i * len(tasks) // n_chunks:(i + 1) * len(tasks) // n_chunks]
+              for i in range(n_chunks)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
         for partial in pool.map(_run_chunk, [ctx] * len(chunks), chunks):
             report.merge(partial)
@@ -425,32 +446,32 @@ def write_report(report: DetectionRateReport, out_dir: str | Path) -> tuple[Path
         writer = csv.writer(fh)
         writer.writerow(["true_topology", "criterion", "signal", "bus",
                          "correct_rate", "inconclusive_rate", "n"])
-        for true in report.topology_ids:
+        for q, true in enumerate(report.topology_ids):
             for crit in report.criteria:
-                for sig in report.signals:
+                for s, sig in enumerate(report.signals):
                     n = report.n_trials(true, crit, sig)
                     writer.writerow([true, crit, sig, "all",
                                      f"{report.correct_rate(true, crit, sig):.6f}",
                                      f"{report.inconclusive_rate(true, crit, sig):.6f}",
                                      n])
-                    for bus in report.pmu_bus_ids:
-                        c = report.per_bus[(true, sig, bus)]
-                        nb = sum(c.values())
+                    for bus, (correct, incorrect, abstain) in zip(
+                            report.pmu_bus_ids, report.row_votes[q, s].tolist()):
+                        nb = correct + incorrect + abstain
                         writer.writerow([true, crit, sig, bus,
-                                         f"{c['correct'] / max(1, nb):.6f}",
-                                         f"{c['abstain'] / max(1, nb):.6f}",
+                                         f"{correct / max(1, nb):.6f}",
+                                         f"{abstain / max(1, nb):.6f}",
                                          nb])
 
     with confusion_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["true_topology", "criterion", "signal", "detected", "count"])
         detected_labels = list(report.topology_ids) + [INCONCLUSIVE]
-        for true in report.topology_ids:
-            for crit in report.criteria:
-                for sig in report.signals:
-                    counter = report.confusion[(true, crit, sig)]
-                    for label in detected_labels:
-                        writer.writerow([true, crit, sig, label, counter.get(label, 0)])
+        for q, true in enumerate(report.topology_ids):
+            for c, crit in enumerate(report.criteria):
+                for s, sig in enumerate(report.signals):
+                    for label, count in zip(detected_labels,
+                                            report.confusion[q, c, s].tolist()):
+                        writer.writerow([true, crit, sig, label, count])
 
     return rates_path, confusion_path
 

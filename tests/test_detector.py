@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +21,7 @@ from microtopo.detector import (
     detect_rmv,
     row_votes,
     solve_library,
+    vote_stack,
 )
 from microtopo.measurements import DeviceKind, DeviceSpec, sample_pmu
 from microtopo.network import build_ybus
@@ -136,6 +137,40 @@ def test_raising_a_column_never_makes_it_win(mat, col, extra):
     raised[:, col] += extra
     for before, after in zip(_verdicts(mat, ids), _verdicts(raised, ids)):
         assert before == ids[col] or after != ids[col]
+
+
+# Entries from {0, 1, 2, 3}: row-minimum ties, vote-count ties and rows (or
+# whole matrices) that all abstain are common and are kept, not assumed away.
+_STACKS = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(1, 5)),
+                 elements=st.integers(0, 3).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_STACKS)
+@example(stack=np.zeros((2, 3, 4)))  # every row abstains
+@example(stack=np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))  # vote tie
+def test_vote_stack_matches_scalar_detect(stack):
+    ids = tuple(f"T{j}" for j in range(stack.shape[2]))
+    labels = ids + (INCONCLUSIVE,)
+    verdicts, votes = vote_stack(stack)
+    assert verdicts.keys() == set(CRITERIA)
+    for i, mat in enumerate(stack):
+        m = _matrices(mat, ids)
+        for crit in CRITERIA:
+            assert labels[verdicts[crit][i]] == detect(m, crit, "angle").verdict
+        assert tuple(labels[v] if v < len(ids) else None for v in votes[i]) == m.votes("angle")
+
+
+@pytest.mark.parametrize("shape", [(96, 5, 5), (3, 17, 2), (7, 130, 3), (2, 1000, 4),
+                                   (1, 1, 1)])
+def test_stacked_column_mean_rounds_like_per_matrix_mean(shape):
+    """ARMV's column means over a (trials, rows, topologies) stack are the
+    scalar path's `mean(axis=0)` of each matrix, bit for bit."""
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    means = stack.mean(axis=1)
+    for i in range(shape[0]):
+        assert means[i].tobytes() == stack[i].mean(axis=0).tobytes()
 
 
 def test_armv_scale_invariance():

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from microtopo.measurements import (
     derive_rng_stream,
     draw_pmu_offsets,
     draw_scada_offsets,
+    pmu_readings,
     sample_pmu,
     sample_scada,
+    scada_readings,
 )
 from microtopo.network import build_ybus
 from microtopo.powerflow import InjectionSnapshot, solve_newton_raphson
@@ -176,3 +180,46 @@ def test_rng_stream_determinism_and_independence():
     d = derive_rng_stream(100, 5, "pmu:2").normal(size=8)
     for other in (b, c, d):
         assert not np.array_equal(a1, other)
+
+
+@pytest.mark.parametrize("seed, trial, device", [
+    (0, 0, "pmu"),
+    (20160517, 1, "scada"),
+    (7, 9599, "offsets:pmu:3"),
+    (2**40, 123456, "library-scada:95"),
+])
+def test_rng_stream_is_default_rng_of_its_seed_sequence(seed, trial, device):
+    want = np.random.default_rng(
+        np.random.SeedSequence([seed, trial, zlib.crc32(device.encode("utf-8"))]))
+    got = derive_rng_stream(seed, trial, device)
+    assert np.array_equal(got.standard_normal(16), want.standard_normal(16))
+    assert np.array_equal(got.uniform(size=4), want.uniform(size=4))
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("sigma", [0.00025, 0.0])
+def test_stacked_readings_match_per_trial_samples(true_solution, true_injections, sigma):
+    """Readings of a stack of trials, each with its own stream, equal the
+    scalar samples of each trial bit for bit."""
+    pmu = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma, nominal_voltage=1.0)
+    scada = DeviceSpec(kind=DeviceKind.SCADA, sigma=sigma * 100)
+    pmu_offsets = PmuOffsets(vm=np.linspace(-1e-4, 1e-4, 5), va_deg=np.linspace(2e-3, -2e-3, 5))
+    buses = (2, 3, 4, 5)
+    scada_offsets = np.array([1e-4, -2e-4, 3e-4, 0.0])
+    rows = [true_injections.bus_ids.index(b) for b in buses]
+    n = 4
+    vm, va = pmu_readings(np.tile(true_solution.vm, (n, 1)),
+                          np.tile(true_solution.va_deg, (n, 1)), pmu,
+                          [derive_rng_stream(3, i, "pmu") for i in range(n)], pmu_offsets)
+    p, q = scada_readings(np.tile(true_injections.p[rows], (n, 1)),
+                          np.tile(true_injections.q[rows], (n, 1)), scada,
+                          [derive_rng_stream(3, i, "scada") for i in range(n)], scada_offsets)
+    for i in range(n):
+        one = sample_pmu(true_solution, pmu, derive_rng_stream(3, i, "pmu"),
+                         offsets=pmu_offsets)
+        assert vm[i].tobytes() == one.vm.tobytes()
+        assert va[i].tobytes() == one.va_deg.tobytes()
+        meas = sample_scada(true_injections, scada, derive_rng_stream(3, i, "scada"),
+                            buses, offsets=scada_offsets)
+        assert p[i].tobytes() == meas.p.tobytes()
+        assert q[i].tobytes() == meas.q.tobytes()

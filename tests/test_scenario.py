@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from microtopo import scenario
-from microtopo.detector import build_library, solve_library
+from microtopo import detector, measurements, powerflow, scenario
+from microtopo.detector import INCONCLUSIVE, build_library, solve_library, vote_stack
 from microtopo.measurements import derive_rng_stream, sample_scada
 from microtopo.powerflow import InjectionSnapshot
 from microtopo.scenario import (
@@ -142,24 +142,53 @@ def test_trial_library_matches_build_library():
     (4, 1, (30, 60)),
 ])
 def test_run_trial_matches_task_path(topo_pos, rep, steps):
-    """A trial run alone (one-case stacks) gives the verdicts, per-row votes
-    and matrices that the experiment's task path (96-step stacks) records
-    for the same trial index."""
+    """A trial run alone (one-case stacks, voted by scalar `detect`) gives
+    the matrices, verdicts and per-row votes that the experiment's task path
+    (96-step stacks, voted by `vote_stack`) counts for the same trial index."""
     ctx = build_context(_tiny_config(repetitions=2, master_seed=3))
     topo_id = ctx.topology_ids[topo_pos]
-    task = scenario._run_trials(
-        ctx, topo_id, rep,
-        [(t, trial_index_for(ctx, topo_pos, t, rep)) for t in range(96)],
-        collect_matrices=True)
+    day = range(96)
+    stacks = dict(zip(("angle", "magnitude"), scenario._task_stacks(
+        ctx, rep, day, [trial_index_for(ctx, topo_pos, t, rep) for t in day],
+        *scenario._solve_true_states(ctx, topo_id, day))))
+    voted = {signal: vote_stack(stack) for signal, stack in stacks.items()}
+    labels = ctx.topology_ids + (INCONCLUSIVE,)
     for t in steps:
         alone = run_trial(ctx, topo_id, t, trial_index_for(ctx, topo_pos, t, rep),
                           rep=rep, collect_matrices=True)
-        recorded = task[t]
-        assert (recorded.time_index, recorded.trial_index) == (t, alone.trial_index)
-        assert alone.outcomes == recorded.outcomes
-        assert alone.votes_by_signal == recorded.votes_by_signal
-        assert alone.matrices.adm.tobytes() == recorded.matrices.adm.tobytes()
-        assert alone.matrices.mdm.tobytes() == recorded.matrices.mdm.tobytes()
+        assert alone.matrices.adm.tobytes() == stacks["angle"][t].tobytes()
+        assert alone.matrices.mdm.tobytes() == stacks["magnitude"][t].tobytes()
+        for (crit, sig), outcome in alone.outcomes.items():
+            assert outcome.verdict == labels[voted[sig][0][crit][t]]
+        for sig, votes in alone.votes_by_signal.items():
+            assert votes == tuple(None if v == len(ctx.topology_ids) else labels[v]
+                                  for v in voted[sig][1][t])
+
+
+def test_experiment_is_array_program(monkeypatch):
+    """A serial 4-repetition run solves each topology's true states once
+    (5 stacked calls) and each task's library once (20), and builds no
+    per-trial result, verdict or power-flow objects."""
+    calls = []
+    batch = powerflow.solve_newton_raphson_batch
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return batch(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-trial object built on the experiment path")
+
+    monkeypatch.setattr(scenario, "solve_newton_raphson_batch", counted)
+    monkeypatch.setattr(detector, "solve_newton_raphson_batch", counted)
+    for module, name in ((scenario, "TrialResult"), (scenario, "DifferenceMatrices"),
+                         (detector, "DetectionOutcome"), (powerflow, "PowerFlowSolution"),
+                         (measurements, "MeasurementSet"), (measurements, "PhasorSet"),
+                         (measurements, "ScadaSet")):
+        monkeypatch.setattr(module, name, forbidden)
+    report = run_experiment(_tiny_config(repetitions=4, master_seed=2))
+    assert sorted(calls) == [96] * 5 + [5 * 96] * 20
+    assert report.n_trials("I", "armv", "angle") == 96 * 4
 
 
 def test_zero_noise_trial_always_correct():
@@ -203,7 +232,8 @@ def test_parallel_matches_serial():
             for sig in serial.signals:
                 assert (serial.correct_rate(true, crit, sig)
                         == parallel.correct_rate(true, crit, sig))
-    assert serial.confusion == parallel.confusion
+    assert np.array_equal(serial.confusion, parallel.confusion)
+    assert np.array_equal(serial.row_votes, parallel.row_votes)
 
 
 def test_write_report_schema(small_report, tmp_path):
@@ -255,3 +285,26 @@ def test_summary_mentions_every_criterion(small_report):
     text = "\n".join(summarize(small_report))
     for crit in ("rmv", "armv", "ormv"):
         assert crit.upper() in text
+
+
+def test_per_bus_rows_name_their_bus_whatever_the_file_order(tmp_path):
+    """rates.csv labels the per-bus rows in bus-id order, the order of the
+    ADM/MDM rows, also when the network file lists its buses 5..1. The slack
+    bus (1) has the same calculated state under every topology, so its row
+    always abstains."""
+    text = fixture_path("fivebus.net").read_text()
+    head, rest = text.split("[buses]\n", 1)
+    buses, tail = rest.split("\n\n", 1)
+    reversed_net = tmp_path / "reversed.net"
+    reversed_net.write_text(
+        head + "[buses]\n" + "\n".join(reversed(buses.splitlines())) + "\n\n" + tail)
+    report = run_experiment(_tiny_config(network=str(reversed_net), master_seed=3))
+    assert report.pmu_bus_ids == (1, 2, 3, 4, 5)
+    write_report(report, tmp_path / "out")
+    with (tmp_path / "out" / "rates.csv").open() as fh:
+        rows = [r for r in csv.DictReader(fh) if r["bus"] != "all"]
+    assert rows[:5] == sorted(rows[:5], key=lambda r: int(r["bus"]))
+    for row in rows:
+        always_abstains = (row["correct_rate"], row["inconclusive_rate"]) == (
+            "0.000000", "1.000000")
+        assert always_abstains == (row["bus"] == "1"), row
