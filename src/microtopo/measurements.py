@@ -8,6 +8,7 @@ the measured power itself.
 from __future__ import annotations
 
 import functools
+import operator
 import zlib
 from dataclasses import dataclass
 
@@ -96,6 +97,128 @@ def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.
     """
     seq = np.random.SeedSequence([int(master_seed), int(trial_index), _device_key(device_id)])
     return np.random.Generator(np.random.PCG64(seq))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), replayed over
+# arrays: a pool of 4 uint32 words, mixed from the entropy words and then
+# expanded into the state words.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) constants of `count` successive hash steps:
+    step k xors with h_k and multiplies by h_(k+1) = h_k * mult, so they do
+    not depend on the data."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h[:-1], dtype=np.uint32), np.array(h[1:], dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_constants(n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash constants of mixing `n_words` entropy words into the pool: one
+    step per pool word, one per ordered pair of pool words, then one per
+    pool word for each entropy word past the pool size."""
+    steps = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, n_words - _POOL_SIZE)
+    return _hash_constants(_INIT_A, _MULT_A, steps)
+
+
+# generate_state(4, np.uint64) reads the pool twice round, one step a word.
+_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    out = (values ^ xor) * mul
+    return out ^ (out >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """(rows, 4) uint64 words of `SeedSequence(row).generate_state(4,
+    np.uint64)` for each row of a (rows, words) uint32 entropy array."""
+    n_words = entropy.shape[1]
+    xor, mul = _pool_constants(n_words)
+    head = np.zeros((len(entropy), _POOL_SIZE), dtype=np.uint32)
+    head[:, :n_words] = entropy[:, :_POOL_SIZE]
+    pool = _hash(head, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    k = _POOL_SIZE
+    # Each pool word mixes into the others in turn; it does not change
+    # while it does, so its 3 targets are mixed at once.
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        step = slice(k, k + len(dst))
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], xor[step], mul[step]))
+        k += len(dst)
+    for src in range(_POOL_SIZE, n_words):
+        step = slice(k, k + _POOL_SIZE)
+        pool = _mix(pool, _hash(entropy[:, src, None], xor[step], mul[step]))
+        k += _POOL_SIZE
+    state = _hash(np.tile(pool, 2), _STATE_XOR, _STATE_MUL)
+    # Little-endian word pairs, as SeedSequence joins them.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _int_words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence makes of an int: 0 is [0]."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """Hands precomputed state words to a bit generator, through numpy's
+    ISeedSequence interface; holds only what `PCG64` asks for."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("holds only the 4 uint64 words of a PCG64 seed")
+        return self.words
+
+
+def derive_rng_streams(master_seed: int, trial_indices,
+                       device_id: str) -> list[np.random.Generator]:
+    """`derive_rng_stream(master_seed, i, device_id)` for each i of
+    `trial_indices` (integers in [0, 2**64)), with the same states and
+    draws, hashed for all indices at once.
+
+    The generators' `bit_generator.seed_seq` holds their state words, not a
+    SeedSequence, so they cannot spawn.
+    """
+    # An index out of range raises OverflowError, a non-integer TypeError.
+    index = np.fromiter(map(operator.index, trial_indices), dtype=np.uint64)
+    low = (index & np.uint64(_MASK32)).astype(np.uint32)
+    high = (index >> np.uint64(32)).astype(np.uint32)
+    seed_words = _int_words(int(master_seed))
+    key = _device_key(device_id)
+    words = np.empty((len(index), _POOL_SIZE), dtype=np.uint64)
+    # An index of 2**32 or more is 2 words, so its entropy row is longer.
+    for rows, index_words in ((high == 0, (low,)), (high != 0, (low, high))):
+        n = np.count_nonzero(rows)
+        if n:
+            entropy = np.column_stack([np.full(n, w, dtype=np.uint32) for w in seed_words]
+                                      + [w[rows] for w in index_words]
+                                      + [np.full(n, key, dtype=np.uint32)])
+            words[rows] = _seed_state(entropy)
+    return [np.random.Generator(np.random.PCG64(_SeedState(w))) for w in words]
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,11 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     order = np.r_[slack_index, np.delete(np.arange(n), slack_index)]
     k = n - 1
     diag = np.arange(k)
-    ybus = np.asarray(ybus)[:, order][:, :, order]
+    # One copy, with the case axis fastest and the column axis slowest. The
+    # current sums below round by memory order, so the layout is part of the
+    # seeded output: a row-major copy (ybus[:, order[:, None], order])
+    # changes their last bits when a stack holds one case.
+    ybus = np.asarray(ybus).transpose(2, 1, 0)[order[:, None], order].transpose(2, 1, 0)
     y_rows = ybus[:, 1:, :]  # PQ rows, every column: injected currents
     y_pq = ybus[:, 1:, 1:]  # PQ rows and columns: Jacobian
     p_spec = p[:, order[1:]]

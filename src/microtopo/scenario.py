@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -31,6 +32,7 @@ from .measurements import (
     DeviceKind,
     DeviceSpec,
     derive_rng_stream,
+    derive_rng_streams,
     draw_pmu_offsets,
     draw_scada_offsets,
     pmu_readings,
@@ -45,7 +47,12 @@ from .powerflow import solve_newton_raphson  # noqa: F401
 
 
 class ConfigError(Exception):
-    """Experiment configuration file is invalid."""
+    """Experiment configuration file is invalid; `key` names the config key
+    at fault, when there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 def _usable_cpus() -> int:
@@ -79,31 +86,37 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+            raise ConfigError("repetitions must be >= 1", "repetitions")
         for name in ("pmu_sigma", "pmu_accuracy", "scada_sigma", "scada_accuracy"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative", name)
         if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+            raise ConfigError("jobs must be >= 1", "jobs")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tol must be finite and positive", "tol")
         if self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
+            raise ConfigError("master_seed must be >= 0", "master_seed")
         for key, kind, known in (("criteria", "criterion", CRITERIA),
                                  ("signals", "signal", SIGNALS)):
             names = getattr(self, key)
             if not names:
-                raise ConfigError(f"{key} must name at least one {kind}")
+                raise ConfigError(f"{key} must name at least one {kind}", key)
             for i, name in enumerate(names):
                 if name not in known:
-                    raise ConfigError(f"unknown {kind} {name!r}")
+                    raise ConfigError(f"unknown {kind} {name!r}", key)
                 if name in names[:i]:
-                    raise ConfigError(f"{kind} {name!r} is listed twice")
+                    raise ConfigError(f"{kind} {name!r} is listed twice", key)
+
+
+def _file_name(value: str) -> str:
+    if not value:
+        raise ValueError("empty file name")
+    return value
 
 
 _CONFIG_PARSERS = {
-    "network": str,
-    "profile": str,
+    "network": _file_name,
+    "profile": _file_name,
     "pmu_sigma": float,
     "pmu_accuracy": float,
     "scada_sigma": float,
@@ -117,9 +130,9 @@ _CONFIG_PARSERS = {
 }
 
 
-def _resolve_input(name: str, base_dir: Path) -> str:
-    """Resolve a file reference against the config directory, then the
-    bundled data directory."""
+def _resolve_input(key: str, name: str, base_dir: Path) -> str:
+    """Resolve the file named by config key `key` against the config
+    directory, then the bundled data directory."""
     candidate = Path(name)
     if candidate.is_absolute() and candidate.exists():
         return str(candidate)
@@ -129,13 +142,17 @@ def _resolve_input(name: str, base_dir: Path) -> str:
     bundled = fixture_path(name)
     if bundled.exists():
         return str(bundled)
-    raise ConfigError(f"cannot locate input file {name!r}")
+    raise ConfigError(f"cannot locate input file {name!r}", key)
 
 
 def load_config(path: str | Path, **overrides) -> ScenarioConfig:
-    """Parse a key = value experiment config file, applying overrides."""
+    """Parse a key = value experiment config file, applying overrides.
+
+    A rejected line or value read from the file is reported as `path:line:`.
+    """
     path = Path(path)
     values: dict = {}
+    lines: dict[str, int] = {}  # key -> the file line that set it
     try:
         text = path.read_text()
     except OSError as exc:
@@ -150,17 +167,29 @@ def load_config(path: str | Path, **overrides) -> ScenarioConfig:
         key = key.strip()
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice "
+                              f"(first on line {lines[key]})", key)
+        lines[key] = lineno
         try:
             values[key] = _CONFIG_PARSERS[key](value.strip())
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    values.update({k: v for k, v in overrides.items() if v is not None})
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}", key) from exc
+    for key, value in overrides.items():
+        if value is not None:
+            values[key] = value
+            lines.pop(key, None)
     if "network" not in values:
         raise ConfigError(f"{path}: missing required key 'network'")
-    values["network"] = _resolve_input(values["network"], path.parent)
-    if values.get("profile", "default") != "default":
-        values["profile"] = _resolve_input(values["profile"], path.parent)
-    return ScenarioConfig(**values)
+    try:
+        values["network"] = _resolve_input("network", values["network"], path.parent)
+        if values.get("profile", "default") != "default":
+            values["profile"] = _resolve_input("profile", values["profile"], path.parent)
+        return ScenarioConfig(**values)
+    except ConfigError as exc:
+        if exc.key not in lines:
+            raise
+        raise ConfigError(f"{path}:{lines[exc.key]}: {exc}", exc.key) from None
 
 
 @dataclass(frozen=True)
@@ -279,22 +308,22 @@ def _task_stacks(ctx: ExperimentContext, rep: int, steps, trial_indices,
     state (true_vm[i], true_va[i]).
 
     Each trial samples its μPMU and SCADA readings from its own two
-    streams; the candidate library of every trial is solved from its SCADA
-    readings in one stacked power flow. A case's power flow does not depend
-    on the other cases of its stack, so the results are those of solving
-    each trial alone.
+    streams, derived for all trials at once; the candidate library of every
+    trial is solved from its SCADA readings in one stacked power flow. A
+    case's power flow does not depend on the other cases of its stack, so
+    the results are those of solving each trial alone.
     """
     config = ctx.config
     graph = ctx.graph
     pmu_vm, pmu_va = pmu_readings(
         true_vm, true_va, ctx.pmu_spec,
-        [derive_rng_stream(config.master_seed, i, "pmu") for i in trial_indices],
+        derive_rng_streams(config.master_seed, trial_indices, "pmu"),
         ctx.pmu_offsets_by_rep[rep])
     p, q = _injection_table(ctx, steps)
     rows = bus_positions(graph.bus_ids, ctx.scada_buses)
     scada_p, scada_q = scada_readings(
         p[:, rows], q[:, rows], ctx.scada_spec,
-        [derive_rng_stream(config.master_seed, i, "scada") for i in trial_indices],
+        derive_rng_streams(config.master_seed, trial_indices, "scada"),
         ctx.scada_offsets_by_rep[rep])
     lib_p = np.zeros_like(p)
     lib_q = np.zeros_like(q)

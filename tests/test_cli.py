@@ -142,8 +142,8 @@ def test_experiment_jobs_precedence(tmp_path, monkeypatch, key, flag, want):
 
 
 @pytest.mark.parametrize("key, argv, message", [
-    ("criteria =\n", ["experiment"], "criteria must name at least one criterion"),
-    ("signals = angle, angle\n", ["experiment"], "signal 'angle' is listed twice"),
+    ("criteria =\n", ["experiment"], "{cfg}:2: criteria must name at least one criterion"),
+    ("signals = angle, angle\n", ["experiment"], "{cfg}:2: signal 'angle' is listed twice"),
     ("", ["experiment", "--seed", "-1"], "master_seed must be >= 0"),
     ("", ["detect", "--topo", "I", "--seed", "-1"], "master_seed must be >= 0"),
 ], ids=["empty_criteria", "duplicate_signal", "experiment_negative_seed",
@@ -154,7 +154,7 @@ def test_bad_config_exits_2_before_any_trial(tmp_path, capsys, key, argv, messag
     if argv[0] == "experiment":
         argv = argv[:1] + [str(cfg), "--out-dir", str(tmp_path / "out")] + argv[1:]
     assert main(argv) == EXIT_VALIDATION
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -201,6 +201,16 @@ def test_experiment_zero_noise_all_correct(tmp_path, capsys):
         for row in csv.DictReader(fh):
             if row["bus"] == "all":
                 assert float(row["correct_rate"]) == 1.0
+
+
+def test_experiment_config_key_given_twice_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("network = fivebus.net\nrepetitions = 3\nrepetitions = 2\n")
+    out = tmp_path / "out"
+    assert main(["experiment", str(cfg), "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert (f"error: {cfg}:3: key 'repetitions' given twice (first on line 2)"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_experiment_unknown_config(capsys):

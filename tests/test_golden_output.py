@@ -12,6 +12,10 @@ MULTI_REP_SHA256 holds the digests of rates.csv and confusion.csv of
 `microtopo experiment --seed 11 --reps 3` (the same with --jobs 1 and 2),
 generated by the code before the trial-tensor refactor; several repetitions
 pin true states reused across repetitions and the pool's chunking.
+TWO_WORD_SEED_SHA256 holds the same digests for
+`microtopo experiment --seed 4294967303 --reps 1`, whose seed SeedSequence
+hashes as 2 uint32 words, generated by the code before the array hash of
+the per-trial RNG streams.
 A refactor must leave them byte-identical.
 """
 import hashlib
@@ -26,6 +30,11 @@ LIBRARY_SHA256 = "a0c5f8cd74cfda3cd9b1b3aa8e6e15635680d71f7974b1ccecbcbaf8e0ac49
 MULTI_REP_SHA256 = {
     "rates.csv": "e72560ac56554f84f091874ba429fa0e15e90621c24cd7aa4b537ca4ded75cdf",
     "confusion.csv": "9ffd2eee38d420aea0f0e9a097e9f0fa71ceb0b7c3df0f9eecf2472e1625bb6f",
+}
+
+TWO_WORD_SEED_SHA256 = {
+    "rates.csv": "d57df566bfe4e68d48918895504a71ea5641f8839bc83f69dced9cd055b53d11",
+    "confusion.csv": "34eb4f23a5979cb93ab00f7136d00538900b86236bba2872f90fc3753c0ec511",
 }
 
 
@@ -46,6 +55,14 @@ def test_multi_rep_output_matches_golden_digests(tmp_path, capsys, jobs):
     assert main(["experiment", "--seed", "11", "--reps", "3", "--jobs", jobs,
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     for name, digest in MULTI_REP_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_two_word_seed_output_matches_golden_digests(tmp_path, capsys, jobs):
+    assert main(["experiment", "--seed", str(2**32 + 7), "--reps", "1", "--jobs", jobs,
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    for name, digest in TWO_WORD_SEED_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 

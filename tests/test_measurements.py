@@ -1,13 +1,18 @@
 import zlib
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microtopo.measurements import (
     DeviceKind,
     DeviceSpec,
     PmuOffsets,
     derive_rng_stream,
+    derive_rng_streams,
     draw_pmu_offsets,
     draw_scada_offsets,
     pmu_readings,
@@ -195,6 +200,49 @@ def test_rng_stream_is_default_rng_of_its_seed_sequence(seed, trial, device):
     assert np.array_equal(got.standard_normal(16), want.standard_normal(16))
     assert np.array_equal(got.uniform(size=4), want.uniform(size=4))
     assert got.bit_generator.state == want.bit_generator.state
+
+
+def _assert_streams_match(seed, trials, device):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the uint32 hash wraps without warning
+        got = derive_rng_streams(seed, trials, device)
+    assert len(got) == len(trials)
+    key = zlib.crc32(device.encode("utf-8"))
+    for rng, trial in zip(got, trials):
+        words = np.random.SeedSequence([seed, trial, key]).generate_state(4, np.uint64)
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), words)
+        want = derive_rng_stream(seed, trial, device)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.standard_normal(6), want.standard_normal(6))
+        assert np.array_equal(rng.uniform(size=3), want.uniform(size=3))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 20160517])
+def test_array_streams_at_word_boundaries(seed):
+    """Seeds and trial indices of 1, 2 and 3 uint32 words, index 0, and one
+    call whose indices straddle 2**32, so its rows hash in two groups."""
+    _assert_streams_match(seed, [0, 1, 2**32 - 1, 2**32, 2**32 + 9, 7, 2**64 - 1], "pmu")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**70),
+       trials=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+       device=st.text(max_size=12))
+@example(seed=0, trials=[0], device="")
+@example(seed=2**64 + 5, trials=[2**32 - 1, 2**32], device="scada")
+def test_array_streams_equal_scalar_streams(seed, trials, device):
+    _assert_streams_match(seed, trials, device)
+
+
+@pytest.mark.parametrize("trials, error", [
+    ([-1], OverflowError),
+    ([2**64], OverflowError),
+    ([1.0], TypeError),
+    (np.array([-3]), OverflowError),
+])
+def test_array_streams_reject_what_seed_sequence_cannot_hash(trials, error):
+    with pytest.raises(error):
+        derive_rng_streams(1, trials, "pmu")
 
 
 @pytest.mark.parametrize("sigma", [0.00025, 0.0])

@@ -1,11 +1,25 @@
+import contextlib
 import csv
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microtopo import detector, measurements, powerflow, scenario
-from microtopo.detector import INCONCLUSIVE, build_library, solve_library, vote_stack
+from microtopo.cli import EXIT_VALIDATION, main
+from microtopo.detector import (
+    CRITERIA,
+    INCONCLUSIVE,
+    SIGNALS,
+    build_library,
+    solve_library,
+    vote_stack,
+)
 from microtopo.measurements import derive_rng_stream, sample_scada
 from microtopo.powerflow import InjectionSnapshot
 from microtopo.scenario import (
@@ -80,6 +94,147 @@ def test_bad_lists_and_seed_rejected(tmp_path, line, message):
     cfg.write_text(f"network = fivebus.net\n{line}\n")
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(cfg)
+
+
+def test_config_key_given_twice_rejected(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("network = fivebus.net\nrepetitions = 3\n# again\nrepetitions = 2\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{cfg}:4: key 'repetitions' given twice (first on line 2)")):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("network = fivebus.net\ntol = nan\n", 2, "tol must be finite and positive"),
+    ("network = fivebus.net\npmu_sigma = inf\n", 2, "pmu_sigma must be finite and nonnegative"),
+    ("network = fivebus.net\n\nrepetitions = 0\n", 3, "repetitions must be >= 1"),
+    ("# header\nnetwork =\n", 2, "bad value for network: empty file name"),
+    ("network = fivebus.net\nprofile = missing.csv\n", 2,
+     "cannot locate input file 'missing.csv'"),
+], ids=["nan_tol", "infinite_sigma", "zero_repetitions", "empty_network", "missing_profile"])
+def test_rejected_file_value_names_its_line(tmp_path, text, lineno, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:{lineno}: {message}")):
+        load_config(cfg)
+
+
+def test_rejected_override_has_no_line():
+    with pytest.raises(ConfigError, match=r"^pmu_sigma must be finite"):
+        load_config(PAPER_CFG, pmu_sigma=float("nan"))
+
+
+# Generated config files: every key but network is optional; floats are
+# written with repr, which parses back to the same float.
+_FLOAT_KEYS = ("pmu_sigma", "pmu_accuracy", "scada_sigma", "scada_accuracy")
+_nonnegative = st.floats(min_value=0.0, max_value=1.0)
+_VALID_VALUES = {
+    **{key: _nonnegative for key in _FLOAT_KEYS},
+    "profile": st.just("default"),
+    "repetitions": st.integers(1, 10**6),
+    "master_seed": st.integers(0, 2**80),
+    "jobs": st.integers(1, 64),
+    "tol": st.floats(min_value=1e-300, max_value=1.0),
+    "criteria": st.lists(st.sampled_from(CRITERIA), min_size=1, unique=True).map(tuple),
+    "signals": st.lists(st.sampled_from(SIGNALS), min_size=1, unique=True).map(tuple),
+}
+_BAD_VALUES = {
+    **{key: ("abc", "nan", "inf", "-0.5", "") for key in _FLOAT_KEYS},
+    "network": ("", "no_such_file.net"),
+    "profile": ("", "no_such_profile.csv"),
+    "repetitions": ("abc", "0", "-2", "1.5", ""),
+    "master_seed": ("-1", "seed", "1e3", ""),
+    "jobs": ("x", "0", "2.0", ""),
+    "tol": ("abc", "nan", "inf", "0", "-1e-9", ""),
+    "criteria": ("", "bogus", "armv,armv", "rmv,,bogus"),
+    "signals": ("", "phase", "angle,angle"),
+}
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def _config_lines(draw):
+    """(lines, values): a valid config file as lines, in any key order,
+    with blank lines, comments and spacing, and the values it sets."""
+    keys = draw(st.lists(st.sampled_from(sorted(_VALID_VALUES)), unique=True))
+    values = {"network": "fivebus.net"}
+    values.update({key: draw(_VALID_VALUES[key]) for key in keys})
+    order = draw(st.permutations(sorted(values)))
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    lines = []
+    for key in order:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# a comment", "   "])))
+        comment = draw(st.sampled_from(["", "  # note"]))
+        lines.append(f"{draw(space)}{key}{draw(space)}={draw(space)}"
+                     f"{_render(values[key])}{comment}")
+    return lines, values
+
+
+def _write(directory: str, lines) -> Path:
+    path = Path(directory) / "generated.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_lines())
+def test_config_round_trip(generated):
+    lines, values = generated
+    with tempfile.TemporaryDirectory() as directory:
+        config = load_config(_write(directory, lines))
+    assert config.network == str(fixture_path("fivebus.net"))
+    for key, value in values.items():
+        if key != "network":
+            assert getattr(config, key) == value, key
+
+
+@st.composite
+def _broken_config(draw):
+    """(lines, lineno, message): a valid config with one line replaced by
+    an unknown key, a bad value, a line without '=' or a repeated key."""
+    lines, values = draw(_config_lines())
+    keyed = [i for i, line in enumerate(lines) if "=" in line]
+    i = draw(st.sampled_from(keyed))
+    key = lines[i].split("=")[0].strip()
+    fault = draw(st.sampled_from(["unknown_key", "bad_value", "no_equals", "repeated"]))
+    if fault == "unknown_key":
+        name = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+            lambda k: k not in scenario._CONFIG_PARSERS))
+        lines[i] = f"{name} = 3"
+        return lines, i + 1, f"unknown key {name!r}"
+    if fault == "bad_value":
+        lines[i] = f"{key} = {draw(st.sampled_from(_BAD_VALUES[key]))}"
+        return lines, i + 1, ""
+    if fault == "no_equals":
+        lines[i] = f"{key} {_render(values[key])}"
+        return lines, i + 1, "expected 'key = value'"
+    j = draw(st.integers(i + 1, len(lines)))
+    lines.insert(j, lines[i])
+    return lines, j + 1, f"key {key!r} given twice (first on line {i + 1})"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_broken_config())
+def test_broken_config_line_rejected_with_its_number(broken):
+    lines, lineno, message = broken
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, lines)
+        where = f"{path}:{lineno}: {message}"
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value).startswith(where)
+        out = Path(directory) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["experiment", str(path), "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert err.getvalue().startswith(f"error: {where}")
+        assert not out.exists()
 
 
 def test_trial_indices_unique():
@@ -167,20 +322,28 @@ def test_run_trial_matches_task_path(topo_pos, rep, steps):
 
 def test_experiment_is_array_program(monkeypatch):
     """A serial 4-repetition run solves each topology's true states once
-    (5 stacked calls) and each task's library once (20), and builds no
-    per-trial result, verdict or power-flow objects."""
+    (5 stacked calls) and each task's library once (20), hashes a
+    SeedSequence only for the 2 offset streams of each repetition, and builds
+    no per-trial result, verdict or power-flow objects."""
     calls = []
+    seed_sequences = []
     batch = powerflow.solve_newton_raphson_batch
+    seed_sequence = np.random.SeedSequence
 
     def counted(*args, **kwargs):
         calls.append(len(args[0]))
         return batch(*args, **kwargs)
+
+    def counted_seed_sequence(*args, **kwargs):
+        seed_sequences.append(args)
+        return seed_sequence(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-trial object built on the experiment path")
 
     monkeypatch.setattr(scenario, "solve_newton_raphson_batch", counted)
     monkeypatch.setattr(detector, "solve_newton_raphson_batch", counted)
+    monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
     for module, name in ((scenario, "TrialResult"), (scenario, "DifferenceMatrices"),
                          (detector, "DetectionOutcome"), (powerflow, "PowerFlowSolution"),
                          (measurements, "MeasurementSet"), (measurements, "PhasorSet"),
@@ -188,6 +351,7 @@ def test_experiment_is_array_program(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     report = run_experiment(_tiny_config(repetitions=4, master_seed=2))
     assert sorted(calls) == [96] * 5 + [5 * 96] * 20
+    assert len(seed_sequences) == 2 * 4
     assert report.n_trials("I", "armv", "angle") == 96 * 4
 
 
