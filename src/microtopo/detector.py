@@ -7,7 +7,8 @@ applies three voting criteria over the row minima.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,21 +55,27 @@ class DifferenceMatrices:
     mdm: np.ndarray
     pmu_bus_ids: tuple[int, ...]
     topology_ids: tuple[str, ...]
-    _votes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def matrix(self, signal: str) -> np.ndarray:
-        if signal == "angle":
-            return self.adm
-        if signal == "magnitude":
-            return self.mdm
-        raise ValueError(f"unknown signal {signal!r}")
 
     def votes(self, signal: str) -> tuple[str | None, ...]:
-        """Per-row votes of one signal, computed on first use and shared by
-        RMV, ORMV and the per-bus tallies."""
-        if signal not in self._votes:
-            self._votes[signal] = row_votes(self.matrix(signal), self.topology_ids)
-        return self._votes[signal]
+        """Per-row votes of one signal, shared by RMV, ORMV and the per-bus
+        tallies; None for a row that abstains."""
+        return detect(self, "rmv", signal).per_row_votes
+
+    @cached_property
+    def _outcomes(self) -> dict[tuple[str, str], DetectionOutcome]:
+        """Every (criterion, signal) outcome, from one `vote_stack` call over
+        the stack of one ADM and one MDM, in `SIGNALS` order."""
+        verdicts, votes = vote_stack(np.array((self.adm, self.mdm)))
+        verdict_ids = self.topology_ids + (INCONCLUSIVE,)
+        vote_ids = self.topology_ids + (None,)
+        outcomes = {}
+        for s, signal in enumerate(SIGNALS):
+            row_votes = tuple(vote_ids[v] for v in votes[s].tolist())
+            for criterion in CRITERIA:
+                outcomes[criterion, signal] = DetectionOutcome(
+                    criterion, signal, verdict_ids[verdicts[criterion][s]],
+                    () if criterion == "armv" else row_votes)
+        return outcomes
 
 
 @dataclass(frozen=True)
@@ -138,11 +145,11 @@ def compute_difference_matrices(measurements, library: TopologyLibrary,
     except KeyError as exc:
         raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
                            f"for topology {topo_ids[0]} at t={t}") from None
-    va_calc = np.stack([sol.va_deg for sol in solutions], axis=1)[rows]
-    vm_calc = np.stack([sol.vm for sol in solutions], axis=1)[rows]
-    return DifferenceMatrices(adm=np.abs(phasors.va_deg[order, None] - va_calc),
-                              mdm=np.abs(phasors.vm[order, None] - vm_calc),
-                              pmu_bus_ids=bus_ids, topology_ids=topo_ids)
+    # (signal, row, topology) in SIGNALS order: angle, then magnitude
+    calc = np.array([(sol.va_deg, sol.vm) for sol in solutions])[:, :, rows].transpose(1, 2, 0)
+    diff = np.abs(np.array((phasors.va_deg, phasors.vm))[:, order, None] - calc)
+    return DifferenceMatrices(adm=diff[0], mdm=diff[1], pmu_bus_ids=bus_ids,
+                              topology_ids=topo_ids)
 
 
 def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
@@ -161,83 +168,50 @@ def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
             np.abs(vm[:, order, None] - vm_calc))
 
 
-def row_votes(matrix: np.ndarray, topology_ids: tuple[str, ...]) -> tuple[str | None, ...]:
-    """Argmin vote per row; a row whose minimum is tied abstains (None).
-
-    A tied row cannot discriminate between candidates, which happens
-    systematically for the slack bus (its calculated state is identical
-    under every topology).
-    """
-    n_min = np.count_nonzero(matrix == matrix.min(axis=1, keepdims=True), axis=1)
-    return tuple(topology_ids[w] if n == 1 else None
-                 for w, n in zip(matrix.argmin(axis=1).tolist(), n_min.tolist()))
-
-
-def detect_rmv(matrices: DifferenceMatrices, signal: str) -> DetectionOutcome:
-    """Row-minimum voting: majority over per-row argmin votes.
-
-    A tie in the vote count (or no informative row) is inconclusive.
-    """
-    votes = matrices.votes(signal)
-    counts: dict[str, int] = {}
-    for v in votes:
-        if v is not None:
-            counts[v] = counts.get(v, 0) + 1
-    if not counts:
-        return DetectionOutcome("rmv", signal, INCONCLUSIVE, votes)
-    best = max(counts.values())
-    leaders = [q for q, c in counts.items() if c == best]
-    verdict = leaders[0] if len(leaders) == 1 else INCONCLUSIVE
-    return DetectionOutcome("rmv", signal, verdict, votes)
-
-
-def detect_armv(matrices: DifferenceMatrices, signal: str) -> DetectionOutcome:
-    """Average-row-minimum voting: argmin over per-topology column means."""
-    matrix = matrices.matrix(signal)
-    col_means = matrix.mean(axis=0)
-    verdict = matrices.topology_ids[int(np.argmin(col_means))]
-    return DetectionOutcome("armv", signal, verdict, ())
-
-
-def detect_ormv(matrices: DifferenceMatrices, signal: str) -> DetectionOutcome:
-    """Overall-row-minimum voting: conclusive only on unanimous row votes."""
-    votes = matrices.votes(signal)
-    informative = [v for v in votes if v is not None]
-    if informative and all(v == informative[0] for v in informative):
-        return DetectionOutcome("ormv", signal, informative[0], votes)
-    return DetectionOutcome("ormv", signal, INCONCLUSIVE, votes)
-
-
 def detect(matrices: DifferenceMatrices, criterion: str, signal: str) -> DetectionOutcome:
-    if criterion == "rmv":
-        return detect_rmv(matrices, signal)
-    if criterion == "armv":
-        return detect_armv(matrices, signal)
-    if criterion == "ormv":
-        return detect_ormv(matrices, signal)
-    raise ValueError(f"unknown criterion {criterion!r}")
+    """Verdict of one criterion on one signal. All six (criterion, signal)
+    outcomes come from one `vote_stack` call, made on first use and kept on
+    `matrices`."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if signal not in SIGNALS:
+        raise ValueError(f"unknown signal {signal!r}")
+    return matrices._outcomes[criterion, signal]
 
 
 def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """All three criteria over a (trials, rows, topologies) stack of ADM or
-    MDM matrices, with the rules of `detect`.
+    """RMV, ARMV and ORMV over a (trials, rows, topologies) stack of ADM or
+    MDM matrices: the one place the voting and tie rules are coded.
+
+    Each row votes for the topology of its minimum. RMV takes the majority
+    of the row votes, ORMV a unanimous row vote, and ARMV the smallest
+    column mean. Ties:
+    - a row whose minimum is tied abstains (it cannot tell the candidates
+      apart, as for the slack bus, whose state is the same in every
+      topology);
+    - an RMV vote-count tie, or no informative row, is inconclusive;
+    - ORMV needs all informative rows, and at least one, to agree;
+    - an exact ARMV column-mean tie goes to the first column in library order.
 
     Returns the verdict codes per criterion, each a (trials,) array, and the
     (trials, rows) row votes. A code is a topology column, or the number of
     topologies for an inconclusive verdict or an abstaining row.
     """
-    n_trial, _, n_topo = stack.shape
-    n_min = np.count_nonzero(stack == stack.min(axis=2, keepdims=True), axis=2)
-    votes = np.where(n_min == 1, stack.argmin(axis=2), n_topo)
-    counts = np.count_nonzero(votes[:, :, None] == np.arange(n_topo), axis=1)
-    informative = counts.sum(axis=1)
-    best = counts.max(axis=1)
-    leader = counts.argmax(axis=1)
-    n_leaders = np.count_nonzero(counts == best[:, None], axis=1)
-    inconclusive = np.full(n_trial, n_topo)
+    n_topo = stack.shape[2]
+    votes = _unique_argmin(stack, n_topo)
+    counts = (votes[:, :, None] == np.arange(n_topo)).sum(axis=1)
+    n_voted = (counts > 0).sum(axis=1)  # topologies that got a row vote
     verdicts = {
-        "rmv": np.where((informative > 0) & (n_leaders == 1), leader, inconclusive),
+        "rmv": np.where(n_voted > 0, _unique_argmin(-counts, n_topo), n_topo),
         "armv": stack.mean(axis=1).argmin(axis=1),
-        "ormv": np.where((informative > 0) & (best == informative), leader, inconclusive),
+        "ormv": np.where(n_voted == 1, counts.argmax(axis=1), n_topo),
     }
     return verdicts, votes
+
+
+def _unique_argmin(a: np.ndarray, tied: int) -> np.ndarray:
+    """Argmin over the last axis, or `tied` where the minimum is not unique
+    (its first and last position differ)."""
+    first = a.argmin(axis=-1)
+    last = a.shape[-1] - 1 - a[..., ::-1].argmin(axis=-1)
+    return np.where(first == last, first, tied)

@@ -6,6 +6,7 @@ and loads network definition files (see `data/fivebus.net` for the format).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -230,10 +231,14 @@ def load_network(path: str | Path) -> tuple[NetworkGraph, list[TopologyConfig]]:
         if len(fields) != 3:
             raise ParseError(f"{path}:{lineno}: expected 'id,kind,base_voltage'")
         try:
-            kind = BusKind(fields[1].lower())
-            buses.append(Bus(id=int(fields[0]), kind=kind, base_voltage=float(fields[2])))
+            bus = Bus(id=int(fields[0]), kind=BusKind(fields[1].lower()),
+                      base_voltage=float(fields[2]))
         except (ValueError, KeyError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not 0 < bus.base_voltage < math.inf:
+            raise ParseError(f"{path}:{lineno}: base_voltage must be finite and positive, "
+                             f"got {fields[2]}")
+        buses.append(bus)
 
     lines: list[Line] = []
     for lineno, row in sections["lines"]:
@@ -241,10 +246,13 @@ def load_network(path: str | Path) -> tuple[NetworkGraph, list[TopologyConfig]]:
         if len(fields) != 6:
             raise ParseError(f"{path}:{lineno}: expected 'id,from,to,r_pu,x_pu,switch'")
         try:
-            lines.append(Line(id=fields[0], from_bus=int(fields[1]), to_bus=int(fields[2]),
-                              r_pu=float(fields[3]), x_pu=float(fields[4]), switch_id=fields[5]))
+            line = Line(id=fields[0], from_bus=int(fields[1]), to_bus=int(fields[2]),
+                        r_pu=float(fields[3]), x_pu=float(fields[4]), switch_id=fields[5])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(line.r_pu) and math.isfinite(line.x_pu)):
+            raise ParseError(f"{path}:{lineno}: r_pu and x_pu must be finite")
+        lines.append(line)
 
     topologies: list[TopologyConfig] = []
     for lineno, row in sections["topologies"]:

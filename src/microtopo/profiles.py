@@ -131,6 +131,8 @@ def _read_profile_rows(path: str | Path) -> tuple[dict, dict[int, int]]:
             raise ValueError(f"{path}: expected header columns {sorted(expected)}")
         for row in reader:
             line = reader.line_num
+            if None in row or None in row.values():  # extra or missing fields
+                raise ValueError(f"{path}:{line}: expected {len(reader.fieldnames)} fields")
             try:
                 t = int(row["time_index"])
                 bus = int(row["bus_id"])

@@ -265,7 +265,7 @@ def run_trial(ctx: ExperimentContext, true_topology_id: str, t: int,
               trial_index: int, rep: int = 0,
               collect_matrices: bool = False) -> TrialResult:
     """One end-to-end detection trial: the task path over a single step,
-    voted by the single-matrix `detect`."""
+    voted by `detect`."""
     true_vm, true_va = _solve_true_states(ctx, true_topology_id, [t])
     adm, mdm = _task_stacks(ctx, rep, [t], [trial_index], true_vm, true_va)
     matrices = DifferenceMatrices(adm=adm[0], mdm=mdm[0], pmu_bus_ids=ctx.pmu_bus_ids,

@@ -15,9 +15,7 @@ from microtopo.cli import EXIT_OK, main
 from microtopo.detector import (
     INCONCLUSIVE,
     DifferenceMatrices,
-    detect_armv,
-    detect_ormv,
-    detect_rmv,
+    detect,
 )
 from microtopo.network import build_incidence_matrix, build_ybus, load_network
 from microtopo.powerflow import (
@@ -162,13 +160,13 @@ def test_voting_micro_oracles():
         armv_ref = ids[int(np.argmin([mat[:, c].sum() for c in range(5)]))]
         ormv_ref = ids[argmins[0]] if len(set(argmins)) == 1 else INCONCLUSIVE
 
-        ok = ok and detect_rmv(wrap(mat), "angle").verdict == rmv_ref
-        ok = ok and detect_armv(wrap(mat), "angle").verdict == armv_ref
-        ok = ok and detect_ormv(wrap(mat), "angle").verdict == ormv_ref
+        ok = ok and detect(wrap(mat), "rmv", "angle").verdict == rmv_ref
+        ok = ok and detect(wrap(mat), "armv", "angle").verdict == armv_ref
+        ok = ok and detect(wrap(mat), "ormv", "angle").verdict == ormv_ref
 
         # a positive rescale never changes the ARMV verdict
         scale = float(rng.uniform(1e-6, 1e6))
-        ok = ok and detect_armv(wrap(mat * scale), "angle").verdict == armv_ref
+        ok = ok and detect(wrap(mat * scale), "armv", "angle").verdict == armv_ref
 
         # ORMV is conclusive exactly when the row argmins coincide
         ok = ok and ((ormv_ref != INCONCLUSIVE) == (len(set(argmins)) == 1))

@@ -5,6 +5,7 @@ import pytest
 
 from microtopo import cli
 from microtopo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from microtopo.scenario import fixture_path
 
 
 def test_version(capsys):
@@ -34,6 +35,26 @@ def test_validate_bad_network(tmp_path, capsys):
         "[topologies]\nI,S12\n")
     assert main(["validate", "--net", str(net)]) == EXIT_VALIDATION
     assert "INVALID" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new, lineno, message", [
+    ("L12,1,2,0.009", "L12,1,2,nan", 13, "r_pu and x_pu must be finite"),
+    ("1,slack,1.0", "1,slack,nan", 5, "base_voltage must be finite and positive, got nan"),
+    ("1,slack,1.0", "1,slack,-2", 5, "base_voltage must be finite and positive, got -2"),
+], ids=["nan_resistance", "nan_base_voltage", "negative_base_voltage"])
+def test_non_finite_or_non_positive_network_value_exits_2(tmp_path, capsys, old, new,
+                                                          lineno, message):
+    """Such a value once passed `validate` and then failed later: a NaN
+    resistance in the power flow, a NaN base voltage with a traceback from
+    the μPMU offsets, a negative one with no μPMU magnitude noise at all."""
+    bundled = fixture_path("fivebus.net").read_text()
+    assert old in bundled
+    net = tmp_path / "bad.net"
+    net.write_text(bundled.replace(old, new))
+    assert main(["validate", "--net", str(net)]) == EXIT_VALIDATION
+    assert main(["detect", "--topo", "I", "--net", str(net)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {net}:{lineno}: {message}\n" * 2
 
 
 def test_validate_missing_file(capsys):

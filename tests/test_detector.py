@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from microtopo import profiles
+from microtopo import detector, profiles
 from microtopo.detector import (
     CRITERIA,
     INCONCLUSIVE,
@@ -16,10 +16,6 @@ from microtopo.detector import (
     build_library,
     compute_difference_matrices,
     detect,
-    detect_armv,
-    detect_ormv,
-    detect_rmv,
-    row_votes,
     solve_library,
     vote_stack,
 )
@@ -82,11 +78,11 @@ def test_criteria_against_brute_force_on_random_matrices():
             c1, c2 = rng.choice(5, size=2, replace=False)
             mat[r, c2] = mat[r, c1] = mat[r].min()
         m = _matrices(mat, ids)
-        rmv, ormv = detect_rmv(m, "angle"), detect_ormv(m, "angle")
+        rmv, ormv = detect(m, "rmv", "angle"), detect(m, "ormv", "angle")
         assert rmv.verdict == _oracle_rmv(mat, ids)
-        assert detect_armv(m, "angle").verdict == _oracle_armv(mat, ids)
+        assert detect(m, "armv", "angle").verdict == _oracle_armv(mat, ids)
         assert ormv.verdict == _oracle_ormv(mat, ids)
-        assert list(row_votes(mat, ids)) == _oracle_row_votes(mat, ids)
+        assert list(m.votes("magnitude")) == _oracle_row_votes(mat, ids)
         # RMV and ORMV share the votes computed once per signal
         assert list(m.votes("angle")) == _oracle_row_votes(mat, ids)
         assert rmv.per_row_votes is ormv.per_row_votes is m.votes("angle")
@@ -100,7 +96,7 @@ _MATRICES = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 5)),
 
 def _verdicts(mat, ids):
     m = _matrices(mat, ids)
-    return [fn(m, "angle").verdict for fn in (detect_rmv, detect_armv, detect_ormv)]
+    return [detect(m, criterion, "angle").verdict for criterion in CRITERIA]
 
 
 def _assume_unique_min_column_mean(mat):
@@ -149,16 +145,35 @@ _STACKS = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6), st.
 @given(stack=_STACKS)
 @example(stack=np.zeros((2, 3, 4)))  # every row abstains
 @example(stack=np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))  # vote tie
-def test_vote_stack_matches_scalar_detect(stack):
+def test_vote_stack_matches_oracles(stack):
     ids = tuple(f"T{j}" for j in range(stack.shape[2]))
     labels = ids + (INCONCLUSIVE,)
+    oracles = {"rmv": _oracle_rmv, "armv": _oracle_armv, "ormv": _oracle_ormv}
     verdicts, votes = vote_stack(stack)
     assert verdicts.keys() == set(CRITERIA)
     for i, mat in enumerate(stack):
-        m = _matrices(mat, ids)
         for crit in CRITERIA:
-            assert labels[verdicts[crit][i]] == detect(m, crit, "angle").verdict
-        assert tuple(labels[v] if v < len(ids) else None for v in votes[i]) == m.votes("angle")
+            assert labels[verdicts[crit][i]] == oracles[crit](mat, ids)
+        row_votes = [labels[v] if v < len(ids) else None for v in votes[i]]
+        assert row_votes == _oracle_row_votes(mat, ids)
+
+
+def test_all_six_detect_calls_share_one_vote_stack_call(monkeypatch):
+    """One snapshot's (criterion, signal) verdicts and row votes cost one
+    `vote_stack` call over the (ADM, MDM) stack, not one per lookup."""
+    calls = []
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return vote_stack(stack)
+
+    monkeypatch.setattr(detector, "vote_stack", counted)
+    m = _matrices(np.arange(12.0).reshape(3, 4))
+    for criterion in CRITERIA:
+        for signal in SIGNALS:
+            detect(m, criterion, signal)
+    m.votes("angle")
+    assert calls == [(2, 3, 4)]
 
 
 @pytest.mark.parametrize("shape", [(96, 5, 5), (3, 17, 2), (7, 130, 3), (2, 1000, 4),
@@ -178,8 +193,8 @@ def test_armv_scale_invariance():
     for _ in range(200):
         mat = rng.uniform(0.0, 1.0, size=(5, 5))
         scale = float(rng.uniform(1e-6, 1e6))
-        before = detect_armv(_matrices(mat), "angle").verdict
-        after = detect_armv(_matrices(mat * scale), "angle").verdict
+        before = detect(_matrices(mat), "armv", "angle").verdict
+        after = detect(_matrices(mat * scale), "armv", "angle").verdict
         assert before == after
 
 
@@ -188,7 +203,7 @@ def test_ormv_iff_common_argmin():
     ids = ("A", "B", "C", "D")
     for _ in range(500):
         mat = rng.uniform(0.0, 1.0, size=(4, 4))
-        out = detect_ormv(_matrices(mat, ids), "angle")
+        out = detect(_matrices(mat, ids), "ormv", "angle")
         argmins = {int(np.argmin(mat[r])) for r in range(4)}
         if len(argmins) == 1:
             assert out.verdict == ids[argmins.pop()]
@@ -207,7 +222,7 @@ def test_column_mean_example():
     mat = np.array([[0.3, 0.1, 0.5],
                     [0.2, 0.4, 0.1]])
     # column means: 0.25, 0.25, 0.30 -> first of the tied columns
-    out = detect_armv(_matrices(mat, ("a", "b", "c")), "angle")
+    out = detect(_matrices(mat, ("a", "b", "c")), "armv", "angle")
     assert out.verdict == "a"
 
 
@@ -221,7 +236,7 @@ def test_rmv_majority_example():
         [0.6, 0.9, 0.9, 0.9, 0.2],
     ])
     ids = ("I", "II", "III", "IV", "V")
-    out = detect_rmv(_matrices(mat, ids), "angle")
+    out = detect(_matrices(mat, ids), "rmv", "angle")
     assert out.verdict == "I"
     assert out.per_row_votes == ("I", "I", "V", "I", "V")
 
@@ -231,15 +246,15 @@ def test_rmv_count_tie_is_inconclusive():
         [0.1, 0.9],
         [0.9, 0.1],
     ])
-    assert detect_rmv(_matrices(mat), "angle").verdict == INCONCLUSIVE
+    assert detect(_matrices(mat), "rmv", "angle").verdict == INCONCLUSIVE
 
 
 def test_all_rows_tied_everything_inconclusive():
     mat = np.ones((3, 4))
     m = _matrices(mat)
-    assert detect_rmv(m, "angle").verdict == INCONCLUSIVE
-    assert detect_ormv(m, "angle").verdict == INCONCLUSIVE
-    assert tuple(row_votes(mat, m.topology_ids)) == (None, None, None)
+    assert detect(m, "rmv", "angle").verdict == INCONCLUSIVE
+    assert detect(m, "ormv", "angle").verdict == INCONCLUSIVE
+    assert m.votes("angle") == (None, None, None)
 
 
 def test_unknown_criterion_and_signal():
@@ -247,7 +262,9 @@ def test_unknown_criterion_and_signal():
     with pytest.raises(ValueError):
         detect(m, "xyz", "angle")
     with pytest.raises(ValueError):
-        m.matrix("phase")
+        detect(m, "rmv", "phase")
+    with pytest.raises(ValueError):
+        m.votes("phase")
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from microtopo.cli import EXIT_VALIDATION, main
 from microtopo.network import (
     Bus,
     BusKind,
@@ -227,3 +234,115 @@ A,S12
     with pytest.raises(ValidationError) as err:
         load_network(_write(tmp_path, bad))
     assert len(err.value.violations) >= 3
+
+
+# Generated .net files: buses in any id order, one slack, a spanning tree of
+# lines that every topology closes (so every topology is connected), extra
+# lines each topology may open, sections in any order with comments, blank
+# lines and spacing. Floats are written with repr, which parses back exactly.
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e3)
+
+
+@st.composite
+def _network_file(draw):
+    """(text lines, rows, buses, lines, topologies): `rows` holds the
+    (section, 0-based line, fields) of every data row."""
+    n_bus = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(1, n_bus + 1)))
+    slack = draw(st.sampled_from(order))
+    buses = [Bus(id=b, kind=BusKind.SLACK if b == slack else BusKind.PQ,
+                 base_voltage=draw(_POSITIVE)) for b in order]
+    pairs = [(draw(st.integers(1, k - 1)), k) for k in range(2, n_bus + 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(1, n_bus), st.integers(1, n_bus))
+                           .filter(lambda ab: ab[0] != ab[1]), max_size=3))
+    lines = [Line(id=f"L{i}", from_bus=a, to_bus=b, r_pu=draw(st.floats(0.0, 1.0)),
+                  x_pu=draw(_POSITIVE), switch_id=f"S{i}") for i, (a, b) in enumerate(pairs)]
+    tree = frozenset(line.switch_id for line in lines[:n_bus - 1])
+    extra = [line.switch_id for line in lines[n_bus - 1:]]
+    topologies = [TopologyConfig(id=f"T{j}", closed_switches=tree | frozenset(
+        draw(st.lists(st.sampled_from(extra), unique=True)) if extra else ()))
+        for j in range(draw(st.integers(1, 3)))]
+
+    space = st.sampled_from(["", " ", "  "])
+    sections = {
+        "buses": [[str(b.id), draw(st.sampled_from([b.kind.value, b.kind.value.upper()])),
+                   repr(b.base_voltage)] for b in buses],
+        "lines": [[l.id, str(l.from_bus), str(l.to_bus), repr(l.r_pu), repr(l.x_pu),
+                   l.switch_id] for l in lines],
+        "topologies": [[t.id, ";".join(sorted(t.closed_switches))] for t in topologies],
+    }
+    text, rows = [], []
+    for name in draw(st.permutations(sorted(sections))):
+        text.append(draw(st.sampled_from([f"[{name}]", f" [{name.upper()}] "])))
+        for fields in sections[name]:
+            if draw(st.booleans()):
+                text.append(draw(st.sampled_from(["", "# a comment", "  "])))
+            rows.append((name, len(text), fields))
+            text.append(",".join(f"{draw(space)}{f}{draw(space)}" for f in fields)
+                        + draw(st.sampled_from(["", "  # note"])))
+    return text, rows, buses, lines, topologies
+
+
+@settings(max_examples=60, deadline=None)
+@given(_network_file())
+def test_network_file_round_trip(generated):
+    text, _, buses, lines, topologies = generated
+    with tempfile.TemporaryDirectory() as directory:
+        graph, parsed = load_network(_write(Path(directory), "\n".join(text)))
+    assert graph.buses == tuple(buses)
+    assert graph.lines == tuple(lines)
+    assert parsed == topologies
+
+
+# Positions of the numeric fields, and of those that must be finite, per section.
+_NUMBER_FIELDS = {"buses": (0, 2), "lines": (1, 2, 3, 4), "topologies": ()}
+_FINITE_FIELDS = {"buses": (2,), "lines": (3, 4), "topologies": ()}
+
+
+@st.composite
+def _broken_network_file(draw):
+    """(text lines, 1-based line): a valid file with one data row broken by
+    a bad number, a non-finite or non-positive value, a wrong field count or
+    an unknown bus kind."""
+    text, rows, *_ = draw(_network_file())
+    section, i, fields = draw(st.sampled_from(rows))
+    faults = ["too_few", "too_many"]
+    if _NUMBER_FIELDS[section]:
+        faults.append("bad_number")
+    if _FINITE_FIELDS[section]:
+        faults.append("non_finite")
+    if section == "buses":
+        faults += ["bad_kind", "non_positive"]
+    fault = draw(st.sampled_from(faults))
+    fields = list(fields)
+    if fault == "too_few":
+        fields.pop()
+    elif fault == "too_many":
+        fields.append("1.0")
+    elif fault == "bad_number":
+        fields[draw(st.sampled_from(_NUMBER_FIELDS[section]))] = draw(
+            st.sampled_from(["abc", "1.5.2", "0x10", "1e"]))
+    elif fault == "non_finite":
+        fields[draw(st.sampled_from(_FINITE_FIELDS[section]))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+    elif fault == "non_positive":
+        fields[2] = draw(st.sampled_from(["0", "-0.0", "-2", "-1e-9"]))
+    else:
+        fields[1] = draw(st.sampled_from(["generator", "pv", ""]))
+    text[i] = ",".join(fields)
+    return text, i + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_broken_network_file())
+def test_broken_network_row_exits_2_with_its_line(broken):
+    text, lineno = broken
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(Path(directory), "\n".join(text))
+        with pytest.raises(ParseError) as exc:
+            load_network(path)
+        assert str(exc.value).startswith(f"{path}:{lineno}: ")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+        assert err.getvalue().startswith(f"error: {path}:{lineno}: ")

@@ -1,9 +1,18 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microtopo import profiles
+from microtopo.cli import EXIT_VALIDATION, main
 from microtopo.profiles import (
     N_STEPS,
+    LoadProfile,
     ProfileClass,
     generate_default_profiles,
     industrial_curve,
@@ -118,3 +127,85 @@ def test_csv_bad_header_rejected(tmp_path):
     path.write_text("t,bus,p,q\n0,4,-0.05,-0.01\n")
     with pytest.raises(ValueError):
         load_profiles_csv(path)
+
+
+# Generated profile CSVs for some PQ buses of the bundled network, rows in
+# any order. Values are repr-written floats, so they parse back exactly;
+# a few drawn by hypothesis (-0.0, subnormals, large magnitudes) are mixed
+# into the bulk drawn from a seeded generator.
+_PQ_BUSES = (2, 3, 4, 5)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _profile_file(draw):
+    """(text lines, {bus: 96 (p, q) pairs})."""
+    buses = draw(st.lists(st.sampled_from(_PQ_BUSES), min_size=1, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.uniform(-0.3, 0.3, 2 * N_STEPS * len(buses)).tolist()
+    for value in draw(st.lists(_FINITE, max_size=5)):
+        flat[draw(st.integers(0, len(flat) - 1))] = value
+    values = {bus: list(zip(flat[2 * N_STEPS * k:2 * N_STEPS * (k + 1):2],
+                            flat[2 * N_STEPS * k + 1:2 * N_STEPS * (k + 1):2]))
+              for k, bus in enumerate(buses)}
+    cells = [(t, bus) for bus in buses for t in range(N_STEPS)]
+    rows = [f"{t},{bus},{values[bus][t][0]!r},{values[bus][t][1]!r}"
+            for t, bus in (cells[i] for i in rng.permutation(len(cells)))]
+    return ["time_index,bus_id,p_pu,q_pu"] + rows, values
+
+
+def _write_profile(directory, text) -> Path:
+    path = Path(directory) / "generated.csv"
+    path.write_text("\n".join(text) + "\n")
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(_profile_file())
+def test_profile_csv_round_trip(graph, generated):
+    text, values = generated
+    with tempfile.TemporaryDirectory() as directory:
+        parsed = profiles.load_profiles(graph, _write_profile(directory, text))
+    assert parsed == [LoadProfile(bus, ProfileClass.CUSTOM, tuple(values[bus]))
+                      for bus in sorted(values)]
+
+
+@st.composite
+def _broken_profile_file(draw):
+    """(text lines, 1-based line): a valid profile with one row broken by a
+    bad number, a non-finite value, a wrong field count, a bus the network
+    lacks or the slack bus, or a time step outside the day."""
+    text, _ = draw(_profile_file())
+    i = draw(st.integers(1, len(text) - 1))
+    fields = text[i].split(",")
+    fault = draw(st.sampled_from(["bad_number", "non_finite", "too_few", "too_many",
+                                  "bad_bus", "bad_time"]))
+    if fault == "bad_number":
+        fields[draw(st.integers(0, 3))] = draw(st.sampled_from(["abc", "1.5.2", "", "1e"]))
+    elif fault == "non_finite":
+        fields[draw(st.integers(2, 3))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif fault == "too_few":
+        fields.pop()
+    elif fault == "too_many":
+        fields.append("0.0")
+    elif fault == "bad_bus":
+        fields[1] = draw(st.sampled_from(["1", "6", "99"]))
+    else:
+        fields[0] = draw(st.sampled_from(["-1", str(N_STEPS), "500"]))
+    text[i] = ",".join(fields)
+    return text, i + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_broken_profile_file())
+def test_broken_profile_row_exits_2_with_its_line(broken):
+    text, lineno = broken
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write_profile(directory, text)
+        out = Path(directory) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["experiment", "--profile", str(path), "--reps", "1", "--jobs", "1",
+                         "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert err.getvalue().startswith(f"error: {path}:{lineno}: ")
+        assert not out.exists()

@@ -297,7 +297,7 @@ def test_trial_library_matches_build_library():
     (4, 1, (30, 60)),
 ])
 def test_run_trial_matches_task_path(topo_pos, rep, steps):
-    """A trial run alone (one-case stacks, voted by scalar `detect`) gives
+    """A trial run alone (one-case stacks, voted by `detect`) gives
     the matrices, verdicts and per-row votes that the experiment's task path
     (96-step stacks, voted by `vote_stack`) counts for the same trial index."""
     ctx = build_context(_tiny_config(repetitions=2, master_seed=3))
