@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import NetworkGraph, TopologyConfig, bus_positions, build_ybus
+from .network import NetworkGraph, TopologyConfig, build_ybus
 from .powerflow import (
     BatchPowerFlow,
     InjectionSnapshot,
@@ -42,6 +42,19 @@ class TopologyLibrary:
             return self.entries[(topology_id, t)]
         except KeyError:
             raise KeyError(f"no library entry for topology {topology_id} at t={t}") from None
+
+    @cached_property
+    def _states(self) -> tuple[dict[int, int], dict[int, int], np.ndarray]:
+        """The entries as one (step, signal, topology, bus) array, signals in
+        `SIGNALS` order, built on first use; with the position in it of each
+        time step and of each bus id."""
+        steps = sorted({t for _, t in self.entries})
+        states = np.array([[[self.solution(q, t).va_deg for q in self.topology_ids],
+                            [self.solution(q, t).vm for q in self.topology_ids]]
+                           for t in steps])
+        bus_ids = self.solution(self.topology_ids[0], steps[0]).bus_ids
+        return ({t: i for i, t in enumerate(steps)},
+                {bus: i for i, bus in enumerate(bus_ids)}, states)
 
 
 @dataclass(frozen=True)
@@ -134,22 +147,23 @@ def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,
 
 def compute_difference_matrices(measurements, library: TopologyLibrary,
                                 t: int) -> DifferenceMatrices:
-    """ADM/MDM at time step t for one measurement set; rows sorted by bus id."""
+    """ADM/MDM at time step t for one measurement set; rows sorted by bus id.
+    `difference_stacks` over a stack of one, read from the library's array."""
     phasors = measurements.phasors
     topo_ids = library.topology_ids
-    solutions = [library.solution(q, t) for q in topo_ids]
-    order = np.argsort(phasors.bus_ids, kind="stable")
-    bus_ids = tuple(phasors.bus_ids[i] for i in order)
+    step, position, states = library._states
+    if t not in step:
+        raise KeyError(f"no library entry for topology {topo_ids[0]} at t={t}")
     try:
-        rows = bus_positions(solutions[0].bus_ids, bus_ids)
+        rows = [position[bus] for bus in phasors.bus_ids]
     except KeyError as exc:
         raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
                            f"for topology {topo_ids[0]} at t={t}") from None
-    # (signal, row, topology) in SIGNALS order: angle, then magnitude
-    calc = np.array([(sol.va_deg, sol.vm) for sol in solutions])[:, :, rows].transpose(1, 2, 0)
-    diff = np.abs(np.array((phasors.va_deg, phasors.vm))[:, order, None] - calc)
-    return DifferenceMatrices(adm=diff[0], mdm=diff[1], pmu_bus_ids=bus_ids,
-                              topology_ids=topo_ids)
+    calc = states[step[t]][:, :, None, rows]  # (signal, topology, 1, μPMU)
+    adm, mdm = difference_stacks(phasors.vm[None], phasors.va_deg[None], calc[1], calc[0],
+                                 phasors.bus_ids)
+    return DifferenceMatrices(adm=adm[0], mdm=mdm[0],
+                              pmu_bus_ids=tuple(sorted(phasors.bus_ids)), topology_ids=topo_ids)
 
 
 def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,

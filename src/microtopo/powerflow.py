@@ -1,11 +1,14 @@
 """AC power flow for a slack + PQ-bus network in per-unit.
 
-The production solver is a polar Newton-Raphson with flat start. A
-Gauss-Seidel-style successive-substitution solver is kept alongside as an
-independent cross-check; the test suite requires both to agree.
+The production solver is a polar Newton-Raphson with flat start that reuses
+each admittance matrix's flat-start Jacobian while it converges fast
+enough. A Gauss-Seidel-style successive-substitution solver is kept
+alongside as an independent cross-check; the test suite requires both to
+agree.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,42 +129,123 @@ class BatchPowerFlow:
                                  max_mismatch=float(self.mismatch[i]))
 
 
+# A case whose max mismatch does not fall below STALL_RATIO times its
+# previous one re-evaluates its Jacobian at its current state.
+STALL_RATIO = 0.1
+# Flat-start Jacobian inverses kept by admittance matrix: enough for the
+# topologies of a few networks.
+FLAT_START_CACHE_SIZE = 64
+
+# The solver below works on slack-first stacks: the slack bus is at position
+# 0 and held at 1 p.u., 0 rad, so only the k = n - 1 PQ buses are unknowns.
+# Their unknowns are interleaved as (va_1, vm_1, va_2, vm_2, ...) and their
+# mismatches as (dP_1, dQ_1, dP_2, dQ_2, ...): the real view of a complex
+# power mismatch array, with no copy.
+
+
+def _injected_currents(y_cols: np.ndarray, v_pq: np.ndarray) -> np.ndarray:
+    """(Y v) at the PQ buses, from the columns `y_cols` (n, B, k) of the PQ
+    rows: summed column by column from the left, the slack column's voltage
+    being 1, so that a case rounds alike in any stack."""
+    i_pq = y_cols[0] + y_cols[1] * v_pq[:, None, 0]
+    for j in range(2, len(y_cols)):
+        i_pq += y_cols[j] * v_pq[:, None, j - 1]
+    return i_pq
+
+
+def _jacobian(ybus: np.ndarray, v_pq: np.ndarray, i_pq: np.ndarray) -> np.ndarray:
+    """Polar Jacobian d(P, Q)/d(va, vm) of a slack-first (B, n, n) stack at
+    PQ voltages v_pq and currents i_pq: MATPOWER's dSbus_dV, as (B, 2k, 2k)
+    with interleaved rows and columns."""
+    n_case, k = v_pq.shape
+    y_pq = ybus[:, 1:, 1:]
+    e_pq = v_pq / np.abs(v_pq)
+    ds_dva = -1j * v_pq[:, :, None] * np.conj(y_pq * v_pq[:, None, :])
+    ds_dvm = v_pq[:, :, None] * np.conj(y_pq * e_pq[:, None, :])
+    np.einsum("bii->bi", ds_dva)[...] += 1j * v_pq * np.conj(i_pq)  # diagonals
+    np.einsum("bii->bi", ds_dvm)[...] += np.conj(i_pq) * e_pq
+    jac = np.empty((n_case, 2 * k, 2 * k))
+    jac[:, 0::2, 0::2] = ds_dva.real
+    jac[:, 1::2, 0::2] = ds_dva.imag
+    jac[:, 0::2, 1::2] = ds_dvm.real
+    jac[:, 1::2, 1::2] = ds_dvm.imag
+    return jac
+
+
+def _inverses(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each matrix of a (B, m, m) stack, inverted one by one, and
+    which are singular (their inverse is left NaN)."""
+    inv = np.full_like(jac, np.nan)
+    singular = np.zeros(len(jac), dtype=bool)
+    for row, matrix in enumerate(jac):
+        try:
+            inv[row] = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            singular[row] = True
+    return inv, singular
+
+
+@functools.lru_cache(maxsize=FLAT_START_CACHE_SIZE)
+def _flat_start_inverse(ybus_bytes: bytes, n: int) -> tuple[np.ndarray, bool]:
+    """Inverse of the flat-start Jacobian of one slack-first admittance
+    matrix, given by its bytes, and whether that Jacobian is singular."""
+    ybus = np.frombuffer(ybus_bytes, dtype=complex).reshape(1, n, n)
+    flat = np.ones((1, n - 1), dtype=complex)
+    i_flat = _injected_currents(ybus[:, 1:, :].transpose(2, 0, 1), flat)
+    inv, singular = _inverses(_jacobian(ybus, flat, i_flat))
+    inv.flags.writeable = False
+    return inv[0], bool(singular[0])
+
+
+def _flat_start_inverses(ybus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_flat_start_inverse` of every case of a slack-first stack, looked up
+    once per run of equal consecutive matrices."""
+    n_case, n, _ = ybus.shape
+    words = ybus.reshape(n_case, -1).view(np.int64)  # compared bit for bit
+    starts = np.flatnonzero((words[1:] != words[:-1]).any(axis=1)) + 1
+    bounds = [0, *starts.tolist(), n_case]
+    inv = np.empty((n_case, 2 * n - 2, 2 * n - 2))
+    singular = np.empty(n_case, dtype=bool)
+    for start, stop in zip(bounds, bounds[1:]):
+        inv[start:stop], singular[start:stop] = _flat_start_inverse(ybus[start].tobytes(), n)
+    return inv, singular
+
+
 def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
                                tol: float = 1e-8, max_iter: int = 50,
                                slack_index: int = 0) -> BatchPowerFlow:
     """Polar Newton-Raphson over a stack of B cases from a flat start.
 
     `ybus` is (B, n, n); `p` and `q` are (B, n) specified injections, whose
-    slack entries are ignored. The Jacobian is MATPOWER's dSbus_dV in polar
-    form, built by broadcasting over the stack, and each iteration makes one
-    stacked solve. A case leaves the active set as soon as its own mismatch
-    is under `tol`, so it takes the same steps, with the same arithmetic, as
-    when solved alone; a diverging, non-finite or singular case leaves the
-    other cases' results unchanged. `vm`/`va_deg` hold the solution of
-    converged cases only.
+    slack entries are ignored. Each case steps with the inverse of its
+    Jacobian at flat start, which depends on its admittance matrix only and
+    is cached by it (a chord method). A case whose max mismatch did not fall
+    below STALL_RATIO times the previous one takes a full Newton step
+    instead: its Jacobian is re-evaluated at its current state and its
+    inverse is used from then on. A case leaves the active set as soon as
+    its own mismatch is under `tol`. Every operation is per case (column by
+    column sums, one inverse and one matrix-vector product per case), so a
+    case takes the same steps, with the same arithmetic, as when solved
+    alone; a diverging, non-finite or singular case leaves the other cases'
+    results unchanged. `vm`/`va_deg` hold the solution of converged cases
+    only.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     n_case, n = p.shape
-    # Work with the slack bus moved to position 0, so that the PQ buses are
-    # the slice 1: and their blocks are views, not per-iteration copies.
-    order = np.r_[slack_index, np.delete(np.arange(n), slack_index)]
-    k = n - 1
-    diag = np.arange(k)
-    # One copy, with the case axis fastest and the column axis slowest. The
-    # current sums below round by memory order, so the layout is part of the
-    # seeded output: a row-major copy (ybus[:, order[:, None], order])
-    # changes their last bits when a stack holds one case.
-    ybus = np.asarray(ybus).transpose(2, 1, 0)[order[:, None], order].transpose(2, 1, 0)
-    y_rows = ybus[:, 1:, :]  # PQ rows, every column: injected currents
-    y_pq = ybus[:, 1:, 1:]  # PQ rows and columns: Jacobian
-    p_spec = p[:, order[1:]]
-    q_spec = q[:, order[1:]]
-    vm = np.ones((n_case, n))
-    va = np.zeros((n_case, n))
+    order = [slack_index] + [i for i in range(n) if i != slack_index]
+    ybus = np.asarray(ybus, dtype=complex)
+    if slack_index:  # move the slack bus first
+        ybus = ybus[:, order][:, :, order]
+    ybus = np.ascontiguousarray(ybus)
+    j_inv, no_inverse = _flat_start_inverses(ybus)
+    y_cols = ybus[:, 1:, :].transpose(2, 0, 1).copy()  # (n, B, k)
+    s_spec = (p + 1j * q)[:, order[1:]]
+    x = np.zeros((n_case, 2 * n - 2))  # interleaved (va, vm) of the PQ buses
+    x[:, 1::2] = 1.0
+    limit = np.full(n_case, np.inf)  # STALL_RATIO x the previous max mismatch
 
-    vm_out = np.ones((n_case, n))
-    va_out = np.zeros((n_case, n))
+    x_out = x.copy()
     iterations = np.full(n_case, max_iter)
     mismatch = np.full(n_case, np.inf)
     converged = np.zeros(n_case, dtype=bool)
@@ -169,61 +253,49 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     case = np.arange(n_case)  # case number of each active row
 
     for iteration in range(max_iter + 1):
-        v = vm * np.exp(1j * va)
-        v_pq = v[:, 1:]
-        i_pq = (y_rows * v[:, None, :]).sum(axis=2)
-        s_calc = v_pq * np.conj(i_pq)
-        rhs = np.concatenate([p_spec - s_calc.real, q_spec - s_calc.imag], axis=1)
-        mism = np.abs(rhs).max(axis=1)
+        v_pq = x[:, 1::2] * np.exp(1j * x[:, 0::2])
+        i_pq = _injected_currents(y_cols, v_pq)
+        rhs = (s_spec - v_pq * np.conj(i_pq)).view(float)
+        # reduced over the outer axis of a transposed copy: a row-wise max of
+        # a few values each is several times slower on a large stack
+        mism = np.abs(rhs.T, order="C").max(axis=0)
         mismatch[case] = mism
         done = mism < tol
+        stalled = mism >= limit
         if done.any():
             finished = case[done]
             converged[finished] = True
             iterations[finished] = iteration
-            vm_out[finished] = vm[done]
-            va_out[finished] = va[done]
+            x_out[finished] = x[done]
             if done.all():
                 break
-            active = ~done
-            case, y_rows, y_pq, p_spec, q_spec, vm, va, v_pq, i_pq, rhs = (
-                x[active] for x in (case, y_rows, y_pq, p_spec, q_spec,
-                                    vm, va, v_pq, i_pq, rhs))
+            stalled &= ~done
         if iteration == max_iter:
             break
 
-        e_pq = v_pq / vm[:, 1:]
-        ds_dvm = v_pq[:, :, None] * np.conj(y_pq * e_pq[:, None, :])
-        ds_dvm[:, diag, diag] += np.conj(i_pq) * e_pq
-        ds_dva = -1j * v_pq[:, :, None] * np.conj(y_pq * v_pq[:, None, :])
-        ds_dva[:, diag, diag] += 1j * v_pq * np.conj(i_pq)
-        ds = np.concatenate([ds_dva, ds_dvm], axis=2)
-        jac = np.concatenate([ds.real, ds.imag], axis=1)
-        try:
-            dx = np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # A singular case fails the whole stacked call: solve case by
-            # case so the others still step, and stop the singular ones.
-            dx = np.zeros_like(rhs)
-            ok = np.ones(len(case), dtype=bool)
-            for row in range(len(case)):
-                try:
-                    dx[row] = np.linalg.solve(jac[row], rhs[row])
-                except np.linalg.LinAlgError:
-                    ok[row] = False
-            singular[case[~ok]] = True
-            iterations[case[~ok]] = iteration
-            if not ok.any():
+        if stalled.any():
+            j_inv[stalled], no_inverse[stalled] = _inverses(
+                _jacobian(ybus[case[stalled]], v_pq[stalled], i_pq[stalled]))
+        leave = done | no_inverse
+        if leave.any():
+            failed = case[no_inverse & ~done]
+            singular[failed] = True
+            iterations[failed] = iteration
+            stay = ~leave
+            if not stay.any():
                 break
-            case, y_rows, y_pq, p_spec, q_spec, vm, va, dx = (
-                x[ok] for x in (case, y_rows, y_pq, p_spec, q_spec, vm, va, dx))
-        va[:, 1:] += dx[:, :k]
-        vm[:, 1:] += dx[:, k:]
+            case, j_inv, no_inverse, s_spec, x, rhs, mism = (
+                a[stay] for a in (case, j_inv, no_inverse, s_spec, x, rhs, mism))
+            y_cols = y_cols[:, stay]
+        limit = STALL_RATIO * mism
+        x += np.matmul(j_inv, rhs[:, :, None])[:, :, 0]
 
-    bus_order = np.argsort(order)
-    return BatchPowerFlow(vm=vm_out[:, bus_order], va_deg=np.degrees(va_out[:, bus_order]),
-                          iterations=iterations, mismatch=mismatch,
-                          converged=converged, singular=singular)
+    vm = np.ones((n_case, n))
+    va = np.zeros((n_case, n))
+    vm[:, order[1:]] = x_out[:, 1::2]
+    va[:, order[1:]] = x_out[:, 0::2]
+    return BatchPowerFlow(vm=vm, va_deg=np.degrees(va), iterations=iterations,
+                          mismatch=mismatch, converged=converged, singular=singular)
 
 
 def solve_newton_raphson(ybus: np.ndarray, inj: InjectionSnapshot,

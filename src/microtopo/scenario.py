@@ -131,8 +131,8 @@ _CONFIG_PARSERS = {
 
 
 def _resolve_input(key: str, name: str, base_dir: Path) -> str:
-    """Resolve the file named by config key `key` against the config
-    directory, then the bundled data directory."""
+    """Resolve the file named by config key `key` against `base_dir`, then
+    the bundled data directory."""
     candidate = Path(name)
     if candidate.is_absolute() and candidate.exists():
         return str(candidate)
@@ -148,7 +148,10 @@ def _resolve_input(key: str, name: str, base_dir: Path) -> str:
 def load_config(path: str | Path, **overrides) -> ScenarioConfig:
     """Parse a key = value experiment config file, applying overrides.
 
-    A rejected line or value read from the file is reported as `path:line:`.
+    A file named in the config resolves against the config's directory and a
+    file given as an override (a command-line path) against the working
+    directory, each then against the bundled data. A rejected line or value
+    read from the file is reported as `path:line:`.
     """
     path = Path(path)
     values: dict = {}
@@ -182,9 +185,10 @@ def load_config(path: str | Path, **overrides) -> ScenarioConfig:
     if "network" not in values:
         raise ConfigError(f"{path}: missing required key 'network'")
     try:
-        values["network"] = _resolve_input("network", values["network"], path.parent)
-        if values.get("profile", "default") != "default":
-            values["profile"] = _resolve_input("profile", values["profile"], path.parent)
+        for key in ("network", "profile"):
+            if key == "network" or values.get(key, "default") != "default":
+                base_dir = path.parent if key in lines else Path.cwd()
+                values[key] = _resolve_input(key, values[key], base_dir)
         return ScenarioConfig(**values)
     except ConfigError as exc:
         if exc.key not in lines:

@@ -236,3 +236,22 @@ def test_experiment_config_key_given_twice_exits_2(tmp_path, capsys):
 
 def test_experiment_unknown_config(capsys):
     assert main(["experiment", "/nonexistent.cfg"]) == EXIT_VALIDATION
+
+
+def test_command_line_paths_resolve_against_working_directory(tmp_path, monkeypatch, capsys):
+    """`--net` and `--profile` name files relative to the working directory,
+    as for `powerflow`; a file named in a .cfg stays relative to the .cfg."""
+    (tmp_path / "mygrid.net").write_text(fixture_path("fivebus.net").read_text())
+    rows = ["time_index,bus_id,p_pu,q_pu"] + [f"{t},2,-0.05,-0.01" for t in range(96)]
+    (tmp_path / "myprofile.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "cfg" / "grid.net").write_text(fixture_path("fivebus.net").read_text())
+    (tmp_path / "cfg" / "exp.cfg").write_text("network = grid.net\nrepetitions = 1\n")
+    monkeypatch.chdir(tmp_path)
+    files = ["--net", "mygrid.net", "--profile", "myprofile.csv"]
+    assert main(["detect", "--topo", "I", "--t", "3"] + files) == EXIT_OK
+    assert main(["experiment", "--reps", "1", "--jobs", "1", "--out-dir", "a"]
+                + files) == EXIT_OK
+    assert main(["experiment", "cfg/exp.cfg", "--jobs", "1", "--out-dir", "b"]) == EXIT_OK
+    assert "error" not in capsys.readouterr().err
+    assert (tmp_path / "a" / "rates.csv").exists() and (tmp_path / "b" / "rates.csv").exists()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from microtopo import profiles
+from microtopo import powerflow, profiles
+from microtopo.measurements import DeviceKind, DeviceSpec, draw_scada_offsets, scada_readings
 from microtopo.network import NetworkGraph, build_ybus
 from microtopo.powerflow import (
     DivergedError,
@@ -184,15 +185,74 @@ def test_batch_agrees_with_oracle_on_all_fixture_cases(fixture_stack):
         assert np.max(np.abs(batch.va_deg[i] - fp.va_deg)) < 1e-6
 
 
-def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_stack):
-    ybus, p, q, cases = fixture_stack
-    batch = solve_newton_raphson_batch(ybus, p, q)
-    for i in range(len(cases)):
-        alone = solve_newton_raphson_batch(ybus[i:i + 1], p[i:i + 1], q[i:i + 1])
-        assert alone.iterations[0] == batch.iterations[i]
-        assert alone.mismatch[0] == batch.mismatch[i]
-        assert np.array_equal(alone.vm[0], batch.vm[i])
-        assert np.array_equal(alone.va_deg[0], batch.va_deg[i])
+def _assert_rows_equal_solo(batch, ybus, p, q, **kw):
+    """Every case of `batch` has the bits of the same case solved alone."""
+    for i in range(len(ybus)):
+        alone = solve_newton_raphson_batch(ybus[i:i + 1], p[i:i + 1], q[i:i + 1], **kw)
+        for name in ("vm", "va_deg", "iterations", "mismatch", "converged", "singular"):
+            assert getattr(alone, name)[0].tobytes() == getattr(batch, name)[i].tobytes(), (
+                i, name)
+
+
+def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_stack, graph):
+    """Alone or in a stack, a case takes the same steps with the same bits:
+    the 480 fixture cases, and a stack of SCADA-noisy injections whose
+    topologies interleave, with a diverging and a singular case inside."""
+    ybus, p, q, _ = fixture_stack
+    _assert_rows_equal_solo(solve_newton_raphson_batch(ybus, p, q), ybus, p, q)
+
+    rng = np.random.default_rng(11)
+    pick = rng.choice(len(ybus), 60, replace=False)
+    spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=0.025, accuracy=0.0005)
+    noisy_p, noisy_q = scada_readings(p[pick], q[pick], spec,
+                                      [np.random.default_rng(i) for i in pick],
+                                      draw_scada_offsets(graph.bus_ids, spec, rng))
+    isolated = ybus[0].copy()  # bus 5 cut off: a singular Jacobian
+    i5 = graph.bus_index(5)
+    isolated[i5, :] = isolated[:, i5] = 0.0
+    heavy = p[0].copy()
+    heavy[graph.bus_index(4)] = -50.0
+    stack_y = np.concatenate([ybus[pick[:20]], ybus[:1], ybus[pick[20:40]], isolated[None],
+                              ybus[pick[40:]]])
+    stack_p = np.concatenate([noisy_p[:20], heavy[None], noisy_p[20:40], p[:1], noisy_p[40:]])
+    stack_q = np.concatenate([noisy_q[:20], q[:1], noisy_q[20:40], q[:1], noisy_q[40:]])
+    mixed = solve_newton_raphson_batch(stack_y, stack_p, stack_q, max_iter=20)
+    assert mixed.converged.sum() == 60
+    assert not mixed.converged[20] and not mixed.singular[20]
+    assert mixed.singular[41]
+    _assert_rows_equal_solo(mixed, stack_y, stack_p, stack_q, max_iter=20)
+
+
+@pytest.mark.parametrize("load, newton_converged", [(40, 471), (60, 345)])
+def test_heavy_load_converged_count_matches_full_newton(fixture_stack, load, newton_converged):
+    """At 40x and 60x the fixture loads, as many of the 480 cases converge
+    as did with a Jacobian re-evaluated at every step (counted with that
+    solver): reusing the flat-start Jacobian loses none of them."""
+    ybus, p, q, _ = fixture_stack
+    batch = solve_newton_raphson_batch(ybus, load * p, load * q)
+    assert batch.converged.sum() == newton_converged
+
+
+def test_twenty_times_fixture_load_converges_in_at_most_12_steps(fixture_stack):
+    ybus, p, q, _ = fixture_stack
+    batch = solve_newton_raphson_batch(ybus, 20 * p, 20 * q)
+    assert batch.converged.all()
+    assert batch.iterations.max() <= 12
+
+
+def test_cold_and_warm_flat_start_cache_give_identical_bits(fixture_stack):
+    """The flat-start inverse is looked up once per run of equal matrices
+    (5 topologies x 96 steps: 5 lookups), and a cached inverse gives the
+    bits of a freshly computed one."""
+    ybus, p, q, _ = fixture_stack
+    cache = powerflow._flat_start_inverse
+    cache.cache_clear()
+    cold = solve_newton_raphson_batch(ybus, p, q)
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 5)
+    warm = solve_newton_raphson_batch(ybus, p, q)
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (5, 5)
+    for name in ("vm", "va_deg", "iterations", "mismatch"):
+        assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
