@@ -23,7 +23,6 @@ from .scenario import (
     run_experiment,
     run_trial,
     summarize,
-    trial_index_for,
     write_report,
 )
 
@@ -182,10 +181,7 @@ def cmd_detect(args) -> int:
     if not 0 <= args.t < profiles.N_STEPS:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     topo = _find_topology(ctx.topologies, args.topo)
-    pos = ctx.topology_ids.index(topo.id)
-    result = run_trial(ctx, topo.id, args.t,
-                       trial_index_for(ctx, pos, args.t, 0),
-                       collect_matrices=True)
+    result = run_trial(ctx, topo.id, args.t, collect_matrices=True)
     print(f"true topology {topo.id}, t={args.t}, seed={config.master_seed}")
     for (crit, sig), outcome in sorted(result.outcomes.items()):
         print(f"  {crit.upper():5s} {sig:9s} -> {outcome.verdict}")

@@ -8,7 +8,6 @@ the measured power itself.
 from __future__ import annotations
 
 import functools
-import operator
 import zlib
 from dataclasses import dataclass
 
@@ -88,137 +87,19 @@ def _device_key(device_id: str) -> int:
 
 
 def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.random.Generator:
-    """Independent, reproducible random stream for one (trial, device) pair.
-
-    Streams are collision-free regardless of the order trials execute in,
-    so parallel experiment runs stay deterministic. The generator is
-    `np.random.default_rng(SeedSequence([master_seed, trial_index,
+    """Independent, reproducible random stream for one (trial index, device)
+    key: `np.random.default_rng(SeedSequence([master_seed, trial_index,
     crc32(device_id)]))`, built without the `default_rng` wrapper.
+
+    A stream depends on its key only, not on when or in which process it is
+    derived, so parallel experiment runs stay deterministic. The experiment
+    keys the noise of task (topology, rep) by trial index 1 + rep and device
+    "pmu:<topology id>" or "scada:<topology id>"; index 0 is reserved for
+    the systematic offsets.
     """
-    seq = np.random.SeedSequence([int(master_seed), int(trial_index), _device_key(device_id)])
+    seq = np.random.SeedSequence([int(master_seed), int(trial_index),
+                                  _device_key(device_id)])
     return np.random.Generator(np.random.PCG64(seq))
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), replayed over
-# arrays: a pool of 4 uint32 words, mixed from the entropy words and then
-# expanded into the state words.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiplier) constants of `count` successive hash steps:
-    step k xors with h_k and multiplies by h_(k+1) = h_k * mult, so they do
-    not depend on the data."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _MASK32)
-    return np.array(h[:-1], dtype=np.uint32), np.array(h[1:], dtype=np.uint32)
-
-
-@functools.lru_cache(maxsize=None)
-def _pool_constants(n_words: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash constants of mixing `n_words` entropy words into the pool: one
-    step per pool word, one per ordered pair of pool words, then one per
-    pool word for each entropy word past the pool size."""
-    steps = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, n_words - _POOL_SIZE)
-    return _hash_constants(_INIT_A, _MULT_A, steps)
-
-
-# generate_state(4, np.uint64) reads the pool twice round, one step a word.
-_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    out = (values ^ xor) * mul
-    return out ^ (out >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _seed_state(entropy: np.ndarray) -> np.ndarray:
-    """(rows, 4) uint64 words of `SeedSequence(row).generate_state(4,
-    np.uint64)` for each row of a (rows, words) uint32 entropy array."""
-    n_words = entropy.shape[1]
-    xor, mul = _pool_constants(n_words)
-    head = np.zeros((len(entropy), _POOL_SIZE), dtype=np.uint32)
-    head[:, :n_words] = entropy[:, :_POOL_SIZE]
-    pool = _hash(head, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
-    k = _POOL_SIZE
-    # Each pool word mixes into the others in turn; it does not change
-    # while it does, so its 3 targets are mixed at once.
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        step = slice(k, k + len(dst))
-        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], xor[step], mul[step]))
-        k += len(dst)
-    for src in range(_POOL_SIZE, n_words):
-        step = slice(k, k + _POOL_SIZE)
-        pool = _mix(pool, _hash(entropy[:, src, None], xor[step], mul[step]))
-        k += _POOL_SIZE
-    state = _hash(np.tile(pool, 2), _STATE_XOR, _STATE_MUL)
-    # Little-endian word pairs, as SeedSequence joins them.
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _int_words(value: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence makes of an int: 0 is [0]."""
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """Hands precomputed state words to a bit generator, through numpy's
-    ISeedSequence interface; holds only what `PCG64` asks for."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):
-            raise ValueError("holds only the 4 uint64 words of a PCG64 seed")
-        return self.words
-
-
-def derive_rng_streams(master_seed: int, trial_indices,
-                       device_id: str) -> list[np.random.Generator]:
-    """`derive_rng_stream(master_seed, i, device_id)` for each i of
-    `trial_indices` (integers in [0, 2**64)), with the same states and
-    draws, hashed for all indices at once.
-
-    The generators' `bit_generator.seed_seq` holds their state words, not a
-    SeedSequence, so they cannot spawn.
-    """
-    # An index out of range raises OverflowError, a non-integer TypeError.
-    index = np.fromiter(map(operator.index, trial_indices), dtype=np.uint64)
-    low = (index & np.uint64(_MASK32)).astype(np.uint32)
-    high = (index >> np.uint64(32)).astype(np.uint32)
-    seed_words = _int_words(int(master_seed))
-    key = _device_key(device_id)
-    words = np.empty((len(index), _POOL_SIZE), dtype=np.uint64)
-    # An index of 2**32 or more is 2 words, so its entropy row is longer.
-    for rows, index_words in ((high == 0, (low,)), (high != 0, (low, high))):
-        n = np.count_nonzero(rows)
-        if n:
-            entropy = np.column_stack([np.full(n, w, dtype=np.uint32) for w in seed_words]
-                                      + [w[rows] for w in index_words]
-                                      + [np.full(n, key, dtype=np.uint32)])
-            words[rows] = _seed_state(entropy)
-    return [np.random.Generator(np.random.PCG64(_SeedState(w))) for w in words]
 
 
 @dataclass(frozen=True)
@@ -242,17 +123,16 @@ def draw_scada_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> n
     return rng.uniform(-spec.accuracy, spec.accuracy, size=len(bus_ids))
 
 
-def _gaussian(rngs, sigmas: tuple[float, float], n: int) -> np.ndarray:
-    """(len(rngs), n, 2) zero-mean noise, column j with std sigmas[j]; trial
-    i draws from rngs[i] as n pairs of scalar `rng.normal(0, sigma)` draws
-    would. A zero std draws nothing and gives zeros."""
+def _gaussian(rng: np.random.Generator, sigmas: tuple[float, float], shape) -> np.ndarray:
+    """(*shape, 2) zero-mean noise, column j with std sigmas[j], from one
+    `standard_normal` draw in C order: the draws of a loop of scalar
+    `rng.normal(0, sigma)` calls over `shape`, column 0 before column 1. A
+    zero std draws nothing and gives zeros."""
     live = [j for j, sigma in enumerate(sigmas) if sigma > 0]
-    draws = np.empty((len(rngs), n, len(live)))
-    for rng, out in zip(rngs, draws):
-        rng.standard_normal(out=out)
+    draws = rng.standard_normal((*shape, len(live)))
     if len(live) == len(sigmas):
         return draws * sigmas
-    noise = np.zeros((len(rngs), n, len(sigmas)))
+    noise = np.zeros((*shape, len(sigmas)))
     noise[..., live] = draws * np.take(sigmas, live)
     return noise
 
@@ -262,27 +142,29 @@ def _check_kind(spec: DeviceSpec, kind: str):
         raise ValueError(f"expected a {kind} spec, got {spec.kind}")
 
 
-def pmu_readings(vm: np.ndarray, va_deg: np.ndarray, spec: DeviceSpec, rngs,
+def pmu_readings(vm: np.ndarray, va_deg: np.ndarray, spec: DeviceSpec,
+                 rng: np.random.Generator,
                  offsets: PmuOffsets | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy (magnitude, angle) readings of true states given by bus
-    position, as (len(rngs), buses) arrays; trial i draws from rngs[i].
+    """Noisy (magnitude, angle) readings of (trials, buses) true states given
+    by bus position, all drawn from `rng`, trial by trial.
 
     Magnitude noise std is sigma * nominal_voltage (absolute, p.u.); angle
     noise std is sigma in radians (reported in degrees). Noise is drawn bus
     by bus, magnitude before angle.
     """
     _check_kind(spec, DeviceKind.MICRO_PMU)
-    noise = _gaussian(rngs, (spec.sigma * spec.nominal_voltage, np.degrees(spec.sigma)),
-                      vm.shape[-1])
+    noise = _gaussian(rng, (spec.sigma * spec.nominal_voltage, np.degrees(spec.sigma)),
+                      vm.shape)
     if offsets is not None:
         vm, va_deg = vm + offsets.vm, va_deg + offsets.va_deg
     return vm + noise[..., 0], va_deg + noise[..., 1]
 
 
-def scada_readings(p: np.ndarray, q: np.ndarray, spec: DeviceSpec, rngs,
+def scada_readings(p: np.ndarray, q: np.ndarray, spec: DeviceSpec,
+                   rng: np.random.Generator,
                    offsets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy (p, q) readings of true injections at the monitored buses, as
-    (len(rngs), buses) arrays; trial i draws from rngs[i].
+    """Noisy (p, q) readings of (trials, buses) true injections at the
+    monitored buses, all drawn from `rng`, trial by trial.
 
     Multiplicative model: p_meas = p_true * (1 + offset + N(0, sigma)),
     so a zero true injection measures exactly zero. `offsets` holds one
@@ -290,7 +172,7 @@ def scada_readings(p: np.ndarray, q: np.ndarray, spec: DeviceSpec, rngs,
     """
     _check_kind(spec, DeviceKind.SCADA)
     base = 1.0 if offsets is None else 1.0 + offsets[:, None]
-    factor = base + _gaussian(rngs, (spec.sigma, spec.sigma), p.shape[-1])
+    factor = base + _gaussian(rng, (spec.sigma, spec.sigma), p.shape)
     return p * factor[..., 0], q * factor[..., 1]
 
 
@@ -299,7 +181,8 @@ def sample_pmu(true_solution: PowerFlowSolution, spec: DeviceSpec,
                offsets: PmuOffsets | None = None) -> PhasorSet:
     """Noisy voltage phasor per bus of one true power-flow state
     (`pmu_readings` of one trial)."""
-    vm, va_deg = pmu_readings(true_solution.vm, true_solution.va_deg, spec, (rng,), offsets)
+    vm, va_deg = pmu_readings(true_solution.vm[None], true_solution.va_deg[None], spec, rng,
+                              offsets)
     return PhasorSet(bus_ids=true_solution.bus_ids, vm=vm[0], va_deg=va_deg[0],
                      time_index=time_index)
 
@@ -310,6 +193,6 @@ def sample_scada(true_injections: InjectionSnapshot, spec: DeviceSpec,
     """Noisy net power injection per bus of `measured_buses` at one step
     (`scada_readings` of one trial); `offsets` follows `measured_buses`."""
     rows = bus_positions(true_injections.bus_ids, measured_buses)
-    p, q = scada_readings(true_injections.p[rows], true_injections.q[rows], spec,
-                          (rng,), offsets)
+    p, q = scada_readings(true_injections.p[rows][None], true_injections.q[rows][None], spec,
+                          rng, offsets)
     return ScadaSet(bus_ids=tuple(measured_buses), p=p[0], q=q[0], time_index=time_index)

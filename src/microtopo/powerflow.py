@@ -97,8 +97,11 @@ class BatchPowerFlow:
     """Per-case outcome of `solve_newton_raphson_batch` over B cases.
 
     `iterations` counts the Newton steps taken: to convergence, to the
-    singular Jacobian, or max_iter for a case that diverged. `mismatch` is
-    the last max mismatch of each case (NaN when its state went non-finite).
+    singular Jacobian, or max_iter for a case that diverged. A case whose
+    Jacobian turns singular once its mismatch has grown past its flat-start
+    mismatch has diverged; it stops there and is not flagged `singular`.
+    `mismatch` is the last max mismatch of each case (NaN when its state
+    went non-finite).
     """
 
     vm: np.ndarray  # (B, n) p.u.
@@ -260,6 +263,8 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
         # a few values each is several times slower on a large stack
         mism = np.abs(rhs.T, order="C").max(axis=0)
         mismatch[case] = mism
+        if iteration == 0:
+            flat_mism = mism
         done = mism < tol
         stalled = mism >= limit
         if done.any():
@@ -278,14 +283,16 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
                 _jacobian(ybus[case[stalled]], v_pq[stalled], i_pq[stalled]))
         leave = done | no_inverse
         if leave.any():
-            failed = case[no_inverse & ~done]
-            singular[failed] = True
-            iterations[failed] = iteration
+            failed = no_inverse & ~done
+            # a Jacobian that turns singular once the mismatch has grown past
+            # its flat-start value marks a diverging case
+            singular[case[failed & ~(mism > flat_mism)]] = True
+            iterations[case[failed]] = iteration
             stay = ~leave
             if not stay.any():
                 break
-            case, j_inv, no_inverse, s_spec, x, rhs, mism = (
-                a[stay] for a in (case, j_inv, no_inverse, s_spec, x, rhs, mism))
+            case, j_inv, no_inverse, s_spec, x, rhs, mism, flat_mism = (
+                a[stay] for a in (case, j_inv, no_inverse, s_spec, x, rhs, mism, flat_mism))
             y_cols = y_cols[:, stay]
         limit = STALL_RATIO * mism
         x += np.matmul(j_inv, rhs[:, :, None])[:, :, 0]

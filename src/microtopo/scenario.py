@@ -32,7 +32,6 @@ from .measurements import (
     DeviceKind,
     DeviceSpec,
     derive_rng_stream,
-    derive_rng_streams,
     draw_pmu_offsets,
     draw_scada_offsets,
     pmu_readings,
@@ -233,7 +232,7 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
                           nominal_voltage=graph.slack_bus.base_voltage)
     scada_spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=config.scada_sigma,
                             accuracy=config.scada_accuracy)
-    # Trial index 0 is reserved for offset draws; trials count from 1.
+    # Trial index 0 is reserved for offset draws; task noise streams use 1 + rep.
     pmu_offsets = tuple(
         draw_pmu_offsets(graph.bus_ids, pmu_spec,
                          derive_rng_stream(config.master_seed, 0, f"offsets:pmu:{rep}"))
@@ -254,50 +253,44 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
 class TrialResult:
     true_topology: str
     time_index: int
-    trial_index: int
+    rep: int
     outcomes: dict
     votes_by_signal: dict
     matrices: DifferenceMatrices | None = None
 
 
-def trial_index_for(ctx: ExperimentContext, topo_pos: int, t: int, rep: int) -> int:
-    r = ctx.config.repetitions
-    return 1 + (topo_pos * profiles.N_STEPS + t) * r + rep
-
-
-def run_trial(ctx: ExperimentContext, true_topology_id: str, t: int,
-              trial_index: int, rep: int = 0,
+def run_trial(ctx: ExperimentContext, true_topology_id: str, t: int, rep: int = 0,
               collect_matrices: bool = False) -> TrialResult:
-    """One end-to-end detection trial: the task path over a single step,
-    voted by `detect`."""
-    true_vm, true_va = _solve_true_states(ctx, true_topology_id, [t])
-    adm, mdm = _task_stacks(ctx, rep, [t], [trial_index], true_vm, true_va)
-    matrices = DifferenceMatrices(adm=adm[0], mdm=mdm[0], pmu_bus_ids=ctx.pmu_bus_ids,
+    """One end-to-end detection trial, trial (t, rep) of the experiment: row
+    t of the stacks of task (true_topology_id, rep), voted by `detect`."""
+    adm, mdm = _task_stacks(ctx, true_topology_id, rep,
+                            *_solve_true_states(ctx, true_topology_id))
+    matrices = DifferenceMatrices(adm=adm[t], mdm=mdm[t], pmu_bus_ids=ctx.pmu_bus_ids,
                                   topology_ids=ctx.topology_ids)
     config = ctx.config
     return TrialResult(
-        true_topology=true_topology_id, time_index=t, trial_index=trial_index,
+        true_topology=true_topology_id, time_index=t, rep=rep,
         outcomes={(c, s): detect(matrices, c, s)
                   for c in config.criteria for s in config.signals},
         votes_by_signal={s: matrices.votes(s) for s in config.signals},
         matrices=matrices if collect_matrices else None)
 
 
-def _injection_table(ctx: ExperimentContext, steps) -> tuple[np.ndarray, np.ndarray]:
-    """True (p, q) injections as (steps, buses) arrays."""
-    return (np.array([ctx.true_injections[t].p for t in steps]),
-            np.array([ctx.true_injections[t].q for t in steps]))
+def _injection_table(ctx: ExperimentContext) -> tuple[np.ndarray, np.ndarray]:
+    """True (p, q) injections of the day as (steps, buses) arrays."""
+    return (np.array([inj.p for inj in ctx.true_injections]),
+            np.array([inj.q for inj in ctx.true_injections]))
 
 
-def _solve_true_states(ctx: ExperimentContext, topology_id: str,
-                       steps) -> tuple[np.ndarray, np.ndarray]:
-    """True (vm, va_deg) of one topology at `steps`, as (steps, buses)
+def _solve_true_states(ctx: ExperimentContext,
+                       topology_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """True (vm, va_deg) of one topology over the day, as (steps, buses)
     arrays from one stacked power flow; the first failed step raises its
     error."""
     ybus = ctx.ybus_by_topo[topology_id]
-    p, q = _injection_table(ctx, steps)
+    p, q = _injection_table(ctx)
     batch = solve_newton_raphson_batch(
-        np.broadcast_to(ybus, (len(steps),) + ybus.shape), p, q,
+        np.broadcast_to(ybus, (len(p),) + ybus.shape), p, q,
         tol=ctx.config.tol, slack_index=ctx.graph.slack_index)
     failed = np.flatnonzero(~batch.converged)
     if failed.size:
@@ -305,37 +298,40 @@ def _solve_true_states(ctx: ExperimentContext, topology_id: str,
     return batch.vm, batch.va_deg
 
 
-def _task_stacks(ctx: ExperimentContext, rep: int, steps, trial_indices,
+def _task_stacks(ctx: ExperimentContext, topology_id: str, rep: int,
                  true_vm: np.ndarray, true_va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ADM and MDM stacks, (trials, rows, topologies), of the trials of one
-    repetition at `steps`, trial i having index trial_indices[i] and true
-    state (true_vm[i], true_va[i]).
+    """ADM and MDM stacks, (steps, rows, topologies), of one task: the trials
+    of repetition `rep` at every step of the day, with true topology
+    `topology_id` and true states (true_vm, true_va) by step.
 
-    Each trial samples its μPMU and SCADA readings from its own two
-    streams, derived for all trials at once; the candidate library of every
-    trial is solved from its SCADA readings in one stacked power flow. A
-    case's power flow does not depend on the other cases of its stack, so
-    the results are those of solving each trial alone.
+    The task draws its μPMU noise from one stream and its SCADA noise from
+    another, keyed (1 + rep, "pmu:<topology id>") and (1 + rep,
+    "scada:<topology id>"); index 0 is the offset streams'. Each stream makes
+    one full-day draw, of which trial t reads row t, so a trial's noise
+    depends only on the seed, its topology, step and repetition. The
+    candidate library of every trial is solved from its SCADA readings in one
+    stacked power flow; a case's power flow does not depend on the other
+    cases of its stack.
     """
     config = ctx.config
     graph = ctx.graph
     pmu_vm, pmu_va = pmu_readings(
         true_vm, true_va, ctx.pmu_spec,
-        derive_rng_streams(config.master_seed, trial_indices, "pmu"),
+        derive_rng_stream(config.master_seed, 1 + rep, f"pmu:{topology_id}"),
         ctx.pmu_offsets_by_rep[rep])
-    p, q = _injection_table(ctx, steps)
+    p, q = _injection_table(ctx)
     rows = bus_positions(graph.bus_ids, ctx.scada_buses)
     scada_p, scada_q = scada_readings(
         p[:, rows], q[:, rows], ctx.scada_spec,
-        derive_rng_streams(config.master_seed, trial_indices, "scada"),
+        derive_rng_stream(config.master_seed, 1 + rep, f"scada:{topology_id}"),
         ctx.scada_offsets_by_rep[rep])
     lib_p = np.zeros_like(p)
     lib_q = np.zeros_like(q)
     lib_p[:, rows] = scada_p
     lib_q[:, rows] = scada_q
-    library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, steps,
+    library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
                                   graph.slack_index, tol=config.tol)
-    shape = (len(ctx.topologies), len(steps), len(graph.bus_ids))
+    shape = (len(ctx.topologies), len(p), len(graph.bus_ids))
     return difference_stacks(pmu_vm, pmu_va, library.vm.reshape(shape),
                              library.va_deg.reshape(shape), graph.bus_ids)
 
@@ -418,14 +414,12 @@ def _run_chunk(ctx: ExperimentContext, tasks: list[tuple[int, int]]) -> Detectio
     task at a time: a task's stacks are its unit of work. The true states of
     a topology are solved once per chunk and shared by its repetitions."""
     report = _empty_report(ctx)
-    steps = range(profiles.N_STEPS)
-    true_states = {}  # topology position -> (vm, va_deg)
+    true_states = {}  # topology id -> (vm, va_deg)
     for topo_pos, rep in tasks:
-        if topo_pos not in true_states:
-            true_states[topo_pos] = _solve_true_states(ctx, ctx.topology_ids[topo_pos], steps)
-        adm, mdm = _task_stacks(ctx, rep, steps,
-                                [trial_index_for(ctx, topo_pos, t, rep) for t in steps],
-                                *true_states[topo_pos])
+        topology_id = ctx.topology_ids[topo_pos]
+        if topology_id not in true_states:
+            true_states[topology_id] = _solve_true_states(ctx, topology_id)
+        adm, mdm = _task_stacks(ctx, topology_id, rep, *true_states[topology_id])
         report.record_task(topo_pos, {"angle": adm, "magnitude": mdm})
     return report
 
@@ -442,7 +436,7 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     """Full Monte Carlo sweep: every topology x 96 steps x R repetitions.
 
     Deterministic for a given config (including master_seed) regardless of
-    the job count, because every trial derives its own RNG streams and the
+    the job count, because every task derives its own RNG streams and the
     chunks' integer counts are summed.
     """
     ctx = build_context(config)

@@ -1,25 +1,24 @@
 """Seeded output against committed reference files.
 
-tests/data/golden/ holds, generated by the code before the array-first
-refactor of the trial path:
+tests/data/golden/ holds:
 - rates.csv and confusion.csv of
   `microtopo experiment --seed 7 --reps 1 --jobs 1` on the bundled paper.cfg;
 - detect_III_t30_seed5.txt, the stdout of
-  `microtopo detect --topo III --t 30 --seed 5`.
-detect_III_t30_seed5_matrices.csv, the `--dump-matrices` CSV of that detect
-call, and LIBRARY_SHA256, the digest of the `microtopo library --out` CSV,
-were regenerated by the chord power flow (the flat-start Jacobian inverse
-reused until a case stalls): its converged states differ from full Newton
-steps' by up to ~3e-8 degrees and ~1e-9 p.u., which moves last digits of
-those two files and none of the verdicts, rates or counts above.
+  `microtopo detect --topo III --t 30 --seed 5`, and
+  detect_III_t30_seed5_matrices.csv, the `--dump-matrices` CSV of that call.
 MULTI_REP_SHA256 holds the digests of rates.csv and confusion.csv of
-`microtopo experiment --seed 11 --reps 3` (the same with --jobs 1 and 2),
-generated by the code before the trial-tensor refactor; several repetitions
-pin true states reused across repetitions and the pool's chunking.
-TWO_WORD_SEED_SHA256 holds the same digests for
+`microtopo experiment --seed 11 --reps 3` (the same with --jobs 1 and 2);
+several repetitions pin true states reused across repetitions and the
+pool's chunking. TWO_WORD_SEED_SHA256 holds the same digests for
 `microtopo experiment --seed 4294967303 --reps 1`, whose seed SeedSequence
-hashes as 2 uint32 words, generated by the code before the array hash of
-the per-trial RNG streams.
+hashes as 2 uint32 words.
+All of these were regenerated when each task came to draw its noise from
+one stream per device (a full-day draw keyed by topology and repetition)
+instead of one stream per trial and device: the same seed now draws other
+noise, so counts, rates and matrices moved; the detect stdout did not.
+LIBRARY_SHA256, the digest of the `microtopo library --out` CSV, draws no
+noise; it was regenerated by the chord power flow (the flat-start Jacobian
+inverse reused until a case stalls).
 A refactor must leave them byte-identical.
 """
 import hashlib
@@ -32,13 +31,13 @@ from microtopo.cli import EXIT_OK, main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 LIBRARY_SHA256 = "8cf92f1c5d8f9fa816c5d7eebc493bf0a3cfb096e3375f149347a4a7a032a9cf"
 MULTI_REP_SHA256 = {
-    "rates.csv": "e72560ac56554f84f091874ba429fa0e15e90621c24cd7aa4b537ca4ded75cdf",
-    "confusion.csv": "9ffd2eee38d420aea0f0e9a097e9f0fa71ceb0b7c3df0f9eecf2472e1625bb6f",
+    "rates.csv": "ac7744245b20542ead9e1516387ac573ec669bb0b6df0f70b07470a8cda3ba37",
+    "confusion.csv": "2914680836ed24aa69447a8d65a6c3172408f51c01dd3d59902fb28efba5d74a",
 }
 
 TWO_WORD_SEED_SHA256 = {
-    "rates.csv": "d57df566bfe4e68d48918895504a71ea5641f8839bc83f69dced9cd055b53d11",
-    "confusion.csv": "34eb4f23a5979cb93ab00f7136d00538900b86236bba2872f90fc3753c0ec511",
+    "rates.csv": "be59d2ad5e796dc1e5f44f76733aa76beb82e984813896ddead8b06e983464ab",
+    "confusion.csv": "7688f01ad2f3c06b1e556eaf7f8de7a51039fdf5e2f0fdb966895bbc1a511202",
 }
 
 

@@ -1,18 +1,13 @@
 import zlib
 
-import warnings
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from microtopo.measurements import (
     DeviceKind,
     DeviceSpec,
     PmuOffsets,
     derive_rng_stream,
-    derive_rng_streams,
     draw_pmu_offsets,
     draw_scada_offsets,
     pmu_readings,
@@ -202,72 +197,31 @@ def test_rng_stream_is_default_rng_of_its_seed_sequence(seed, trial, device):
     assert got.bit_generator.state == want.bit_generator.state
 
 
-def _assert_streams_match(seed, trials, device):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the uint32 hash wraps without warning
-        got = derive_rng_streams(seed, trials, device)
-    assert len(got) == len(trials)
-    key = zlib.crc32(device.encode("utf-8"))
-    for rng, trial in zip(got, trials):
-        words = np.random.SeedSequence([seed, trial, key]).generate_state(4, np.uint64)
-        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), words)
-        want = derive_rng_stream(seed, trial, device)
-        assert rng.bit_generator.state == want.bit_generator.state
-        assert np.array_equal(rng.standard_normal(6), want.standard_normal(6))
-        assert np.array_equal(rng.uniform(size=3), want.uniform(size=3))
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 20160517])
-def test_array_streams_at_word_boundaries(seed):
-    """Seeds and trial indices of 1, 2 and 3 uint32 words, index 0, and one
-    call whose indices straddle 2**32, so its rows hash in two groups."""
-    _assert_streams_match(seed, [0, 1, 2**32 - 1, 2**32, 2**32 + 9, 7, 2**64 - 1], "pmu")
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**70),
-       trials=st.lists(st.integers(0, 2**64 - 1), max_size=12),
-       device=st.text(max_size=12))
-@example(seed=0, trials=[0], device="")
-@example(seed=2**64 + 5, trials=[2**32 - 1, 2**32], device="scada")
-def test_array_streams_equal_scalar_streams(seed, trials, device):
-    _assert_streams_match(seed, trials, device)
-
-
-@pytest.mark.parametrize("trials, error", [
-    ([-1], OverflowError),
-    ([2**64], OverflowError),
-    ([1.0], TypeError),
-    (np.array([-3]), OverflowError),
-])
-def test_array_streams_reject_what_seed_sequence_cannot_hash(trials, error):
-    with pytest.raises(error):
-        derive_rng_streams(1, trials, "pmu")
-
-
 @pytest.mark.parametrize("sigma", [0.00025, 0.0])
 def test_stacked_readings_match_per_trial_samples(true_solution, true_injections, sigma):
-    """Readings of a stack of trials, each with its own stream, equal the
-    scalar samples of each trial bit for bit."""
+    """Readings of a stack of trials drawn from one stream equal, bit for
+    bit, the scalar samples of the same trials drawn in turn from an equal
+    stream; a stack of one is the scalar sample."""
     pmu = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma, nominal_voltage=1.0)
     scada = DeviceSpec(kind=DeviceKind.SCADA, sigma=sigma * 100)
     pmu_offsets = PmuOffsets(vm=np.linspace(-1e-4, 1e-4, 5), va_deg=np.linspace(2e-3, -2e-3, 5))
     buses = (2, 3, 4, 5)
     scada_offsets = np.array([1e-4, -2e-4, 3e-4, 0.0])
     rows = [true_injections.bus_ids.index(b) for b in buses]
-    n = 4
-    vm, va = pmu_readings(np.tile(true_solution.vm, (n, 1)),
-                          np.tile(true_solution.va_deg, (n, 1)), pmu,
-                          [derive_rng_stream(3, i, "pmu") for i in range(n)], pmu_offsets)
-    p, q = scada_readings(np.tile(true_injections.p[rows], (n, 1)),
-                          np.tile(true_injections.q[rows], (n, 1)), scada,
-                          [derive_rng_stream(3, i, "scada") for i in range(n)], scada_offsets)
-    for i in range(n):
-        one = sample_pmu(true_solution, pmu, derive_rng_stream(3, i, "pmu"),
-                         offsets=pmu_offsets)
-        assert vm[i].tobytes() == one.vm.tobytes()
-        assert va[i].tobytes() == one.va_deg.tobytes()
-        meas = sample_scada(true_injections, scada, derive_rng_stream(3, i, "scada"),
-                            buses, offsets=scada_offsets)
-        assert p[i].tobytes() == meas.p.tobytes()
-        assert q[i].tobytes() == meas.q.tobytes()
+    for n in (1, 4):
+        vm, va = pmu_readings(np.tile(true_solution.vm, (n, 1)),
+                              np.tile(true_solution.va_deg, (n, 1)), pmu,
+                              derive_rng_stream(3, 1, "pmu"), pmu_offsets)
+        p, q = scada_readings(np.tile(true_injections.p[rows], (n, 1)),
+                              np.tile(true_injections.q[rows], (n, 1)), scada,
+                              derive_rng_stream(3, 1, "scada"), scada_offsets)
+        pmu_rng = derive_rng_stream(3, 1, "pmu")
+        scada_rng = derive_rng_stream(3, 1, "scada")
+        for i in range(n):
+            one = sample_pmu(true_solution, pmu, pmu_rng, offsets=pmu_offsets)
+            assert vm[i].tobytes() == one.vm.tobytes()
+            assert va[i].tobytes() == one.va_deg.tobytes()
+            meas = sample_scada(true_injections, scada, scada_rng, buses,
+                                offsets=scada_offsets)
+            assert p[i].tobytes() == meas.p.tobytes()
+            assert q[i].tobytes() == meas.q.tobytes()

@@ -204,8 +204,7 @@ def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_stack, graph):
     rng = np.random.default_rng(11)
     pick = rng.choice(len(ybus), 60, replace=False)
     spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=0.025, accuracy=0.0005)
-    noisy_p, noisy_q = scada_readings(p[pick], q[pick], spec,
-                                      [np.random.default_rng(i) for i in pick],
+    noisy_p, noisy_q = scada_readings(p[pick], q[pick], spec, rng,
                                       draw_scada_offsets(graph.bus_ids, spec, rng))
     isolated = ybus[0].copy()  # bus 5 cut off: a singular Jacobian
     i5 = graph.bus_index(5)
@@ -223,14 +222,37 @@ def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_stack, graph):
     _assert_rows_equal_solo(mixed, stack_y, stack_p, stack_q, max_iter=20)
 
 
-@pytest.mark.parametrize("load, newton_converged", [(40, 471), (60, 345)])
+@pytest.mark.parametrize("load, newton_converged", [
+    (20, 480), (40, 471), (50, 421), (60, 345), (80, 269), (100, 210)])
 def test_heavy_load_converged_count_matches_full_newton(fixture_stack, load, newton_converged):
-    """At 40x and 60x the fixture loads, as many of the 480 cases converge
+    """At 20x to 100x the fixture loads, as many of the 480 cases converge
     as did with a Jacobian re-evaluated at every step (counted with that
     solver): reusing the flat-start Jacobian loses none of them."""
     ybus, p, q, _ = fixture_stack
     batch = solve_newton_raphson_batch(ybus, load * p, load * q)
     assert batch.converged.sum() == newton_converged
+
+
+@pytest.mark.parametrize("load, case, steps", [(60, 275, 39), (100, 198, 34)])
+def test_singular_jacobian_of_a_diverging_case_reports_divergence(fixture_stack, load,
+                                                                  case, steps):
+    """At 60x and 100x the fixture loads one case each blows up until its
+    refreshed Jacobian is singular. Its mismatch has then grown far past its
+    flat-start mismatch, so it stops as diverged, with its last mismatch,
+    not as singular; alone it stops the same way."""
+    ybus, p, q, cases = fixture_stack
+    batch = solve_newton_raphson_batch(ybus, load * p, load * q)
+    assert not batch.singular.any()
+    assert batch.iterations[case] == steps
+    flat = np.abs(np.concatenate([load * p[case], load * q[case]])).max()
+    assert batch.mismatch[case] > 1e6 * flat
+    err = batch.error(case)
+    assert isinstance(err, DivergedError)
+    assert err.last_mismatch == batch.mismatch[case]
+    inj = InjectionSnapshot(bus_ids=cases[case][1].bus_ids, p=load * p[case], q=load * q[case])
+    with pytest.raises(DivergedError) as alone:
+        solve_newton_raphson(ybus[case], inj)
+    assert alone.value.last_mismatch == batch.mismatch[case]
 
 
 def test_twenty_times_fixture_load_converges_in_at_most_12_steps(fixture_stack):

@@ -30,7 +30,6 @@ from microtopo.scenario import (
     run_experiment,
     run_trial,
     summarize,
-    trial_index_for,
     write_report,
 )
 
@@ -237,34 +236,44 @@ def test_broken_config_line_rejected_with_its_number(broken):
         assert not out.exists()
 
 
-def test_trial_indices_unique():
-    ctx = build_context(_tiny_config(repetitions=3))
-    seen = set()
-    for pos in range(len(ctx.topologies)):
-        for t in range(96):
-            for rep in range(3):
-                idx = trial_index_for(ctx, pos, t, rep)
-                assert idx >= 1  # index 0 is reserved for offset draws
-                seen.add(idx)
-    assert len(seen) == len(ctx.topologies) * 96 * 3
+def test_trial_indices_unique(monkeypatch):
+    """Every noise stream of a run has its own (seed, trial index, device)
+    key: index 0 for the offsets of each repetition, 1 + rep for the μPMU
+    and SCADA streams of each (topology, rep) task."""
+    keys = []
+    derive = scenario.derive_rng_stream
+
+    def recorded(*key):
+        keys.append(key)
+        return derive(*key)
+
+    monkeypatch.setattr(scenario, "derive_rng_stream", recorded)
+    report = run_experiment(_tiny_config(repetitions=3, master_seed=5))
+    assert len(set(keys)) == len(keys) == 2 * 3 + 2 * 5 * 3
+    topologies = report.topology_ids
+    assert {k for k in keys if k[1] == 0} == {
+        (5, 0, f"offsets:{device}:{rep}") for device in ("pmu", "scada") for rep in range(3)}
+    assert {k for k in keys if k[1] != 0} == {
+        (5, 1 + rep, f"{device}:{topo}")
+        for device in ("pmu", "scada") for topo in topologies for rep in range(3)}
 
 
 def test_trial_determinism():
-    ctx = build_context(_tiny_config(master_seed=123))
-    a = run_trial(ctx, "II", 40, trial_index=77)
-    b = run_trial(ctx, "II", 40, trial_index=77)
+    ctx = build_context(_tiny_config(master_seed=123, repetitions=2))
+    a = run_trial(ctx, "II", 40, collect_matrices=True)
+    b = run_trial(ctx, "II", 40, collect_matrices=True)
     assert a.outcomes == b.outcomes
     assert a.votes_by_signal == b.votes_by_signal
+    assert a.matrices.adm.tobytes() == b.matrices.adm.tobytes()
 
-    c = run_trial(ctx, "II", 40, trial_index=78)
-    ctx2 = build_context(_tiny_config(master_seed=124))
-    d = run_trial(ctx2, "II", 40, trial_index=77)
-    # different trial index or seed gives different noise; at paper noise
-    # levels the raw matrices cannot coincide
-    m_a = run_trial(ctx, "II", 40, trial_index=77, collect_matrices=True).matrices
-    m_c = run_trial(ctx, "II", 40, trial_index=78, collect_matrices=True).matrices
-    assert (m_a.adm != m_c.adm).any()
-    assert c.true_topology == d.true_topology == "II"
+    # a different repetition, step or seed gives different noise; at paper
+    # noise levels the raw matrices cannot coincide
+    ctx2 = build_context(_tiny_config(master_seed=124, repetitions=2))
+    for other in (run_trial(ctx, "II", 40, rep=1, collect_matrices=True),
+                  run_trial(ctx, "II", 41, collect_matrices=True),
+                  run_trial(ctx2, "II", 40, collect_matrices=True)):
+        assert other.true_topology == "II"
+        assert (a.matrices.adm != other.matrices.adm).any()
 
 
 def test_trial_library_matches_build_library():
@@ -297,20 +306,19 @@ def test_trial_library_matches_build_library():
     (4, 1, (30, 60)),
 ])
 def test_run_trial_matches_task_path(topo_pos, rep, steps):
-    """A trial run alone (one-case stacks, voted by `detect`) gives
-    the matrices, verdicts and per-row votes that the experiment's task path
-    (96-step stacks, voted by `vote_stack`) counts for the same trial index."""
+    """A trial run alone (voted by `detect`) gives the matrices, verdicts and
+    per-row votes of row t of its task's stacks (voted by `vote_stack`), bit
+    for bit: `run_trial` at (topology, t, rep) is trial (t, rep) of the
+    experiment."""
     ctx = build_context(_tiny_config(repetitions=2, master_seed=3))
     topo_id = ctx.topology_ids[topo_pos]
-    day = range(96)
     stacks = dict(zip(("angle", "magnitude"), scenario._task_stacks(
-        ctx, rep, day, [trial_index_for(ctx, topo_pos, t, rep) for t in day],
-        *scenario._solve_true_states(ctx, topo_id, day))))
+        ctx, topo_id, rep, *scenario._solve_true_states(ctx, topo_id))))
     voted = {signal: vote_stack(stack) for signal, stack in stacks.items()}
     labels = ctx.topology_ids + (INCONCLUSIVE,)
     for t in steps:
-        alone = run_trial(ctx, topo_id, t, trial_index_for(ctx, topo_pos, t, rep),
-                          rep=rep, collect_matrices=True)
+        alone = run_trial(ctx, topo_id, t, rep=rep, collect_matrices=True)
+        assert (alone.time_index, alone.rep) == (t, rep)
         assert alone.matrices.adm.tobytes() == stacks["angle"][t].tobytes()
         assert alone.matrices.mdm.tobytes() == stacks["magnitude"][t].tobytes()
         for (crit, sig), outcome in alone.outcomes.items():
@@ -320,11 +328,26 @@ def test_run_trial_matches_task_path(topo_pos, rep, steps):
                                   for v in voted[sig][1][t])
 
 
+@pytest.mark.parametrize("topo_pos", [0, 3])
+def test_task_counts_do_not_depend_on_the_repetition_count(topo_pos):
+    """A task's noise, and so its counts, depend only on the seed, its
+    topology and its repetition: task (topology, 1) counts the same under
+    --reps 2 and --reps 5."""
+    reports = [scenario._run_chunk(build_context(_tiny_config(repetitions=reps,
+                                                              master_seed=13)),
+                                   [(topo_pos, 1)])
+               for reps in (2, 5)]
+    assert reports[0].confusion[topo_pos].sum() > 0
+    assert np.array_equal(reports[0].confusion, reports[1].confusion)
+    assert np.array_equal(reports[0].row_votes, reports[1].row_votes)
+
+
 def test_experiment_is_array_program(monkeypatch):
     """A serial 4-repetition run solves each topology's true states once
     (5 stacked calls) and each task's library once (20), hashes a
-    SeedSequence only for the 2 offset streams of each repetition, and builds
-    no per-trial result, verdict or power-flow objects."""
+    SeedSequence only for the 2 offset streams of each repetition and the 2
+    noise streams of each task, and builds no per-trial result, verdict or
+    power-flow objects."""
     calls = []
     seed_sequences = []
     batch = powerflow.solve_newton_raphson_batch
@@ -351,7 +374,7 @@ def test_experiment_is_array_program(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     report = run_experiment(_tiny_config(repetitions=4, master_seed=2))
     assert sorted(calls) == [96] * 5 + [5 * 96] * 20
-    assert len(seed_sequences) == 2 * 4
+    assert len(seed_sequences) == 2 * 4 + 2 * 5 * 4
     assert report.n_trials("I", "armv", "angle") == 96 * 4
 
 
@@ -360,8 +383,7 @@ def test_zero_noise_trial_always_correct():
                                      scada_sigma=0.0, scada_accuracy=0.0))
     for true in ("I", "III", "V"):
         for t in (0, 48, 90):
-            res = run_trial(ctx, true, t, trial_index=trial_index_for(
-                ctx, ["I", "II", "III", "IV", "V"].index(true), t, 0))
+            res = run_trial(ctx, true, t)
             assert all(o.verdict == true for o in res.outcomes.values())
 
 
