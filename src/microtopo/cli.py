@@ -11,7 +11,7 @@ import csv
 import sys
 
 from . import __version__, network, profiles
-from .detector import build_library
+from .detector import INCONCLUSIVE, DifferenceMatrices, build_library
 from .network import NetworkError, load_network
 from .powerflow import InjectionSnapshot, PowerFlowError, solve_newton_raphson
 from .scenario import (
@@ -21,7 +21,8 @@ from .scenario import (
     fixture_path,
     load_config,
     run_experiment,
-    run_trial,
+    run_task,
+    solve_true_states,
     summarize,
     write_report,
 )
@@ -181,17 +182,23 @@ def cmd_detect(args) -> int:
     if not 0 <= args.t < profiles.N_STEPS:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     topo = _find_topology(ctx.topologies, args.topo)
-    result = run_trial(ctx, topo.id, args.t, collect_matrices=True)
-    print(f"true topology {topo.id}, t={args.t}, seed={config.master_seed}")
-    for (crit, sig), outcome in sorted(result.outcomes.items()):
-        print(f"  {crit.upper():5s} {sig:9s} -> {outcome.verdict}")
-    votes = result.votes_by_signal.get("angle")
-    if votes:
-        rendered = ", ".join(f"{b}:{v or 'abstain'}"
-                             for b, v in zip(result.matrices.pmu_bus_ids, votes))
+    t = args.t
+    adm, mdm, verdicts, votes = run_task(ctx, topo.id, 0, *solve_true_states(ctx, topo.id))
+    print(f"true topology {topo.id}, t={t}, seed={config.master_seed}")
+    verdict_labels = ctx.topology_ids + (INCONCLUSIVE,)
+    for crit, sig in sorted((c, s) for c in config.criteria for s in config.signals):
+        code = verdicts[t, config.criteria.index(crit), config.signals.index(sig)]
+        print(f"  {crit.upper():5s} {sig:9s} -> {verdict_labels[code]}")
+    if "angle" in config.signals:
+        vote_labels = ctx.topology_ids + ("abstain",)
+        rendered = ", ".join(f"{b}:{vote_labels[v]}" for b, v in zip(
+            ctx.pmu_bus_ids, votes[t, config.signals.index("angle")]))
         print(f"  per-bus angle votes: {rendered}")
     if args.dump_matrices:
-        dump_matrices_csv(result.matrices, args.dump_matrices)
+        dump_matrices_csv(DifferenceMatrices(adm=adm[t], mdm=mdm[t],
+                                             pmu_bus_ids=ctx.pmu_bus_ids,
+                                             topology_ids=ctx.topology_ids),
+                          args.dump_matrices)
         print(f"wrote {args.dump_matrices}")
     return EXIT_OK
 

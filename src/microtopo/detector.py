@@ -69,11 +69,6 @@ class DifferenceMatrices:
     pmu_bus_ids: tuple[int, ...]
     topology_ids: tuple[str, ...]
 
-    def votes(self, signal: str) -> tuple[str | None, ...]:
-        """Per-row votes of one signal, shared by RMV, ORMV and the per-bus
-        tallies; None for a row that abstains."""
-        return detect(self, "rmv", signal).per_row_votes
-
     @cached_property
     def _outcomes(self) -> dict[tuple[str, str], DetectionOutcome]:
         """Every (criterion, signal) outcome, from one `vote_stack` call over
@@ -205,7 +200,7 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
       topology);
     - an RMV vote-count tie, or no informative row, is inconclusive;
     - ORMV needs all informative rows, and at least one, to agree;
-    - an exact ARMV column-mean tie goes to the first column in library order.
+    - an exact ARMV column-mean tie is inconclusive.
 
     Returns the verdict codes per criterion, each a (trials,) array, and the
     (trials, rows) row votes. A code is a topology column, or the number of
@@ -217,7 +212,7 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     n_voted = (counts > 0).sum(axis=1)  # topologies that got a row vote
     verdicts = {
         "rmv": np.where(n_voted > 0, _unique_argmin(-counts, n_topo), n_topo),
-        "armv": stack.mean(axis=1).argmin(axis=1),
+        "armv": _unique_argmin(stack.mean(axis=1), n_topo),
         "ormv": np.where(n_voted == 1, counts.argmax(axis=1), n_topo),
     }
     return verdicts, votes

@@ -23,7 +23,6 @@ from .detector import (
     INCONCLUSIVE,
     SIGNALS,
     DifferenceMatrices,
-    detect,
     difference_stacks,
     solve_library_batch,
     vote_stack,
@@ -204,6 +203,9 @@ class ExperimentContext:
     topologies: tuple[TopologyConfig, ...]
     ybus_by_topo: dict
     true_injections: tuple[InjectionSnapshot, ...]
+    # The same injections as (steps, buses) tables
+    true_p: np.ndarray
+    true_q: np.ndarray
     scada_buses: tuple[int, ...]
     pmu_spec: DeviceSpec
     scada_spec: DeviceSpec
@@ -245,50 +247,19 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
         config=config, graph=graph, topologies=tuple(topologies),
         ybus_by_topo={t.id: build_ybus(graph, t) for t in topologies},
         true_injections=true_inj,
+        true_p=np.array([inj.p for inj in true_inj]),
+        true_q=np.array([inj.q for inj in true_inj]),
         scada_buses=scada_buses, pmu_spec=pmu_spec, scada_spec=scada_spec,
         pmu_offsets_by_rep=pmu_offsets, scada_offsets_by_rep=scada_offsets)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    true_topology: str
-    time_index: int
-    rep: int
-    outcomes: dict
-    votes_by_signal: dict
-    matrices: DifferenceMatrices | None = None
-
-
-def run_trial(ctx: ExperimentContext, true_topology_id: str, t: int, rep: int = 0,
-              collect_matrices: bool = False) -> TrialResult:
-    """One end-to-end detection trial, trial (t, rep) of the experiment: row
-    t of the stacks of task (true_topology_id, rep), voted by `detect`."""
-    adm, mdm = _task_stacks(ctx, true_topology_id, rep,
-                            *_solve_true_states(ctx, true_topology_id))
-    matrices = DifferenceMatrices(adm=adm[t], mdm=mdm[t], pmu_bus_ids=ctx.pmu_bus_ids,
-                                  topology_ids=ctx.topology_ids)
-    config = ctx.config
-    return TrialResult(
-        true_topology=true_topology_id, time_index=t, rep=rep,
-        outcomes={(c, s): detect(matrices, c, s)
-                  for c in config.criteria for s in config.signals},
-        votes_by_signal={s: matrices.votes(s) for s in config.signals},
-        matrices=matrices if collect_matrices else None)
-
-
-def _injection_table(ctx: ExperimentContext) -> tuple[np.ndarray, np.ndarray]:
-    """True (p, q) injections of the day as (steps, buses) arrays."""
-    return (np.array([inj.p for inj in ctx.true_injections]),
-            np.array([inj.q for inj in ctx.true_injections]))
-
-
-def _solve_true_states(ctx: ExperimentContext,
-                       topology_id: str) -> tuple[np.ndarray, np.ndarray]:
+def solve_true_states(ctx: ExperimentContext,
+                      topology_id: str) -> tuple[np.ndarray, np.ndarray]:
     """True (vm, va_deg) of one topology over the day, as (steps, buses)
     arrays from one stacked power flow; the first failed step raises its
     error."""
     ybus = ctx.ybus_by_topo[topology_id]
-    p, q = _injection_table(ctx)
+    p, q = ctx.true_p, ctx.true_q
     batch = solve_newton_raphson_batch(
         np.broadcast_to(ybus, (len(p),) + ybus.shape), p, q,
         tol=ctx.config.tol, slack_index=ctx.graph.slack_index)
@@ -298,11 +269,17 @@ def _solve_true_states(ctx: ExperimentContext,
     return batch.vm, batch.va_deg
 
 
-def _task_stacks(ctx: ExperimentContext, topology_id: str, rep: int,
-                 true_vm: np.ndarray, true_va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ADM and MDM stacks, (steps, rows, topologies), of one task: the trials
-    of repetition `rep` at every step of the day, with true topology
-    `topology_id` and true states (true_vm, true_va) by step.
+def run_task(ctx: ExperimentContext, topology_id: str, rep: int,
+             true_vm: np.ndarray, true_va: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Task (topology_id, rep): the trials of repetition `rep` at every step
+    of the day, with true topology `topology_id` and true states (true_vm,
+    true_va) by step, from `solve_true_states`. Trial t of the experiment is
+    row t of every array the task returns.
+
+    Returns (adm, mdm, verdicts, votes): the ADM and MDM stacks, (steps,
+    rows, topologies); the verdict codes, (steps, criteria, signals); and the
+    row votes, (steps, signals, rows). Criteria and signals are in config
+    order, and the codes are `vote_stack`'s, from one call per signal.
 
     The task draws its μPMU noise from one stream and its SCADA noise from
     another, keyed (1 + rep, "pmu:<topology id>") and (1 + rep,
@@ -319,7 +296,7 @@ def _task_stacks(ctx: ExperimentContext, topology_id: str, rep: int,
         true_vm, true_va, ctx.pmu_spec,
         derive_rng_stream(config.master_seed, 1 + rep, f"pmu:{topology_id}"),
         ctx.pmu_offsets_by_rep[rep])
-    p, q = _injection_table(ctx)
+    p, q = ctx.true_p, ctx.true_q
     rows = bus_positions(graph.bus_ids, ctx.scada_buses)
     scada_p, scada_q = scada_readings(
         p[:, rows], q[:, rows], ctx.scada_spec,
@@ -331,12 +308,31 @@ def _task_stacks(ctx: ExperimentContext, topology_id: str, rep: int,
     lib_q[:, rows] = scada_q
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
                                   graph.slack_index, tol=config.tol)
-    shape = (len(ctx.topologies), len(p), len(graph.bus_ids))
-    return difference_stacks(pmu_vm, pmu_va, library.vm.reshape(shape),
-                             library.va_deg.reshape(shape), graph.bus_ids)
+    n_topo = len(ctx.topologies)
+    shape = (n_topo, len(p), len(graph.bus_ids))
+    adm, mdm = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(shape),
+                                 library.va_deg.reshape(shape), graph.bus_ids)
+    stacks = {"angle": adm, "magnitude": mdm}
+    code = np.min_scalar_type(n_topo)  # codes run 0..n_topo
+    verdicts = np.empty((len(p), len(config.criteria), len(config.signals)), dtype=code)
+    votes = np.empty((len(p), len(config.signals), adm.shape[1]), dtype=code)
+    for s, signal in enumerate(config.signals):
+        by_criterion, votes[:, s] = vote_stack(stacks[signal])
+        for c, criterion in enumerate(config.criteria):
+            verdicts[:, c, s] = by_criterion[criterion]
+    return adm, mdm, verdicts, votes
 
 
 ROW_OUTCOMES = ("correct", "incorrect", "abstain")
+
+
+def _tally(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """How often each code 0..n_codes-1 occurs in each cell of a (trials,
+    ...) code array, as a (..., n_codes) count array: one `bincount`."""
+    cells = codes.shape[1:]
+    cell_base = n_codes * np.arange(math.prod(cells)).reshape(cells)
+    return np.bincount((codes + cell_base).ravel(),
+                       minlength=n_codes * math.prod(cells)).reshape(cells + (n_codes,))
 
 
 @dataclass
@@ -362,19 +358,14 @@ class DetectionRateReport:
             (n_topo, len(self.signals), len(self.pmu_bus_ids), len(ROW_OUTCOMES)),
             dtype=np.int64)
 
-    def record_task(self, true_pos: int, stacks: dict[str, np.ndarray]):
-        """Count the verdicts and row votes of a stack of trials whose true
-        topology is `topology_ids[true_pos]`; `stacks` maps each signal to
-        its (trials, rows, topologies) difference matrices."""
+    def record_task(self, true_pos: int, verdicts: np.ndarray, votes: np.ndarray):
+        """Count the outcome arrays of `run_task` for a task whose true
+        topology is `topology_ids[true_pos]`: verdict codes (trials,
+        criteria, signals) and row votes (trials, signals, rows)."""
         n_topo = len(self.topology_ids)
-        for s, signal in enumerate(self.signals):
-            verdicts, votes = vote_stack(stacks[signal])
-            for c, criterion in enumerate(self.criteria):
-                self.confusion[true_pos, c, s] += np.bincount(verdicts[criterion],
-                                                              minlength=n_topo + 1)
-            outcome = np.where(votes == true_pos, 0, np.where(votes == n_topo, 2, 1))
-            self.row_votes[true_pos, s] += np.count_nonzero(
-                outcome[:, :, None] == np.arange(len(ROW_OUTCOMES)), axis=0)
+        self.confusion[true_pos] += _tally(verdicts, n_topo + 1)
+        outcome = np.where(votes == true_pos, 0, np.where(votes == n_topo, 2, 1))
+        self.row_votes[true_pos] += _tally(outcome, len(ROW_OUTCOMES))
 
     def merge(self, other: "DetectionRateReport"):
         self.confusion += other.confusion
@@ -418,9 +409,9 @@ def _run_chunk(ctx: ExperimentContext, tasks: list[tuple[int, int]]) -> Detectio
     for topo_pos, rep in tasks:
         topology_id = ctx.topology_ids[topo_pos]
         if topology_id not in true_states:
-            true_states[topology_id] = _solve_true_states(ctx, topology_id)
-        adm, mdm = _task_stacks(ctx, topology_id, rep, *true_states[topology_id])
-        report.record_task(topo_pos, {"angle": adm, "magnitude": mdm})
+            true_states[topology_id] = solve_true_states(ctx, topology_id)
+        _, _, verdicts, votes = run_task(ctx, topology_id, rep, *true_states[topology_id])
+        report.record_task(topo_pos, verdicts, votes)
     return report
 
 
@@ -453,7 +444,7 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     n_chunks = min(config.jobs, len(tasks))
     chunks = [tasks[i * len(tasks) // n_chunks:(i + 1) * len(tasks) // n_chunks]
               for i in range(n_chunks)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n_chunks) as pool:
         for partial in pool.map(_run_chunk, [ctx] * len(chunks), chunks):
             report.merge(partial)
     return report

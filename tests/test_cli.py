@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from microtopo import cli
+from microtopo import cli, scenario
 from microtopo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from microtopo.scenario import fixture_path
+from microtopo.detector import INCONCLUSIVE
+from microtopo.scenario import build_context, fixture_path, load_config
 
 
 def test_version(capsys):
@@ -198,6 +199,34 @@ def test_detect_zero_noise_and_dump(tmp_path, capsys):
             assert f"{prefix}_{topo}" in rows[0]
     # exact measurements zero out the true-topology column
     assert all(float(r["adm_III"]) == 0.0 for r in rows)
+
+
+def test_detect_prints_row_t_of_the_task_the_experiment_counts(monkeypatch, capsys):
+    """`detect --topo Q --t T --seed S` prints row T of the verdict codes and
+    angle row votes that the experiment counts for task (Q, rep 0) at seed S,
+    as `_run_chunk` hands them to the report."""
+    pairs = [("I", 0), ("III", 38), ("V", 95)]
+    ctx = build_context(load_config(fixture_path("paper.cfg"), master_seed=5))
+    counted = {}
+    monkeypatch.setattr(scenario.DetectionRateReport, "record_task",
+                        lambda report, pos, verdicts, votes: counted.update(
+                            {ctx.topology_ids[pos]: (verdicts, votes)}))
+    scenario._run_chunk(ctx, [(ctx.topology_ids.index(q), 0) for q, _ in pairs])
+    labels = ctx.topology_ids + (INCONCLUSIVE,)
+    angle = ctx.config.signals.index("angle")
+    for topo, t in pairs:
+        assert main(["detect", "--topo", topo, "--t", str(t), "--seed", "5"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"true topology {topo}, t={t}, seed=5"
+        verdicts, votes = counted[topo]
+        printed = dict(line.split(" -> ") for line in lines[1:-1])
+        assert printed == {
+            f"  {crit.upper():5s} {sig:9s}": labels[verdicts[t, c, s]]
+            for c, crit in enumerate(ctx.config.criteria)
+            for s, sig in enumerate(ctx.config.signals)}
+        bus_votes = lines[-1].removeprefix("  per-bus angle votes: ").split(", ")
+        assert bus_votes == [f"{bus}:{labels[v] if v < len(ctx.topology_ids) else 'abstain'}"
+                             for bus, v in zip(ctx.pmu_bus_ids, votes[t, angle])]
 
 
 def test_detect_bad_time(capsys):

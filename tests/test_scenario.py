@@ -16,9 +16,10 @@ from microtopo.detector import (
     CRITERIA,
     INCONCLUSIVE,
     SIGNALS,
+    DifferenceMatrices,
     build_library,
+    detect,
     solve_library,
-    vote_stack,
 )
 from microtopo.measurements import derive_rng_stream, sample_scada
 from microtopo.powerflow import InjectionSnapshot
@@ -28,7 +29,8 @@ from microtopo.scenario import (
     fixture_path,
     load_config,
     run_experiment,
-    run_trial,
+    run_task,
+    solve_true_states,
     summarize,
     write_report,
 )
@@ -258,22 +260,23 @@ def test_trial_indices_unique(monkeypatch):
         for device in ("pmu", "scada") for topo in topologies for rep in range(3)}
 
 
+def _task(ctx, topology_id, rep=0):
+    return run_task(ctx, topology_id, rep, *solve_true_states(ctx, topology_id))
+
+
 def test_trial_determinism():
     ctx = build_context(_tiny_config(master_seed=123, repetitions=2))
-    a = run_trial(ctx, "II", 40, collect_matrices=True)
-    b = run_trial(ctx, "II", 40, collect_matrices=True)
-    assert a.outcomes == b.outcomes
-    assert a.votes_by_signal == b.votes_by_signal
-    assert a.matrices.adm.tobytes() == b.matrices.adm.tobytes()
+    a = _task(ctx, "II")
+    b = _task(ctx, "II")
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
 
     # a different repetition, step or seed gives different noise; at paper
     # noise levels the raw matrices cannot coincide
     ctx2 = build_context(_tiny_config(master_seed=124, repetitions=2))
-    for other in (run_trial(ctx, "II", 40, rep=1, collect_matrices=True),
-                  run_trial(ctx, "II", 41, collect_matrices=True),
-                  run_trial(ctx2, "II", 40, collect_matrices=True)):
-        assert other.true_topology == "II"
-        assert (a.matrices.adm != other.matrices.adm).any()
+    adm = a[0]
+    for other in (_task(ctx, "II", rep=1)[0][40], adm[41], _task(ctx2, "II")[0][40]):
+        assert (adm[40] != other).any()
 
 
 def test_trial_library_matches_build_library():
@@ -305,27 +308,50 @@ def test_trial_library_matches_build_library():
     (2, 1, (12, 76)),
     (4, 1, (30, 60)),
 ])
-def test_run_trial_matches_task_path(topo_pos, rep, steps):
-    """A trial run alone (voted by `detect`) gives the matrices, verdicts and
-    per-row votes of row t of its task's stacks (voted by `vote_stack`), bit
-    for bit: `run_trial` at (topology, t, rep) is trial (t, rep) of the
-    experiment."""
+def test_detect_on_a_task_row_matches_its_outcome_arrays(topo_pos, rep, steps):
+    """Row t of a task's matrices, voted alone by `detect` (the online path),
+    gives the verdicts and per-row votes of row t of the task's outcome
+    arrays (one `vote_stack` call per signal over the whole day): trial
+    (t, rep) of the experiment is row t of task (topology, rep)."""
     ctx = build_context(_tiny_config(repetitions=2, master_seed=3))
     topo_id = ctx.topology_ids[topo_pos]
-    stacks = dict(zip(("angle", "magnitude"), scenario._task_stacks(
-        ctx, topo_id, rep, *scenario._solve_true_states(ctx, topo_id))))
-    voted = {signal: vote_stack(stack) for signal, stack in stacks.items()}
+    adm, mdm, verdicts, votes = _task(ctx, topo_id, rep)
+    criteria, signals = ctx.config.criteria, ctx.config.signals
+    assert verdicts.shape == (96, len(criteria), len(signals))
+    assert votes.shape == (96, len(signals), 5)
     labels = ctx.topology_ids + (INCONCLUSIVE,)
     for t in steps:
-        alone = run_trial(ctx, topo_id, t, rep=rep, collect_matrices=True)
-        assert (alone.time_index, alone.rep) == (t, rep)
-        assert alone.matrices.adm.tobytes() == stacks["angle"][t].tobytes()
-        assert alone.matrices.mdm.tobytes() == stacks["magnitude"][t].tobytes()
-        for (crit, sig), outcome in alone.outcomes.items():
-            assert outcome.verdict == labels[voted[sig][0][crit][t]]
-        for sig, votes in alone.votes_by_signal.items():
-            assert votes == tuple(None if v == len(ctx.topology_ids) else labels[v]
-                                  for v in voted[sig][1][t])
+        alone = DifferenceMatrices(adm=adm[t], mdm=mdm[t], pmu_bus_ids=ctx.pmu_bus_ids,
+                                   topology_ids=ctx.topology_ids)
+        for c, crit in enumerate(criteria):
+            for s, sig in enumerate(signals):
+                assert detect(alone, crit, sig).verdict == labels[verdicts[t, c, s]]
+        for s, sig in enumerate(signals):
+            assert detect(alone, "rmv", sig).per_row_votes == tuple(
+                None if v == len(ctx.topology_ids) else labels[v] for v in votes[t, s])
+
+
+def test_record_task_counts_like_a_loop():
+    """`record_task` counts a task's outcome arrays with `bincount`; a loop
+    over every trial, cell and row is the reference."""
+    rng = np.random.default_rng(8)
+    report = scenario.DetectionRateReport(topology_ids=("A", "B", "C"),
+                                          pmu_bus_ids=(1, 2, 3, 4),
+                                          criteria=("armv", "rmv"), signals=SIGNALS)
+    verdicts = rng.integers(0, 4, size=(50, 2, 2), dtype=np.uint8)
+    votes = rng.integers(0, 4, size=(50, 2, 4), dtype=np.uint8)
+    report.record_task(1, verdicts, votes)
+    confusion = np.zeros_like(report.confusion)
+    row_votes = np.zeros_like(report.row_votes)
+    for i in range(50):
+        for s in range(2):
+            for c in range(2):
+                confusion[1, c, s, verdicts[i, c, s]] += 1
+            for r in range(4):
+                v = votes[i, s, r]
+                row_votes[1, s, r, 0 if v == 1 else 2 if v == 3 else 1] += 1
+    assert np.array_equal(report.confusion, confusion)
+    assert np.array_equal(report.row_votes, row_votes)
 
 
 @pytest.mark.parametrize("topo_pos", [0, 3])
@@ -367,7 +393,7 @@ def test_experiment_is_array_program(monkeypatch):
     monkeypatch.setattr(scenario, "solve_newton_raphson_batch", counted)
     monkeypatch.setattr(detector, "solve_newton_raphson_batch", counted)
     monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
-    for module, name in ((scenario, "TrialResult"), (scenario, "DifferenceMatrices"),
+    for module, name in ((scenario, "DifferenceMatrices"),
                          (detector, "DetectionOutcome"), (powerflow, "PowerFlowSolution"),
                          (measurements, "MeasurementSet"), (measurements, "PhasorSet"),
                          (measurements, "ScadaSet")):
@@ -382,9 +408,36 @@ def test_zero_noise_trial_always_correct():
     ctx = build_context(_tiny_config(pmu_sigma=0.0, pmu_accuracy=0.0,
                                      scada_sigma=0.0, scada_accuracy=0.0))
     for true in ("I", "III", "V"):
-        for t in (0, 48, 90):
-            res = run_trial(ctx, true, t)
-            assert all(o.verdict == true for o in res.outcomes.values())
+        _, _, verdicts, _ = _task(ctx, true)
+        assert (verdicts == ctx.topology_ids.index(true)).all()
+
+
+def test_pool_forks_no_more_workers_than_chunks(monkeypatch):
+    """One repetition makes 5 tasks, so --jobs 64 asks the pool for 5
+    workers: under the fork start method every worker is forked up front.
+    An in-process stand-in for the pool records the request and runs the
+    chunks inline, so no process is started."""
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(scenario.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    pooled = run_experiment(_tiny_config(repetitions=1, master_seed=31, jobs=64))
+    assert requested == [5]
+    serial = run_experiment(_tiny_config(repetitions=1, master_seed=31, jobs=1))
+    assert np.array_equal(pooled.confusion, serial.confusion)
+    assert np.array_equal(pooled.row_votes, serial.row_votes)
 
 
 @pytest.fixture(scope="module")
