@@ -21,7 +21,7 @@ from .scenario import (
     fixture_path,
     load_config,
     run_experiment,
-    run_task,
+    run_rep,
     solve_true_states,
     summarize,
     write_report,
@@ -183,19 +183,20 @@ def cmd_detect(args) -> int:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     topo = _find_topology(ctx.topologies, args.topo)
     t = args.t
-    adm, mdm, verdicts, votes = run_task(ctx, topo.id, 0, *solve_true_states(ctx, topo.id))
+    index = (ctx.topology_ids.index(topo.id), t)  # trial (topology, t, rep 0)
+    adm, mdm, verdicts, votes = run_rep(ctx, 0, *solve_true_states(ctx))
     print(f"true topology {topo.id}, t={t}, seed={config.master_seed}")
     verdict_labels = ctx.topology_ids + (INCONCLUSIVE,)
     for crit, sig in sorted((c, s) for c in config.criteria for s in config.signals):
-        code = verdicts[t, config.criteria.index(crit), config.signals.index(sig)]
+        code = verdicts[index][config.criteria.index(crit), config.signals.index(sig)]
         print(f"  {crit.upper():5s} {sig:9s} -> {verdict_labels[code]}")
     if "angle" in config.signals:
         vote_labels = ctx.topology_ids + ("abstain",)
         rendered = ", ".join(f"{b}:{vote_labels[v]}" for b, v in zip(
-            ctx.pmu_bus_ids, votes[t, config.signals.index("angle")]))
+            ctx.pmu_bus_ids, votes[index][config.signals.index("angle")]))
         print(f"  per-bus angle votes: {rendered}")
     if args.dump_matrices:
-        dump_matrices_csv(DifferenceMatrices(adm=adm[t], mdm=mdm[t],
+        dump_matrices_csv(DifferenceMatrices(adm=adm[index], mdm=mdm[index],
                                              pmu_bus_ids=ctx.pmu_bus_ids,
                                              topology_ids=ctx.topology_ids),
                           args.dump_matrices)

@@ -93,9 +93,9 @@ def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.
 
     A stream depends on its key only, not on when or in which process it is
     derived, so parallel experiment runs stay deterministic. The experiment
-    keys the noise of task (topology, rep) by trial index 1 + rep and device
-    "pmu:<topology id>" or "scada:<topology id>"; index 0 is reserved for
-    the systematic offsets.
+    keys by trial index 1 + rep the μPMU noise of each topology, device
+    "pmu:<topology id>", and the SCADA noise of the repetition, device
+    "scada"; index 0 is reserved for the systematic offsets.
     """
     seq = np.random.SeedSequence([int(master_seed), int(trial_index),
                                   _device_key(device_id)])

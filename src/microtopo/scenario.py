@@ -37,7 +37,7 @@ from .measurements import (
     scada_readings,
 )
 from .network import NetworkGraph, TopologyConfig, build_ybus, bus_positions, load_network
-from .powerflow import InjectionSnapshot, solve_newton_raphson_batch
+from .powerflow import InjectionSnapshot
 # Not called here since trials solve in stacks, but kept importable from this
 # module: perfbench/test_perfbench.py checks through this name that the layer
 # tracer rebinds a function imported by another module.
@@ -234,7 +234,8 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
                           nominal_voltage=graph.slack_bus.base_voltage)
     scada_spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=config.scada_sigma,
                             accuracy=config.scada_accuracy)
-    # Trial index 0 is reserved for offset draws; task noise streams use 1 + rep.
+    # Trial index 0 is reserved for offset draws; repetition noise streams use
+    # 1 + rep.
     pmu_offsets = tuple(
         draw_pmu_offsets(graph.bus_ids, pmu_spec,
                          derive_rng_stream(config.master_seed, 0, f"offsets:pmu:{rep}"))
@@ -253,54 +254,50 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
         pmu_offsets_by_rep=pmu_offsets, scada_offsets_by_rep=scada_offsets)
 
 
-def solve_true_states(ctx: ExperimentContext,
-                      topology_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """True (vm, va_deg) of one topology over the day, as (steps, buses)
-    arrays from one stacked power flow; the first failed step raises its
-    error."""
-    ybus = ctx.ybus_by_topo[topology_id]
-    p, q = ctx.true_p, ctx.true_q
-    batch = solve_newton_raphson_batch(
-        np.broadcast_to(ybus, (len(p),) + ybus.shape), p, q,
-        tol=ctx.config.tol, slack_index=ctx.graph.slack_index)
-    failed = np.flatnonzero(~batch.converged)
-    if failed.size:
-        raise batch.error(failed[0])
-    return batch.vm, batch.va_deg
+def solve_true_states(ctx: ExperimentContext) -> tuple[np.ndarray, np.ndarray]:
+    """True (vm, va_deg) of every topology over the day, as (topologies,
+    steps, buses) arrays from one stacked solve of the noise-free library;
+    the first failed case raises its `LibraryError`."""
+    batch = solve_library_batch(ctx.ybus_by_topo, ctx.true_p, ctx.true_q,
+                                range(len(ctx.true_p)), ctx.graph.slack_index,
+                                tol=ctx.config.tol)
+    shape = (len(ctx.topologies), len(ctx.true_p), len(ctx.graph.bus_ids))
+    return batch.vm.reshape(shape), batch.va_deg.reshape(shape)
 
 
-def run_task(ctx: ExperimentContext, topology_id: str, rep: int,
-             true_vm: np.ndarray, true_va: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Task (topology_id, rep): the trials of repetition `rep` at every step
-    of the day, with true topology `topology_id` and true states (true_vm,
-    true_va) by step, from `solve_true_states`. Trial t of the experiment is
-    row t of every array the task returns.
+def run_rep(ctx: ExperimentContext, rep: int,
+            true_vm: np.ndarray, true_va: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Repetition `rep`: the trials of every true topology at every step of
+    the day, with true states (true_vm, true_va) by topology and step, from
+    `solve_true_states`. Trial (T, t, rep) of the experiment is [T, t] of
+    every array the repetition returns, T a position in `topology_ids`.
 
-    Returns (adm, mdm, verdicts, votes): the ADM and MDM stacks, (steps,
-    rows, topologies); the verdict codes, (steps, criteria, signals); and the
-    row votes, (steps, signals, rows). Criteria and signals are in config
+    Returns (adm, mdm, verdicts, votes): the ADM and MDM stacks, (true
+    topologies, steps, rows, topologies); the verdict codes, (true
+    topologies, steps, criteria, signals); and the row votes, (true
+    topologies, steps, signals, rows). Criteria and signals are in config
     order, and the codes are `vote_stack`'s, from one call per signal.
 
-    The task draws its μPMU noise from one stream and its SCADA noise from
-    another, keyed (1 + rep, "pmu:<topology id>") and (1 + rep,
-    "scada:<topology id>"); index 0 is the offset streams'. Each stream makes
-    one full-day draw, of which trial t reads row t, so a trial's noise
-    depends only on the seed, its topology, step and repetition. The
-    candidate library of every trial is solved from its SCADA readings in one
-    stacked power flow; a case's power flow does not depend on the other
-    cases of its stack.
+    SCADA reads the loads, which do not depend on the switch state, so the
+    repetition draws one set of SCADA readings, from the stream keyed (1 +
+    rep, "scada"), and solves from them one candidate library, in one
+    stacked power flow, for all true topologies. Each true topology draws
+    its μPMU readings from the stream keyed (1 + rep, "pmu:<topology id>").
+    Each stream makes one full-day draw, of which step t reads row t, so a
+    trial's noise depends only on the seed, its topology, step and rep.
     """
     config = ctx.config
     graph = ctx.graph
-    pmu_vm, pmu_va = pmu_readings(
-        true_vm, true_va, ctx.pmu_spec,
-        derive_rng_stream(config.master_seed, 1 + rep, f"pmu:{topology_id}"),
-        ctx.pmu_offsets_by_rep[rep])
+    pmu_vm, pmu_va = np.array([
+        pmu_readings(vm, va, ctx.pmu_spec,
+                     derive_rng_stream(config.master_seed, 1 + rep, f"pmu:{topology_id}"),
+                     ctx.pmu_offsets_by_rep[rep])
+        for topology_id, vm, va in zip(ctx.topology_ids, true_vm, true_va)]).swapaxes(0, 1)
     p, q = ctx.true_p, ctx.true_q
     rows = bus_positions(graph.bus_ids, ctx.scada_buses)
     scada_p, scada_q = scada_readings(
         p[:, rows], q[:, rows], ctx.scada_spec,
-        derive_rng_stream(config.master_seed, 1 + rep, f"scada:{topology_id}"),
+        derive_rng_stream(config.master_seed, 1 + rep, "scada"),
         ctx.scada_offsets_by_rep[rep])
     lib_p = np.zeros_like(p)
     lib_q = np.zeros_like(q)
@@ -308,19 +305,24 @@ def run_task(ctx: ExperimentContext, topology_id: str, rep: int,
     lib_q[:, rows] = scada_q
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
                                   graph.slack_index, tol=config.tol)
-    n_topo = len(ctx.topologies)
-    shape = (n_topo, len(p), len(graph.bus_ids))
-    adm, mdm = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(shape),
-                                 library.va_deg.reshape(shape), graph.bus_ids)
+    # Trial i of the stack is true topology i // steps at step i % steps, and
+    # every true topology is compared with the same library.
+    n_topo, n_step, n_bus = pmu_vm.shape
+    adm, mdm = difference_stacks(
+        pmu_vm.reshape(-1, n_bus), pmu_va.reshape(-1, n_bus),
+        np.tile(library.vm.reshape(pmu_vm.shape), (1, n_topo, 1)),
+        np.tile(library.va_deg.reshape(pmu_vm.shape), (1, n_topo, 1)), graph.bus_ids)
     stacks = {"angle": adm, "magnitude": mdm}
     code = np.min_scalar_type(n_topo)  # codes run 0..n_topo
-    verdicts = np.empty((len(p), len(config.criteria), len(config.signals)), dtype=code)
-    votes = np.empty((len(p), len(config.signals), adm.shape[1]), dtype=code)
+    verdicts = np.empty((n_topo * n_step, len(config.criteria), len(config.signals)),
+                        dtype=code)
+    votes = np.empty((n_topo * n_step, len(config.signals), adm.shape[1]), dtype=code)
     for s, signal in enumerate(config.signals):
         by_criterion, votes[:, s] = vote_stack(stacks[signal])
         for c, criterion in enumerate(config.criteria):
             verdicts[:, c, s] = by_criterion[criterion]
-    return adm, mdm, verdicts, votes
+    return tuple(a.reshape((n_topo, n_step) + a.shape[1:])
+                 for a in (adm, mdm, verdicts, votes))
 
 
 ROW_OUTCOMES = ("correct", "incorrect", "abstain")
@@ -359,9 +361,10 @@ class DetectionRateReport:
             dtype=np.int64)
 
     def record_task(self, true_pos: int, verdicts: np.ndarray, votes: np.ndarray):
-        """Count the outcome arrays of `run_task` for a task whose true
-        topology is `topology_ids[true_pos]`: verdict codes (trials,
-        criteria, signals) and row votes (trials, signals, rows)."""
+        """Count the outcome arrays of trials whose true topology is
+        `topology_ids[true_pos]`, such as row `true_pos` of `run_rep`'s:
+        verdict codes (trials, criteria, signals) and row votes (trials,
+        signals, rows)."""
         n_topo = len(self.topology_ids)
         self.confusion[true_pos] += _tally(verdicts, n_topo + 1)
         outcome = np.where(votes == true_pos, 0, np.where(votes == n_topo, 2, 1))
@@ -400,18 +403,16 @@ class DetectionRateReport:
         return c["correct"] / max(1, sum(c.values()))
 
 
-def _run_chunk(ctx: ExperimentContext, tasks: list[tuple[int, int]]) -> DetectionRateReport:
-    """Run all 96 steps for each (topology position, repetition) task, one
-    task at a time: a task's stacks are its unit of work. The true states of
-    a topology are solved once per chunk and shared by its repetitions."""
+def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
+    """Run each repetition of `reps`, one at a time: a repetition's stacks
+    are its unit of work. The true states are solved once per chunk and
+    shared by its repetitions."""
     report = _empty_report(ctx)
-    true_states = {}  # topology id -> (vm, va_deg)
-    for topo_pos, rep in tasks:
-        topology_id = ctx.topology_ids[topo_pos]
-        if topology_id not in true_states:
-            true_states[topology_id] = solve_true_states(ctx, topology_id)
-        _, _, verdicts, votes = run_task(ctx, topology_id, rep, *true_states[topology_id])
-        report.record_task(topo_pos, verdicts, votes)
+    true_states = solve_true_states(ctx)
+    for rep in reps:
+        _, _, verdicts, votes = run_rep(ctx, rep, *true_states)
+        for true_pos in range(len(ctx.topologies)):
+            report.record_task(true_pos, verdicts[true_pos], votes[true_pos])
     return report
 
 
@@ -427,22 +428,19 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     """Full Monte Carlo sweep: every topology x 96 steps x R repetitions.
 
     Deterministic for a given config (including master_seed) regardless of
-    the job count, because every task derives its own RNG streams and the
-    chunks' integer counts are summed.
+    the job count, because every repetition derives its own RNG streams and
+    the chunks' integer counts are summed.
     """
     ctx = build_context(config)
-    tasks = [(pos, rep)
-             for pos in range(len(ctx.topologies))
-             for rep in range(config.repetitions)]
-    if config.jobs <= 1 or len(tasks) == 1:
-        return _run_chunk(ctx, tasks)
+    reps = list(range(config.repetitions))
+    if config.jobs <= 1 or len(reps) == 1:
+        return _run_chunk(ctx, reps)
 
     report = _empty_report(ctx)
-    # One contiguous chunk of the topology-major task list per worker: tasks
-    # cost alike, and a chunk spans few topologies, so it solves few
-    # true-state stacks.
-    n_chunks = min(config.jobs, len(tasks))
-    chunks = [tasks[i * len(tasks) // n_chunks:(i + 1) * len(tasks) // n_chunks]
+    # One contiguous run of repetitions per worker: repetitions cost alike,
+    # and each chunk solves the true states once.
+    n_chunks = min(config.jobs, len(reps))
+    chunks = [reps[i * len(reps) // n_chunks:(i + 1) * len(reps) // n_chunks]
               for i in range(n_chunks)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=n_chunks) as pool:
         for partial in pool.map(_run_chunk, [ctx] * len(chunks), chunks):

@@ -203,15 +203,15 @@ def test_detect_zero_noise_and_dump(tmp_path, capsys):
 
 def test_detect_prints_row_t_of_the_task_the_experiment_counts(monkeypatch, capsys):
     """`detect --topo Q --t T --seed S` prints row T of the verdict codes and
-    angle row votes that the experiment counts for task (Q, rep 0) at seed S,
-    as `_run_chunk` hands them to the report."""
+    angle row votes that the experiment counts for true topology Q in
+    repetition 0 at seed S, as `_run_chunk` hands them to the report."""
     pairs = [("I", 0), ("III", 38), ("V", 95)]
     ctx = build_context(load_config(fixture_path("paper.cfg"), master_seed=5))
     counted = {}
     monkeypatch.setattr(scenario.DetectionRateReport, "record_task",
                         lambda report, pos, verdicts, votes: counted.update(
                             {ctx.topology_ids[pos]: (verdicts, votes)}))
-    scenario._run_chunk(ctx, [(ctx.topology_ids.index(q), 0) for q, _ in pairs])
+    scenario._run_chunk(ctx, [0])
     labels = ctx.topology_ids + (INCONCLUSIVE,)
     angle = ctx.config.signals.index("angle")
     for topo, t in pairs:

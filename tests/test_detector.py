@@ -21,7 +21,13 @@ from microtopo.detector import (
 )
 from microtopo.measurements import DeviceKind, DeviceSpec, sample_pmu
 from microtopo.network import build_ybus
-from microtopo.powerflow import DivergedError, InjectionSnapshot, solve_newton_raphson
+from microtopo.powerflow import (
+    DivergedError,
+    InjectionSnapshot,
+    solve_fixed_point_oracle,
+    solve_newton_raphson,
+)
+from microtopo.scenario import build_context, fixture_path, load_config, solve_true_states
 
 
 def _matrices(mat, ids=None):
@@ -365,3 +371,34 @@ def test_zero_noise_detection_matches_truth(zero_noise_setup, graph, topologies)
             for criterion in CRITERIA:
                 for signal in SIGNALS:
                     assert detect(m, criterion, signal).verdict == topo.id
+
+
+# Smallest nonzero separation between two candidate columns of the bundled
+# zero-noise library, over the day, against the largest error a difference
+# of two solved states can carry: twice the solver's convergence error at the
+# experiment's tol (max |NR - oracle|). Measured: angle 2.78e-5 deg against
+# 2 x 2.6e-8 deg (~540x), magnitude 7.1e-8 p.u. against 2 x 5.6e-10 p.u.
+# (~63x).
+TIE_MARGIN = 50
+
+
+def test_candidate_separations_dwarf_the_solver_error():
+    """Why exact ties need no tolerance: the only exact ties in the
+    zero-noise library are the slack bus, whose state is set, not solved, and
+    every other pair of candidate states is apart by at least TIE_MARGIN
+    times the solver error, so rounding neither makes nor hides a tie."""
+    ctx = build_context(load_config(fixture_path("paper.cfg")))
+    vm, va = solve_true_states(ctx)
+    err = {"angle": 0.0, "magnitude": 0.0}
+    for q, ybus in enumerate(ctx.ybus_by_topo.values()):
+        for t, inj in enumerate(ctx.true_injections):
+            oracle = solve_fixed_point_oracle(ybus, inj, tol=1e-12)
+            err["angle"] = max(err["angle"], np.abs(va[q, t] - oracle.va_deg).max())
+            err["magnitude"] = max(err["magnitude"], np.abs(vm[q, t] - oracle.vm).max())
+    upper = np.triu_indices(len(ctx.topologies), 1)
+    for signal, states in (("angle", va), ("magnitude", vm)):
+        gaps = np.abs(states[:, None] - states[None])[upper]  # (pairs, steps, buses)
+        tied = gaps == 0
+        assert (tied[..., ctx.graph.slack_index]).all()
+        assert tied.sum() == tied[..., ctx.graph.slack_index].size, signal
+        assert gaps[~tied].min() > TIE_MARGIN * 2 * err[signal], signal

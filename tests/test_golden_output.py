@@ -12,10 +12,11 @@ several repetitions pin true states reused across repetitions and the
 pool's chunking. TWO_WORD_SEED_SHA256 holds the same digests for
 `microtopo experiment --seed 4294967303 --reps 1`, whose seed SeedSequence
 hashes as 2 uint32 words.
-All of these were regenerated when each task came to draw its noise from
-one stream per device (a full-day draw keyed by topology and repetition)
-instead of one stream per trial and device: the same seed now draws other
-noise, so counts, rates and matrices moved; the detect stdout did not.
+All of these were last regenerated when a repetition came to draw one
+set of SCADA readings, from the stream keyed (1 + rep, "scada"), for all
+five true topologies instead of one per (topology, repetition): the same
+seed now draws other SCADA noise, so counts, rates and matrices moved; the
+μPMU draws and the detect stdout did not.
 LIBRARY_SHA256, the digest of the `microtopo library --out` CSV, draws no
 noise; it was regenerated by the chord power flow (the flat-start Jacobian
 inverse reused until a case stalls).
@@ -31,13 +32,13 @@ from microtopo.cli import EXIT_OK, main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 LIBRARY_SHA256 = "8cf92f1c5d8f9fa816c5d7eebc493bf0a3cfb096e3375f149347a4a7a032a9cf"
 MULTI_REP_SHA256 = {
-    "rates.csv": "ac7744245b20542ead9e1516387ac573ec669bb0b6df0f70b07470a8cda3ba37",
-    "confusion.csv": "2914680836ed24aa69447a8d65a6c3172408f51c01dd3d59902fb28efba5d74a",
+    "rates.csv": "f07237c0af6f30c0b82177057f95980653c12f578ef3ba4b6ab9fa41dbb0a2bb",
+    "confusion.csv": "80ebb07ad506872d5bb44aaf77b0095c61d62c240eaf6e1dd59993e36082a1ec",
 }
 
 TWO_WORD_SEED_SHA256 = {
-    "rates.csv": "be59d2ad5e796dc1e5f44f76733aa76beb82e984813896ddead8b06e983464ab",
-    "confusion.csv": "7688f01ad2f3c06b1e556eaf7f8de7a51039fdf5e2f0fdb966895bbc1a511202",
+    "rates.csv": "efb840a06756af93727db8e87309826b100d8e30d59d9415530c991260baeddd",
+    "confusion.csv": "71ed58707ab0415a566e49a7bb341b39b6dcbde9239795faa7f319fdaa85e77e",
 }
 
 

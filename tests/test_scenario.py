@@ -29,7 +29,7 @@ from microtopo.scenario import (
     fixture_path,
     load_config,
     run_experiment,
-    run_task,
+    run_rep,
     solve_true_states,
     summarize,
     write_report,
@@ -240,8 +240,9 @@ def test_broken_config_line_rejected_with_its_number(broken):
 
 def test_trial_indices_unique(monkeypatch):
     """Every noise stream of a run has its own (seed, trial index, device)
-    key: index 0 for the offsets of each repetition, 1 + rep for the μPMU
-    and SCADA streams of each (topology, rep) task."""
+    key: index 0 for the offsets of each repetition, 1 + rep for the one
+    SCADA stream of each repetition and the μPMU stream of each (topology,
+    rep) pair."""
     keys = []
     derive = scenario.derive_rng_stream
 
@@ -251,17 +252,50 @@ def test_trial_indices_unique(monkeypatch):
 
     monkeypatch.setattr(scenario, "derive_rng_stream", recorded)
     report = run_experiment(_tiny_config(repetitions=3, master_seed=5))
-    assert len(set(keys)) == len(keys) == 2 * 3 + 2 * 5 * 3
+    assert len(set(keys)) == len(keys) == 2 * 3 + (1 + 5) * 3
     topologies = report.topology_ids
     assert {k for k in keys if k[1] == 0} == {
         (5, 0, f"offsets:{device}:{rep}") for device in ("pmu", "scada") for rep in range(3)}
     assert {k for k in keys if k[1] != 0} == {
-        (5, 1 + rep, f"{device}:{topo}")
-        for device in ("pmu", "scada") for topo in topologies for rep in range(3)}
+        (5, 1 + rep, device)
+        for device in ("scada",) + tuple(f"pmu:{topo}" for topo in topologies)
+        for rep in range(3)}
 
 
 def _task(ctx, topology_id, rep=0):
-    return run_task(ctx, topology_id, rep, *solve_true_states(ctx, topology_id))
+    """The trials of one true topology in repetition `rep`: its rows of the
+    repetition's arrays."""
+    pos = ctx.topology_ids.index(topology_id)
+    return tuple(a[pos] for a in run_rep(ctx, rep, *solve_true_states(ctx)))
+
+
+def test_pmu_readings_keep_their_per_topology_streams(monkeypatch):
+    """Only the SCADA stream is shared by a repetition: the μPMU readings of
+    true topology T in repetition `rep` are `pmu_readings` of T's true
+    states, solved alone, drawn from stream (1 + rep, "pmu:<T>") with the
+    repetition's offsets, bit for bit."""
+    ctx = build_context(_tiny_config(repetitions=3, master_seed=21))
+    readings = []
+    sample = scenario.pmu_readings
+
+    def recorded(*args):
+        readings.append(sample(*args))
+        return readings[-1]
+
+    monkeypatch.setattr(scenario, "pmu_readings", recorded)
+    rep = 2
+    run_rep(ctx, rep, *solve_true_states(ctx))
+    assert len(readings) == len(ctx.topologies)
+    for (vm, va), topo in zip(readings, ctx.topologies):
+        ybus = ctx.ybus_by_topo[topo.id]
+        alone = powerflow.solve_newton_raphson_batch(
+            np.broadcast_to(ybus, (96,) + ybus.shape), ctx.true_p, ctx.true_q,
+            tol=ctx.config.tol, slack_index=ctx.graph.slack_index)
+        want_vm, want_va = sample(
+            alone.vm, alone.va_deg, ctx.pmu_spec,
+            derive_rng_stream(21, 1 + rep, f"pmu:{topo.id}"), ctx.pmu_offsets_by_rep[rep])
+        assert vm.tobytes() == want_vm.tobytes()
+        assert va.tobytes() == want_va.tobytes()
 
 
 def test_trial_determinism():
@@ -354,26 +388,28 @@ def test_record_task_counts_like_a_loop():
     assert np.array_equal(report.row_votes, row_votes)
 
 
-@pytest.mark.parametrize("topo_pos", [0, 3])
-def test_task_counts_do_not_depend_on_the_repetition_count(topo_pos):
-    """A task's noise, and so its counts, depend only on the seed, its
-    topology and its repetition: task (topology, 1) counts the same under
-    --reps 2 and --reps 5."""
-    reports = [scenario._run_chunk(build_context(_tiny_config(repetitions=reps,
-                                                              master_seed=13)),
-                                   [(topo_pos, 1)])
-               for reps in (2, 5)]
-    assert reports[0].confusion[topo_pos].sum() > 0
-    assert np.array_equal(reports[0].confusion, reports[1].confusion)
-    assert np.array_equal(reports[0].row_votes, reports[1].row_votes)
+@pytest.mark.parametrize("other", [0, 3])
+def test_task_counts_do_not_depend_on_the_repetition_count(other):
+    """A repetition's noise, and so its counts, depend only on the seed and
+    the repetition: repetition 1 counts the same alone under --reps 2 as in
+    a chunk with repetition `other` under --reps 5, less that repetition's
+    own counts."""
+    alone = scenario._run_chunk(build_context(_tiny_config(repetitions=2, master_seed=13)),
+                                [1])
+    ctx = build_context(_tiny_config(repetitions=5, master_seed=13))
+    shared = scenario._run_chunk(ctx, sorted([1, other]))
+    rest = scenario._run_chunk(ctx, [other])
+    assert (alone.confusion.sum(axis=(1, 2, 3)) == 96 * 3 * 2).all()
+    assert np.array_equal(alone.confusion, shared.confusion - rest.confusion)
+    assert np.array_equal(alone.row_votes, shared.row_votes - rest.row_votes)
 
 
 def test_experiment_is_array_program(monkeypatch):
-    """A serial 4-repetition run solves each topology's true states once
-    (5 stacked calls) and each task's library once (20), hashes a
-    SeedSequence only for the 2 offset streams of each repetition and the 2
-    noise streams of each task, and builds no per-trial result, verdict or
-    power-flow objects."""
+    """A serial 4-repetition run solves every topology's true states in one
+    stacked call and each repetition's library in one more (4), hashes a
+    SeedSequence only for the 2 offset streams of each repetition, its SCADA
+    stream and the μPMU streams of its 5 true topologies, and builds no
+    per-trial result, verdict or power-flow objects."""
     calls = []
     seed_sequences = []
     batch = powerflow.solve_newton_raphson_batch
@@ -390,7 +426,6 @@ def test_experiment_is_array_program(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-trial object built on the experiment path")
 
-    monkeypatch.setattr(scenario, "solve_newton_raphson_batch", counted)
     monkeypatch.setattr(detector, "solve_newton_raphson_batch", counted)
     monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
     for module, name in ((scenario, "DifferenceMatrices"),
@@ -399,8 +434,8 @@ def test_experiment_is_array_program(monkeypatch):
                          (measurements, "ScadaSet")):
         monkeypatch.setattr(module, name, forbidden)
     report = run_experiment(_tiny_config(repetitions=4, master_seed=2))
-    assert sorted(calls) == [96] * 5 + [5 * 96] * 20
-    assert len(seed_sequences) == 2 * 4 + 2 * 5 * 4
+    assert calls == [5 * 96] * (1 + 4)
+    assert len(seed_sequences) == 2 * 4 + (1 + 5) * 4
     assert report.n_trials("I", "armv", "angle") == 96 * 4
 
 
@@ -413,10 +448,10 @@ def test_zero_noise_trial_always_correct():
 
 
 def test_pool_forks_no_more_workers_than_chunks(monkeypatch):
-    """One repetition makes 5 tasks, so --jobs 64 asks the pool for 5
-    workers: under the fork start method every worker is forked up front.
-    An in-process stand-in for the pool records the request and runs the
-    chunks inline, so no process is started."""
+    """Three repetitions make 3 chunks at most, so --jobs 64 asks the pool
+    for 3 workers: under the fork start method every worker is forked up
+    front. An in-process stand-in for the pool records the request and runs
+    the chunks inline, so no process is started."""
     requested = []
 
     class InlinePool:
@@ -433,9 +468,9 @@ def test_pool_forks_no_more_workers_than_chunks(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(scenario.concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    pooled = run_experiment(_tiny_config(repetitions=1, master_seed=31, jobs=64))
-    assert requested == [5]
-    serial = run_experiment(_tiny_config(repetitions=1, master_seed=31, jobs=1))
+    pooled = run_experiment(_tiny_config(repetitions=3, master_seed=31, jobs=64))
+    assert requested == [3]
+    serial = run_experiment(_tiny_config(repetitions=3, master_seed=31, jobs=1))
     assert np.array_equal(pooled.confusion, serial.confusion)
     assert np.array_equal(pooled.row_votes, serial.row_votes)
 
