@@ -11,7 +11,7 @@ import csv
 import sys
 
 from . import __version__, network, profiles
-from .detector import INCONCLUSIVE, DifferenceMatrices, build_library
+from .detector import INCONCLUSIVE, build_library
 from .network import NetworkError, load_network
 from .powerflow import InjectionSnapshot, PowerFlowError, solve_newton_raphson
 from .scenario import (
@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--scada-accuracy", type=float, default=None)
     p_exp.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: the config's jobs key, "
-                            "else the CPU count)")
+                            "else 1)")
     p_exp.add_argument("--out-dir", default="results")
     return parser
 
@@ -196,9 +196,7 @@ def cmd_detect(args) -> int:
             ctx.pmu_bus_ids, votes[index][config.signals.index("angle")]))
         print(f"  per-bus angle votes: {rendered}")
     if args.dump_matrices:
-        dump_matrices_csv(DifferenceMatrices(adm=adm[index], mdm=mdm[index],
-                                             pmu_bus_ids=ctx.pmu_bus_ids,
-                                             topology_ids=ctx.topology_ids),
+        dump_matrices_csv(adm[index], mdm[index], ctx.pmu_bus_ids, ctx.topology_ids,
                           args.dump_matrices)
         print(f"wrote {args.dump_matrices}")
     return EXIT_OK

@@ -127,9 +127,10 @@ def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,
     raises `LibraryError`.
     """
     n_step = len(steps)
+    n_topo = len(ybus_by_topo)
     batch = solve_newton_raphson_batch(
         np.repeat(np.stack(list(ybus_by_topo.values())), n_step, axis=0),
-        np.tile(p, (len(ybus_by_topo), 1)), np.tile(q, (len(ybus_by_topo), 1)),
+        np.concatenate([p] * n_topo), np.concatenate([q] * n_topo),
         tol=tol, slack_index=slack_index)
     failed = np.flatnonzero(~batch.converged)
     if failed.size:
@@ -143,7 +144,7 @@ def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,
 def compute_difference_matrices(measurements, library: TopologyLibrary,
                                 t: int) -> DifferenceMatrices:
     """ADM/MDM at time step t for one measurement set; rows sorted by bus id.
-    `difference_stacks` over a stack of one, read from the library's array."""
+    `difference_stacks` of one snapshot, read from the library's array."""
     phasors = measurements.phasors
     topo_ids = library.topology_ids
     step, position, states = library._states
@@ -154,27 +155,29 @@ def compute_difference_matrices(measurements, library: TopologyLibrary,
     except KeyError as exc:
         raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
                            f"for topology {topo_ids[0]} at t={t}") from None
-    calc = states[step[t]][:, :, None, rows]  # (signal, topology, 1, μPMU)
-    adm, mdm = difference_stacks(phasors.vm[None], phasors.va_deg[None], calc[1], calc[0],
-                                 phasors.bus_ids)
-    return DifferenceMatrices(adm=adm[0], mdm=mdm[0],
+    calc = states[step[t]][:, :, rows]  # (signal, topology, μPMU)
+    adm, mdm = difference_stacks(phasors.vm, phasors.va_deg, calc[1], calc[0], phasors.bus_ids)
+    return DifferenceMatrices(adm=adm, mdm=mdm,
                               pmu_bus_ids=tuple(sorted(phasors.bus_ids)), topology_ids=topo_ids)
 
 
 def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
                       lib_va_deg: np.ndarray, bus_ids) -> tuple[np.ndarray, np.ndarray]:
-    """ADM and MDM of many trials at once, as (trials, rows, topologies)
-    stacks with rows sorted by bus id.
+    """ADM and MDM of many trials at once, as (..., rows, topologies) stacks
+    with rows sorted by bus id.
 
-    `vm`/`va_deg` are measured (trials, buses) arrays and `lib_vm`/
-    `lib_va_deg` the (topologies, trials, buses) library states, all by
-    position in `bus_ids`.
+    `vm`/`va_deg` are measured (..., buses) arrays and `lib_vm`/`lib_va_deg`
+    the (topologies, ..., buses) library states, all by position in
+    `bus_ids`; the leading axes broadcast, so one snapshot (buses,) meets a
+    (topologies, buses) library, and the (true topologies, steps, buses)
+    readings of a repetition meet its (topologies, steps, buses) library.
     """
     order = np.argsort(bus_ids, kind="stable")
-    va_calc = lib_va_deg[:, :, order].transpose(1, 2, 0)
-    vm_calc = lib_vm[:, :, order].transpose(1, 2, 0)
-    return (np.abs(va_deg[:, order, None] - va_calc),
-            np.abs(vm[:, order, None] - vm_calc))
+    topology_last = (*range(1, lib_vm.ndim), 0)
+    va_calc = lib_va_deg[..., order].transpose(topology_last)
+    vm_calc = lib_vm[..., order].transpose(topology_last)
+    return (np.abs(va_deg[..., order, None] - va_calc),
+            np.abs(vm[..., order, None] - vm_calc))
 
 
 def detect(matrices: DifferenceMatrices, criterion: str, signal: str) -> DetectionOutcome:
@@ -189,8 +192,9 @@ def detect(matrices: DifferenceMatrices, criterion: str, signal: str) -> Detecti
 
 
 def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """RMV, ARMV and ORMV over a (trials, rows, topologies) stack of ADM or
-    MDM matrices: the one place the voting and tie rules are coded.
+    """RMV, ARMV and ORMV over a (..., rows, topologies) stack of ADM or MDM
+    matrices: the one place the voting and tie rules are coded. Any leading
+    axes are trials, such as (true topologies, steps) for a repetition.
 
     Each row votes for the topology of its minimum. RMV takes the majority
     of the row votes, ORMV a unanimous row vote, and ARMV the smallest
@@ -202,18 +206,18 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     - ORMV needs all informative rows, and at least one, to agree;
     - an exact ARMV column-mean tie is inconclusive.
 
-    Returns the verdict codes per criterion, each a (trials,) array, and the
-    (trials, rows) row votes. A code is a topology column, or the number of
+    Returns the verdict codes per criterion, each a (...) array, and the
+    (..., rows) row votes. A code is a topology column, or the number of
     topologies for an inconclusive verdict or an abstaining row.
     """
-    n_topo = stack.shape[2]
+    n_topo = stack.shape[-1]
     votes = _unique_argmin(stack, n_topo)
-    counts = (votes[:, :, None] == np.arange(n_topo)).sum(axis=1)
-    n_voted = (counts > 0).sum(axis=1)  # topologies that got a row vote
+    counts = (votes[..., None] == np.arange(n_topo)).sum(axis=-2)
+    n_voted = (counts > 0).sum(axis=-1)  # topologies that got a row vote
     verdicts = {
         "rmv": np.where(n_voted > 0, _unique_argmin(-counts, n_topo), n_topo),
-        "armv": _unique_argmin(stack.mean(axis=1), n_topo),
-        "ormv": np.where(n_voted == 1, counts.argmax(axis=1), n_topo),
+        "armv": _unique_argmin(stack.mean(axis=-2), n_topo),
+        "ormv": np.where(n_voted == 1, counts.argmax(axis=-1), n_topo),
     }
     return verdicts, votes
 

@@ -152,32 +152,14 @@ def _read_profile_rows(path: str | Path) -> tuple[dict, dict[int, int]]:
     return per_bus, first_line
 
 
-def _profiles_from_rows(path: str | Path, per_bus: dict) -> list[LoadProfile]:
-    profiles = []
-    for bus, steps in sorted(per_bus.items()):
-        missing = set(range(N_STEPS)) - set(steps)
-        if missing:
-            raise ValueError(f"{path}: bus {bus} missing time steps {sorted(missing)[:5]}...")
-        values = tuple(steps[t] for t in range(N_STEPS))
-        profiles.append(LoadProfile(bus_id=bus, klass=ProfileClass.CUSTOM, values=values))
-    return profiles
-
-
-def load_profiles_csv(path: str | Path) -> list[LoadProfile]:
-    """Read profiles from CSV with header time_index,bus_id,p_pu,q_pu.
-
-    Values are net injections (generation minus load, generation positive);
-    each bus needs all 96 time steps, each (time_index, bus_id) one row.
-    """
-    per_bus, _ = _read_profile_rows(path)
-    return _profiles_from_rows(path, per_bus)
-
-
 def load_profiles(graph: NetworkGraph, source: str | Path) -> list[LoadProfile]:
     """Profiles named by a config or CLI value: "default" or a CSV path.
 
-    A CSV row for a bus the network lacks, or for the slack bus (whose
-    injection is not specified), is rejected with its line number.
+    A CSV has header time_index,bus_id,p_pu,q_pu and holds net injections
+    (generation minus load, generation positive); each bus needs all 96
+    time steps, each (time_index, bus_id) one row. A row for a bus the
+    network lacks, or for the slack bus (whose injection is not specified),
+    is rejected with its line number.
     """
     if source == "default":
         return generate_default_profiles(graph)
@@ -188,7 +170,14 @@ def load_profiles(graph: NetworkGraph, source: str | Path) -> list[LoadProfile]:
         if bus == graph.slack_bus.id:
             raise ValueError(f"{source}:{line}: bus {bus} is the slack bus, "
                              "which takes no injection profile")
-    return _profiles_from_rows(source, per_bus)
+    profiles = []
+    for bus, steps in sorted(per_bus.items()):
+        missing = set(range(N_STEPS)) - set(steps)
+        if missing:
+            raise ValueError(f"{source}: bus {bus} missing time steps {sorted(missing)[:5]}...")
+        profiles.append(LoadProfile(bus_id=bus, klass=ProfileClass.CUSTOM,
+                                    values=tuple(steps[t] for t in range(N_STEPS))))
+    return profiles
 
 
 def injections_by_step(graph: NetworkGraph,

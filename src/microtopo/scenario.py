@@ -10,7 +10,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -22,7 +21,6 @@ from .detector import (
     CRITERIA,
     INCONCLUSIVE,
     SIGNALS,
-    DifferenceMatrices,
     difference_stacks,
     solve_library_batch,
     vote_stack,
@@ -53,15 +51,6 @@ class ConfigError(Exception):
         self.key = key
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, which under an affinity mask (taskset,
-    container CPU sets) can be fewer than the machine has."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def fixture_path(name: str) -> Path:
     """Path of a bundled data file (fivebus.net, paper.cfg)."""
     return Path(resources.files("microtopo.data") / name)
@@ -79,7 +68,7 @@ class ScenarioConfig:
     master_seed: int = 20160517
     criteria: tuple[str, ...] = CRITERIA
     signals: tuple[str, ...] = SIGNALS
-    jobs: int = field(default_factory=_usable_cpus)
+    jobs: int = 1
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -273,10 +262,12 @@ def run_rep(ctx: ExperimentContext, rep: int,
     every array the repetition returns, T a position in `topology_ids`.
 
     Returns (adm, mdm, verdicts, votes): the ADM and MDM stacks, (true
-    topologies, steps, rows, topologies); the verdict codes, (true
+    topologies, steps, rows, topologies), from one `difference_stacks`
+    call of the readings against the library; the verdict codes, (true
     topologies, steps, criteria, signals); and the row votes, (true
     topologies, steps, signals, rows). Criteria and signals are in config
-    order, and the codes are `vote_stack`'s, from one call per signal.
+    order, and the codes are `vote_stack`'s, from one call per signal over
+    the (true topologies, steps) trials.
 
     SCADA reads the loads, which do not depend on the switch state, so the
     repetition draws one set of SCADA readings, from the stream keyed (1 +
@@ -305,34 +296,30 @@ def run_rep(ctx: ExperimentContext, rep: int,
     lib_q[:, rows] = scada_q
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
                                   graph.slack_index, tol=config.tol)
-    # Trial i of the stack is true topology i // steps at step i % steps, and
-    # every true topology is compared with the same library.
-    n_topo, n_step, n_bus = pmu_vm.shape
-    adm, mdm = difference_stacks(
-        pmu_vm.reshape(-1, n_bus), pmu_va.reshape(-1, n_bus),
-        np.tile(library.vm.reshape(pmu_vm.shape), (1, n_topo, 1)),
-        np.tile(library.va_deg.reshape(pmu_vm.shape), (1, n_topo, 1)), graph.bus_ids)
+    # Every true topology's readings meet the same (topologies, steps, buses) library.
+    adm, mdm = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(true_vm.shape),
+                                 library.va_deg.reshape(true_vm.shape), graph.bus_ids)
     stacks = {"angle": adm, "magnitude": mdm}
-    code = np.min_scalar_type(n_topo)  # codes run 0..n_topo
-    verdicts = np.empty((n_topo * n_step, len(config.criteria), len(config.signals)),
-                        dtype=code)
-    votes = np.empty((n_topo * n_step, len(config.signals), adm.shape[1]), dtype=code)
+    trials = adm.shape[:2]
+    code = np.min_scalar_type(adm.shape[-1])  # codes run 0..topologies
+    verdicts = np.empty(trials + (len(config.criteria), len(config.signals)), dtype=code)
+    votes = np.empty(trials + (len(config.signals), adm.shape[2]), dtype=code)
     for s, signal in enumerate(config.signals):
-        by_criterion, votes[:, s] = vote_stack(stacks[signal])
+        by_criterion, votes[:, :, s] = vote_stack(stacks[signal])
         for c, criterion in enumerate(config.criteria):
-            verdicts[:, c, s] = by_criterion[criterion]
-    return tuple(a.reshape((n_topo, n_step) + a.shape[1:])
-                 for a in (adm, mdm, verdicts, votes))
+            verdicts[:, :, c, s] = by_criterion[criterion]
+    return adm, mdm, verdicts, votes
 
 
 ROW_OUTCOMES = ("correct", "incorrect", "abstain")
 
 
 def _tally(codes: np.ndarray, n_codes: int) -> np.ndarray:
-    """How often each code 0..n_codes-1 occurs in each cell of a (trials,
-    ...) code array, as a (..., n_codes) count array: one `bincount`."""
-    cells = codes.shape[1:]
-    cell_base = n_codes * np.arange(math.prod(cells)).reshape(cells)
+    """How often each code 0..n_codes-1 occurs in each cell of a (true
+    topologies, trials, ...) code array, summed over the trials, as a (true
+    topologies, ..., n_codes) count array: one `bincount`."""
+    cells = codes.shape[:1] + codes.shape[2:]
+    cell_base = n_codes * np.arange(math.prod(cells)).reshape(cells[:1] + (1,) + cells[1:])
     return np.bincount((codes + cell_base).ravel(),
                        minlength=n_codes * math.prod(cells)).reshape(cells + (n_codes,))
 
@@ -360,59 +347,53 @@ class DetectionRateReport:
             (n_topo, len(self.signals), len(self.pmu_bus_ids), len(ROW_OUTCOMES)),
             dtype=np.int64)
 
-    def record_task(self, true_pos: int, verdicts: np.ndarray, votes: np.ndarray):
-        """Count the outcome arrays of trials whose true topology is
-        `topology_ids[true_pos]`, such as row `true_pos` of `run_rep`'s:
-        verdict codes (trials, criteria, signals) and row votes (trials,
-        signals, rows)."""
+    def record_rep(self, verdicts: np.ndarray, votes: np.ndarray):
+        """Count the outcome arrays of a repetition, such as `run_rep`'s:
+        verdict codes (true topologies, steps, criteria, signals) and row
+        votes (true topologies, steps, signals, rows)."""
         n_topo = len(self.topology_ids)
-        self.confusion[true_pos] += _tally(verdicts, n_topo + 1)
-        outcome = np.where(votes == true_pos, 0, np.where(votes == n_topo, 2, 1))
-        self.row_votes[true_pos] += _tally(outcome, len(ROW_OUTCOMES))
+        self.confusion += _tally(verdicts, n_topo + 1)
+        truth = np.arange(n_topo)[:, None, None, None]
+        outcome = np.where(votes == truth, 0, np.where(votes == n_topo, 2, 1))
+        self.row_votes += _tally(outcome, len(ROW_OUTCOMES))
 
     def merge(self, other: "DetectionRateReport"):
         self.confusion += other.confusion
         self.row_votes += other.row_votes
 
-    # -- rate accessors -------------------------------------------------
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (correct, inconclusive, n) verdict counts, each a (true,
+        criterion, signal) array."""
+        true = np.arange(len(self.topology_ids))
+        return (self.confusion[true, :, :, true], self.confusion[..., -1],
+                self.confusion.sum(axis=-1))
 
-    def _cell(self, true: str, criterion: str, signal: str) -> np.ndarray:
-        return self.confusion[self.topology_ids.index(true),
-                              self.criteria.index(criterion), self.signals.index(signal)]
+    def _at(self, true: str, criterion: str, signal: str) -> tuple[int, int, int]:
+        return (self.topology_ids.index(true), self.criteria.index(criterion),
+                self.signals.index(signal))
 
     def n_trials(self, true: str, criterion: str, signal: str) -> int:
-        return int(self._cell(true, criterion, signal).sum())
+        return int(self.counts()[2][self._at(true, criterion, signal)])
 
     def correct_rate(self, true: str, criterion: str, signal: str) -> float:
-        cell = self._cell(true, criterion, signal)
-        return int(cell[self.topology_ids.index(true)]) / max(1, int(cell.sum()))
-
-    def inconclusive_rate(self, true: str, criterion: str, signal: str) -> float:
-        cell = self._cell(true, criterion, signal)
-        return int(cell[-1]) / max(1, int(cell.sum()))
-
-    def overall_counts(self, criterion: str, signal: str) -> dict[str, int]:
-        cells = self.confusion[:, self.criteria.index(criterion), self.signals.index(signal)]
-        correct = int(np.trace(cells))
-        inconclusive = int(cells[:, -1].sum())
-        return {"correct": correct, "incorrect": int(cells.sum()) - correct - inconclusive,
-                "inconclusive": inconclusive}
+        correct, _, n = self.counts()
+        at = self._at(true, criterion, signal)
+        return int(correct[at]) / max(1, int(n[at]))
 
     def overall_correct_rate(self, criterion: str, signal: str) -> float:
-        c = self.overall_counts(criterion, signal)
-        return c["correct"] / max(1, sum(c.values()))
+        correct, _, n = self.counts()
+        at = (slice(None), self.criteria.index(criterion), self.signals.index(signal))
+        return int(correct[at].sum()) / max(1, int(n[at].sum()))
 
 
 def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
-    """Run each repetition of `reps`, one at a time: a repetition's stacks
-    are its unit of work. The true states are solved once per chunk and
-    shared by its repetitions."""
+    """Run and count each repetition of `reps`, one at a time: a
+    repetition's stacks are its unit of work. The true states are solved
+    once per chunk and shared by its repetitions."""
     report = _empty_report(ctx)
     true_states = solve_true_states(ctx)
     for rep in reps:
-        _, _, verdicts, votes = run_rep(ctx, rep, *true_states)
-        for true_pos in range(len(ctx.topologies)):
-            report.record_task(true_pos, verdicts[true_pos], votes[true_pos])
+        report.record_rep(*run_rep(ctx, rep, *true_states)[2:])
     return report
 
 
@@ -457,65 +438,56 @@ def write_report(report: DetectionRateReport, out_dir: str | Path) -> tuple[Path
     out_dir.mkdir(parents=True, exist_ok=True)
     rates_path = out_dir / "rates.csv"
     confusion_path = out_dir / "confusion.csv"
+    correct, inconclusive, n = (a.tolist() for a in report.counts())
+    row_votes = report.row_votes.tolist()
+    confusion = report.confusion.tolist()
+    cells = [(q, true, c, crit, s, sig)
+             for q, true in enumerate(report.topology_ids)
+             for c, crit in enumerate(report.criteria)
+             for s, sig in enumerate(report.signals)]
+
+    def rates_row(labels, ok, undecided, total):
+        return [*labels, f"{ok / max(1, total):.6f}", f"{undecided / max(1, total):.6f}",
+                total]
 
     with rates_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["true_topology", "criterion", "signal", "bus",
                          "correct_rate", "inconclusive_rate", "n"])
-        for q, true in enumerate(report.topology_ids):
-            for crit in report.criteria:
-                for s, sig in enumerate(report.signals):
-                    n = report.n_trials(true, crit, sig)
-                    writer.writerow([true, crit, sig, "all",
-                                     f"{report.correct_rate(true, crit, sig):.6f}",
-                                     f"{report.inconclusive_rate(true, crit, sig):.6f}",
-                                     n])
-                    for bus, (correct, incorrect, abstain) in zip(
-                            report.pmu_bus_ids, report.row_votes[q, s].tolist()):
-                        nb = correct + incorrect + abstain
-                        writer.writerow([true, crit, sig, bus,
-                                         f"{correct / max(1, nb):.6f}",
-                                         f"{abstain / max(1, nb):.6f}",
-                                         nb])
+        for q, true, c, crit, s, sig in cells:
+            writer.writerow(rates_row((true, crit, sig, "all"), correct[q][c][s],
+                                      inconclusive[q][c][s], n[q][c][s]))
+            for bus, (ok, wrong, abstain) in zip(report.pmu_bus_ids, row_votes[q][s]):
+                writer.writerow(rates_row((true, crit, sig, bus), ok, abstain,
+                                          ok + wrong + abstain))
 
     with confusion_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["true_topology", "criterion", "signal", "detected", "count"])
-        detected_labels = list(report.topology_ids) + [INCONCLUSIVE]
-        for q, true in enumerate(report.topology_ids):
-            for c, crit in enumerate(report.criteria):
-                for s, sig in enumerate(report.signals):
-                    for label, count in zip(detected_labels,
-                                            report.confusion[q, c, s].tolist()):
-                        writer.writerow([true, crit, sig, label, count])
+        detected_labels = report.topology_ids + (INCONCLUSIVE,)
+        for q, true, c, crit, s, sig in cells:
+            for label, count in zip(detected_labels, confusion[q][c][s]):
+                writer.writerow([true, crit, sig, label, count])
 
     return rates_path, confusion_path
 
 
 def summarize(report: DetectionRateReport) -> list[str]:
     """Human-readable per-criterion aggregate rates."""
-    lines = []
-    for crit in report.criteria:
-        for sig in report.signals:
-            counts = report.overall_counts(crit, sig)
-            n = max(1, sum(counts.values()))
-            lines.append(
-                f"{crit.upper():5s} {sig:9s}  correct {counts['correct'] / n:6.1%}  "
-                f"inconclusive {counts['inconclusive'] / n:6.1%}  n={sum(counts.values())}")
-    return lines
+    correct, inconclusive, n = (a.sum(axis=0).tolist() for a in report.counts())
+    return [f"{crit.upper():5s} {sig:9s}  correct {correct[c][s] / max(1, n[c][s]):6.1%}  "
+            f"inconclusive {inconclusive[c][s] / max(1, n[c][s]):6.1%}  n={n[c][s]}"
+            for c, crit in enumerate(report.criteria)
+            for s, sig in enumerate(report.signals)]
 
 
-def dump_matrices_csv(matrices: DifferenceMatrices, path: str | Path):
-    """ADM and MDM side by side: one row per μPMU bus, columns per topology."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def dump_matrices_csv(adm: np.ndarray, mdm: np.ndarray, pmu_bus_ids, topology_ids,
+                      path: str | Path):
+    """One trial's ADM and MDM, each (rows, topologies), side by side: one
+    row per μPMU bus, columns per topology."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["bus"]
-        header += [f"adm_{q}" for q in matrices.topology_ids]
-        header += [f"mdm_{q}" for q in matrices.topology_ids]
-        writer.writerow(header)
-        for i, bus in enumerate(matrices.pmu_bus_ids):
-            row = [bus]
-            row += [f"{v:.9e}" for v in matrices.adm[i]]
-            row += [f"{v:.9e}" for v in matrices.mdm[i]]
-            writer.writerow(row)
+        writer.writerow(["bus"] + [f"adm_{q}" for q in topology_ids]
+                        + [f"mdm_{q}" for q in topology_ids])
+        for bus, adm_row, mdm_row in zip(pmu_bus_ids, adm, mdm):
+            writer.writerow([bus] + [f"{v:.9e}" for v in (*adm_row, *mdm_row)])

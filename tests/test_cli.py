@@ -1,5 +1,4 @@
 import csv
-import os
 
 import pytest
 
@@ -137,18 +136,13 @@ class _Stop(Exception):
     pass
 
 
-# CPUs this process may run on: under an affinity mask, fewer than cpu_count().
-USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-
-
 @pytest.mark.parametrize("key, flag, want", [
     ("jobs = 2\n", [], 2),
     ("jobs = 2\n", ["--jobs", "1"], 1),
-    ("", [], USABLE_CPUS),
+    ("", [], 1),
 ])
 def test_experiment_jobs_precedence(tmp_path, monkeypatch, key, flag, want):
-    """--jobs beats the config's jobs key, which beats the usable CPU count."""
+    """--jobs beats the config's jobs key, which beats the default of 1."""
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text("network = fivebus.net\n" + key)
     seen = []
@@ -208,9 +202,9 @@ def test_detect_prints_row_t_of_the_task_the_experiment_counts(monkeypatch, caps
     pairs = [("I", 0), ("III", 38), ("V", 95)]
     ctx = build_context(load_config(fixture_path("paper.cfg"), master_seed=5))
     counted = {}
-    monkeypatch.setattr(scenario.DetectionRateReport, "record_task",
-                        lambda report, pos, verdicts, votes: counted.update(
-                            {ctx.topology_ids[pos]: (verdicts, votes)}))
+    monkeypatch.setattr(scenario.DetectionRateReport, "record_rep",
+                        lambda report, verdicts, votes: counted.update(
+                            zip(ctx.topology_ids, zip(verdicts, votes))))
     scenario._run_chunk(ctx, [0])
     labels = ctx.topology_ids + (INCONCLUSIVE,)
     angle = ctx.config.signals.index("angle")

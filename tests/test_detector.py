@@ -16,6 +16,7 @@ from microtopo.detector import (
     build_library,
     compute_difference_matrices,
     detect,
+    difference_stacks,
     solve_library,
     vote_stack,
 )
@@ -145,16 +146,22 @@ _STACKS = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6), st.
 @example(stack=np.zeros((2, 3, 4)))  # every row abstains
 @example(stack=np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))  # vote tie
 def test_vote_stack_matches_oracles(stack):
+    """Each (rows, topologies) matrix of the stack votes as the oracles say,
+    also when the trials lie on two leading axes, (a, b, rows, topologies),
+    as a repetition's (true topologies, steps) do."""
     ids = tuple(f"T{j}" for j in range(stack.shape[2]))
     labels = ids + (INCONCLUSIVE,)
     oracles = {"rmv": _oracle_rmv, "armv": _oracle_armv, "ormv": _oracle_ormv}
-    verdicts, votes = vote_stack(stack)
-    assert verdicts.keys() == set(CRITERIA)
-    for i, mat in enumerate(stack):
-        for crit in CRITERIA:
-            assert labels[verdicts[crit][i]] == oracles[crit](mat, ids)
-        row_votes = [labels[v] if v < len(ids) else None for v in votes[i]]
-        assert row_votes == _oracle_row_votes(mat, ids)
+    a = next((d for d in (2, 3) if len(stack) % d == 0), 1)
+    grid = stack.reshape(a, len(stack) // a, *stack.shape[1:])
+    for trials in (stack, grid):
+        verdicts, votes = vote_stack(trials)
+        assert verdicts.keys() == set(CRITERIA)
+        for i in np.ndindex(trials.shape[:-2]):
+            for crit in CRITERIA:
+                assert labels[verdicts[crit][i]] == oracles[crit](trials[i], ids)
+            row_votes = [labels[v] if v < len(ids) else None for v in votes[i]]
+            assert row_votes == _oracle_row_votes(trials[i], ids)
 
 
 def test_all_six_detect_calls_share_one_vote_stack_call(monkeypatch):
@@ -172,6 +179,27 @@ def test_all_six_detect_calls_share_one_vote_stack_call(monkeypatch):
         for signal in SIGNALS:
             detect(m, criterion, signal)
     assert calls == [(2, 3, 4)]
+
+
+def test_difference_stacks_broadcast_like_the_flat_tiled_call():
+    """(true topologies, steps, buses) readings against a (topologies,
+    steps, buses) library give, bit for bit, the stacks of the flat call
+    over (true topologies x steps) trials with the library tiled once per
+    true topology; trial [T, t] is flat trial T * steps + t."""
+    rng = np.random.default_rng(12)
+    n_true, n_step, n_topo = 3, 7, 4
+    bus_ids = (3, 1, 5, 2, 4)  # not sorted: rows come out in bus-id order
+    vm, va = rng.uniform(0.9, 1.1, (2, n_true, n_step, 5))
+    lib_vm, lib_va = rng.uniform(0.9, 1.1, (2, n_topo, n_step, 5))
+    stacks = difference_stacks(vm, va, lib_vm, lib_va, bus_ids)
+    flat = difference_stacks(vm.reshape(-1, 5), va.reshape(-1, 5),
+                             np.tile(lib_vm, (1, n_true, 1)), np.tile(lib_va, (1, n_true, 1)),
+                             bus_ids)
+    for stack, flat_stack in zip(stacks, flat):
+        assert stack.shape == (n_true, n_step, 5, n_topo)
+        assert stack.tobytes() == flat_stack.reshape(stack.shape).tobytes()
+    order = np.argsort(bus_ids)
+    assert np.array_equal(stacks[0][2, 6, :, 3], np.abs(va[2, 6, order] - lib_va[3, 6, order]))
 
 
 @pytest.mark.parametrize("shape", [(96, 5, 5), (3, 17, 2), (7, 130, 3), (2, 1000, 4),

@@ -17,7 +17,7 @@ from microtopo.profiles import (
     generate_default_profiles,
     industrial_curve,
     injections_by_step,
-    load_profiles_csv,
+    load_profiles,
     profile_buses,
     pv_curve,
     residential_curve,
@@ -106,7 +106,7 @@ def test_csv_roundtrip(graph, tmp_path):
         rows.append(f"{t},2,0.02,0.0")
     path.write_text("\n".join(rows) + "\n")
 
-    profs = load_profiles_csv(path)
+    profs = load_profiles(graph, path)
     assert {p.bus_id for p in profs} == {2, 4}
     assert all(p.klass is ProfileClass.CUSTOM for p in profs)
     snap = injections_by_step(graph, profs)[10]
@@ -115,18 +115,18 @@ def test_csv_roundtrip(graph, tmp_path):
     assert snap.q[snap.bus_ids.index(4)] == pytest.approx(-0.01)
 
 
-def test_csv_missing_steps_rejected(tmp_path):
+def test_csv_missing_steps_rejected(graph, tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("time_index,bus_id,p_pu,q_pu\n0,4,-0.05,-0.01\n")
-    with pytest.raises(ValueError):
-        load_profiles_csv(path)
+    with pytest.raises(ValueError, match="bus 4 missing time steps"):
+        load_profiles(graph, path)
 
 
-def test_csv_bad_header_rejected(tmp_path):
+def test_csv_bad_header_rejected(graph, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,bus,p,q\n0,4,-0.05,-0.01\n")
-    with pytest.raises(ValueError):
-        load_profiles_csv(path)
+    with pytest.raises(ValueError, match="expected header columns"):
+        load_profiles(graph, path)
 
 
 # Generated profile CSVs for some PQ buses of the bundled network, rows in

@@ -365,25 +365,27 @@ def test_detect_on_a_task_row_matches_its_outcome_arrays(topo_pos, rep, steps):
                 None if v == len(ctx.topology_ids) else labels[v] for v in votes[t, s])
 
 
-def test_record_task_counts_like_a_loop():
-    """`record_task` counts a task's outcome arrays with `bincount`; a loop
-    over every trial, cell and row is the reference."""
+def test_record_rep_counts_like_a_loop():
+    """`record_rep` counts a repetition's outcome arrays, over all true
+    topologies at once, with one `bincount` each; a loop over every true
+    topology, trial, cell and row is the reference."""
     rng = np.random.default_rng(8)
     report = scenario.DetectionRateReport(topology_ids=("A", "B", "C"),
                                           pmu_bus_ids=(1, 2, 3, 4),
                                           criteria=("armv", "rmv"), signals=SIGNALS)
-    verdicts = rng.integers(0, 4, size=(50, 2, 2), dtype=np.uint8)
-    votes = rng.integers(0, 4, size=(50, 2, 4), dtype=np.uint8)
-    report.record_task(1, verdicts, votes)
+    verdicts = rng.integers(0, 4, size=(3, 50, 2, 2), dtype=np.uint8)
+    votes = rng.integers(0, 4, size=(3, 50, 2, 4), dtype=np.uint8)
+    report.record_rep(verdicts, votes)
     confusion = np.zeros_like(report.confusion)
     row_votes = np.zeros_like(report.row_votes)
-    for i in range(50):
-        for s in range(2):
-            for c in range(2):
-                confusion[1, c, s, verdicts[i, c, s]] += 1
-            for r in range(4):
-                v = votes[i, s, r]
-                row_votes[1, s, r, 0 if v == 1 else 2 if v == 3 else 1] += 1
+    for q in range(3):
+        for i in range(50):
+            for s in range(2):
+                for c in range(2):
+                    confusion[q, c, s, verdicts[q, i, c, s]] += 1
+                for r in range(4):
+                    v = votes[q, i, s, r]
+                    row_votes[q, s, r, 0 if v == q else 2 if v == 3 else 1] += 1
     assert np.array_equal(report.confusion, confusion)
     assert np.array_equal(report.row_votes, row_votes)
 
@@ -428,7 +430,7 @@ def test_experiment_is_array_program(monkeypatch):
 
     monkeypatch.setattr(detector, "solve_newton_raphson_batch", counted)
     monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
-    for module, name in ((scenario, "DifferenceMatrices"),
+    for module, name in ((detector, "DifferenceMatrices"),
                          (detector, "DetectionOutcome"), (powerflow, "PowerFlowSolution"),
                          (measurements, "MeasurementSet"), (measurements, "PhasorSet"),
                          (measurements, "ScadaSet")):
@@ -481,21 +483,22 @@ def small_report():
 
 
 def test_experiment_counts(small_report):
-    for true in small_report.topology_ids:
-        for crit in small_report.criteria:
-            for sig in small_report.signals:
+    correct, inconclusive, n = small_report.counts()
+    assert n.shape == (len(small_report.topology_ids), len(small_report.criteria),
+                       len(small_report.signals))
+    assert (n == 96 * 2).all()
+    assert (correct >= 0).all() and (inconclusive >= 0).all()
+    assert (correct + inconclusive <= n).all()
+    for q, true in enumerate(small_report.topology_ids):
+        for c, crit in enumerate(small_report.criteria):
+            for s, sig in enumerate(small_report.signals):
                 assert small_report.n_trials(true, crit, sig) == 96 * 2
-                rate = small_report.correct_rate(true, crit, sig)
-                inc = small_report.inconclusive_rate(true, crit, sig)
-                assert 0.0 <= rate <= 1.0
-                assert 0.0 <= rate + inc <= 1.0
+                assert small_report.correct_rate(true, crit, sig) == correct[q, c, s] / (96 * 2)
 
 
 def test_confusion_counts_sum(small_report):
-    for crit in small_report.criteria:
-        for sig in small_report.signals:
-            counts = small_report.overall_counts(crit, sig)
-            assert sum(counts.values()) == 5 * 96 * 2
+    assert (small_report.counts()[2].sum(axis=0) == 5 * 96 * 2).all()
+    assert (small_report.confusion.sum(axis=(0, 3)) == 5 * 96 * 2).all()
 
 
 def test_parallel_matches_serial():
