@@ -11,7 +11,7 @@ import csv
 import sys
 
 from . import __version__, network, profiles
-from .detector import INCONCLUSIVE, build_library
+from .detector import INCONCLUSIVE, solve_library_batch
 from .network import NetworkError, load_network
 from .powerflow import InjectionSnapshot, PowerFlowError, solve_newton_raphson
 from .scenario import (
@@ -105,8 +105,8 @@ def _injections_for(graph, args) -> InjectionSnapshot:
         raise ConfigError("either --zero-load or --profile with --t is required")
     if not 0 <= args.t < profiles.N_STEPS:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
-    profs = profiles.load_profiles(graph, args.profile)
-    return profiles.injections_by_step(graph, profs)[args.t]
+    p, q, _ = profiles.load_injections(graph, args.profile)
+    return InjectionSnapshot(bus_ids=graph.bus_ids, p=p[args.t], q=q[args.t])
 
 
 def _find_topology(topologies, topo_id):
@@ -153,20 +153,20 @@ def cmd_powerflow(args) -> int:
 
 def cmd_library(args) -> int:
     graph, topologies = load_network(args.net)
-    profs = profiles.load_profiles(graph, args.profile)
-    inj = dict(enumerate(profiles.injections_by_step(graph, profs)))
-    library = build_library(graph, topologies, inj)
-    print(f"library: {len(topologies)} topologies x {profiles.N_STEPS} steps "
-          f"= {len(library.entries)} solutions")
+    p, q, _ = profiles.load_injections(graph, args.profile)
+    steps = range(profiles.N_STEPS)
+    batch = solve_library_batch({topo.id: network.build_ybus(graph, topo) for topo in topologies},
+                                p, q, steps, graph.slack_index)
+    print(f"library: {len(topologies)} topologies x {len(steps)} steps "
+          f"= {len(batch.vm)} solutions")
     if args.out:
+        cases = [(topo.id, t) for topo in topologies for t in steps]  # batch row order
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["topology", "time_index", "bus", "vm_pu", "va_deg"])
-            for topo in topologies:
-                for t in range(profiles.N_STEPS):
-                    sol = library.solution(topo.id, t)
-                    for bus_id, vm, va in zip(sol.bus_ids, sol.vm, sol.va_deg):
-                        writer.writerow([topo.id, t, bus_id, f"{vm:.9f}", f"{va:.9f}"])
+            for (topo_id, t), vm_row, va_row in zip(cases, batch.vm, batch.va_deg):
+                for bus_id, vm, va in zip(graph.bus_ids, vm_row, va_row):
+                    writer.writerow([topo_id, t, bus_id, f"{vm:.9f}", f"{va:.9f}"])
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -97,24 +97,18 @@ class DetectionOutcome:
 def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
                   injections_by_step: dict[int, InjectionSnapshot],
                   tol: float = 1e-8) -> TopologyLibrary:
-    """Solve the power flow for every (candidate topology, time step) pair."""
-    return solve_library({topo.id: build_ybus(graph, topo) for topo in topologies},
-                         injections_by_step, graph.slack_index, tol=tol)
-
-
-def solve_library(ybus_by_topo: dict[str, np.ndarray],
-                  injections_by_step: dict[int, InjectionSnapshot],
-                  slack_index: int, tol: float = 1e-8) -> TopologyLibrary:
-    """Library from prebuilt admittance matrices (`solve_library_batch`);
-    columns follow the order of `ybus_by_topo`."""
+    """Solve the power flow for every (candidate topology, time step) pair,
+    as one `solve_library_batch` call; columns follow `topologies`."""
     steps = list(injections_by_step)
     snapshots = list(injections_by_step.values())
-    batch = solve_library_batch(ybus_by_topo, [inj.p for inj in snapshots],
-                                [inj.q for inj in snapshots], steps, slack_index, tol=tol)
-    cases = [(topo_id, t) for topo_id in ybus_by_topo for t in steps]
+    batch = solve_library_batch({topo.id: build_ybus(graph, topo) for topo in topologies},
+                                [inj.p for inj in snapshots], [inj.q for inj in snapshots],
+                                steps, graph.slack_index, tol=tol)
+    cases = [(topo.id, t) for topo in topologies for t in steps]
     entries = {case: batch.solution(i, snapshots[i % len(steps)].bus_ids)
                for i, case in enumerate(cases)}
-    return TopologyLibrary(topology_ids=tuple(ybus_by_topo), entries=entries)
+    return TopologyLibrary(topology_ids=tuple(topo.id for topo in topologies),
+                           entries=entries)
 
 
 def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,

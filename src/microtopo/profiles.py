@@ -1,47 +1,23 @@
-"""Daily load and PV generation profiles at 15-minute resolution.
+"""The day's net injections at 15-minute resolution.
 
-Ships deterministic synthetic curves (residential double peak, industrial
-daytime plateau, midday PV bell) and a CSV loader for user-supplied
-profiles. All powers are per-unit.
+`load_injections` is the one home of the day's injections: it returns
+them as (steps, buses) p and q tables, with the sorted ids of the buses
+that carry a profile (the SCADA buses). The tables come either from
+deterministic synthetic curves (residential double peak, industrial
+daytime plateau, midday PV bell) or from a user-supplied CSV. All powers
+are per-unit.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .network import BusKind, NetworkGraph, bus_positions
-from .powerflow import InjectionSnapshot
 
 N_STEPS = 96  # one day at 15-minute resolution
-
-
-class ProfileClass(Enum):
-    RESIDENTIAL = "residential"
-    INDUSTRIAL = "industrial"
-    PV = "pv"
-    CUSTOM = "custom"  # values are net injection, generation positive
-
-    @property
-    def injection_sign(self) -> float:
-        """+1 when values feed power in, -1 when they consume."""
-        return -1.0 if self in (ProfileClass.RESIDENTIAL, ProfileClass.INDUSTRIAL) else 1.0
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    bus_id: int
-    klass: ProfileClass
-    values: tuple[tuple[float, float], ...]  # 96 (p, q) pairs
-
-    def __post_init__(self):
-        if len(self.values) != N_STEPS:
-            raise ValueError(f"profile needs {N_STEPS} entries, got {len(self.values)}")
-
 
 # Loads draw reactive power at a high power factor; PV inverters run in a
 # volt-var mode, absorbing reactive power proportional to their output.
@@ -86,42 +62,41 @@ def pv_curve(peak: float) -> np.ndarray:
     return peak * bell ** 2
 
 
-def _load_pairs(p: np.ndarray) -> tuple[tuple[float, float], ...]:
-    return tuple((float(pi), float(pi * _LOAD_Q_RATIO)) for pi in p)
-
-
-def _pv_pairs(p: np.ndarray) -> tuple[tuple[float, float], ...]:
-    return tuple((float(pi), float(-pi * _PV_VAR_ABSORPTION)) for pi in p)
-
-
-def generate_default_profiles(graph: NetworkGraph) -> list[LoadProfile]:
-    """Deterministic synthetic daily profiles for every load bus.
+def _default_injections(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Deterministic synthetic day for every load bus, as `load_injections`
+    returns it.
 
     The bundled 5-bus fixture gets households with rooftop PV at buses 2
     and 4 (bus 4 dominant), an industrial consumer with a small PV plant
     at bus 5, and nothing at bus 3. Any other graph gets a residential
-    profile at each non-slack bus.
+    load at each non-slack bus.
     """
     pq_ids = [b.id for b in graph.buses if b.kind is BusKind.PQ]
     if set(pq_ids) == {2, 3, 4, 5}:
-        profiles = [
-            LoadProfile(2, ProfileClass.RESIDENTIAL, _load_pairs(residential_curve(*_RES_LIGHT))),
-            LoadProfile(4, ProfileClass.RESIDENTIAL, _load_pairs(residential_curve(*_RES_HEAVY))),
-            LoadProfile(5, ProfileClass.INDUSTRIAL, _load_pairs(industrial_curve())),
-        ]
-        for bus_id, peak in sorted(_PV_PEAK_BY_BUS.items()):
-            profiles.append(LoadProfile(bus_id, ProfileClass.PV, _pv_pairs(pv_curve(peak))))
-        return profiles
-    return [LoadProfile(bus_id, ProfileClass.RESIDENTIAL,
-                        _load_pairs(residential_curve(*_RES_LIGHT)))
-            for bus_id in pq_ids]
+        loads = {2: residential_curve(*_RES_LIGHT), 4: residential_curve(*_RES_HEAVY),
+                 5: industrial_curve()}
+        pv = {bus: pv_curve(peak) for bus, peak in sorted(_PV_PEAK_BY_BUS.items())}
+    else:
+        loads = {bus: residential_curve(*_RES_LIGHT) for bus in pq_ids}
+        pv = {}
+    p = np.zeros((N_STEPS, graph.n_bus))
+    q = np.zeros((N_STEPS, graph.n_bus))
+    for bus, load in loads.items():  # all loads first, then all PV
+        col = graph.bus_index(bus)
+        p[:, col] -= load
+        q[:, col] -= _LOAD_Q_RATIO * load
+    for bus, gen in pv.items():
+        col = graph.bus_index(bus)
+        p[:, col] += gen
+        q[:, col] -= _PV_VAR_ABSORPTION * gen
+    return p, q, tuple(sorted(loads.keys() | pv.keys()))
 
 
 def _read_profile_rows(path: str | Path) -> tuple[dict, dict[int, int]]:
-    """{bus: {t: (p, q)}} from a profile CSV, and the line on which each bus
+    """{(t, bus): (p, q)} from a profile CSV, and the line on which each bus
     first appears. Malformed rows raise ValueError naming path:line."""
     path = Path(path)
-    per_bus: dict[int, dict[int, tuple[float, float]]] = {}
+    values: dict[tuple[int, int], tuple[float, float]] = {}
     first_line: dict[int, int] = {}
     row_line: dict[tuple[int, int], int] = {}
     with path.open(newline="") as fh:
@@ -148,51 +123,47 @@ def _read_profile_rows(path: str | Path) -> tuple[dict, dict[int, int]]:
                                  f"bus {bus} (first on line {row_line[(t, bus)]})")
             row_line[(t, bus)] = line
             first_line.setdefault(bus, line)
-            per_bus.setdefault(bus, {})[t] = value
-    return per_bus, first_line
+            values[t, bus] = value
+    return values, first_line
 
 
-def load_profiles(graph: NetworkGraph, source: str | Path) -> list[LoadProfile]:
-    """Profiles named by a config or CLI value: "default" or a CSV path.
+def load_injections(graph: NetworkGraph,
+                    source: str | Path) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The day's net injections (generation minus load) named by a config or
+    CLI value, "default" or a CSV path, as (p, q, monitored).
+
+    `p` and `q` are (steps, buses) tables, buses by position in
+    `graph.bus_ids`, the slack column zero. `monitored` holds the sorted
+    ids of the buses that carry a profile: these are the SCADA buses, even
+    where a profile is zero all day.
 
     A CSV has header time_index,bus_id,p_pu,q_pu and holds net injections
-    (generation minus load, generation positive); each bus needs all 96
-    time steps, each (time_index, bus_id) one row. A row for a bus the
-    network lacks, or for the slack bus (whose injection is not specified),
-    is rejected with its line number.
+    (generation positive), at least one row; each bus needs all 96 time
+    steps, each (time_index, bus_id) one row. A row for a bus the network
+    lacks, or for the slack bus (whose injection is not specified), is
+    rejected with its line number.
     """
     if source == "default":
-        return generate_default_profiles(graph)
-    per_bus, first_line = _read_profile_rows(source)
+        return _default_injections(graph)
+    values, first_line = _read_profile_rows(source)
+    if not values:
+        raise ValueError(f"{source}: no profile rows")
     for bus, line in first_line.items():
         if bus not in graph.bus_ids:
             raise ValueError(f"{source}:{line}: bus {bus} is not in the network")
         if bus == graph.slack_bus.id:
             raise ValueError(f"{source}:{line}: bus {bus} is the slack bus, "
                              "which takes no injection profile")
-    profiles = []
-    for bus, steps in sorted(per_bus.items()):
-        missing = set(range(N_STEPS)) - set(steps)
+    monitored = tuple(sorted(first_line))
+    for bus in monitored:
+        missing = [t for t in range(N_STEPS) if (t, bus) not in values]
         if missing:
-            raise ValueError(f"{source}: bus {bus} missing time steps {sorted(missing)[:5]}...")
-        profiles.append(LoadProfile(bus_id=bus, klass=ProfileClass.CUSTOM,
-                                    values=tuple(steps[t] for t in range(N_STEPS))))
-    return profiles
-
-
-def injections_by_step(graph: NetworkGraph,
-                       profiles: list[LoadProfile]) -> tuple[InjectionSnapshot, ...]:
-    """Net injection snapshot (generation minus load) at each time step."""
-    pq = np.zeros((N_STEPS, graph.n_bus, 2))
-    rows = bus_positions(graph.bus_ids, [prof.bus_id for prof in profiles])
-    for prof, row in zip(profiles, rows):
-        pq[:, row] += prof.klass.injection_sign * np.array(prof.values)
-    pq[:, graph.slack_index] = 0.0
-    bus_ids = graph.bus_ids
-    return tuple(InjectionSnapshot(bus_ids=bus_ids, p=step[:, 0], q=step[:, 1])
-                 for step in pq)
-
-
-def profile_buses(profiles: list[LoadProfile]) -> tuple[int, ...]:
-    """Buses carrying any profile: these are the SCADA-monitored buses."""
-    return tuple(sorted({p.bus_id for p in profiles}))
+            raise ValueError(f"{source}: bus {bus} missing time steps {missing[:5]}...")
+    steps = [t for t, _ in values]
+    cols = bus_positions(graph.bus_ids, [bus for _, bus in values])
+    pq = np.array(list(values.values()))
+    p = np.zeros((N_STEPS, graph.n_bus))
+    q = np.zeros((N_STEPS, graph.n_bus))
+    p[steps, cols] += pq[:, 0]
+    q[steps, cols] += pq[:, 1]
+    return p, q, monitored

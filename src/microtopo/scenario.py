@@ -11,6 +11,7 @@ import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -191,8 +192,7 @@ class ExperimentContext:
     graph: NetworkGraph
     topologies: tuple[TopologyConfig, ...]
     ybus_by_topo: dict
-    true_injections: tuple[InjectionSnapshot, ...]
-    # The same injections as (steps, buses) tables
+    # The day's net injections, (steps, buses) tables from `load_injections`
     true_p: np.ndarray
     true_q: np.ndarray
     scada_buses: tuple[int, ...]
@@ -202,6 +202,14 @@ class ExperimentContext:
     # experiment run, and systematic device offsets are fixed within a run.
     pmu_offsets_by_rep: tuple
     scada_offsets_by_rep: tuple
+
+    @cached_property
+    def true_injections(self) -> tuple[InjectionSnapshot, ...]:
+        """The tables as one `InjectionSnapshot` per step, built on first
+        read. Trials read the tables; only the benchmark's online set-up and
+        the tests read these."""
+        return tuple(InjectionSnapshot(bus_ids=self.graph.bus_ids, p=p, q=q)
+                     for p, q in zip(self.true_p, self.true_q))
 
     @property
     def topology_ids(self) -> tuple[str, ...]:
@@ -215,9 +223,7 @@ class ExperimentContext:
 
 def build_context(config: ScenarioConfig) -> ExperimentContext:
     graph, topologies = load_network(config.network)
-    profs = profiles.load_profiles(graph, config.profile)
-    true_inj = profiles.injections_by_step(graph, profs)
-    scada_buses = profiles.profile_buses(profs)
+    true_p, true_q, scada_buses = profiles.load_injections(graph, config.profile)
     pmu_spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=config.pmu_sigma,
                           accuracy=config.pmu_accuracy,
                           nominal_voltage=graph.slack_bus.base_voltage)
@@ -236,9 +242,7 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
     return ExperimentContext(
         config=config, graph=graph, topologies=tuple(topologies),
         ybus_by_topo={t.id: build_ybus(graph, t) for t in topologies},
-        true_injections=true_inj,
-        true_p=np.array([inj.p for inj in true_inj]),
-        true_q=np.array([inj.q for inj in true_inj]),
+        true_p=true_p, true_q=true_q,
         scada_buses=scada_buses, pmu_spec=pmu_spec, scada_spec=scada_spec,
         pmu_offsets_by_rep=pmu_offsets, scada_offsets_by_rep=scada_offsets)
 

@@ -1,6 +1,8 @@
 import pytest
 
 from microtopo.network import load_network
+from microtopo.powerflow import InjectionSnapshot
+from microtopo.profiles import load_injections
 from microtopo.scenario import fixture_path
 
 
@@ -22,3 +24,12 @@ def topologies(fivebus):
 @pytest.fixture(scope="session")
 def topo_by_id(topologies):
     return {t.id: t for t in topologies}
+
+
+@pytest.fixture(scope="session")
+def default_day(graph):
+    """The bundled default day as 96 `InjectionSnapshot`s, one per row of
+    the `load_injections` tables."""
+    p, q, _ = load_injections(graph, "default")
+    return tuple(InjectionSnapshot(bus_ids=graph.bus_ids, p=p_t, q=q_t)
+                 for p_t, q_t in zip(p, q))

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from microtopo import profiles
 from microtopo.cli import EXIT_OK, main
 from microtopo.detector import (
     INCONCLUSIVE,
@@ -65,9 +64,8 @@ def test_zero_noise_detection_is_perfect():
              ok, f"min rate {worst:.3f}, {elapsed:.2f} s")
 
 
-def test_power_flow_against_independent_oracle():
+def test_power_flow_against_independent_oracle(default_day):
     graph, topologies = load_network(fixture_path("fivebus.net"))
-    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
 
     max_dvm = 0.0
     max_dva = 0.0
@@ -76,7 +74,7 @@ def test_power_flow_against_independent_oracle():
     for topo in topologies:
         ybus = build_ybus(graph, topo)
         for t in range(96):
-            inj = day[t]
+            inj = default_day[t]
             nr = solve_newton_raphson(ybus, inj, tol=1e-10)
             fp = solve_fixed_point_oracle(ybus, inj, tol=1e-10)
             max_dvm = max(max_dvm, float(np.max(np.abs(np.subtract(nr.vm, fp.vm)))))

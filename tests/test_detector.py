@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from microtopo import detector, profiles
+from microtopo import detector
 from microtopo.detector import (
     CRITERIA,
     INCONCLUSIVE,
@@ -17,7 +17,7 @@ from microtopo.detector import (
     compute_difference_matrices,
     detect,
     difference_stacks,
-    solve_library,
+    solve_library_batch,
     vote_stack,
 )
 from microtopo.measurements import DeviceKind, DeviceSpec, sample_pmu
@@ -293,10 +293,8 @@ def test_unknown_criterion_and_signal():
 
 
 @pytest.fixture(scope="module")
-def zero_noise_setup(graph, topologies):
-    profs = profiles.generate_default_profiles(graph)
-    day = profiles.injections_by_step(graph, profs)
-    injections = {t: day[t] for t in (12, 48, 76)}
+def zero_noise_setup(graph, topologies, default_day):
+    injections = {t: default_day[t] for t in (12, 48, 76)}
     library = build_library(graph, topologies, injections)
     return library, injections
 
@@ -319,10 +317,12 @@ def test_library_reports_first_failed_case_in_topology_step_order(graph, topo_by
     isolated = ybus.copy()
     i5 = graph.bus_index(5)
     isolated[i5, :] = isolated[:, i5] = 0.0
-    injections = {0: InjectionSnapshot.from_bus_map(graph, {3: (-0.1, -0.05)}),
-                  1: InjectionSnapshot.from_bus_map(graph, {4: (-50.0, -20.0)})}
+    injections = [InjectionSnapshot.from_bus_map(graph, {3: (-0.1, -0.05)}),
+                  InjectionSnapshot.from_bus_map(graph, {4: (-50.0, -20.0)})]
+    p = np.array([inj.p for inj in injections])  # (steps, buses)
+    q = np.array([inj.q for inj in injections])
     with pytest.raises(LibraryError, match="topology A at t=1: Newton-Raphson") as err:
-        solve_library({"A": ybus, "B": isolated}, injections, graph.slack_index)
+        solve_library_batch({"A": ybus, "B": isolated}, p, q, range(2), graph.slack_index)
     cause = err.value.__cause__
     assert isinstance(cause, DivergedError)
     with pytest.raises(DivergedError) as alone:

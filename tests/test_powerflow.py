@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from microtopo import powerflow, profiles
+from microtopo import powerflow
 from microtopo.measurements import DeviceKind, DeviceSpec, draw_scada_offsets, scada_readings
 from microtopo.network import NetworkGraph, build_ybus
 from microtopo.powerflow import (
@@ -86,41 +86,37 @@ def test_oracle_agrees_with_nr_on_bus3_case(graph, topo_by_id):
 
 
 @pytest.mark.parametrize("topo_id", ["I", "II", "III", "IV", "V"])
-def test_oracle_agrees_with_nr_over_profile(graph, topo_by_id, topo_id):
+def test_oracle_agrees_with_nr_over_profile(graph, topo_by_id, topo_id, default_day):
     ybus = _ybus(graph, topo_by_id, topo_id)
-    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
     for t in range(0, 96, 12):
-        inj = day[t]
+        inj = default_day[t]
         nr = solve_newton_raphson(ybus, inj, tol=1e-10)
         fp = solve_fixed_point_oracle(ybus, inj, tol=1e-10)
         assert np.max(np.abs(np.subtract(nr.vm, fp.vm))) < 1e-8
         assert np.max(np.abs(np.subtract(nr.va_deg, fp.va_deg))) < 1e-6
 
 
-def test_oracle_converges_at_meshed_peak(graph, topo_by_id):
-    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
-    inj = max(day, key=lambda snap: sum(abs(snap.p[i]) for i in range(5)))
+def test_oracle_converges_at_meshed_peak(graph, topo_by_id, default_day):
+    inj = max(default_day, key=lambda snap: sum(abs(snap.p[i]) for i in range(5)))
     sol = solve_fixed_point_oracle(_ybus(graph, topo_by_id, "V"), inj, tol=1e-10)
     assert sol.max_mismatch < 1e-10
 
 
-def test_nr_converges_fast_all_fixture_cases(graph, topologies):
-    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
+def test_nr_converges_fast_all_fixture_cases(graph, topologies, default_day):
     for topo in topologies:
         ybus = build_ybus(graph, topo)
         for t in range(96):
-            sol = solve_newton_raphson(ybus, day[t])
+            sol = solve_newton_raphson(ybus, default_day[t])
             assert sol.iterations <= 10
             assert sol.max_mismatch < 1e-8
 
 
-def test_complex_power_balance(graph, topologies):
-    day = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
+def test_complex_power_balance(graph, topologies, default_day):
     tol = 1e-8
     for topo in topologies:
         ybus = build_ybus(graph, topo)
         for t in range(0, 96, 7):
-            inj = day[t]
+            inj = default_day[t]
             sol = solve_newton_raphson(ybus, inj, tol=tol)
             v = sol.vm * np.exp(1j * np.radians(sol.va_deg))
             s_inj = v * np.conj(ybus @ v)  # includes the slack contribution
@@ -167,10 +163,9 @@ def test_injection_snapshot_validation(graph):
 
 
 @pytest.fixture(scope="module")
-def fixture_stack(graph, topologies):
+def fixture_stack(graph, topologies, default_day):
     """All 480 (topology, t) fixture cases as one stack: ybus, p, q, snapshots."""
-    snapshots = profiles.injections_by_step(graph, profiles.generate_default_profiles(graph))
-    cases = [(build_ybus(graph, topo), inj) for topo in topologies for inj in snapshots]
+    cases = [(build_ybus(graph, topo), inj) for topo in topologies for inj in default_day]
     return (np.stack([y for y, _ in cases]), np.array([inj.p for _, inj in cases]),
             np.array([inj.q for _, inj in cases]), cases)
 

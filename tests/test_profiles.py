@@ -12,22 +12,18 @@ from microtopo import profiles
 from microtopo.cli import EXIT_VALIDATION, main
 from microtopo.profiles import (
     N_STEPS,
-    LoadProfile,
-    ProfileClass,
-    generate_default_profiles,
     industrial_curve,
-    injections_by_step,
-    load_profiles,
-    profile_buses,
+    load_injections,
     pv_curve,
     residential_curve,
 )
+from microtopo.scenario import build_context, fixture_path, load_config
 
 
 def test_all_profiles_cover_every_step(graph):
-    for prof in generate_default_profiles(graph):
-        assert len(prof.values) == N_STEPS == 96
-        assert all(np.isfinite(p) and np.isfinite(q) for p, q in prof.values)
+    p, q, _ = load_injections(graph, "default")
+    assert p.shape == q.shape == (N_STEPS, graph.n_bus) == (96, 5)
+    assert np.isfinite(p).all() and np.isfinite(q).all()
 
 
 def test_residential_shape():
@@ -56,46 +52,48 @@ def test_pv_shape():
 
 
 def test_default_roles(graph):
-    profs = generate_default_profiles(graph)
-    by_key = {(p.bus_id, p.klass) for p in profs}
-    assert (4, ProfileClass.RESIDENTIAL) in by_key
-    assert (5, ProfileClass.INDUSTRIAL) in by_key
-    assert (4, ProfileClass.PV) in by_key
-    assert profile_buses(profs) == (2, 4, 5)
-    # bus 3 carries no device at all
-    assert all(p.bus_id != 3 for p in profs)
+    """The default table, bit for bit: households with rooftop PV at buses 2
+    and 4, an industrial load with a small PV plant at bus 5, each load
+    drawing 0.05 var per W and each PV absorbing 0.35 var per W; nothing
+    at bus 3 or the slack bus."""
+    p, q, monitored = load_injections(graph, "default")
+    assert monitored == (2, 4, 5)
+    devices = {2: (residential_curve(0.035, 0.010, 0.020), pv_curve(0.08)),
+               4: (residential_curve(0.110, 0.030, 0.050), pv_curve(0.24)),
+               5: (industrial_curve(0.010, 0.020), pv_curve(0.03))}
+    for bus, (load, pv) in devices.items():
+        col = graph.bus_index(bus)
+        assert p[:, col].tobytes() == (pv - load).tobytes(), bus
+        assert q[:, col].tobytes() == (-0.05 * load - 0.35 * pv).tobytes(), bus
+    for bus in (1, 3):
+        assert not p[:, graph.bus_index(bus)].any()
+        assert not q[:, graph.bus_index(bus)].any()
 
 
 def test_injection_signs(graph):
     """Loads draw power (negative injection); PV injects at midday."""
-    profs = generate_default_profiles(graph)
-    day = injections_by_step(graph, profs)
-    night, noon = day[0], day[52]
+    p, q, _ = load_injections(graph, "default")
+    night, noon = 0, 52
+    bus3, bus4 = graph.bus_index(3), graph.bus_index(4)
 
-    def at(snap, bus):
-        i = snap.bus_ids.index(bus)
-        return snap.p[i], snap.q[i]
-
-    assert at(night, 4)[0] < 0
-    assert at(night, 3) == (0.0, 0.0)
-    assert at(night, 1) == (0.0, 0.0)  # slack carries no specified injection
+    assert p[night, bus4] < 0
+    assert (p[night, bus3], q[night, bus3]) == (0.0, 0.0)
+    # slack carries no specified injection
+    assert (p[night, graph.slack_index], q[night, graph.slack_index]) == (0.0, 0.0)
     # bus 4 PV peak exceeds its midday load, so the net injection flips sign
-    assert at(noon, 4)[0] > at(night, 4)[0]
+    assert p[noon, bus4] > p[night, bus4]
     # PV absorbs reactive power, loads draw it: q stays negative
-    assert at(noon, 4)[1] < 0
+    assert q[noon, bus4] < 0
 
 
 def test_injections_time_bounds(graph):
-    profs = generate_default_profiles(graph)
-    assert len(injections_by_step(graph, profs)) == 96
+    p, q, _ = load_injections(graph, "default")
+    assert len(p) == len(q) == 96
 
 
 def test_total_demand_positive(graph):
-    profs = generate_default_profiles(graph)
-    total = 0.0
-    for snap in injections_by_step(graph, profs):
-        total -= sum(snap.p)
-    assert total > 0  # the feeder consumes energy over the day
+    p, _, _ = load_injections(graph, "default")
+    assert -p.sum() > 0  # the feeder consumes energy over the day
 
 
 def test_csv_roundtrip(graph, tmp_path):
@@ -106,27 +104,54 @@ def test_csv_roundtrip(graph, tmp_path):
         rows.append(f"{t},2,0.02,0.0")
     path.write_text("\n".join(rows) + "\n")
 
-    profs = load_profiles(graph, path)
-    assert {p.bus_id for p in profs} == {2, 4}
-    assert all(p.klass is ProfileClass.CUSTOM for p in profs)
-    snap = injections_by_step(graph, profs)[10]
-    assert snap.p[snap.bus_ids.index(4)] == pytest.approx(-0.06)
-    assert snap.p[snap.bus_ids.index(2)] == pytest.approx(0.02)
-    assert snap.q[snap.bus_ids.index(4)] == pytest.approx(-0.01)
+    p, q, monitored = load_injections(graph, path)
+    assert monitored == (2, 4)
+    assert p[10, graph.bus_index(4)] == pytest.approx(-0.06)
+    assert p[10, graph.bus_index(2)] == pytest.approx(0.02)
+    assert q[10, graph.bus_index(4)] == pytest.approx(-0.01)
 
 
 def test_csv_missing_steps_rejected(graph, tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("time_index,bus_id,p_pu,q_pu\n0,4,-0.05,-0.01\n")
     with pytest.raises(ValueError, match="bus 4 missing time steps"):
-        load_profiles(graph, path)
+        load_injections(graph, path)
 
 
 def test_csv_bad_header_rejected(graph, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,bus,p,q\n0,4,-0.05,-0.01\n")
     with pytest.raises(ValueError, match="expected header columns"):
-        load_profiles(graph, path)
+        load_injections(graph, path)
+
+
+@pytest.mark.parametrize("command", ["experiment", "powerflow"])
+def test_header_only_profile_exits_2(tmp_path, capsys, command):
+    """A profile CSV with a header and no rows names no bus and no step: it
+    is rejected, not read as a day with no load."""
+    path = tmp_path / "empty.csv"
+    path.write_text("time_index,bus_id,p_pu,q_pu\n")
+    out = tmp_path / "out"
+    args = {"experiment": ["--reps", "1", "--jobs", "1", "--out-dir", str(out)],
+            "powerflow": ["--topo", "I", "--t", "3"]}[command]
+    assert main([command, "--profile", str(path), *args]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: no profile rows\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_all_zero_csv_bus_is_still_monitored(tmp_path):
+    """The SCADA buses are the buses with rows in the file, even a bus
+    whose injection is zero all day, not the nonzero columns."""
+    path = tmp_path / "zero_bus.csv"
+    rows = ["time_index,bus_id,p_pu,q_pu"]
+    for t in range(N_STEPS):
+        rows += [f"{t},3,0.0,0.0", f"{t},4,-0.05,-0.01"]
+    path.write_text("\n".join(rows) + "\n")
+    ctx = build_context(load_config(fixture_path("paper.cfg"), profile=str(path)))
+    assert ctx.scada_buses == (3, 4)
+    assert not ctx.true_p[:, ctx.graph.bus_index(3)].any()
 
 
 # Generated profile CSVs for some PQ buses of the bundled network, rows in
@@ -165,9 +190,12 @@ def _write_profile(directory, text) -> Path:
 def test_profile_csv_round_trip(graph, generated):
     text, values = generated
     with tempfile.TemporaryDirectory() as directory:
-        parsed = profiles.load_profiles(graph, _write_profile(directory, text))
-    assert parsed == [LoadProfile(bus, ProfileClass.CUSTOM, tuple(values[bus]))
-                      for bus in sorted(values)]
+        p, q, monitored = profiles.load_injections(graph, _write_profile(directory, text))
+    assert monitored == tuple(sorted(values))
+    expected = np.zeros((2, N_STEPS, graph.n_bus))
+    for bus, pairs in values.items():
+        expected[:, :, graph.bus_index(bus)] = np.array(pairs).T
+    assert np.array_equal(p, expected[0]) and np.array_equal(q, expected[1])
 
 
 @st.composite

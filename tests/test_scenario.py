@@ -19,7 +19,6 @@ from microtopo.detector import (
     DifferenceMatrices,
     build_library,
     detect,
-    solve_library,
 )
 from microtopo.measurements import derive_rng_stream, sample_scada
 from microtopo.powerflow import InjectionSnapshot
@@ -314,27 +313,32 @@ def test_trial_determinism():
 
 
 def test_trial_library_matches_build_library():
-    """The trial path solves with the context's Ybus; the public
-    build_library builds its own. Both give the same solutions."""
+    """The trial path solves the (steps, buses) tables with the context's
+    Ybus in one `solve_library_batch`; the public build_library builds its
+    own Ybus from snapshots. Both give the same solutions, bit for bit."""
     ctx = build_context(_tiny_config())
     rng = derive_rng_stream(ctx.config.master_seed, 1, "scada")
+    steps = (0, 48, 76)
     injections = {}
-    for t in (0, 48, 76):
+    for t in steps:
         scada = sample_scada(ctx.true_injections[t], ctx.scada_spec, rng, ctx.scada_buses)
         injections[t] = InjectionSnapshot.from_bus_map(
             ctx.graph, {m.bus_id: (m.p_meas, m.q_meas) for m in scada})
-    trial = solve_library(ctx.ybus_by_topo, injections, ctx.graph.slack_index,
-                          tol=ctx.config.tol)
+    trial = detector.solve_library_batch(
+        ctx.ybus_by_topo, np.array([inj.p for inj in injections.values()]),
+        np.array([inj.q for inj in injections.values()]), steps, ctx.graph.slack_index,
+        tol=ctx.config.tol)
     public = build_library(ctx.graph, list(ctx.topologies), injections,
                            tol=ctx.config.tol)
-    assert trial.topology_ids == public.topology_ids == ctx.topology_ids
-    assert trial.entries.keys() == public.entries.keys()
-    for key, sol in trial.entries.items():
-        other = public.entries[key]
-        assert (sol.bus_ids, sol.iterations, sol.max_mismatch) == (
-            other.bus_ids, other.iterations, other.max_mismatch)
-        assert np.array_equal(sol.vm, other.vm)
-        assert np.array_equal(sol.va_deg, other.va_deg)
+    assert public.topology_ids == ctx.topology_ids
+    cases = [(topology_id, t) for topology_id in ctx.topology_ids for t in steps]
+    assert list(public.entries) == cases
+    for i, key in enumerate(cases):
+        sol = public.entries[key]
+        assert sol.bus_ids == ctx.graph.bus_ids
+        assert (sol.iterations, sol.max_mismatch) == (trial.iterations[i], trial.mismatch[i])
+        assert sol.vm.tobytes() == trial.vm[i].tobytes()
+        assert sol.va_deg.tobytes() == trial.va_deg[i].tobytes()
 
 
 @pytest.mark.parametrize("topo_pos, rep, steps", [
