@@ -92,8 +92,9 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--scada-sigma", type=float, default=None)
     p_exp.add_argument("--scada-accuracy", type=float, default=None)
     p_exp.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: the config's jobs key, "
-                            "else 1)")
+                       help="processes that run the repetitions, this one "
+                            "included, at most one per usable CPU (default: the "
+                            "config's jobs key, else 1)")
     p_exp.add_argument("--out-dir", default="results")
     return parser
 

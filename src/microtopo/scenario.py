@@ -7,9 +7,11 @@ confusion matrix over (true, detected) topology pairs.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
+import multiprocessing
+import os
+import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -394,23 +396,43 @@ def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
     """Run and count each repetition of `reps`, one at a time: a
     repetition's stacks are its unit of work. The true states are solved
     once per chunk and shared by its repetitions."""
-    report = _empty_report(ctx)
+    report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.pmu_bus_ids,
+                                 criteria=ctx.config.criteria, signals=ctx.config.signals)
     true_states = solve_true_states(ctx)
     for rep in reps:
         report.record_rep(*run_rep(ctx, rep, *true_states)[2:])
     return report
 
 
-def _empty_report(ctx: ExperimentContext) -> DetectionRateReport:
-    return DetectionRateReport(
-        topology_ids=ctx.topology_ids,
-        pmu_bus_ids=ctx.pmu_bus_ids,
-        criteria=ctx.config.criteria,
-        signals=ctx.config.signals)
+def _chunk_child(ctx: ExperimentContext, reps: list[int], conn):
+    """A worker process's body: run one chunk and send back (True, report)
+    or (False, (the exception it raised, its formatted traceback))."""
+    try:
+        reply = (True, _run_chunk(ctx, reps))
+    except Exception as exc:
+        reply = (False, (exc, traceback.format_exc()))
+    conn.send(reply)
+    conn.close()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     """Full Monte Carlo sweep: every topology x 96 steps x R repetitions.
+
+    With `jobs` > 1 the repetitions split into contiguous chunks, at most
+    one per job, per repetition and per usable CPU. The calling process
+    runs the first chunk, and each other chunk runs in one
+    `multiprocessing.Process` that sends its report back over a one-way
+    pipe. An error in any chunk stops the other processes and is raised
+    here, a worker's exception with the worker's traceback as its cause; a
+    worker that exits without replying raises a RuntimeError that names its
+    repetitions and exit code.
 
     Deterministic for a given config (including master_seed) regardless of
     the job count, because every repetition derives its own RNG streams and
@@ -421,15 +443,40 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     if config.jobs <= 1 or len(reps) == 1:
         return _run_chunk(ctx, reps)
 
-    report = _empty_report(ctx)
-    # One contiguous run of repetitions per worker: repetitions cost alike,
+    # One contiguous run of repetitions per process: repetitions cost alike,
     # and each chunk solves the true states once.
-    n_chunks = min(config.jobs, len(reps))
+    n_chunks = min(config.jobs, len(reps), _usable_cpus())
     chunks = [reps[i * len(reps) // n_chunks:(i + 1) * len(reps) // n_chunks]
               for i in range(n_chunks)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_chunks) as pool:
-        for partial in pool.map(_run_chunk, [ctx] * len(chunks), chunks):
-            report.merge(partial)
+    workers = []
+    try:
+        for chunk in chunks[1:]:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(target=_chunk_child, args=(ctx, chunk, sender))
+            process.start()
+            workers.append((process, receiver, chunk))
+            sender.close()  # so the receiver reads EOF once the worker is gone
+        report = _run_chunk(ctx, chunks[0])
+        for process, receiver, chunk in workers:
+            try:
+                ok, payload = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"worker process for repetitions {chunk[0]}..{chunk[-1]} exited "
+                    f"with code {process.exitcode} without sending its counts") from None
+            if not ok:
+                exc, worker_traceback = payload
+                raise exc from RuntimeError(f"in the worker process:\n{worker_traceback}")
+            report.merge(payload)
+    except BaseException:
+        for process, _, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver, _ in workers:
+            process.join()
+            receiver.close()
     return report
 
 

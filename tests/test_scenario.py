@@ -1,7 +1,10 @@
 import contextlib
 import csv
 import io
+import multiprocessing
+import os
 import re
+import signal
 import tempfile
 from pathlib import Path
 
@@ -11,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microtopo import detector, measurements, powerflow, scenario
-from microtopo.cli import EXIT_VALIDATION, main
+from microtopo.cli import EXIT_NUMERICAL, EXIT_VALIDATION, main
 from microtopo.detector import (
     CRITERIA,
     INCONCLUSIVE,
     SIGNALS,
     DifferenceMatrices,
+    LibraryError,
     build_library,
     detect,
 )
@@ -453,32 +457,190 @@ def test_zero_noise_trial_always_correct():
         assert (verdicts == ctx.topology_ids.index(true)).all()
 
 
+def _pin_usable_cpus(monkeypatch, n):
+    """Make the machine look like it has n usable CPUs to `run_experiment`."""
+    monkeypatch.setattr(scenario.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+class _InlinePipe(list):
+    """Both ends of an inline pipe: what is sent waits in the list."""
+
+    send = list.append
+
+    def recv(self):
+        return self.pop(0)
+
+    def close(self):
+        pass
+
+
+class _InlineMultiprocessing:
+    """Stands in for `scenario.multiprocessing`: `Process.start()` runs the
+    target at once in this process and records the repetitions it was given,
+    and `Pipe()` returns one `_InlinePipe` as both ends, so no process
+    starts."""
+
+    def __init__(self):
+        self.started = []
+
+    def Pipe(self, duplex):
+        assert not duplex
+        pipe = _InlinePipe()
+        return pipe, pipe
+
+    def Process(self, target, args):
+        started = self.started
+
+        class InlineProcess:
+            exitcode = 0
+
+            def start(self):
+                started.append(args[1])
+                target(*args)
+
+            def join(self):
+                pass
+
+            def terminate(self):
+                pass
+
+        return InlineProcess()
+
+
+def _run_inline_pool(monkeypatch, **overrides):
+    """run_experiment with the inline stand-in: (report, the repetitions of
+    each started process, the repetitions the caller ran itself)."""
+    inline = _InlineMultiprocessing()
+    ran = []
+    run_chunk = scenario._run_chunk
+    monkeypatch.setattr(scenario, "multiprocessing", inline)
+    monkeypatch.setattr(scenario, "_run_chunk",
+                        lambda ctx, reps: ran.append(reps) or run_chunk(ctx, reps))
+    report = run_experiment(_tiny_config(**overrides))
+    return report, inline.started, [reps for reps in ran if reps not in inline.started]
+
+
+def _assert_same_counts(report, serial):
+    assert np.array_equal(report.confusion, serial.confusion)
+    assert np.array_equal(report.row_votes, serial.row_votes)
+
+
 def test_pool_forks_no_more_workers_than_chunks(monkeypatch):
-    """Three repetitions make 3 chunks at most, so --jobs 64 asks the pool
-    for 3 workers: under the fork start method every worker is forked up
-    front. An in-process stand-in for the pool records the request and runs
-    the chunks inline, so no process is started."""
-    requested = []
+    """Three repetitions make 3 chunks at most, so --jobs 64 starts 2
+    processes and the caller runs the first chunk itself."""
+    _pin_usable_cpus(monkeypatch, 64)
+    serial = run_experiment(_tiny_config(repetitions=3, master_seed=31))
+    pooled, started, caller = _run_inline_pool(monkeypatch, repetitions=3, master_seed=31,
+                                               jobs=64)
+    assert started == [[1], [2]]
+    assert caller == [[0]]
+    _assert_same_counts(pooled, serial)
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.mark.parametrize("affinity, cpu_count, want_started, want_caller", [
+    (3, None, [[2, 3], [4, 5]], [[0, 1]]),
+    (None, 2, [[3, 4, 5]], [[0, 1, 2]]),  # no affinity call: os.cpu_count() bounds it
+])
+def test_pool_forks_no_more_processes_than_usable_cpus(monkeypatch, affinity, cpu_count,
+                                                       want_started, want_caller):
+    """--jobs 2000 at 6 repetitions makes one chunk per usable CPU, the
+    caller's included."""
+    if affinity is None:
+        monkeypatch.delattr(scenario.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(scenario.os, "cpu_count", lambda: cpu_count)
+    else:
+        _pin_usable_cpus(monkeypatch, affinity)
+    serial = run_experiment(_tiny_config(repetitions=6, master_seed=31))
+    pooled, started, caller = _run_inline_pool(monkeypatch, repetitions=6, master_seed=31,
+                                               jobs=2000)
+    assert started == want_started
+    assert caller == want_caller
+    _assert_same_counts(pooled, serial)
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="the test monkeypatches what a forked worker runs")
 
-    monkeypatch.setattr(scenario.concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    pooled = run_experiment(_tiny_config(repetitions=3, master_seed=31, jobs=64))
-    assert requested == [3]
-    serial = run_experiment(_tiny_config(repetitions=3, master_seed=31, jobs=1))
-    assert np.array_equal(pooled.confusion, serial.confusion)
-    assert np.array_equal(pooled.row_votes, serial.row_votes)
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@fork_only
+@pytest.mark.parametrize("failing_rep", [0, 1])  # the caller's chunk, the worker's
+def test_library_error_in_a_chunk_exits_3_like_the_serial_run(tmp_path, capsys,
+                                                               monkeypatch, failing_rep):
+    parent = os.getpid()
+    run_rep = scenario.run_rep
+
+    def failing_run_rep(ctx, rep, *true_states):
+        if rep == failing_rep:
+            if os.getpid() != parent:
+                (tmp_path / "failed-in-worker").touch()
+            raise LibraryError("power flow failed for topology III at t=40: diverged")
+        return run_rep(ctx, rep, *true_states)
+
+    monkeypatch.setattr(scenario, "run_rep", failing_run_rep)
+    _pin_usable_cpus(monkeypatch, 2)
+    errors = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        with _deadline(30):
+            code = main(["experiment", "--reps", "2", "--jobs", jobs, "--out-dir", str(out)])
+        assert code == EXIT_NUMERICAL
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[1] == errors[0] == (
+        "numerical error: power flow failed for topology III at t=40: diverged\n")
+    assert (tmp_path / "failed-in-worker").exists() == (failing_rep == 1)
+    if failing_rep == 1:
+        with _deadline(30), pytest.raises(LibraryError) as raised:
+            run_experiment(_tiny_config(repetitions=2, jobs=2))
+        assert "in failing_run_rep" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_worker_that_exits_without_replying_is_reported(monkeypatch):
+    """A worker that dies mid-chunk raises at once, naming its repetitions
+    and exit code, and leaves no process behind."""
+    parent = os.getpid()
+    run_rep = scenario.run_rep
+
+    def dying_run_rep(ctx, rep, *true_states):
+        if rep == 2 and os.getpid() != parent:
+            os._exit(1)
+        return run_rep(ctx, rep, *true_states)
+
+    monkeypatch.setattr(scenario, "run_rep", dying_run_rep)
+    _pin_usable_cpus(monkeypatch, 2)
+    with _deadline(30), pytest.raises(
+            RuntimeError, match=r"repetitions 1\.\.2 exited with code 1 without sending"):
+        run_experiment(_tiny_config(repetitions=3, jobs=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_under_spawn_matches_serial(monkeypatch):
+    """The pool also works where workers are spawned, not forked (the
+    default on macOS, and on Linux from Python 3.14)."""
+    _pin_usable_cpus(monkeypatch, 2)
+    serial = run_experiment(_tiny_config(repetitions=2, master_seed=31))
+    monkeypatch.setattr(scenario, "multiprocessing", multiprocessing.get_context("spawn"))
+    _assert_same_counts(run_experiment(_tiny_config(repetitions=2, master_seed=31, jobs=2)),
+                        serial)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")
