@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 
 from . import __version__, network, profiles
-from .detector import INCONCLUSIVE, solve_library_batch
+from .detector import CRITERIA, INCONCLUSIVE, SIGNALS, solve_library_batch
 from .network import NetworkError, load_network
 from .powerflow import InjectionSnapshot, PowerFlowError, solve_newton_raphson
 from .scenario import (
@@ -31,6 +32,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+# Config keys that detect and experiment also take as --pmu-sigma etc.
+_NOISE_KEYS = ("pmu_sigma", "pmu_accuracy", "scada_sigma", "scada_accuracy")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,10 +77,8 @@ def _build_parser() -> _Parser:
     p_det.add_argument("--t", type=int, default=48, help="time step 0..95")
     p_det.add_argument("--profile", default="default")
     p_det.add_argument("--seed", type=int, default=1)
-    p_det.add_argument("--pmu-sigma", type=float, default=None)
-    p_det.add_argument("--pmu-accuracy", type=float, default=None)
-    p_det.add_argument("--scada-sigma", type=float, default=None)
-    p_det.add_argument("--scada-accuracy", type=float, default=None)
+    for key in _NOISE_KEYS:
+        p_det.add_argument("--" + key.replace("_", "-"), type=float, default=None)
     p_det.add_argument("--dump-matrices", default=None, metavar="PATH",
                        help="write the ADM/MDM matrices as CSV")
 
@@ -87,10 +89,8 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--reps", type=int, default=None)
     p_exp.add_argument("--net", default=None)
     p_exp.add_argument("--profile", default=None)
-    p_exp.add_argument("--pmu-sigma", type=float, default=None)
-    p_exp.add_argument("--pmu-accuracy", type=float, default=None)
-    p_exp.add_argument("--scada-sigma", type=float, default=None)
-    p_exp.add_argument("--scada-accuracy", type=float, default=None)
+    for key in _NOISE_KEYS:
+        p_exp.add_argument("--" + key.replace("_", "-"), type=float, default=None)
     p_exp.add_argument("--jobs", type=int, default=None,
                        help="processes that run the repetitions, this one "
                             "included, at most one per usable CPU (default: the "
@@ -173,12 +173,9 @@ def cmd_library(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    overrides = {"network": args.net, "profile": args.profile,
-                 "master_seed": args.seed,
-                 "pmu_sigma": args.pmu_sigma, "pmu_accuracy": args.pmu_accuracy,
-                 "scada_sigma": args.scada_sigma,
-                 "scada_accuracy": args.scada_accuracy}
-    config = load_config(fixture_path("paper.cfg"), **overrides)
+    config = load_config(fixture_path("paper.cfg"), network=args.net,
+                         profile=args.profile, master_seed=args.seed,
+                         **{key: getattr(args, key) for key in _NOISE_KEYS})
     ctx = build_context(config)
     if not 0 <= args.t < profiles.N_STEPS:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
@@ -188,14 +185,13 @@ def cmd_detect(args) -> int:
     adm, mdm, verdicts, votes = run_rep(ctx, 0, *solve_true_states(ctx))
     print(f"true topology {topo.id}, t={t}, seed={config.master_seed}")
     verdict_labels = ctx.topology_ids + (INCONCLUSIVE,)
-    for crit, sig in sorted((c, s) for c in config.criteria for s in config.signals):
-        code = verdicts[index][config.criteria.index(crit), config.signals.index(sig)]
+    cells = zip(itertools.product(CRITERIA, SIGNALS), verdicts[index].ravel().tolist())
+    for (crit, sig), code in sorted(cells):
         print(f"  {crit.upper():5s} {sig:9s} -> {verdict_labels[code]}")
-    if "angle" in config.signals:
-        vote_labels = ctx.topology_ids + ("abstain",)
-        rendered = ", ".join(f"{b}:{vote_labels[v]}" for b, v in zip(
-            ctx.pmu_bus_ids, votes[index][config.signals.index("angle")]))
-        print(f"  per-bus angle votes: {rendered}")
+    vote_labels = ctx.topology_ids + ("abstain",)
+    rendered = ", ".join(f"{b}:{vote_labels[v]}" for b, v in zip(
+        ctx.pmu_bus_ids, votes[index][SIGNALS.index("angle")]))
+    print(f"  per-bus angle votes: {rendered}")
     if args.dump_matrices:
         dump_matrices_csv(adm[index], mdm[index], ctx.pmu_bus_ids, ctx.topology_ids,
                           args.dump_matrices)
@@ -206,11 +202,8 @@ def cmd_detect(args) -> int:
 def cmd_experiment(args) -> int:
     config = load_config(args.config,
                          master_seed=args.seed, repetitions=args.reps,
-                         network=args.net, profile=args.profile,
-                         pmu_sigma=args.pmu_sigma, pmu_accuracy=args.pmu_accuracy,
-                         scada_sigma=args.scada_sigma,
-                         scada_accuracy=args.scada_accuracy,
-                         jobs=args.jobs)
+                         network=args.net, profile=args.profile, jobs=args.jobs,
+                         **{key: getattr(args, key) for key in _NOISE_KEYS})
     report = run_experiment(config)
     rates_path, confusion_path = write_report(report, args.out_dir)
     print(f"experiment: {len(report.topology_ids)} topologies x "

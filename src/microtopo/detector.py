@@ -14,6 +14,7 @@ import numpy as np
 
 from .network import NetworkGraph, TopologyConfig, build_ybus
 from .powerflow import (
+    TOL,
     BatchPowerFlow,
     InjectionSnapshot,
     PowerFlowError,
@@ -96,7 +97,7 @@ class DetectionOutcome:
 
 def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
                   injections_by_step: dict[int, InjectionSnapshot],
-                  tol: float = 1e-8) -> TopologyLibrary:
+                  tol: float = TOL) -> TopologyLibrary:
     """Solve the power flow for every (candidate topology, time step) pair,
     as one `solve_library_batch` call; columns follow `topologies`."""
     steps = list(injections_by_step)
@@ -112,7 +113,7 @@ def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
 
 
 def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,
-                        slack_index: int, tol: float = 1e-8) -> BatchPowerFlow:
+                        slack_index: int, tol: float = TOL) -> BatchPowerFlow:
     """Every (topology, step) case as one stacked Newton-Raphson call.
 
     `p` and `q` are (steps, buses) injections. Case i is topology

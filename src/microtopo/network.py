@@ -29,6 +29,9 @@ class ValidationError(NetworkError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
+    def __reduce__(self):
+        return type(self), (self.violations,)
+
 
 class ConfigurationError(NetworkError):
     """A topology references a switch that does not exist."""

@@ -16,6 +16,13 @@ import numpy as np
 from .network import NetworkGraph
 
 
+# Max mismatch (p.u.) at which a solve has converged, for every solve of the
+# experiment. Fixed, not configurable: the exact tie rule of
+# `detector.vote_stack` holds only while solved states are this close to
+# the true ones (README, "How it works", step 5).
+TOL = 1e-8
+
+
 class PowerFlowError(Exception):
     """Base class for power flow failures."""
 
@@ -26,6 +33,9 @@ class DivergedError(PowerFlowError):
     def __init__(self, message: str, last_mismatch: float):
         super().__init__(message)
         self.last_mismatch = last_mismatch
+
+    def __reduce__(self):
+        return type(self), (str(self), self.last_mismatch)
 
 
 class SingularJacobianError(PowerFlowError):
@@ -215,7 +225,7 @@ def _flat_start_inverses(ybus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
-                               tol: float = 1e-8, max_iter: int = 50,
+                               tol: float = TOL, max_iter: int = 50,
                                slack_index: int = 0) -> BatchPowerFlow:
     """Polar Newton-Raphson over a stack of B cases from a flat start.
 
@@ -306,7 +316,7 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
 
 
 def solve_newton_raphson(ybus: np.ndarray, inj: InjectionSnapshot,
-                         tol: float = 1e-8, max_iter: int = 50,
+                         tol: float = TOL, max_iter: int = 50,
                          slack_index: int = 0) -> PowerFlowSolution:
     """Polar Newton-Raphson power flow from a flat start (1.0 p.u., 0 deg):
     `solve_newton_raphson_batch` over a stack of one case."""
@@ -317,7 +327,7 @@ def solve_newton_raphson(ybus: np.ndarray, inj: InjectionSnapshot,
 
 
 def solve_fixed_point_oracle(ybus: np.ndarray, inj: InjectionSnapshot,
-                             tol: float = 1e-8, max_iter: int = 50000,
+                             tol: float = TOL, max_iter: int = 50000,
                              slack_index: int = 0) -> PowerFlowSolution:
     """Successive-substitution (Gauss-Seidel) solver, used as a cross-check.
 

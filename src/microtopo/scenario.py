@@ -12,10 +12,11 @@ import math
 import multiprocessing
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .measurements import (
     scada_readings,
 )
 from .network import NetworkGraph, TopologyConfig, build_ybus, bus_positions, load_network
-from .powerflow import InjectionSnapshot
+from .powerflow import TOL, InjectionSnapshot
 # Not called here since trials solve in stacks, but kept importable from this
 # module: perfbench/test_perfbench.py checks through this name that the layer
 # tracer rebinds a function imported by another module.
@@ -69,10 +70,8 @@ class ScenarioConfig:
     scada_accuracy: float = 0.0005
     repetitions: int = 20
     master_seed: int = 20160517
-    criteria: tuple[str, ...] = CRITERIA
-    signals: tuple[str, ...] = SIGNALS
     jobs: int = 1
-    tol: float = 1e-8
+    tol: ClassVar[float] = TOL  # not a config key: see `powerflow.TOL`
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -82,20 +81,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite and nonnegative", name)
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1", "jobs")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError("tol must be finite and positive", "tol")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0", "master_seed")
-        for key, kind, known in (("criteria", "criterion", CRITERIA),
-                                 ("signals", "signal", SIGNALS)):
-            names = getattr(self, key)
-            if not names:
-                raise ConfigError(f"{key} must name at least one {kind}", key)
-            for i, name in enumerate(names):
-                if name not in known:
-                    raise ConfigError(f"unknown {kind} {name!r}", key)
-                if name in names[:i]:
-                    raise ConfigError(f"{kind} {name!r} is listed twice", key)
 
 
 def _file_name(value: str) -> str:
@@ -104,20 +91,10 @@ def _file_name(value: str) -> str:
     return value
 
 
-_CONFIG_PARSERS = {
-    "network": _file_name,
-    "profile": _file_name,
-    "pmu_sigma": float,
-    "pmu_accuracy": float,
-    "scada_sigma": float,
-    "scada_accuracy": float,
-    "repetitions": int,
-    "master_seed": int,
-    "criteria": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
-    "signals": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
-    "jobs": int,
-    "tol": float,
-}
+# The config keys are the fields of ScenarioConfig, each parsed by its type
+# (a string here, under `from __future__ import annotations`).
+_CONFIG_PARSERS = {f.name: {"str": _file_name, "float": float, "int": int}[f.type]
+                   for f in fields(ScenarioConfig)}
 
 
 def _resolve_input(key: str, name: str, base_dir: Path) -> str:
@@ -254,8 +231,7 @@ def solve_true_states(ctx: ExperimentContext) -> tuple[np.ndarray, np.ndarray]:
     steps, buses) arrays from one stacked solve of the noise-free library;
     the first failed case raises its `LibraryError`."""
     batch = solve_library_batch(ctx.ybus_by_topo, ctx.true_p, ctx.true_q,
-                                range(len(ctx.true_p)), ctx.graph.slack_index,
-                                tol=ctx.config.tol)
+                                range(len(ctx.true_p)), ctx.graph.slack_index)
     shape = (len(ctx.topologies), len(ctx.true_p), len(ctx.graph.bus_ids))
     return batch.vm.reshape(shape), batch.va_deg.reshape(shape)
 
@@ -271,9 +247,9 @@ def run_rep(ctx: ExperimentContext, rep: int,
     topologies, steps, rows, topologies), from one `difference_stacks`
     call of the readings against the library; the verdict codes, (true
     topologies, steps, criteria, signals); and the row votes, (true
-    topologies, steps, signals, rows). Criteria and signals are in config
-    order, and the codes are `vote_stack`'s, from one call per signal over
-    the (true topologies, steps) trials.
+    topologies, steps, signals, rows). Criteria and signals are in
+    `CRITERIA` and `SIGNALS` order, and the codes are `vote_stack`'s, from
+    one call over the (true topologies, steps, signals) stack of ADM and MDM.
 
     SCADA reads the loads, which do not depend on the switch state, so the
     repetition draws one set of SCADA readings, from the stream keyed (1 +
@@ -301,20 +277,12 @@ def run_rep(ctx: ExperimentContext, rep: int,
     lib_p[:, rows] = scada_p
     lib_q[:, rows] = scada_q
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
-                                  graph.slack_index, tol=config.tol)
+                                  graph.slack_index)
     # Every true topology's readings meet the same (topologies, steps, buses) library.
     adm, mdm = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(true_vm.shape),
                                  library.va_deg.reshape(true_vm.shape), graph.bus_ids)
-    stacks = {"angle": adm, "magnitude": mdm}
-    trials = adm.shape[:2]
-    code = np.min_scalar_type(adm.shape[-1])  # codes run 0..topologies
-    verdicts = np.empty(trials + (len(config.criteria), len(config.signals)), dtype=code)
-    votes = np.empty(trials + (len(config.signals), adm.shape[2]), dtype=code)
-    for s, signal in enumerate(config.signals):
-        by_criterion, votes[:, :, s] = vote_stack(stacks[signal])
-        for c, criterion in enumerate(config.criteria):
-            verdicts[:, :, c, s] = by_criterion[criterion]
-    return adm, mdm, verdicts, votes
+    by_criterion, votes = vote_stack(np.stack((adm, mdm), axis=2))
+    return adm, mdm, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
 
 
 ROW_OUTCOMES = ("correct", "incorrect", "abstain")
@@ -337,8 +305,8 @@ class DetectionRateReport:
 
     topology_ids: tuple[str, ...]
     pmu_bus_ids: tuple[int, ...]  # sorted by bus id, like the ADM/MDM rows
-    criteria: tuple[str, ...]
-    signals: tuple[str, ...]
+    criteria: ClassVar[tuple[str, ...]] = CRITERIA
+    signals: ClassVar[tuple[str, ...]] = SIGNALS
     # (true, criterion, signal, detected); detected position
     # len(topology_ids) counts inconclusive verdicts
     confusion: np.ndarray = field(init=False)
@@ -396,8 +364,7 @@ def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
     """Run and count each repetition of `reps`, one at a time: a
     repetition's stacks are its unit of work. The true states are solved
     once per chunk and shared by its repetitions."""
-    report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.pmu_bus_ids,
-                                 criteria=ctx.config.criteria, signals=ctx.config.signals)
+    report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.pmu_bus_ids)
     true_states = solve_true_states(ctx)
     for rep in reps:
         report.record_rep(*run_rep(ctx, rep, *true_states)[2:])

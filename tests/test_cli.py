@@ -4,7 +4,7 @@ import pytest
 
 from microtopo import cli, scenario
 from microtopo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from microtopo.detector import INCONCLUSIVE
+from microtopo.detector import CRITERIA, INCONCLUSIVE, SIGNALS
 from microtopo.scenario import build_context, fixture_path, load_config
 
 
@@ -158,12 +158,11 @@ def test_experiment_jobs_precedence(tmp_path, monkeypatch, key, flag, want):
 
 
 @pytest.mark.parametrize("key, argv, message", [
-    ("criteria =\n", ["experiment"], "{cfg}:2: criteria must name at least one criterion"),
-    ("signals = angle, angle\n", ["experiment"], "{cfg}:2: signal 'angle' is listed twice"),
+    ("criteria = rmv\n", ["experiment"], "{cfg}:2: unknown key 'criteria'"),
+    ("tol = 1e-9\n", ["experiment"], "{cfg}:2: unknown key 'tol'"),
     ("", ["experiment", "--seed", "-1"], "master_seed must be >= 0"),
     ("", ["detect", "--topo", "I", "--seed", "-1"], "master_seed must be >= 0"),
-], ids=["empty_criteria", "duplicate_signal", "experiment_negative_seed",
-        "detect_negative_seed"])
+], ids=["criteria_key", "tol_key", "experiment_negative_seed", "detect_negative_seed"])
 def test_bad_config_exits_2_before_any_trial(tmp_path, capsys, key, argv, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("network = fivebus.net\n" + key)
@@ -207,7 +206,7 @@ def test_detect_prints_row_t_of_the_task_the_experiment_counts(monkeypatch, caps
                             zip(ctx.topology_ids, zip(verdicts, votes))))
     scenario._run_chunk(ctx, [0])
     labels = ctx.topology_ids + (INCONCLUSIVE,)
-    angle = ctx.config.signals.index("angle")
+    angle = SIGNALS.index("angle")
     for topo, t in pairs:
         assert main(["detect", "--topo", topo, "--t", str(t), "--seed", "5"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
@@ -216,8 +215,8 @@ def test_detect_prints_row_t_of_the_task_the_experiment_counts(monkeypatch, caps
         printed = dict(line.split(" -> ") for line in lines[1:-1])
         assert printed == {
             f"  {crit.upper():5s} {sig:9s}": labels[verdicts[t, c, s]]
-            for c, crit in enumerate(ctx.config.criteria)
-            for s, sig in enumerate(ctx.config.signals)}
+            for c, crit in enumerate(CRITERIA)
+            for s, sig in enumerate(SIGNALS)}
         bus_votes = lines[-1].removeprefix("  per-bus angle votes: ").split(", ")
         assert bus_votes == [f"{bus}:{labels[v] if v < len(ctx.topology_ids) else 'abstain'}"
                              for bus, v in zip(ctx.pmu_bus_ids, votes[t, angle])]

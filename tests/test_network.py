@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -234,6 +235,12 @@ A,S12
     with pytest.raises(ValidationError) as err:
         load_network(_write(tmp_path, bad))
     assert len(err.value.violations) >= 3
+
+
+def test_validation_error_survives_pickle():
+    """A worker process's exception reaches the caller pickled."""
+    err = pickle.loads(pickle.dumps(ValidationError(["a bad", "b bad"])))
+    assert (str(err), err.violations) == ("a bad; b bad", ["a bad", "b bad"])
 
 
 # Generated .net files: buses in any id order, one slack, a spanning tree of

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,12 @@ def test_nr_diverges_on_impossible_load(graph, topo_by_id):
     with pytest.raises(DivergedError) as err:
         solve_newton_raphson(_ybus(graph, topo_by_id, "I"), inj, max_iter=20)
     assert err.value.last_mismatch > 0
+
+
+def test_diverged_error_survives_pickle():
+    """A worker process's exception reaches the caller pickled."""
+    err = pickle.loads(pickle.dumps(DivergedError("did not converge", 1.5)))
+    assert (type(err), str(err), err.last_mismatch) == (DivergedError, "did not converge", 1.5)
 
 
 def test_injection_snapshot_validation(graph):

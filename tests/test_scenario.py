@@ -52,8 +52,7 @@ def test_load_bundled_config():
     assert cfg.pmu_sigma == 0.00025
     assert cfg.scada_sigma == 0.025
     assert cfg.repetitions == 20
-    assert cfg.criteria == ("rmv", "armv", "ormv")
-    assert cfg.signals == ("angle", "magnitude")
+    assert cfg.tol == 1e-8
 
 
 def test_config_overrides():
@@ -64,16 +63,14 @@ def test_config_overrides():
 
 
 def test_unknown_config_key(tmp_path):
+    """Also `criteria`, `signals` and `tol`: the voting criteria, the
+    signals and the solver tolerance are fixed, not keys."""
     bad = tmp_path / "bad.cfg"
-    bad.write_text("network = fivebus.net\nwibble = 3\n")
-    with pytest.raises(ConfigError, match="wibble"):
-        load_config(bad)
-
-
-def test_tol_key_parses(tmp_path):
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("network = fivebus.net\ntol = 1e-9\n")
-    assert load_config(cfg).tol == 1e-9
+    for line in ("wibble = 3", "criteria = rmv", "signals = angle", "tol = 1e-9"):
+        bad.write_text(f"network = fivebus.net\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}:2: unknown key {key!r}")):
+            load_config(bad)
 
 
 def test_invalid_values_rejected():
@@ -81,15 +78,14 @@ def test_invalid_values_rejected():
         load_config(PAPER_CFG, repetitions=0)
     with pytest.raises(ConfigError):
         load_config(PAPER_CFG, pmu_sigma=-1.0)
-    with pytest.raises(ConfigError):
-        load_config(PAPER_CFG, criteria=("rmv", "bogus"))
 
 
 @pytest.mark.parametrize("line, message", [
-    ("criteria =", "criteria must name at least one criterion"),
-    ("signals = ,", "signals must name at least one signal"),
-    ("criteria = armv, armv", "criterion 'armv' is listed twice"),
-    ("signals = angle, magnitude, angle", "signal 'angle' is listed twice"),
+    # criteria and signals are fixed, not keys: a line setting either is rejected by its key
+    ("criteria =", "unknown key 'criteria'"),
+    ("signals = ,", "unknown key 'signals'"),
+    ("criteria = armv, armv", "unknown key 'criteria'"),
+    ("signals = angle, magnitude, angle", "unknown key 'signals'"),
     ("master_seed = -1", "master_seed must be >= 0"),
 ], ids=["empty_criteria", "empty_signals", "duplicate_criterion", "duplicate_signal",
         "negative_seed"])
@@ -109,7 +105,7 @@ def test_config_key_given_twice_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("text, lineno, message", [
-    ("network = fivebus.net\ntol = nan\n", 2, "tol must be finite and positive"),
+    ("network = fivebus.net\ntol = nan\n", 2, "unknown key 'tol'"),
     ("network = fivebus.net\npmu_sigma = inf\n", 2, "pmu_sigma must be finite and nonnegative"),
     ("network = fivebus.net\n\nrepetitions = 0\n", 3, "repetitions must be >= 1"),
     ("# header\nnetwork =\n", 2, "bad value for network: empty file name"),
@@ -138,9 +134,6 @@ _VALID_VALUES = {
     "repetitions": st.integers(1, 10**6),
     "master_seed": st.integers(0, 2**80),
     "jobs": st.integers(1, 64),
-    "tol": st.floats(min_value=1e-300, max_value=1.0),
-    "criteria": st.lists(st.sampled_from(CRITERIA), min_size=1, unique=True).map(tuple),
-    "signals": st.lists(st.sampled_from(SIGNALS), min_size=1, unique=True).map(tuple),
 }
 _BAD_VALUES = {
     **{key: ("abc", "nan", "inf", "-0.5", "") for key in _FLOAT_KEYS},
@@ -149,15 +142,10 @@ _BAD_VALUES = {
     "repetitions": ("abc", "0", "-2", "1.5", ""),
     "master_seed": ("-1", "seed", "1e3", ""),
     "jobs": ("x", "0", "2.0", ""),
-    "tol": ("abc", "nan", "inf", "0", "-1e-9", ""),
-    "criteria": ("", "bogus", "armv,armv", "rmv,,bogus"),
-    "signals": ("", "phase", "angle,angle"),
 }
 
 
 def _render(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(value)
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -189,6 +177,7 @@ def _write(directory: str, lines) -> Path:
 @settings(max_examples=60, deadline=None)
 @given(_config_lines())
 def test_config_round_trip(generated):
+    assert {"network", *_VALID_VALUES} == set(scenario._CONFIG_PARSERS)
     lines, values = generated
     with tempfile.TemporaryDirectory() as directory:
         config = load_config(_write(directory, lines))
@@ -353,24 +342,38 @@ def test_trial_library_matches_build_library():
 def test_detect_on_a_task_row_matches_its_outcome_arrays(topo_pos, rep, steps):
     """Row t of a task's matrices, voted alone by `detect` (the online path),
     gives the verdicts and per-row votes of row t of the task's outcome
-    arrays (one `vote_stack` call per signal over the whole day): trial
-    (t, rep) of the experiment is row t of task (topology, rep)."""
+    arrays (one `vote_stack` call per repetition, over every trial's ADM and
+    MDM): trial (t, rep) of the experiment is row t of task (topology, rep)."""
     ctx = build_context(_tiny_config(repetitions=2, master_seed=3))
     topo_id = ctx.topology_ids[topo_pos]
     adm, mdm, verdicts, votes = _task(ctx, topo_id, rep)
-    criteria, signals = ctx.config.criteria, ctx.config.signals
-    assert verdicts.shape == (96, len(criteria), len(signals))
-    assert votes.shape == (96, len(signals), 5)
+    assert verdicts.shape == (96, len(CRITERIA), len(SIGNALS))
+    assert votes.shape == (96, len(SIGNALS), 5)
     labels = ctx.topology_ids + (INCONCLUSIVE,)
     for t in steps:
         alone = DifferenceMatrices(adm=adm[t], mdm=mdm[t], pmu_bus_ids=ctx.pmu_bus_ids,
                                    topology_ids=ctx.topology_ids)
-        for c, crit in enumerate(criteria):
-            for s, sig in enumerate(signals):
+        for c, crit in enumerate(CRITERIA):
+            for s, sig in enumerate(SIGNALS):
                 assert detect(alone, crit, sig).verdict == labels[verdicts[t, c, s]]
-        for s, sig in enumerate(signals):
+        for s, sig in enumerate(SIGNALS):
             assert detect(alone, "rmv", sig).per_row_votes == tuple(
                 None if v == len(ctx.topology_ids) else labels[v] for v in votes[t, s])
+
+
+def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
+    """Each repetition votes all its trials, on both signals, in one
+    `vote_stack` call over its (true topologies, steps, signals, rows,
+    topologies) stack."""
+    calls = []
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return detector.vote_stack(stack)
+
+    monkeypatch.setattr(scenario, "vote_stack", counted)
+    run_experiment(_tiny_config(repetitions=3, master_seed=4))
+    assert calls == [(5, 96, len(SIGNALS), 5, 5)] * 3
 
 
 def test_record_rep_counts_like_a_loop():
@@ -379,9 +382,8 @@ def test_record_rep_counts_like_a_loop():
     topology, trial, cell and row is the reference."""
     rng = np.random.default_rng(8)
     report = scenario.DetectionRateReport(topology_ids=("A", "B", "C"),
-                                          pmu_bus_ids=(1, 2, 3, 4),
-                                          criteria=("armv", "rmv"), signals=SIGNALS)
-    verdicts = rng.integers(0, 4, size=(3, 50, 2, 2), dtype=np.uint8)
+                                          pmu_bus_ids=(1, 2, 3, 4))
+    verdicts = rng.integers(0, 4, size=(3, 50, 3, 2), dtype=np.uint8)
     votes = rng.integers(0, 4, size=(3, 50, 2, 4), dtype=np.uint8)
     report.record_rep(verdicts, votes)
     confusion = np.zeros_like(report.confusion)
@@ -389,7 +391,7 @@ def test_record_rep_counts_like_a_loop():
     for q in range(3):
         for i in range(50):
             for s in range(2):
-                for c in range(2):
+                for c in range(3):
                     confusion[q, c, s, verdicts[q, i, c, s]] += 1
                 for r in range(4):
                     v = votes[q, i, s, r]
