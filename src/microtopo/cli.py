@@ -182,7 +182,7 @@ def cmd_detect(args) -> int:
     topo = _find_topology(ctx.topologies, args.topo)
     t = args.t
     index = (ctx.topology_ids.index(topo.id), t)  # trial (topology, t, rep 0)
-    adm, mdm, verdicts, votes = run_rep(ctx, 0, *solve_true_states(ctx))
+    stack, verdicts, votes = run_rep(ctx, 0, *solve_true_states(ctx))
     print(f"true topology {topo.id}, t={t}, seed={config.master_seed}")
     verdict_labels = ctx.topology_ids + (INCONCLUSIVE,)
     cells = zip(itertools.product(CRITERIA, SIGNALS), verdicts[index].ravel().tolist())
@@ -193,8 +193,7 @@ def cmd_detect(args) -> int:
         ctx.pmu_bus_ids, votes[index][SIGNALS.index("angle")]))
     print(f"  per-bus angle votes: {rendered}")
     if args.dump_matrices:
-        dump_matrices_csv(adm[index], mdm[index], ctx.pmu_bus_ids, ctx.topology_ids,
-                          args.dump_matrices)
+        dump_matrices_csv(stack[index], ctx.pmu_bus_ids, ctx.topology_ids, args.dump_matrices)
         print(f"wrote {args.dump_matrices}")
     return EXIT_OK
 

@@ -60,39 +60,25 @@ class TopologyLibrary:
 
 @dataclass(frozen=True)
 class DifferenceMatrices:
-    """|measured - calculated| per μPMU row and candidate-topology column.
+    """One snapshot's ADM and MDM as a (signal, row, topology) stack from
+    `difference_stacks`: |measured - calculated| per μPMU row and
+    candidate-topology column, angles in degrees, magnitudes in p.u."""
 
-    adm holds angle deltas in degrees, mdm magnitude deltas in p.u.
-    """
-
-    adm: np.ndarray
-    mdm: np.ndarray
-    pmu_bus_ids: tuple[int, ...]
+    stack: np.ndarray
     topology_ids: tuple[str, ...]
 
     @cached_property
     def _outcomes(self) -> dict[tuple[str, str], DetectionOutcome]:
-        """Every (criterion, signal) outcome, from one `vote_stack` call over
-        the stack of one ADM and one MDM, in `SIGNALS` order."""
-        verdicts, votes = vote_stack(np.array((self.adm, self.mdm)))
-        verdict_ids = self.topology_ids + (INCONCLUSIVE,)
-        vote_ids = self.topology_ids + (None,)
-        outcomes = {}
-        for s, signal in enumerate(SIGNALS):
-            row_votes = tuple(vote_ids[v] for v in votes[s].tolist())
-            for criterion in CRITERIA:
-                outcomes[criterion, signal] = DetectionOutcome(
-                    criterion, signal, verdict_ids[verdicts[criterion][s]],
-                    () if criterion == "armv" else row_votes)
-        return outcomes
+        """Every (criterion, signal) outcome, from one `vote_stack` call."""
+        verdicts, _ = vote_stack(self.stack)
+        labels = self.topology_ids + (INCONCLUSIVE,)
+        return {(criterion, signal): DetectionOutcome(labels[verdicts[criterion][s]])
+                for criterion in CRITERIA for s, signal in enumerate(SIGNALS)}
 
 
 @dataclass(frozen=True)
 class DetectionOutcome:
-    criterion: str
-    signal: str
     verdict: str  # topology id or INCONCLUSIVE
-    per_row_votes: tuple[str | None, ...] = ()  # None = row abstained (tied)
 
 
 def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
@@ -151,15 +137,16 @@ def compute_difference_matrices(measurements, library: TopologyLibrary,
         raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
                            f"for topology {topo_ids[0]} at t={t}") from None
     calc = states[step[t]][:, :, rows]  # (signal, topology, μPMU)
-    adm, mdm = difference_stacks(phasors.vm, phasors.va_deg, calc[1], calc[0], phasors.bus_ids)
-    return DifferenceMatrices(adm=adm, mdm=mdm,
-                              pmu_bus_ids=tuple(sorted(phasors.bus_ids)), topology_ids=topo_ids)
+    return DifferenceMatrices(difference_stacks(phasors.vm, phasors.va_deg, calc[1], calc[0],
+                                                phasors.bus_ids), topo_ids)
 
 
 def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
-                      lib_va_deg: np.ndarray, bus_ids) -> tuple[np.ndarray, np.ndarray]:
-    """ADM and MDM of many trials at once, as (..., rows, topologies) stacks
-    with rows sorted by bus id.
+                      lib_va_deg: np.ndarray, bus_ids) -> np.ndarray:
+    """ADM and MDM of many trials at once, as one (..., signals, rows,
+    topologies) stack: signals in `SIGNALS` order, so [..., 0, :, :] is the
+    ADM and [..., 1, :, :] the MDM, and rows sorted by bus id. The one place
+    that decides this layout; `vote_stack` votes it as it is.
 
     `vm`/`va_deg` are measured (..., buses) arrays and `lib_vm`/`lib_va_deg`
     the (topologies, ..., buses) library states, all by position in
@@ -168,11 +155,10 @@ def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
     readings of a repetition meet its (topologies, steps, buses) library.
     """
     order = np.argsort(bus_ids, kind="stable")
-    topology_last = (*range(1, lib_vm.ndim), 0)
-    va_calc = lib_va_deg[..., order].transpose(topology_last)
-    vm_calc = lib_vm[..., order].transpose(topology_last)
-    return (np.abs(va_deg[..., order, None] - va_calc),
-            np.abs(vm[..., order, None] - vm_calc))
+    m, n = vm.ndim, lib_vm.ndim  # signals go first in np.array, then move before the rows
+    measured = np.array((va_deg, vm))[..., order].transpose(*range(1, m), 0, m)
+    library = np.array((lib_va_deg, lib_vm))[..., order].transpose(*range(2, n), 0, n, 1)
+    return np.abs(measured[..., None] - library)
 
 
 def detect(matrices: DifferenceMatrices, criterion: str, signal: str) -> DetectionOutcome:
@@ -189,7 +175,8 @@ def detect(matrices: DifferenceMatrices, criterion: str, signal: str) -> Detecti
 def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """RMV, ARMV and ORMV over a (..., rows, topologies) stack of ADM or MDM
     matrices: the one place the voting and tie rules are coded. Any leading
-    axes are trials, such as (true topologies, steps) for a repetition.
+    axes are trials and signals, such as the (true topologies, steps,
+    signals) of a repetition's `difference_stacks`.
 
     Each row votes for the topology of its minimum. RMV takes the majority
     of the row votes, ORMV a unanimous row vote, and ARMV the smallest

@@ -197,7 +197,7 @@ def build_ybus(graph: NetworkGraph, topo: TopologyConfig) -> np.ndarray:
 
 
 def _parse_sections(path: Path) -> dict[str, list[tuple[int, str]]]:
-    sections: dict[str, list[tuple[int, str]]] = {}
+    sections: dict = dict.fromkeys(("buses", "lines", "topologies"))
     current: str | None = None
     text = path.read_text()
     if not text.strip():
@@ -208,11 +208,17 @@ def _parse_sections(path: Path) -> dict[str, list[tuple[int, str]]]:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            if current not in sections:
+                raise ParseError(f"{path}:{lineno}: unknown section [{current}]")
+            if sections[current] is None:
+                sections[current] = []
             continue
         if current is None:
             raise ParseError(f"{path}:{lineno}: data before any [section] header")
         sections[current].append((lineno, stripped))
+    for name, rows in sections.items():
+        if rows is None:
+            raise ParseError(f"{path}: missing [{name}] section")
     return sections
 
 
@@ -224,9 +230,6 @@ def load_network(path: str | Path) -> tuple[NetworkGraph, list[TopologyConfig]]:
     """
     path = Path(path)
     sections = _parse_sections(path)
-    for required in ("buses", "lines", "topologies"):
-        if required not in sections:
-            raise ParseError(f"{path}: missing [{required}] section")
 
     buses: list[Bus] = []
     for lineno, row in sections["buses"]:

@@ -243,13 +243,13 @@ def run_rep(ctx: ExperimentContext, rep: int,
     `solve_true_states`. Trial (T, t, rep) of the experiment is [T, t] of
     every array the repetition returns, T a position in `topology_ids`.
 
-    Returns (adm, mdm, verdicts, votes): the ADM and MDM stacks, (true
-    topologies, steps, rows, topologies), from one `difference_stacks`
-    call of the readings against the library; the verdict codes, (true
-    topologies, steps, criteria, signals); and the row votes, (true
-    topologies, steps, signals, rows). Criteria and signals are in
-    `CRITERIA` and `SIGNALS` order, and the codes are `vote_stack`'s, from
-    one call over the (true topologies, steps, signals) stack of ADM and MDM.
+    Returns (stack, verdicts, votes): the ADM and MDM as one (true
+    topologies, steps, signals, rows, topologies) stack, from one
+    `difference_stacks` call of the readings against the library; the
+    verdict codes, (true topologies, steps, criteria, signals); and the row
+    votes, (true topologies, steps, signals, rows). Criteria and signals are
+    in `CRITERIA` and `SIGNALS` order, and the codes are `vote_stack`'s, from
+    one call over the stack.
 
     SCADA reads the loads, which do not depend on the switch state, so the
     repetition draws one set of SCADA readings, from the stream keyed (1 +
@@ -279,10 +279,10 @@ def run_rep(ctx: ExperimentContext, rep: int,
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
                                   graph.slack_index)
     # Every true topology's readings meet the same (topologies, steps, buses) library.
-    adm, mdm = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(true_vm.shape),
-                                 library.va_deg.reshape(true_vm.shape), graph.bus_ids)
-    by_criterion, votes = vote_stack(np.stack((adm, mdm), axis=2))
-    return adm, mdm, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
+    stack = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(true_vm.shape),
+                              library.va_deg.reshape(true_vm.shape), graph.bus_ids)
+    by_criterion, votes = vote_stack(stack)
+    return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
 
 
 ROW_OUTCOMES = ("correct", "incorrect", "abstain")
@@ -367,7 +367,7 @@ def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
     report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.pmu_bus_ids)
     true_states = solve_true_states(ctx)
     for rep in reps:
-        report.record_rep(*run_rep(ctx, rep, *true_states)[2:])
+        report.record_rep(*run_rep(ctx, rep, *true_states)[1:])
     return report
 
 
@@ -392,14 +392,14 @@ def _usable_cpus() -> int:
 def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     """Full Monte Carlo sweep: every topology x 96 steps x R repetitions.
 
-    With `jobs` > 1 the repetitions split into contiguous chunks, at most
-    one per job, per repetition and per usable CPU. The calling process
-    runs the first chunk, and each other chunk runs in one
-    `multiprocessing.Process` that sends its report back over a one-way
-    pipe. An error in any chunk stops the other processes and is raised
-    here, a worker's exception with the worker's traceback as its cause; a
-    worker that exits without replying raises a RuntimeError that names its
-    repetitions and exit code.
+    The repetitions split into contiguous chunks, at most one per job, per
+    repetition and per usable CPU. The calling process runs the first chunk,
+    and each other chunk runs in one `multiprocessing.Process` that sends
+    its report back over a one-way pipe, so a serial run (`jobs` = 1 or one
+    repetition) is one chunk and starts no process. An error in any chunk
+    stops the other processes and is raised here, a worker's exception with
+    the worker's traceback as its cause; a worker that exits without
+    replying raises a RuntimeError that names its repetitions and exit code.
 
     Deterministic for a given config (including master_seed) regardless of
     the job count, because every repetition derives its own RNG streams and
@@ -407,9 +407,6 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     """
     ctx = build_context(config)
     reps = list(range(config.repetitions))
-    if config.jobs <= 1 or len(reps) == 1:
-        return _run_chunk(ctx, reps)
-
     # One contiguous run of repetitions per process: repetitions cost alike,
     # and each chunk solves the true states once.
     n_chunks = min(config.jobs, len(reps), _usable_cpus())
@@ -499,13 +496,12 @@ def summarize(report: DetectionRateReport) -> list[str]:
             for s, sig in enumerate(report.signals)]
 
 
-def dump_matrices_csv(adm: np.ndarray, mdm: np.ndarray, pmu_bus_ids, topology_ids,
-                      path: str | Path):
-    """One trial's ADM and MDM, each (rows, topologies), side by side: one
-    row per μPMU bus, columns per topology."""
+def dump_matrices_csv(stack: np.ndarray, pmu_bus_ids, topology_ids, path: str | Path):
+    """One trial's (signals, rows, topologies) stack from `difference_stacks`
+    as CSV: one row per μPMU bus, the ADM columns then the MDM columns, one
+    per topology."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bus"] + [f"adm_{q}" for q in topology_ids]
-                        + [f"mdm_{q}" for q in topology_ids])
-        for bus, adm_row, mdm_row in zip(pmu_bus_ids, adm, mdm):
-            writer.writerow([bus] + [f"{v:.9e}" for v in (*adm_row, *mdm_row)])
+        writer.writerow(["bus"] + [f"{m}_{q}" for m in ("adm", "mdm") for q in topology_ids])
+        for bus, row in zip(pmu_bus_ids, np.hstack(stack)):
+            writer.writerow([bus] + [f"{v:.9e}" for v in row])

@@ -31,12 +31,15 @@ from microtopo.powerflow import (
 from microtopo.scenario import build_context, fixture_path, load_config, solve_true_states
 
 
-def _matrices(mat, ids=None):
+def _vote(mat, ids=None):
+    """`vote_stack` of one (rows, topologies) matrix, as labels: the verdict
+    per criterion, and the row votes with None for an abstaining row."""
     mat = np.asarray(mat, dtype=float)
     ids = ids or tuple(f"T{j}" for j in range(mat.shape[1]))
-    return DifferenceMatrices(adm=mat, mdm=mat.copy(),
-                              pmu_bus_ids=tuple(range(1, mat.shape[0] + 1)),
-                              topology_ids=tuple(ids))
+    verdicts, votes = vote_stack(mat)
+    labels = ids + (INCONCLUSIVE,)
+    return ({c: labels[verdicts[c]] for c in CRITERIA},
+            tuple(labels[v] if v < len(ids) else None for v in votes.tolist()))
 
 
 # brute-force reference implementations, written independently of the
@@ -85,15 +88,18 @@ def test_criteria_against_brute_force_on_random_matrices():
             r = rng.integers(5)
             c1, c2 = rng.choice(5, size=2, replace=False)
             mat[r, c2] = mat[r, c1] = mat[r].min()
-        m = _matrices(mat, ids)
-        rmv, ormv = detect(m, "rmv", "angle"), detect(m, "ormv", "angle")
-        assert rmv.verdict == _oracle_rmv(mat, ids)
-        assert detect(m, "armv", "angle").verdict == _oracle_armv(mat, ids)
-        assert ormv.verdict == _oracle_ormv(mat, ids)
-        assert list(detect(m, "rmv", "magnitude").per_row_votes) == _oracle_row_votes(mat, ids)
-        # RMV and ORMV share the votes computed once per signal
-        assert list(rmv.per_row_votes) == _oracle_row_votes(mat, ids)
-        assert rmv.per_row_votes is ormv.per_row_votes
+        # the same matrix as both signals, as a snapshot's (signal, row,
+        # topology) stack
+        verdicts, votes = vote_stack(np.array((mat, mat)))
+        labels = ids + (INCONCLUSIVE,)
+        assert labels[verdicts["rmv"][0]] == _oracle_rmv(mat, ids)
+        assert labels[verdicts["armv"][0]] == _oracle_armv(mat, ids)
+        assert labels[verdicts["ormv"][0]] == _oracle_ormv(mat, ids)
+        row_votes = [[ids[v] if v < len(ids) else None for v in signal] for signal in votes]
+        assert row_votes[1] == _oracle_row_votes(mat, ids)
+        # RMV and ORMV share the row votes, one set per signal
+        assert votes.shape == (2, 5)
+        assert row_votes[0] == _oracle_row_votes(mat, ids)
 
 
 # Integer-valued entries keep column sums exact, so permuting rows cannot
@@ -104,8 +110,7 @@ _MATRICES = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 5)),
 
 
 def _verdicts(mat, ids):
-    m = _matrices(mat, ids)
-    return [detect(m, criterion, "angle").verdict for criterion in CRITERIA]
+    return list(_vote(mat, ids)[0].values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,7 +179,7 @@ def test_all_six_detect_calls_share_one_vote_stack_call(monkeypatch):
         return vote_stack(stack)
 
     monkeypatch.setattr(detector, "vote_stack", counted)
-    m = _matrices(np.arange(12.0).reshape(3, 4))
+    m = DifferenceMatrices(np.arange(24.0).reshape(2, 3, 4), ("A", "B", "C", "D"))
     for criterion in CRITERIA:
         for signal in SIGNALS:
             detect(m, criterion, signal)
@@ -195,11 +200,43 @@ def test_difference_stacks_broadcast_like_the_flat_tiled_call():
     flat = difference_stacks(vm.reshape(-1, 5), va.reshape(-1, 5),
                              np.tile(lib_vm, (1, n_true, 1)), np.tile(lib_va, (1, n_true, 1)),
                              bus_ids)
-    for stack, flat_stack in zip(stacks, flat):
-        assert stack.shape == (n_true, n_step, 5, n_topo)
-        assert stack.tobytes() == flat_stack.reshape(stack.shape).tobytes()
+    assert stacks.shape == (n_true, n_step, len(SIGNALS), 5, n_topo)
+    assert stacks.tobytes() == flat.reshape(stacks.shape).tobytes()
     order = np.argsort(bus_ids)
-    assert np.array_equal(stacks[0][2, 6, :, 3], np.abs(va[2, 6, order] - lib_va[3, 6, order]))
+    assert np.array_equal(stacks[2, 6, 0, :, 3], np.abs(va[2, 6, order] - lib_va[3, 6, order]))
+
+
+def _loop_stack(vm, va, lib_vm, lib_va, bus_ids):
+    """One trial's (signal, row, topology) stack, cell by cell."""
+    rows = sorted(range(len(bus_ids)), key=lambda i: bus_ids[i])
+    stack = np.zeros((2, len(rows), len(lib_vm)))
+    for col in range(len(lib_vm)):
+        for row, i in enumerate(rows):
+            stack[0, row, col] = abs(va[i] - lib_va[col][i])
+            stack[1, row, col] = abs(vm[i] - lib_vm[col][i])
+    return stack
+
+
+def test_difference_stacks_hold_the_adm_then_the_mdm():
+    """The signal axis is third from last, in `SIGNALS` order: [..., 0, :, :]
+    is the ADM and [..., 1, :, :] the MDM, for one snapshot, (buses,)
+    against (topologies, buses), and for one repetition, (true, steps,
+    buses) against (topologies, steps, buses)."""
+    assert SIGNALS == ("angle", "magnitude")
+    rng = np.random.default_rng(31)
+    bus_ids = (3, 1, 5, 2, 4)
+    vm, va = rng.uniform(0.9, 1.1, (2, 5))
+    lib_vm, lib_va = rng.uniform(0.9, 1.1, (2, 4, 5))
+    stack = difference_stacks(vm, va, lib_vm, lib_va, bus_ids)
+    assert stack.shape == (2, 5, 4)
+    assert np.array_equal(stack, _loop_stack(vm, va, lib_vm, lib_va, bus_ids))
+    rep_vm, rep_va = rng.uniform(0.9, 1.1, (2, 3, 6, 5))
+    rep_lib_vm, rep_lib_va = rng.uniform(0.9, 1.1, (2, 4, 6, 5))
+    stacks = difference_stacks(rep_vm, rep_va, rep_lib_vm, rep_lib_va, bus_ids)
+    assert stacks.shape == (3, 6, 2, 5, 4)
+    for true, t in np.ndindex(3, 6):
+        assert np.array_equal(stacks[true, t], _loop_stack(
+            rep_vm[true, t], rep_va[true, t], rep_lib_vm[:, t], rep_lib_va[:, t], bus_ids))
 
 
 @pytest.mark.parametrize("shape", [(96, 5, 5), (3, 17, 2), (7, 130, 3), (2, 1000, 4),
@@ -219,8 +256,8 @@ def test_armv_scale_invariance():
     for _ in range(200):
         mat = rng.uniform(0.0, 1.0, size=(5, 5))
         scale = float(rng.uniform(1e-6, 1e6))
-        before = detect(_matrices(mat), "armv", "angle").verdict
-        after = detect(_matrices(mat * scale), "armv", "angle").verdict
+        before = _vote(mat)[0]["armv"]
+        after = _vote(mat * scale)[0]["armv"]
         assert before == after
 
 
@@ -229,19 +266,19 @@ def test_ormv_iff_common_argmin():
     ids = ("A", "B", "C", "D")
     for _ in range(500):
         mat = rng.uniform(0.0, 1.0, size=(4, 4))
-        out = detect(_matrices(mat, ids), "ormv", "angle")
+        out = _vote(mat, ids)[0]["ormv"]
         argmins = {int(np.argmin(mat[r])) for r in range(4)}
         if len(argmins) == 1:
-            assert out.verdict == ids[argmins.pop()]
+            assert out == ids[argmins.pop()]
         else:
-            assert out.verdict == INCONCLUSIVE
+            assert out == INCONCLUSIVE
 
 
 def test_single_row_example():
     mat = np.array([[0.05, 0.002, 0.03, 0.04, 0.01]])
-    m = _matrices(mat, ("1", "2", "3", "4", "5"))
+    verdicts, _ = _vote(mat, ("1", "2", "3", "4", "5"))
     for criterion in CRITERIA:
-        assert detect(m, criterion, "angle").verdict == "2"
+        assert verdicts[criterion] == "2"
 
 
 def test_column_mean_example():
@@ -249,8 +286,7 @@ def test_column_mean_example():
                     [0.2, 0.4, 0.1]])
     # column means: 0.25, 0.25, 0.30 -> a tie for the smallest, inconclusive
     # as for RMV and ORMV
-    out = detect(_matrices(mat, ("a", "b", "c")), "armv", "angle")
-    assert out.verdict == INCONCLUSIVE
+    assert _vote(mat, ("a", "b", "c"))[0]["armv"] == INCONCLUSIVE
 
 
 def test_rmv_majority_example():
@@ -263,9 +299,9 @@ def test_rmv_majority_example():
         [0.6, 0.9, 0.9, 0.9, 0.2],
     ])
     ids = ("I", "II", "III", "IV", "V")
-    out = detect(_matrices(mat, ids), "rmv", "angle")
-    assert out.verdict == "I"
-    assert out.per_row_votes == ("I", "I", "V", "I", "V")
+    verdicts, row_votes = _vote(mat, ids)
+    assert verdicts["rmv"] == "I"
+    assert row_votes == ("I", "I", "V", "I", "V")
 
 
 def test_rmv_count_tie_is_inconclusive():
@@ -273,19 +309,19 @@ def test_rmv_count_tie_is_inconclusive():
         [0.1, 0.9],
         [0.9, 0.1],
     ])
-    assert detect(_matrices(mat), "rmv", "angle").verdict == INCONCLUSIVE
+    assert _vote(mat)[0]["rmv"] == INCONCLUSIVE
 
 
 def test_all_rows_tied_everything_inconclusive():
     mat = np.ones((3, 4))
-    m = _matrices(mat)
-    assert detect(m, "rmv", "angle").verdict == INCONCLUSIVE
-    assert detect(m, "ormv", "angle").verdict == INCONCLUSIVE
-    assert detect(m, "rmv", "angle").per_row_votes == (None, None, None)
+    verdicts, row_votes = _vote(mat)
+    assert verdicts["rmv"] == INCONCLUSIVE
+    assert verdicts["ormv"] == INCONCLUSIVE
+    assert row_votes == (None, None, None)
 
 
 def test_unknown_criterion_and_signal():
-    m = _matrices(np.ones((2, 2)))
+    m = DifferenceMatrices(np.ones((2, 2, 2)), ("A", "B"))
     with pytest.raises(ValueError):
         detect(m, "xyz", "angle")
     with pytest.raises(ValueError):
@@ -363,9 +399,9 @@ def test_difference_matrices_match_cell_loop_bit_for_bit(zero_noise_setup):
                                        vm=meas.vm[perm], va_deg=meas.va_deg[perm])
             m = compute_difference_matrices(_Bag(meas), library, t)
             adm, mdm = _loop_difference_matrices(meas, library, t)
-            assert m.pmu_bus_ids == (1, 2, 3, 4, 5)
-            assert m.adm.tobytes() == adm.tobytes()
-            assert m.mdm.tobytes() == mdm.tobytes()
+            assert m.stack.shape == (len(SIGNALS),) + adm.shape
+            assert m.stack[0].tobytes() == adm.tobytes()
+            assert m.stack[1].tobytes() == mdm.tobytes()
 
 
 def test_pmu_bus_missing_from_library_raises(zero_noise_setup):
@@ -392,10 +428,10 @@ def test_zero_noise_detection_matches_truth(zero_noise_setup, graph, topologies)
                 phasors = meas
 
             m = compute_difference_matrices(Bag(), library, t)
-            assert m.adm.shape == (5, 5)
+            assert m.stack.shape == (2, 5, 5)
             col = m.topology_ids.index(topo.id)
-            assert np.max(m.adm[:, col]) < 1e-12
-            assert np.max(m.mdm[:, col]) < 1e-12
+            assert np.max(m.stack[0, :, col]) < 1e-12
+            assert np.max(m.stack[1, :, col]) < 1e-12
             for criterion in CRITERIA:
                 for signal in SIGNALS:
                     assert detect(m, criterion, signal).verdict == topo.id

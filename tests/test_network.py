@@ -221,6 +221,17 @@ def test_load_malformed_row_reports_line(tmp_path):
         load_network(_write(tmp_path, bad))
 
 
+def test_unknown_section_is_rejected_with_its_line(tmp_path, capsys):
+    """A section other than [buses], [lines] and [topologies] is an error,
+    not a block of rows that is silently ignored."""
+    path = _write(tmp_path, GOOD + "[switches]\nS12,closed\n")
+    with pytest.raises(ParseError) as exc:
+        load_network(path)
+    assert str(exc.value) == f"{path}:8: unknown section [switches]"
+    assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}:8: unknown section [switches]\n"
+
+
 def test_validation_collects_multiple_violations(tmp_path):
     bad = """\
 [buses]

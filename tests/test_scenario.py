@@ -23,6 +23,7 @@ from microtopo.detector import (
     LibraryError,
     build_library,
     detect,
+    vote_stack,
 )
 from microtopo.measurements import derive_rng_stream, sample_scada
 from microtopo.powerflow import InjectionSnapshot
@@ -300,9 +301,9 @@ def test_trial_determinism():
     # a different repetition, step or seed gives different noise; at paper
     # noise levels the raw matrices cannot coincide
     ctx2 = build_context(_tiny_config(master_seed=124, repetitions=2))
-    adm = a[0]
-    for other in (_task(ctx, "II", rep=1)[0][40], adm[41], _task(ctx2, "II")[0][40]):
-        assert (adm[40] != other).any()
+    stack = a[0]
+    for other in (_task(ctx, "II", rep=1)[0][40], stack[41], _task(ctx2, "II")[0][40]):
+        assert (stack[40] != other).any()
 
 
 def test_trial_library_matches_build_library():
@@ -340,25 +341,22 @@ def test_trial_library_matches_build_library():
     (4, 1, (30, 60)),
 ])
 def test_detect_on_a_task_row_matches_its_outcome_arrays(topo_pos, rep, steps):
-    """Row t of a task's matrices, voted alone by `detect` (the online path),
+    """Row t of a task's stack, voted alone by `detect` (the online path),
     gives the verdicts and per-row votes of row t of the task's outcome
     arrays (one `vote_stack` call per repetition, over every trial's ADM and
     MDM): trial (t, rep) of the experiment is row t of task (topology, rep)."""
     ctx = build_context(_tiny_config(repetitions=2, master_seed=3))
     topo_id = ctx.topology_ids[topo_pos]
-    adm, mdm, verdicts, votes = _task(ctx, topo_id, rep)
+    stack, verdicts, votes = _task(ctx, topo_id, rep)
     assert verdicts.shape == (96, len(CRITERIA), len(SIGNALS))
     assert votes.shape == (96, len(SIGNALS), 5)
     labels = ctx.topology_ids + (INCONCLUSIVE,)
     for t in steps:
-        alone = DifferenceMatrices(adm=adm[t], mdm=mdm[t], pmu_bus_ids=ctx.pmu_bus_ids,
-                                   topology_ids=ctx.topology_ids)
+        alone = DifferenceMatrices(stack[t], ctx.topology_ids)
         for c, crit in enumerate(CRITERIA):
             for s, sig in enumerate(SIGNALS):
                 assert detect(alone, crit, sig).verdict == labels[verdicts[t, c, s]]
-        for s, sig in enumerate(SIGNALS):
-            assert detect(alone, "rmv", sig).per_row_votes == tuple(
-                None if v == len(ctx.topology_ids) else labels[v] for v in votes[t, s])
+        assert np.array_equal(vote_stack(alone.stack)[1], votes[t])
 
 
 def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
@@ -455,7 +453,7 @@ def test_zero_noise_trial_always_correct():
     ctx = build_context(_tiny_config(pmu_sigma=0.0, pmu_accuracy=0.0,
                                      scada_sigma=0.0, scada_accuracy=0.0))
     for true in ("I", "III", "V"):
-        _, _, verdicts, _ = _task(ctx, true)
+        _, verdicts, _ = _task(ctx, true)
         assert (verdicts == ctx.topology_ids.index(true)).all()
 
 
