@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import sys
 
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process, which saves only a
+    caller that runs `main` more than once; `parse_args` leaves it as it was."""
     parser = _Parser(prog="microtopo",
                      description="Microgrid topology detection toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -173,16 +177,18 @@ def cmd_library(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    # Repetition 0 only: each repetition draws its offsets from its own streams.
     config = load_config(fixture_path("paper.cfg"), network=args.net,
-                         profile=args.profile, master_seed=args.seed,
+                         profile=args.profile, master_seed=args.seed, repetitions=1,
                          **{key: getattr(args, key) for key in _NOISE_KEYS})
     ctx = build_context(config)
     if not 0 <= args.t < profiles.N_STEPS:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     topo = _find_topology(ctx.topologies, args.topo)
     t = args.t
-    index = (ctx.topology_ids.index(topo.id), t)  # trial (topology, t, rep 0)
-    stack, verdicts, votes = run_rep(ctx, 0, *solve_true_states(ctx))
+    index = (0, t)  # trial (topology, t, rep 0) of the one true topology played
+    true_ids = (topo.id,)
+    stack, verdicts, votes = run_rep(ctx, 0, *solve_true_states(ctx, true_ids), true_ids)
     print(f"true topology {topo.id}, t={t}, seed={config.master_seed}")
     verdict_labels = ctx.topology_ids + (INCONCLUSIVE,)
     cells = zip(itertools.product(CRITERIA, SIGNALS), verdicts[index].ravel().tolist())

@@ -7,6 +7,7 @@ applies three voting criteria over the row minima.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -192,9 +193,14 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     (..., rows) row votes. A code is a topology column, or the number of
     topologies for an inconclusive verdict or an abstaining row.
     """
-    n_topo = stack.shape[-1]
+    *cells, _, n_topo = stack.shape
     votes = _unique_argmin(stack, n_topo)
-    counts = (votes[..., None] == np.arange(n_topo)).sum(axis=-2)
+    # One bincount counts every trial's row votes: trial i owns codes
+    # i * (n_topo + 1) onwards, the last of its n_topo + 1 the abstentions.
+    n_codes = (n_topo + 1) * math.prod(cells)
+    offsets = np.arange(0, n_codes, n_topo + 1).reshape(*cells, 1)
+    counts = np.bincount((votes + offsets).ravel(), minlength=n_codes).reshape(
+        *cells, n_topo + 1)[..., :n_topo]
     n_voted = (counts > 0).sum(axis=-1)  # topologies that got a row vote
     verdicts = {
         "rmv": np.where(n_voted > 0, _unique_argmin(-counts, n_topo), n_topo),

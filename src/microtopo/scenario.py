@@ -226,22 +226,28 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
         pmu_offsets_by_rep=pmu_offsets, scada_offsets_by_rep=scada_offsets)
 
 
-def solve_true_states(ctx: ExperimentContext) -> tuple[np.ndarray, np.ndarray]:
-    """True (vm, va_deg) of every topology over the day, as (topologies,
-    steps, buses) arrays from one stacked solve of the noise-free library;
-    the first failed case raises its `LibraryError`."""
-    batch = solve_library_batch(ctx.ybus_by_topo, ctx.true_p, ctx.true_q,
-                                range(len(ctx.true_p)), ctx.graph.slack_index)
-    shape = (len(ctx.topologies), len(ctx.true_p), len(ctx.graph.bus_ids))
+def solve_true_states(ctx: ExperimentContext,
+                      true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """True (vm, va_deg) of each topology of `true_ids` (default: all of
+    `topology_ids`) over the day, as (true topologies, steps, buses) arrays
+    from one stacked solve of the noise-free library; the first failed case
+    raises its `LibraryError`."""
+    true_ids = ctx.topology_ids if true_ids is None else true_ids
+    batch = solve_library_batch({q: ctx.ybus_by_topo[q] for q in true_ids},
+                                ctx.true_p, ctx.true_q, range(len(ctx.true_p)),
+                                ctx.graph.slack_index)
+    shape = (len(true_ids), len(ctx.true_p), len(ctx.graph.bus_ids))
     return batch.vm.reshape(shape), batch.va_deg.reshape(shape)
 
 
-def run_rep(ctx: ExperimentContext, rep: int,
-            true_vm: np.ndarray, true_va: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Repetition `rep`: the trials of every true topology at every step of
-    the day, with true states (true_vm, true_va) by topology and step, from
-    `solve_true_states`. Trial (T, t, rep) of the experiment is [T, t] of
-    every array the repetition returns, T a position in `topology_ids`.
+def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.ndarray,
+            true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, ...]:
+    """Repetition `rep`: the trials of each true topology of `true_ids`
+    (default: all of `topology_ids`) at every step of the day, with true
+    states (true_vm, true_va) by true topology and step, from
+    `solve_true_states` of the same `true_ids`. Trial (T, t, rep) of the
+    experiment is [T, t] of every array the repetition returns, T a
+    position in `true_ids`; the candidates are always all `topology_ids`.
 
     Returns (stack, verdicts, votes): the ADM and MDM as one (true
     topologies, steps, signals, rows, topologies) stack, from one
@@ -261,11 +267,12 @@ def run_rep(ctx: ExperimentContext, rep: int,
     """
     config = ctx.config
     graph = ctx.graph
+    true_ids = ctx.topology_ids if true_ids is None else true_ids
     pmu_vm, pmu_va = np.array([
         pmu_readings(vm, va, ctx.pmu_spec,
                      derive_rng_stream(config.master_seed, 1 + rep, f"pmu:{topology_id}"),
                      ctx.pmu_offsets_by_rep[rep])
-        for topology_id, vm, va in zip(ctx.topology_ids, true_vm, true_va)]).swapaxes(0, 1)
+        for topology_id, vm, va in zip(true_ids, true_vm, true_va, strict=True)]).swapaxes(0, 1)
     p, q = ctx.true_p, ctx.true_q
     rows = bus_positions(graph.bus_ids, ctx.scada_buses)
     scada_p, scada_q = scada_readings(
@@ -279,8 +286,8 @@ def run_rep(ctx: ExperimentContext, rep: int,
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
                                   graph.slack_index)
     # Every true topology's readings meet the same (topologies, steps, buses) library.
-    stack = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(true_vm.shape),
-                              library.va_deg.reshape(true_vm.shape), graph.bus_ids)
+    stack = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(-1, *true_vm.shape[1:]),
+                              library.va_deg.reshape(-1, *true_vm.shape[1:]), graph.bus_ids)
     by_criterion, votes = vote_stack(stack)
     return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
 

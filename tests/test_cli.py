@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from microtopo import cli, scenario
+from microtopo import __version__, cli, scenario
 from microtopo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from microtopo.detector import CRITERIA, INCONCLUSIVE, SIGNALS
 from microtopo.scenario import build_context, fixture_path, load_config
@@ -18,6 +18,29 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """The parser is built once per process; a detect call and a usage error
+    in between leave an experiment call's output as it was, and --version
+    still prints."""
+    assert cli._build_parser() is cli._build_parser()
+    experiment = ["experiment", "--reps", "1", "--seed", "7", "--jobs", "1", "--out-dir"]
+    assert main(experiment + [str(tmp_path / "first")]) == EXIT_OK
+    assert main(["detect", "--topo", "II", "--t", "5"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--reps", "two"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+    assert main(experiment + [str(tmp_path / "again")]) == EXIT_OK
+    for name in ("rates.csv", "confusion.csv"):
+        assert ((tmp_path / "again" / name).read_bytes()
+                == (tmp_path / "first" / name).read_bytes())
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out == f"{__version__}\n"
 
 
 def test_validate_bundled_network(capsys):

@@ -28,7 +28,7 @@ from microtopo.powerflow import (
     solve_fixed_point_oracle,
     solve_newton_raphson,
 )
-from microtopo.scenario import build_context, fixture_path, load_config, solve_true_states
+from microtopo.scenario import build_context, fixture_path, load_config, run_rep, solve_true_states
 
 
 def _vote(mat, ids=None):
@@ -249,6 +249,25 @@ def test_stacked_column_mean_rounds_like_per_matrix_mean(shape):
     means = stack.mean(axis=1)
     for i in range(shape[0]):
         assert means[i].tobytes() == stack[i].mean(axis=0).tobytes()
+
+
+def test_vote_stack_matches_oracles_on_a_repetition_stack():
+    """Repetition 0 of paper.cfg, voted in one call over its (true
+    topologies, steps, signals, rows, topologies) stack: each of the 960
+    (true, step, signal) matrices votes as the oracles say, so every trial's
+    offset into the one row-vote count lands on its own cells."""
+    ctx = build_context(load_config(fixture_path("paper.cfg"), master_seed=5, repetitions=1))
+    stack = run_rep(ctx, 0, *solve_true_states(ctx))[0]
+    assert stack.shape == (5, 96, 2, 5, 5)
+    ids = ctx.topology_ids
+    labels = ids + (INCONCLUSIVE,)
+    oracles = {"rmv": _oracle_rmv, "armv": _oracle_armv, "ormv": _oracle_ormv}
+    verdicts, votes = vote_stack(stack)
+    for i in np.ndindex(stack.shape[:3]):
+        for crit in CRITERIA:
+            assert labels[verdicts[crit][i]] == oracles[crit](stack[i], ids)
+        assert ([labels[v] if v < len(ids) else None for v in votes[i]]
+                == _oracle_row_votes(stack[i], ids))
 
 
 def test_armv_scale_invariance():

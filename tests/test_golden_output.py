@@ -5,7 +5,11 @@ tests/data/golden/ holds:
   `microtopo experiment --seed 7 --reps 1 --jobs 1` on the bundled paper.cfg;
 - detect_III_t30_seed5.txt, the stdout of
   `microtopo detect --topo III --t 30 --seed 5`, and
-  detect_III_t30_seed5_matrices.csv, the `--dump-matrices` CSV of that call.
+  detect_III_t30_seed5_matrices.csv, the `--dump-matrices` CSV of that call;
+- detect_I_t0_seed5.txt and detect_I_t0_seed5_matrices.csv, the same for
+  `microtopo detect --topo I --t 0 --seed 5`: the first topology and the
+  first step, generated when detect still played all five true topologies,
+  so an off-by-one in the one-topology index shows.
 MULTI_REP_SHA256 holds the digests of rates.csv and confusion.csv of
 `microtopo experiment --seed 11 --reps 3` (the same with --jobs 1 and 2);
 several repetitions pin true states reused across repetitions and the
@@ -73,12 +77,22 @@ def test_two_word_seed_output_matches_golden_digests(tmp_path, capsys, jobs):
 def test_detect_output_matches_golden_files(tmp_path, capsys):
     """Pins the μPMU noise draws, the ADM/MDM values and the verdicts of one
     seeded trial."""
+    _check_detect_golden(tmp_path, capsys, "III", 30)
+
+
+def test_first_topology_first_step_detect_matches_golden_files(tmp_path, capsys):
+    """The same for trial (I, 0): position 0 of both the topology and the
+    step axis, where an off-by-one in the one-topology index would show."""
+    _check_detect_golden(tmp_path, capsys, "I", 0)
+
+
+def _check_detect_golden(tmp_path, capsys, topo, t):
     dump = tmp_path / "matrices.csv"
-    assert main(["detect", "--topo", "III", "--t", "30", "--seed", "5",
+    assert main(["detect", "--topo", topo, "--t", str(t), "--seed", "5",
                  "--dump-matrices", str(dump)]) == EXIT_OK
-    golden_out = (GOLDEN / "detect_III_t30_seed5.txt").read_text()
+    golden_out = (GOLDEN / f"detect_{topo}_t{t}_seed5.txt").read_text()
     assert capsys.readouterr().out == golden_out + f"wrote {dump}\n"
-    assert dump.read_bytes() == (GOLDEN / "detect_III_t30_seed5_matrices.csv").read_bytes()
+    assert dump.read_bytes() == (GOLDEN / f"detect_{topo}_t{t}_seed5_matrices.csv").read_bytes()
 
 
 def test_library_csv_matches_golden_digest(tmp_path, capsys):

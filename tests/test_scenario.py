@@ -359,6 +359,29 @@ def test_detect_on_a_task_row_matches_its_outcome_arrays(topo_pos, rep, steps):
         assert np.array_equal(vote_stack(alone.stack)[1], votes[t])
 
 
+def test_one_true_topology_plays_its_rows_of_the_full_repetition():
+    """`run_rep` over the true states of one topology alone (what `detect`
+    plays) returns, for every step t, row [T, t] of each array of the full
+    repetition-0 call, bit for bit: the μPMU streams are keyed by topology
+    id, and the candidate library is the same."""
+    ctx = build_context(_tiny_config(master_seed=5))
+    states = solve_true_states(ctx)
+    full = run_rep(ctx, 0, *states)
+    for pos, topo_id in enumerate(ctx.topology_ids):
+        true_ids = (topo_id,)
+        true_vm, true_va = solve_true_states(ctx, true_ids)
+        assert true_vm.shape == (1, 96, 5)
+        assert true_vm[0].tobytes() == states[0][pos].tobytes()
+        assert true_va[0].tobytes() == states[1][pos].tobytes()
+        alone = run_rep(ctx, 0, true_vm, true_va, true_ids)
+        for one, every in zip(alone, full):
+            assert one.shape == (1,) + every.shape[1:]
+            assert one[0].tobytes() == every[pos].tobytes()
+    # states of one topology without its id would meet topology I's stream
+    with pytest.raises(ValueError):
+        run_rep(ctx, 0, *solve_true_states(ctx, ("III",)))
+
+
 def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
     """Each repetition votes all its trials, on both signals, in one
     `vote_stack` call over its (true topologies, steps, signals, rows,
