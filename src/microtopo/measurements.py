@@ -86,10 +86,23 @@ def _device_key(device_id: str) -> int:
     return zlib.crc32(device_id.encode("utf-8"))
 
 
+def _seed_words(n: int) -> list[int]:
+    """The 32-bit words `SeedSequence` reads from a nonnegative int, least
+    significant first; 0 is the one word 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.random.Generator:
     """Independent, reproducible random stream for one (trial index, device)
     key: `np.random.default_rng(SeedSequence([master_seed, trial_index,
-    crc32(device_id)]))`, built without the `default_rng` wrapper.
+    crc32(device_id)]))`, built without the `default_rng` wrapper and from
+    the uint32 words numpy derives from that list, so numpy does not split
+    the ints itself. A negative seed or index raises `ValueError`.
 
     A stream depends on its key only, not on when or in which process it is
     derived, so parallel experiment runs stay deterministic. The experiment
@@ -97,8 +110,9 @@ def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.
     "pmu:<topology id>", and the SCADA noise of the repetition, device
     "scada"; index 0 is reserved for the systematic offsets.
     """
-    seq = np.random.SeedSequence([int(master_seed), int(trial_index),
-                                  _device_key(device_id)])
+    words = _seed_words(int(master_seed)) + _seed_words(int(trial_index))
+    words.append(_device_key(device_id))
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.PCG64(seq))
 
 

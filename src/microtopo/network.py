@@ -305,6 +305,8 @@ def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> l
             violations.append(f"line {line.id}: zero impedance")
 
     topo_ids = [t.id for t in topologies]
+    if not topo_ids:
+        violations.append("no topologies: the detector needs at least one candidate")
     if len(set(topo_ids)) != len(topo_ids):
         violations.append("duplicate topology ids")
     if violations:

@@ -240,15 +240,25 @@ def test_difference_stacks_hold_the_adm_then_the_mdm():
 
 
 @pytest.mark.parametrize("shape", [(96, 5, 5), (3, 17, 2), (7, 130, 3), (2, 1000, 4),
-                                   (1, 1, 1)])
+                                   (1, 1, 1), (2, 5, 5), (5, 96, 2, 5, 5)])
 def test_stacked_column_mean_rounds_like_per_matrix_mean(shape):
-    """ARMV's column means over a (trials, rows, topologies) stack are the
-    scalar path's `mean(axis=0)` of each matrix, bit for bit."""
+    """ARMV's column means over a (..., rows, topologies) stack, in
+    `vote_stack`'s form `np.add.reduce(stack, -2) / rows`, are `.mean(axis=-2)`
+    of the stack and the scalar path's `mean(axis=0)` of each matrix, bit
+    for bit."""
     rng = np.random.default_rng(sum(shape))
     stack = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
-    means = stack.mean(axis=1)
-    for i in range(shape[0]):
+    means = np.add.reduce(stack, -2) / shape[-2]
+    assert means.tobytes() == stack.mean(axis=-2).tobytes()
+    for i in np.ndindex(shape[:-2]):
         assert means[i].tobytes() == stack[i].mean(axis=0).tobytes()
+
+
+def test_vote_stack_rejects_a_stack_without_rows():
+    """With no rows there is no row vote and no column mean to vote on."""
+    for shape in ((0, 1), (2, 0, 5)):
+        with pytest.raises(ValueError, match="at least one row"):
+            vote_stack(np.zeros(shape))
 
 
 def test_vote_stack_matches_oracles_on_a_repetition_stack():

@@ -187,14 +187,28 @@ def test_rng_stream_determinism_and_independence():
     (20160517, 1, "scada"),
     (7, 9599, "offsets:pmu:3"),
     (2**40, 123456, "library-scada:95"),
+    # 32-bit word boundaries: one word, two words, three words.
+    (2**32 - 1, 1, "pmu"),
+    (2**32, 1, "pmu"),
+    (2**64 + 3, 1, "pmu"),
+    (5, 2**32, "scada"),
 ])
 def test_rng_stream_is_default_rng_of_its_seed_sequence(seed, trial, device):
     want = np.random.default_rng(
         np.random.SeedSequence([seed, trial, zlib.crc32(device.encode("utf-8"))]))
     got = derive_rng_stream(seed, trial, device)
+    assert got.bit_generator.state == want.bit_generator.state
     assert np.array_equal(got.standard_normal(16), want.standard_normal(16))
     assert np.array_equal(got.uniform(size=4), want.uniform(size=4))
     assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (-(2**40), 3)])
+def test_rng_stream_rejects_a_negative_key(seed, trial):
+    """A negative seed or trial index raises `ValueError`, as numpy's
+    `SeedSequence` does for a negative int."""
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_rng_stream(seed, trial, "pmu")
 
 
 @pytest.mark.parametrize("sigma", [0.00025, 0.0])

@@ -232,6 +232,18 @@ def test_unknown_section_is_rejected_with_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}:8: unknown section [switches]\n"
 
 
+def test_empty_topologies_section_is_a_violation(tmp_path, capsys):
+    """A [topologies] section with no rows fails validation with exit 2,
+    instead of passing as "0 topologies" and failing later in `library`
+    and `experiment`."""
+    path = _write(tmp_path, GOOD.replace("A,S12\n", ""))
+    with pytest.raises(ValidationError) as err:
+        load_network(path)
+    assert err.value.violations == ["no topologies: the detector needs at least one candidate"]
+    assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+    assert "no topologies" in capsys.readouterr().out
+
+
 def test_validation_collects_multiple_violations(tmp_path):
     bad = """\
 [buses]
