@@ -7,10 +7,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
 import sys
+from pathlib import Path
 
 from . import __version__, network, profiles
 from .detector import CRITERIA, INCONCLUSIVE, SIGNALS, solve_library_batch
@@ -209,7 +211,18 @@ def cmd_experiment(args) -> int:
                          master_seed=args.seed, repetitions=args.reps,
                          network=args.net, profile=args.profile, jobs=args.jobs,
                          **{key: getattr(args, key) for key in _NOISE_KEYS})
-    report = run_experiment(config)
+    # Made before the sweep, so an unusable --out-dir fails at once, not after
+    # it; a sweep that fails removes it again, with the parents it needed.
+    out_dir = Path(args.out_dir)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        report = run_experiment(config)
+    except BaseException:
+        for d in created:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     rates_path, confusion_path = write_report(report, args.out_dir)
     print(f"experiment: {len(report.topology_ids)} topologies x "
           f"{profiles.N_STEPS} steps x {config.repetitions} repetitions "

@@ -46,17 +46,37 @@ class TopologyLibrary:
             raise KeyError(f"no library entry for topology {topology_id} at t={t}") from None
 
     @cached_property
-    def _states(self) -> tuple[dict[int, int], dict[int, int], np.ndarray]:
-        """The entries as one (step, signal, topology, bus) array, signals in
-        `SIGNALS` order, built on first use; with the position in it of each
-        time step and of each bus id."""
+    def _stacks(self) -> dict[tuple[int, ...], tuple[dict[int, int], np.ndarray]]:
+        """The library side of `compute_difference_matrices` per μPMU bus set,
+        keyed by its sorted bus ids and filled on first use: the position of
+        each time step, and a read-only (steps, signals, rows, topologies)
+        array from `_library_stack`."""
+        return {}
+
+    def _stacked(self, bus_ids: tuple[int, ...], t: int) -> tuple[dict[int, int], np.ndarray]:
+        """`_stacks` of the μPMU buses `bus_ids`, in any order. A bus not in
+        the library raises `LibraryError`, naming the request's step `t`, and
+        caches nothing."""
+        key = tuple(sorted(bus_ids))
+        try:
+            return self._stacks[key]
+        except KeyError:
+            pass
         steps = sorted({t for _, t in self.entries})
-        states = np.array([[[self.solution(q, t).va_deg for q in self.topology_ids],
-                            [self.solution(q, t).vm for q in self.topology_ids]]
-                           for t in steps])
-        bus_ids = self.solution(self.topology_ids[0], steps[0]).bus_ids
-        return ({t: i for i, t in enumerate(steps)},
-                {bus: i for i, bus in enumerate(bus_ids)}, states)
+        position = {bus: i for i, bus in enumerate(
+            self.solution(self.topology_ids[0], steps[0]).bus_ids)}
+        try:
+            rows = np.array([position[bus] for bus in key], dtype=np.intp)
+        except KeyError as exc:
+            raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
+                               f"for topology {self.topology_ids[0]} at t={t}") from None
+        sols = [[self.solution(q, t) for t in steps] for q in self.topology_ids]
+        stacks = np.ascontiguousarray(_library_stack(  # from (topologies, steps, buses)
+            np.array([[sol.vm for sol in row] for row in sols]),
+            np.array([[sol.va_deg for sol in row] for row in sols]), rows))
+        stacks.flags.writeable = False
+        self._stacks[key] = value = ({t: i for i, t in enumerate(steps)}, stacks)
+        return value
 
 
 @dataclass(frozen=True)
@@ -127,28 +147,26 @@ def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,
 def compute_difference_matrices(measurements, library: TopologyLibrary,
                                 t: int) -> DifferenceMatrices:
     """ADM/MDM at time step t for one measurement set; rows sorted by bus id.
-    `difference_stacks` of one snapshot, read from the library's array."""
+    The stack `difference_stacks` gives for one snapshot: the library side
+    is stacked once per μPMU bus set and kept on the library, so a request
+    stacks only its snapshot."""
     phasors = measurements.phasors
     topo_ids = library.topology_ids
-    step, position, states = library._states
+    step, states = library._stacked(phasors.bus_ids, t)
     if t not in step:
         raise KeyError(f"no library entry for topology {topo_ids[0]} at t={t}")
-    try:
-        rows = [position[bus] for bus in phasors.bus_ids]
-    except KeyError as exc:
-        raise LibraryError(f"μPMU bus {exc.args[0]} missing from library solution "
-                           f"for topology {topo_ids[0]} at t={t}") from None
-    calc = states[step[t]][:, :, rows]  # (signal, topology, μPMU)
-    return DifferenceMatrices(difference_stacks(phasors.vm, phasors.va_deg, calc[1], calc[0],
-                                                phasors.bus_ids), topo_ids)
+    measured = _measured_stack(phasors.vm, phasors.va_deg, _row_order(tuple(phasors.bus_ids)))
+    stack = measured[..., None] - states[step[t]]
+    return DifferenceMatrices(np.abs(stack, out=stack), topo_ids)
 
 
 def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
                       lib_va_deg: np.ndarray, bus_ids) -> np.ndarray:
     """ADM and MDM of many trials at once, as one (..., signals, rows,
     topologies) stack: signals in `SIGNALS` order, so [..., 0, :, :] is the
-    ADM and [..., 1, :, :] the MDM, and rows sorted by bus id. The one place
-    that decides this layout; `vote_stack` votes it as it is.
+    ADM and [..., 1, :, :] the MDM, and rows sorted by bus id. Its two
+    helpers, `_measured_stack` and `_library_stack`, are the one place that
+    decides this layout; `vote_stack` votes it as it is.
 
     `vm`/`va_deg` are measured (..., buses) arrays and `lib_vm`/`lib_va_deg`
     the (topologies, ..., buses) library states, all by position in
@@ -157,13 +175,25 @@ def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
     readings of a repetition meet its (topologies, steps, buses) library.
     """
     order = _row_order(tuple(bus_ids))
-    m, n = vm.ndim, lib_vm.ndim  # signals go first in np.array, then move before the rows
-    # `[..., order]`, not `.take`: the stack's memory layout follows it, and
-    # `vote_stack` runs slower on the layout `.take` leaves.
-    measured = np.array((va_deg, vm))[..., order].transpose(*range(1, m), 0, m)
-    library = np.array((lib_va_deg, lib_vm))[..., order].transpose(*range(2, n), 0, n, 1)
-    stack = measured[..., None] - library
+    library = _library_stack(lib_vm, lib_va_deg, order)
+    stack = _measured_stack(vm, va_deg, order)[..., None] - library
     return np.abs(stack, out=stack)
+
+
+# `[..., rows]`, not `.take`, in both helpers: the stack's memory layout
+# follows it, and `vote_stack` runs slower on the layout `.take` leaves.
+def _measured_stack(vm: np.ndarray, va_deg: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Measured (..., buses) arrays as one (..., signals, rows) array, the
+    buses at positions `rows` as the rows."""
+    m = vm.ndim  # signals go first in np.array, then move before the rows
+    return np.array((va_deg, vm))[..., rows].transpose(*range(1, m), 0, m)
+
+
+def _library_stack(lib_vm: np.ndarray, lib_va_deg: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(topologies, ..., buses) library states as one (..., signals, rows,
+    topologies) array, the buses at positions `rows` as the rows."""
+    n = lib_vm.ndim
+    return np.array((lib_va_deg, lib_vm))[..., rows].transpose(*range(2, n), 0, n, 1)
 
 
 @lru_cache(maxsize=64)

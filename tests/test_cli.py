@@ -4,7 +4,7 @@ import pytest
 
 from microtopo import __version__, cli, scenario
 from microtopo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from microtopo.detector import CRITERIA, INCONCLUSIVE, SIGNALS
+from microtopo.detector import CRITERIA, INCONCLUSIVE, SIGNALS, LibraryError
 from microtopo.scenario import build_context, fixture_path, load_config
 
 
@@ -176,8 +176,36 @@ def test_experiment_jobs_precedence(tmp_path, monkeypatch, key, flag, want):
 
     monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
     with pytest.raises(_Stop):
-        main(["experiment", str(cfg)] + flag)
+        main(["experiment", str(cfg), "--out-dir", str(tmp_path / "out")] + flag)
     assert seen == [want]
+
+
+def test_out_dir_that_is_a_file_exits_2_before_the_sweep(tmp_path, monkeypatch, capsys):
+    """An --out-dir that names an existing file fails before any trial runs,
+    with the error the report writer would give after the sweep."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+
+    def unreachable(config):
+        raise AssertionError("run_experiment reached")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    assert main(["experiment", "--reps", "1", "--out-dir", str(afile)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"i/o error: [Errno 17] File exists: '{afile}'\n"
+
+
+def test_failed_sweep_removes_the_out_dir_it_made(tmp_path, monkeypatch, capsys):
+    """--out-dir is made before the sweep; a sweep that fails removes it and
+    the parents made for it, and leaves a directory that was there."""
+    def diverged(config):
+        raise LibraryError("power flow failed for topology III at t=40: diverged")
+
+    monkeypatch.setattr(cli, "run_experiment", diverged)
+    out = tmp_path / "new" / "out"
+    assert main(["experiment", "--reps", "1", "--out-dir", str(out)]) == EXIT_NUMERICAL
+    assert not (tmp_path / "new").exists()
+    assert main(["experiment", "--reps", "1", "--out-dir", str(tmp_path)]) == EXIT_NUMERICAL
+    assert tmp_path.is_dir()
 
 
 @pytest.mark.parametrize("key, argv, message", [

@@ -20,7 +20,7 @@ from microtopo.detector import (
     solve_library_batch,
     vote_stack,
 )
-from microtopo.measurements import DeviceKind, DeviceSpec, sample_pmu
+from microtopo.measurements import DeviceKind, DeviceSpec, PhasorSet, sample_pmu
 from microtopo.network import build_ybus
 from microtopo.powerflow import (
     DivergedError,
@@ -434,13 +434,56 @@ def test_difference_matrices_match_cell_loop_bit_for_bit(zero_noise_setup):
 
 
 def test_pmu_bus_missing_from_library_raises(zero_noise_setup):
+    """Also on a second call: a failed lookup leaves no cache entry."""
     library, _ = zero_noise_setup
     spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
     meas = sample_pmu(library.solution("I", 48), spec, np.random.default_rng(0),
                       time_index=48)
     stray = dataclasses.replace(meas, bus_ids=meas.bus_ids[:-1] + (9,))
-    with pytest.raises(LibraryError, match="bus 9 missing"):
-        compute_difference_matrices(_Bag(stray), library, 48)
+    for _ in range(2):
+        with pytest.raises(LibraryError, match="bus 9 missing"):
+            compute_difference_matrices(_Bag(stray), library, 48)
+        assert tuple(sorted(stray.bus_ids)) not in library._stacks
+
+
+def test_step_missing_from_library_raises(zero_noise_setup):
+    library, _ = zero_noise_setup
+    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
+    meas = sample_pmu(library.solution("I", 48), spec, np.random.default_rng(0),
+                      time_index=48)
+    with pytest.raises(KeyError, match="no library entry for topology I at t=999"):
+        compute_difference_matrices(_Bag(meas), library, 999)
+
+
+def test_snapshot_stack_equals_difference_stacks_for_every_step(graph, topologies,
+                                                               default_day):
+    """A snapshot's stack is, byte for byte, `difference_stacks` of it
+    against the step's library states, for every step of the library. Two
+    orders of one μPMU bus set share one read-only cache entry: the second
+    reads the array the first built."""
+    steps = (0, 30, 47, 81, 95)
+    library = build_library(graph, topologies, {t: default_day[t] for t in steps})
+    rng = np.random.default_rng(8)
+    entries = []
+    for bus_ids in ((4, 2, 5, 1), (1, 5, 2, 4)):
+        for t in steps:
+            sols = [library.solution(q, t) for q in library.topology_ids]
+            cols = [sols[0].bus_ids.index(bus) for bus in bus_ids]
+            lib_vm = np.array([sol.vm[cols] for sol in sols])
+            lib_va = np.array([sol.va_deg[cols] for sol in sols])
+            vm = lib_vm[2] + rng.normal(0.0, 1e-3, len(bus_ids))
+            va = lib_va[2] + rng.normal(0.0, 1e-2, len(bus_ids))
+            phasors = PhasorSet(bus_ids=bus_ids, vm=vm, va_deg=va, time_index=t)
+            stack = compute_difference_matrices(_Bag(phasors), library, t).stack
+            want = difference_stacks(vm, va, lib_vm, lib_va, bus_ids)
+            assert stack.shape == want.shape == (len(SIGNALS), len(bus_ids), len(sols))
+            assert stack.tobytes() == want.tobytes()
+        assert list(library._stacks) == [(1, 2, 4, 5)]
+        entries.append(library._stacks[1, 2, 4, 5])
+    assert entries[1] is entries[0]
+    step, states = entries[0]
+    assert step == {t: i for i, t in enumerate(steps)}
+    assert not states.flags.writeable
 
 
 def test_zero_noise_detection_matches_truth(zero_noise_setup, graph, topologies):
