@@ -165,15 +165,15 @@ def cmd_library(args) -> int:
     batch = solve_library_batch({topo.id: network.build_ybus(graph, topo) for topo in topologies},
                                 p, q, steps, graph.slack_index)
     print(f"library: {len(topologies)} topologies x {len(steps)} steps "
-          f"= {len(batch.vm)} solutions")
+          f"= {batch.converged.size} solutions")
     if args.out:
-        cases = [(topo.id, t) for topo in topologies for t in steps]  # batch row order
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["topology", "time_index", "bus", "vm_pu", "va_deg"])
-            for (topo_id, t), vm_row, va_row in zip(cases, batch.vm, batch.va_deg):
-                for bus_id, vm, va in zip(graph.bus_ids, vm_row, va_row):
-                    writer.writerow([topo_id, t, bus_id, f"{vm:.9f}", f"{va:.9f}"])
+            for topo, vm_grid, va_grid in zip(topologies, batch.vm, batch.va_deg):
+                for t, vm_row, va_row in zip(steps, vm_grid, va_grid):
+                    for bus_id, vm, va in zip(graph.bus_ids, vm_row, va_row):
+                        writer.writerow([topo.id, t, bus_id, f"{vm:.9f}", f"{va:.9f}"])
         print(f"wrote {args.out}")
     return EXIT_OK
 

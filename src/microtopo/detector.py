@@ -113,32 +113,24 @@ def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
     batch = solve_library_batch({topo.id: build_ybus(graph, topo) for topo in topologies},
                                 [inj.p for inj in snapshots], [inj.q for inj in snapshots],
                                 steps, graph.slack_index, tol=tol)
-    cases = [(topo.id, t) for topo in topologies for t in steps]
-    entries = {case: batch.solution(i, snapshots[i % len(steps)].bus_ids)
-               for i, case in enumerate(cases)}
+    entries = {(topo.id, t): batch.solution(i, j, snapshots[j].bus_ids)
+               for i, topo in enumerate(topologies) for j, t in enumerate(steps)}
     return TopologyLibrary(topology_ids=tuple(topo.id for topo in topologies),
                            entries=entries)
 
 
 def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,
                         slack_index: int, tol: float = TOL) -> BatchPowerFlow:
-    """Every (topology, step) case as one stacked Newton-Raphson call.
-
-    `p` and `q` are (steps, buses) injections. Case i is topology
-    i // len(steps) and step i % len(steps), so `vm`/`va_deg` reshape to
-    (topology, step, bus). The first failed case in (topology, step) order
-    raises `LibraryError`.
-    """
-    n_step = len(steps)
-    n_topo = len(ybus_by_topo)
-    batch = solve_newton_raphson_batch(
-        np.repeat(np.stack(list(ybus_by_topo.values())), n_step, axis=0),
-        np.concatenate([p] * n_topo), np.concatenate([q] * n_topo),
-        tol=tol, slack_index=slack_index)
-    failed = np.flatnonzero(~batch.converged)
+    """Every (topology, step) case of `ybus_by_topo` and the (steps, buses)
+    injections `p`, `q` as one `solve_newton_raphson_batch` grid, indexed
+    [topology, step, ...]. The first failed case in (topology, step) order
+    raises `LibraryError`."""
+    batch = solve_newton_raphson_batch(np.stack(list(ybus_by_topo.values())), p, q,
+                                       tol=tol, slack_index=slack_index)
+    failed = np.argwhere(~batch.converged)  # in (topology, step) order
     if failed.size:
-        topo, step = divmod(int(failed[0]), n_step)
-        err = batch.error(failed[0])
+        topo, step = failed[0].tolist()
+        err = batch.error(topo, step)
         raise LibraryError(f"power flow failed for topology {list(ybus_by_topo)[topo]} "
                            f"at t={steps[step]}: {err}") from err
     return batch

@@ -104,7 +104,8 @@ def compute_mismatch(ybus: np.ndarray, inj: InjectionSnapshot,
 
 @dataclass(frozen=True)
 class BatchPowerFlow:
-    """Per-case outcome of `solve_newton_raphson_batch` over B cases.
+    """Per-case outcome of `solve_newton_raphson_batch` over the grid of T
+    topologies and S steps: every array is indexed [topology, step, ...].
 
     `iterations` counts the Newton steps taken: to convergence, to the
     singular Jacobian, or max_iter for a case that diverged. A case whose
@@ -114,32 +115,34 @@ class BatchPowerFlow:
     went non-finite).
     """
 
-    vm: np.ndarray  # (B, n) p.u.
-    va_deg: np.ndarray  # (B, n) degrees
-    iterations: np.ndarray  # (B,) int
-    mismatch: np.ndarray  # (B,)
-    converged: np.ndarray  # (B,) bool
-    singular: np.ndarray  # (B,) bool: stopped on a singular Jacobian
+    vm: np.ndarray  # (T, S, n) p.u.
+    va_deg: np.ndarray  # (T, S, n) degrees
+    iterations: np.ndarray  # (T, S) int
+    mismatch: np.ndarray  # (T, S)
+    converged: np.ndarray  # (T, S) bool
+    singular: np.ndarray  # (T, S) bool: stopped on a singular Jacobian
 
-    def error(self, i: int) -> PowerFlowError | None:
-        """The exception case i failed with, None when it converged."""
-        if self.converged[i]:
+    def error(self, topology: int, step: int) -> PowerFlowError | None:
+        """The exception case (topology, step) failed with, None if it converged."""
+        at = topology, step
+        if self.converged[at]:
             return None
-        if self.singular[i]:
-            return SingularJacobianError(f"singular Jacobian at iteration {self.iterations[i]}")
-        mism = float(self.mismatch[i])
+        if self.singular[at]:
+            return SingularJacobianError(f"singular Jacobian at iteration {self.iterations[at]}")
+        mism = float(self.mismatch[at])
         return DivergedError(
-            f"Newton-Raphson did not converge in {self.iterations[i]} iterations "
+            f"Newton-Raphson did not converge in {self.iterations[at]} iterations "
             f"(last mismatch {mism:.3e} p.u.)", last_mismatch=mism)
 
-    def solution(self, i: int, bus_ids: tuple[int, ...]) -> PowerFlowSolution:
-        """Case i as a `PowerFlowSolution`; raises its error if it failed."""
-        err = self.error(i)
+    def solution(self, topology: int, step: int, bus_ids: tuple[int, ...]) -> PowerFlowSolution:
+        """Case (topology, step) as a `PowerFlowSolution`; raises its error if it failed."""
+        at = topology, step
+        err = self.error(*at)
         if err is not None:
             raise err
-        return PowerFlowSolution(bus_ids=bus_ids, vm=self.vm[i], va_deg=self.va_deg[i],
-                                 iterations=int(self.iterations[i]),
-                                 max_mismatch=float(self.mismatch[i]))
+        return PowerFlowSolution(bus_ids=bus_ids, vm=self.vm[at], va_deg=self.va_deg[at],
+                                 iterations=int(self.iterations[at]),
+                                 max_mismatch=float(self.mismatch[at]))
 
 
 # A case whose max mismatch does not fall below STALL_RATIO times its
@@ -210,50 +213,40 @@ def _flat_start_inverse(ybus_bytes: bytes, n: int) -> tuple[np.ndarray, bool]:
     return inv[0], bool(singular[0])
 
 
-def _flat_start_inverses(ybus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_flat_start_inverse` of every case of a slack-first stack, looked up
-    once per run of equal consecutive matrices."""
-    n_case, n, _ = ybus.shape
-    words = ybus.reshape(n_case, -1).view(np.int64)  # compared bit for bit
-    starts = np.flatnonzero((words[1:] != words[:-1]).any(axis=1)) + 1
-    bounds = [0, *starts.tolist(), n_case]
-    inv = np.empty((n_case, 2 * n - 2, 2 * n - 2))
-    singular = np.empty(n_case, dtype=bool)
-    for start, stop in zip(bounds, bounds[1:]):
-        inv[start:stop], singular[start:stop] = _flat_start_inverse(ybus[start].tobytes(), n)
-    return inv, singular
-
-
 def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
                                tol: float = TOL, max_iter: int = 50,
                                slack_index: int = 0) -> BatchPowerFlow:
-    """Polar Newton-Raphson over a stack of B cases from a flat start.
+    """Polar Newton-Raphson from a flat start over the (topology, step) grid.
 
-    `ybus` is (B, n, n); `p` and `q` are (B, n) specified injections, whose
+    `ybus` is the (T, n, n) stack of the topologies' admittance matrices and
+    `p`, `q` the (S, n) injections of the steps, shared by every topology;
     slack entries are ignored. Each case steps with the inverse of its
-    Jacobian at flat start, which depends on its admittance matrix only and
-    is cached by it (a chord method). A case whose max mismatch did not fall
-    below STALL_RATIO times the previous one takes a full Newton step
-    instead: its Jacobian is re-evaluated at its current state and its
-    inverse is used from then on. A case leaves the active set as soon as
-    its own mismatch is under `tol`. Every operation is per case (column by
-    column sums, one inverse and one matrix-vector product per case), so a
-    case takes the same steps, with the same arithmetic, as when solved
-    alone; a diverging, non-finite or singular case leaves the other cases'
-    results unchanged. `vm`/`va_deg` hold the solution of converged cases
-    only.
+    Jacobian at flat start, which depends on the admittance matrix only:
+    one cached lookup per topology (a chord method). A case whose max
+    mismatch did not fall below STALL_RATIO times the previous one takes a
+    full Newton step instead: its Jacobian is re-evaluated at its current
+    state and its inverse is used from then on. A case leaves the active set
+    as soon as its own mismatch is under `tol`. Every operation is per case
+    (column by column sums, one inverse and one matrix-vector product per
+    case), so a case takes the same steps, with the same arithmetic, as in a
+    1 x 1 grid; a diverging, non-finite or singular case leaves the other
+    cases' results unchanged. `vm`/`va_deg` hold the solution of converged
+    cases only.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    n_case, n = p.shape
+    n_step, n = p.shape
     order = [slack_index] + [i for i in range(n) if i != slack_index]
     ybus = np.asarray(ybus, dtype=complex)
     if slack_index:  # move the slack bus first
         ybus = ybus[:, order][:, :, order]
-    ybus = np.ascontiguousarray(ybus)
-    j_inv, no_inverse = _flat_start_inverses(ybus)
-    y_cols = ybus[:, 1:, :].transpose(2, 0, 1).copy()  # (n, B, k)
-    s_spec = (p + 1j * q)[:, order[1:]]
+    grid = (len(ybus), n_step)
+    n_case = len(ybus) * n_step  # case c is topology c // n_step at step c % n_step
+    flat_inv, flat_singular = zip(*(_flat_start_inverse(y.tobytes(), n) for y in ybus))
+    j_inv = np.repeat(flat_inv, n_step, axis=0)
+    no_inverse = np.repeat(flat_singular, n_step)
+    y_cols = np.repeat(ybus[:, 1:, :].transpose(2, 0, 1), n_step, axis=1)  # (n, cases, k)
+    s_spec = np.tile((p + 1j * q)[:, order[1:]], (len(ybus), 1))
     x = np.zeros((n_case, 2 * n - 2))  # interleaved (va, vm) of the PQ buses
     x[:, 1::2] = 1.0
     limit = np.full(n_case, np.inf)  # STALL_RATIO x the previous max mismatch
@@ -290,7 +283,7 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
 
         if stalled.any():
             j_inv[stalled], no_inverse[stalled] = _inverses(
-                _jacobian(ybus[case[stalled]], v_pq[stalled], i_pq[stalled]))
+                _jacobian(ybus[case[stalled] // n_step], v_pq[stalled], i_pq[stalled]))
         leave = done | no_inverse
         if leave.any():
             failed = no_inverse & ~done
@@ -311,19 +304,19 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     va = np.zeros((n_case, n))
     vm[:, order[1:]] = x_out[:, 1::2]
     va[:, order[1:]] = x_out[:, 0::2]
-    return BatchPowerFlow(vm=vm, va_deg=np.degrees(va), iterations=iterations,
-                          mismatch=mismatch, converged=converged, singular=singular)
+    return BatchPowerFlow(vm.reshape(*grid, n), np.degrees(va).reshape(*grid, n),
+                          *(a.reshape(grid) for a in (iterations, mismatch, converged, singular)))
 
 
 def solve_newton_raphson(ybus: np.ndarray, inj: InjectionSnapshot,
                          tol: float = TOL, max_iter: int = 50,
                          slack_index: int = 0) -> PowerFlowSolution:
     """Polar Newton-Raphson power flow from a flat start (1.0 p.u., 0 deg):
-    `solve_newton_raphson_batch` over a stack of one case."""
+    `solve_newton_raphson_batch` over the 1 x 1 grid."""
     batch = solve_newton_raphson_batch(ybus[None], np.asarray(inj.p)[None],
                                        np.asarray(inj.q)[None], tol=tol,
                                        max_iter=max_iter, slack_index=slack_index)
-    return batch.solution(0, inj.bus_ids)
+    return batch.solution(0, 0, inj.bus_ids)
 
 
 def solve_fixed_point_oracle(ybus: np.ndarray, inj: InjectionSnapshot,

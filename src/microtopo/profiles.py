@@ -158,7 +158,9 @@ def load_injections(graph: NetworkGraph,
     for bus in monitored:
         missing = [t for t in range(N_STEPS) if (t, bus) not in values]
         if missing:
-            raise ValueError(f"{source}: bus {bus} missing time steps {missing[:5]}...")
+            listed = ", ".join(map(str, missing[:5])) + (", ..." if len(missing) > 5 else "")
+            raise ValueError(f"{source}: bus {bus} missing time steps {listed} "
+                             f"({len(missing)} of {N_STEPS})")
     steps = [t for t, _ in values]
     cols = bus_positions(graph.bus_ids, [bus for _, bus in values])
     pq = np.array(list(values.values()))

@@ -230,14 +230,13 @@ def solve_true_states(ctx: ExperimentContext,
                       true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """True (vm, va_deg) of each topology of `true_ids` (default: all of
     `topology_ids`) over the day, as (true topologies, steps, buses) arrays
-    from one stacked solve of the noise-free library; the first failed case
+    from one grid solve of the noise-free library; the first failed case
     raises its `LibraryError`."""
     true_ids = ctx.topology_ids if true_ids is None else true_ids
     batch = solve_library_batch({q: ctx.ybus_by_topo[q] for q in true_ids},
                                 ctx.true_p, ctx.true_q, range(len(ctx.true_p)),
                                 ctx.graph.slack_index)
-    shape = (len(true_ids), len(ctx.true_p), len(ctx.graph.bus_ids))
-    return batch.vm.reshape(shape), batch.va_deg.reshape(shape)
+    return batch.vm, batch.va_deg
 
 
 def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.ndarray,
@@ -259,10 +258,10 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
 
     SCADA reads the loads, which do not depend on the switch state, so the
     repetition draws one set of SCADA readings, from the stream keyed (1 +
-    rep, "scada"), and solves from them one candidate library, in one
-    stacked power flow, for all true topologies. Each true topology draws
-    its μPMU readings from the stream keyed (1 + rep, "pmu:<topology id>").
-    Each stream makes one full-day draw, of which step t reads row t, so a
+    rep, "scada"), and solves from them one candidate library, one grid
+    power flow for all true topologies. Each true topology draws its μPMU
+    readings from the stream keyed (1 + rep, "pmu:<topology id>"). Each
+    stream makes one full-day draw, of which step t reads row t, so a
     trial's noise depends only on the seed, its topology, step and rep.
     """
     config = ctx.config
@@ -286,8 +285,7 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
                                   graph.slack_index)
     # Every true topology's readings meet the same (topologies, steps, buses) library.
-    stack = difference_stacks(pmu_vm, pmu_va, library.vm.reshape(-1, *true_vm.shape[1:]),
-                              library.va_deg.reshape(-1, *true_vm.shape[1:]), graph.bus_ids)
+    stack = difference_stacks(pmu_vm, pmu_va, library.vm, library.va_deg, graph.bus_ids)
     by_criterion, votes = vote_stack(stack)
     return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
 

@@ -118,6 +118,8 @@ def test_powerflow_csv_output(tmp_path, capsys):
 def test_library_csv(tmp_path, capsys):
     out_csv = tmp_path / "lib.csv"
     assert main(["library", "--out", str(out_csv)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "library: 5 topologies x 96 steps = 480 solutions", f"wrote {out_csv}"]
     with out_csv.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5 * 96 * 5

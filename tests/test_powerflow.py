@@ -171,153 +171,164 @@ def test_injection_snapshot_validation(graph):
 
 
 @pytest.fixture(scope="module")
-def fixture_stack(graph, topologies, default_day):
-    """All 480 (topology, t) fixture cases as one stack: ybus, p, q, snapshots."""
-    cases = [(build_ybus(graph, topo), inj) for topo in topologies for inj in default_day]
-    return (np.stack([y for y, _ in cases]), np.array([inj.p for _, inj in cases]),
-            np.array([inj.q for _, inj in cases]), cases)
+def fixture_grid(graph, topologies, default_day):
+    """The 5 x 96 fixture (topology, t) grid: the (topologies, n, n) Ybus
+    stack and the (steps, n) p and q tables."""
+    return (np.stack([build_ybus(graph, topo) for topo in topologies]),
+            np.array([inj.p for inj in default_day]), np.array([inj.q for inj in default_day]))
 
 
-def test_batch_agrees_with_oracle_on_all_fixture_cases(fixture_stack):
-    ybus, p, q, cases = fixture_stack
+def test_batch_agrees_with_oracle_on_all_fixture_cases(fixture_grid, default_day):
+    ybus, p, q = fixture_grid
     batch = solve_newton_raphson_batch(ybus, p, q, tol=1e-10)
+    assert batch.vm.shape == batch.va_deg.shape == (5, 96, 5)
     assert batch.converged.all()
-    for i, (y, inj) in enumerate(cases):
-        fp = solve_fixed_point_oracle(y, inj, tol=1e-10)
-        assert np.max(np.abs(batch.vm[i] - fp.vm)) < 1e-8
-        assert np.max(np.abs(batch.va_deg[i] - fp.va_deg)) < 1e-6
+    for i, y in enumerate(ybus):
+        for t, inj in enumerate(default_day):
+            fp = solve_fixed_point_oracle(y, inj, tol=1e-10)
+            assert np.max(np.abs(batch.vm[i, t] - fp.vm)) < 1e-8
+            assert np.max(np.abs(batch.va_deg[i, t] - fp.va_deg)) < 1e-6
 
 
-def _assert_rows_equal_solo(batch, ybus, p, q, **kw):
-    """Every case of `batch` has the bits of the same case solved alone."""
-    for i in range(len(ybus)):
-        alone = solve_newton_raphson_batch(ybus[i:i + 1], p[i:i + 1], q[i:i + 1], **kw)
-        for name in ("vm", "va_deg", "iterations", "mismatch", "converged", "singular"):
-            assert getattr(alone, name)[0].tobytes() == getattr(batch, name)[i].tobytes(), (
-                i, name)
+FIELDS = ("vm", "va_deg", "iterations", "mismatch", "converged", "singular")
 
 
-def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_stack, graph):
-    """Alone or in a stack, a case takes the same steps with the same bits:
-    the 480 fixture cases, and a stack of SCADA-noisy injections whose
-    topologies interleave, with a diverging and a singular case inside."""
-    ybus, p, q, _ = fixture_stack
-    _assert_rows_equal_solo(solve_newton_raphson_batch(ybus, p, q), ybus, p, q)
+def _assert_cases_equal_solo(batch, ybus, p, q, **kw):
+    """Every (topology, step) case of `batch` has the bits of the same case
+    solved alone, in a 1 x 1 grid."""
+    assert batch.converged.shape == (len(ybus), len(p))
+    for i, t in np.ndindex(batch.converged.shape):
+        alone = solve_newton_raphson_batch(ybus[i:i + 1], p[t:t + 1], q[t:t + 1], **kw)
+        for name in FIELDS:
+            assert getattr(alone, name)[0, 0].tobytes() == getattr(batch, name)[i, t].tobytes(), (
+                i, t, name)
 
-    rng = np.random.default_rng(11)
-    pick = rng.choice(len(ybus), 60, replace=False)
-    spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=0.025, accuracy=0.0005)
-    noisy_p, noisy_q = scada_readings(p[pick], q[pick], spec, rng,
-                                      draw_scada_offsets(graph.bus_ids, spec, rng))
-    isolated = ybus[0].copy()  # bus 5 cut off: a singular Jacobian
+
+def _failing_grid(graph, ybus, p, q, at_topology, steps):
+    """`ybus` with an islanded-bus topology (bus 5 cut off: a singular
+    Jacobian) inserted at `at_topology`, and the rows `steps` of p and q,
+    where "heavy" is the first row with 50 p.u. drawn at bus 4 (it diverges)
+    and "nan" a NaN row."""
+    isolated = ybus[0].copy()
     i5 = graph.bus_index(5)
     isolated[i5, :] = isolated[:, i5] = 0.0
     heavy = p[0].copy()
     heavy[graph.bus_index(4)] = -50.0
-    stack_y = np.concatenate([ybus[pick[:20]], ybus[:1], ybus[pick[20:40]], isolated[None],
-                              ybus[pick[40:]]])
-    stack_p = np.concatenate([noisy_p[:20], heavy[None], noisy_p[20:40], p[:1], noisy_p[40:]])
-    stack_q = np.concatenate([noisy_q[:20], q[:1], noisy_q[20:40], q[:1], noisy_q[40:]])
-    mixed = solve_newton_raphson_batch(stack_y, stack_p, stack_q, max_iter=20)
-    assert mixed.converged.sum() == 60
-    assert not mixed.converged[20] and not mixed.singular[20]
-    assert mixed.singular[41]
-    _assert_rows_equal_solo(mixed, stack_y, stack_p, stack_q, max_iter=20)
+    rows = {"heavy": (heavy, q[0]), "nan": (np.full_like(heavy, np.nan), q[0])}
+    grid_p, grid_q = zip(*(rows[t] if t in rows else (p[t], q[t]) for t in steps))
+    return np.insert(ybus, at_topology, isolated, axis=0), np.array(grid_p), np.array(grid_q)
+
+
+def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_grid, graph):
+    """Alone or in a grid, a case takes the same steps with the same bits:
+    the 5 x 96 fixture grid, and the 5 fixture topologies plus an islanded
+    one against SCADA-noisy steps plus a heavy step, where every fixture
+    topology diverges at the heavy step and the islanded one is singular at
+    every step."""
+    ybus, p, q = fixture_grid
+    _assert_cases_equal_solo(solve_newton_raphson_batch(ybus, p, q), ybus, p, q)
+
+    rng = np.random.default_rng(11)
+    spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=0.025, accuracy=0.0005)
+    noisy_p, noisy_q = scada_readings(p, q, spec, rng,
+                                      draw_scada_offsets(graph.bus_ids, spec, rng))
+    picked = rng.choice(96, 12, replace=False).tolist()
+    steps = [*picked[:6], "heavy", *picked[6:]]
+    grid_y, grid_p, grid_q = _failing_grid(graph, ybus, noisy_p, noisy_q, 2, steps)
+    mixed = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
+    assert mixed.converged.sum() == 5 * 12
+    assert not mixed.converged[:, 6].any()
+    assert mixed.singular.tolist() == [[topology == 2] * 13 for topology in range(6)]
+    _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q, max_iter=20)
 
 
 @pytest.mark.parametrize("load, newton_converged", [
     (20, 480), (40, 471), (50, 421), (60, 345), (80, 269), (100, 210)])
-def test_heavy_load_converged_count_matches_full_newton(fixture_stack, load, newton_converged):
+def test_heavy_load_converged_count_matches_full_newton(fixture_grid, load, newton_converged):
     """At 20x to 100x the fixture loads, as many of the 480 cases converge
     as did with a Jacobian re-evaluated at every step (counted with that
     solver): reusing the flat-start Jacobian loses none of them."""
-    ybus, p, q, _ = fixture_stack
+    ybus, p, q = fixture_grid
     batch = solve_newton_raphson_batch(ybus, load * p, load * q)
     assert batch.converged.sum() == newton_converged
 
 
-@pytest.mark.parametrize("load, case, steps", [(60, 275, 39), (100, 198, 34)])
-def test_singular_jacobian_of_a_diverging_case_reports_divergence(fixture_stack, load,
-                                                                  case, steps):
+@pytest.mark.parametrize("load, topology, step, steps", [(60, 2, 83, 39), (100, 2, 6, 34)])
+def test_singular_jacobian_of_a_diverging_case_reports_divergence(fixture_grid, graph, load,
+                                                                  topology, step, steps):
     """At 60x and 100x the fixture loads one case each blows up until its
     refreshed Jacobian is singular. Its mismatch has then grown far past its
     flat-start mismatch, so it stops as diverged, with its last mismatch,
     not as singular; alone it stops the same way."""
-    ybus, p, q, cases = fixture_stack
+    ybus, p, q = fixture_grid
     batch = solve_newton_raphson_batch(ybus, load * p, load * q)
+    case = topology, step
     assert not batch.singular.any()
     assert batch.iterations[case] == steps
-    flat = np.abs(np.concatenate([load * p[case], load * q[case]])).max()
+    flat = np.abs(np.concatenate([load * p[step], load * q[step]])).max()
     assert batch.mismatch[case] > 1e6 * flat
-    err = batch.error(case)
+    err = batch.error(*case)
     assert isinstance(err, DivergedError)
     assert err.last_mismatch == batch.mismatch[case]
-    inj = InjectionSnapshot(bus_ids=cases[case][1].bus_ids, p=load * p[case], q=load * q[case])
+    inj = InjectionSnapshot(bus_ids=graph.bus_ids, p=load * p[step], q=load * q[step])
     with pytest.raises(DivergedError) as alone:
-        solve_newton_raphson(ybus[case], inj)
+        solve_newton_raphson(ybus[topology], inj)
     assert alone.value.last_mismatch == batch.mismatch[case]
 
 
-def test_twenty_times_fixture_load_converges_in_at_most_12_steps(fixture_stack):
-    ybus, p, q, _ = fixture_stack
+def test_twenty_times_fixture_load_converges_in_at_most_12_steps(fixture_grid):
+    ybus, p, q = fixture_grid
     batch = solve_newton_raphson_batch(ybus, 20 * p, 20 * q)
     assert batch.converged.all()
     assert batch.iterations.max() <= 12
 
 
-def test_cold_and_warm_flat_start_cache_give_identical_bits(fixture_stack):
-    """The flat-start inverse is looked up once per run of equal matrices
+def test_cold_and_warm_flat_start_cache_give_identical_bits(fixture_grid):
+    """The flat-start inverse is looked up once per topology of the grid
     (5 topologies x 96 steps: 5 lookups), and a cached inverse gives the
     bits of a freshly computed one."""
-    ybus, p, q, _ = fixture_stack
+    ybus, p, q = fixture_grid
     cache = powerflow._flat_start_inverse
     cache.cache_clear()
     cold = solve_newton_raphson_batch(ybus, p, q)
     assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 5)
     warm = solve_newton_raphson_batch(ybus, p, q)
     assert (cache.cache_info().hits, cache.cache_info().misses) == (5, 5)
-    for name in ("vm", "va_deg", "iterations", "mismatch"):
+    for name in FIELDS:
         assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_failed_cases_leave_the_others_unchanged(fixture_stack, graph):
+def test_failed_cases_leave_the_others_unchanged(fixture_grid, graph):
     """A diverging, a non-finite and a singular case are flagged per case;
-    the converging cases of the same stack keep their solo results."""
-    ybus, p, q, cases = fixture_stack
-    good = [0, 137, 300, 479]
-    isolated = ybus[0].copy()  # bus 5 cut off: a zero Jacobian row
-    i5 = graph.bus_index(5)
-    isolated[i5, :] = isolated[:, i5] = 0.0
-    heavy = p[0].copy()
-    heavy[graph.bus_index(4)] = -50.0
-    stack_y = np.stack([ybus[good[0]], ybus[0], ybus[good[1]], ybus[0], isolated,
-                        ybus[good[2]], ybus[good[3]]])
-    stack_p = np.stack([p[good[0]], heavy, p[good[1]], np.full_like(heavy, np.nan),
-                        p[0], p[good[2]], p[good[3]]])
-    stack_q = np.stack([q[good[0]], q[0], q[good[1]], q[0], q[0], q[good[2]], q[good[3]]])
-    mixed = solve_newton_raphson_batch(stack_y, stack_p, stack_q, max_iter=20)
-    assert mixed.converged.tolist() == [True, False, True, False, False, True, True]
-    assert mixed.singular.tolist() == [False, False, False, False, True, False, False]
-    for row, i in zip((0, 2, 5, 6), good):
-        alone = solve_newton_raphson_batch(ybus[i:i + 1], p[i:i + 1], q[i:i + 1],
-                                           max_iter=20)
-        assert mixed.iterations[row] == alone.iterations[0]
-        assert np.array_equal(mixed.vm[row], alone.vm[0])
-        assert np.array_equal(mixed.va_deg[row], alone.va_deg[0])
-    for row in (1, 3):
-        assert isinstance(mixed.error(row), DivergedError)
-        assert mixed.iterations[row] == 20
-    assert mixed.mismatch[1] > 1.0
-    assert np.isnan(mixed.mismatch[3])
-    assert isinstance(mixed.error(4), SingularJacobianError)
-    bus_ids = cases[0][1].bus_ids
-    with pytest.raises(SingularJacobianError):
-        mixed.solution(4, bus_ids)
-    # the scalar solver is the stack of one: the same errors and mismatch
-    inj = InjectionSnapshot(bus_ids=bus_ids, p=tuple(heavy), q=tuple(q[0]))
+    the converging cases of the same grid keep their solo results. The grid
+    is the 5 fixture topologies plus an islanded one against fixture steps,
+    a heavy step and a NaN step, and the first failure in (topology, step)
+    order is the heavy step of topology I."""
+    ybus, p, q = fixture_grid
+    steps = [0, "heavy", 37, "nan", 60, 95]
+    grid_y, grid_p, grid_q = _failing_grid(graph, ybus, p, q, 4, steps)
+    mixed = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
+    good = [isinstance(t, int) for t in steps]
+    assert mixed.converged.tolist() == [[ok and topology != 4 for ok in good]
+                                        for topology in range(6)]
+    assert mixed.singular.tolist() == [[topology == 4] * 6 for topology in range(6)]
+    assert np.argwhere(~mixed.converged)[0].tolist() == [0, 1]
+    _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q, max_iter=20)
+    for topology in (0, 1, 2, 3, 5):
+        for step in (1, 3):
+            assert isinstance(mixed.error(topology, step), DivergedError)
+            assert mixed.iterations[topology, step] == 20
+        assert mixed.mismatch[topology, 1] > 1.0
+        assert np.isnan(mixed.mismatch[topology, 3])
+    for step in range(6):
+        assert isinstance(mixed.error(4, step), SingularJacobianError)
+        with pytest.raises(SingularJacobianError):
+            mixed.solution(4, step, graph.bus_ids)
+    # the scalar solver is the 1 x 1 grid: the same errors and mismatch
+    inj = InjectionSnapshot(bus_ids=graph.bus_ids, p=tuple(grid_p[1]), q=tuple(q[0]))
     with pytest.raises(DivergedError) as err:
         solve_newton_raphson(ybus[0], inj, max_iter=20)
-    assert err.value.last_mismatch == mixed.mismatch[1]
+    assert err.value.last_mismatch == mixed.mismatch[0, 1]
     with pytest.raises(SingularJacobianError):
-        solve_newton_raphson(isolated, cases[0][1])
+        solve_newton_raphson(grid_y[4], InjectionSnapshot(graph.bus_ids, p[0], q[0]))

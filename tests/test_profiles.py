@@ -118,6 +118,22 @@ def test_csv_missing_steps_rejected(graph, tmp_path):
         load_injections(graph, path)
 
 
+@pytest.mark.parametrize("missing, listed", [
+    ((7,), "7 (1 of 96)"),
+    ((3, 10, 20, 30, 95), "3, 10, 20, 30, 95 (5 of 96)"),
+    ((3, 10, 20, 30, 40, 95), "3, 10, 20, 30, 40, ... (6 of 96)"),
+])
+def test_csv_missing_steps_error_counts_them(graph, tmp_path, missing, listed):
+    """The error names how many steps are missing and lists the first five,
+    with "..." only when there are more."""
+    path = tmp_path / "gaps.csv"
+    rows = [f"{t},4,-0.05,-0.01" for t in range(96) if t not in missing]
+    path.write_text("time_index,bus_id,p_pu,q_pu\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_injections(graph, path)
+    assert str(err.value) == f"{path}: bus 4 missing time steps {listed}"
+
+
 def test_csv_bad_header_rejected(graph, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,bus,p,q\n0,4,-0.05,-0.01\n")

@@ -282,10 +282,10 @@ def test_pmu_readings_keep_their_per_topology_streams(monkeypatch):
     for (vm, va), topo in zip(readings, ctx.topologies):
         ybus = ctx.ybus_by_topo[topo.id]
         alone = powerflow.solve_newton_raphson_batch(
-            np.broadcast_to(ybus, (96,) + ybus.shape), ctx.true_p, ctx.true_q,
+            ybus[None], ctx.true_p, ctx.true_q,
             tol=ctx.config.tol, slack_index=ctx.graph.slack_index)
         want_vm, want_va = sample(
-            alone.vm, alone.va_deg, ctx.pmu_spec,
+            alone.vm[0], alone.va_deg[0], ctx.pmu_spec,
             derive_rng_stream(21, 1 + rep, f"pmu:{topo.id}"), ctx.pmu_offsets_by_rep[rep])
         assert vm.tobytes() == want_vm.tobytes()
         assert va.tobytes() == want_va.tobytes()
@@ -325,14 +325,15 @@ def test_trial_library_matches_build_library():
     public = build_library(ctx.graph, list(ctx.topologies), injections,
                            tol=ctx.config.tol)
     assert public.topology_ids == ctx.topology_ids
+    assert trial.vm.shape == (len(ctx.topology_ids), len(steps), len(ctx.graph.bus_ids))
     cases = [(topology_id, t) for topology_id in ctx.topology_ids for t in steps]
     assert list(public.entries) == cases
-    for i, key in enumerate(cases):
+    for (i, j), key in zip(np.ndindex(trial.converged.shape), cases, strict=True):
         sol = public.entries[key]
         assert sol.bus_ids == ctx.graph.bus_ids
-        assert (sol.iterations, sol.max_mismatch) == (trial.iterations[i], trial.mismatch[i])
-        assert sol.vm.tobytes() == trial.vm[i].tobytes()
-        assert sol.va_deg.tobytes() == trial.va_deg[i].tobytes()
+        assert (sol.iterations, sol.max_mismatch) == (trial.iterations[i, j], trial.mismatch[i, j])
+        assert sol.vm.tobytes() == trial.vm[i, j].tobytes()
+        assert sol.va_deg.tobytes() == trial.va_deg[i, j].tobytes()
 
 
 @pytest.mark.parametrize("topo_pos, rep, steps", [
@@ -439,7 +440,7 @@ def test_task_counts_do_not_depend_on_the_repetition_count(other):
 
 def test_experiment_is_array_program(monkeypatch):
     """A serial 4-repetition run solves every topology's true states in one
-    stacked call and each repetition's library in one more (4), hashes a
+    5 x 96 grid call and each repetition's library in one more (4), hashes a
     SeedSequence only for the 2 offset streams of each repetition, its SCADA
     stream and the μPMU streams of its 5 true topologies, and builds no
     per-trial result, verdict or power-flow objects."""
@@ -448,9 +449,9 @@ def test_experiment_is_array_program(monkeypatch):
     batch = powerflow.solve_newton_raphson_batch
     seed_sequence = np.random.SeedSequence
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return batch(*args, **kwargs)
+    def counted(ybus, p, q, **kwargs):
+        calls.append((len(ybus), len(p), len(q)))
+        return batch(ybus, p, q, **kwargs)
 
     def counted_seed_sequence(*args, **kwargs):
         seed_sequences.append(args)
@@ -467,7 +468,7 @@ def test_experiment_is_array_program(monkeypatch):
                          (measurements, "ScadaSet")):
         monkeypatch.setattr(module, name, forbidden)
     report = run_experiment(_tiny_config(repetitions=4, master_seed=2))
-    assert calls == [5 * 96] * (1 + 4)
+    assert calls == [(5, 96, 96)] * (1 + 4)
     assert len(seed_sequences) == 2 * 4 + (1 + 5) * 4
     assert report.n_trials("I", "armv", "angle") == 96 * 4
 
