@@ -1,9 +1,9 @@
 """Synthetic measurement generation for μPMU and SCADA devices.
 
 Each device adds a per-run systematic offset (uniform within its accuracy
-bound) plus per-sample zero-mean Gaussian noise. μPMU magnitude noise is
-scaled by the nominal voltage; SCADA noise is multiplicative, relative to
-the measured power itself.
+bound) plus per-sample zero-mean Gaussian noise. μPMU magnitude noise is in
+p.u. of the 1 p.u. nominal voltage, like every state; SCADA noise is
+multiplicative, relative to the measured power itself.
 """
 from __future__ import annotations
 
@@ -26,14 +26,13 @@ class DeviceKind:
 class DeviceSpec:
     """Noise model of one measurement device class.
 
-    sigma and accuracy are relative fractions (0.00025 means 0.025%). For
-    μPMUs the angle sigma and offset bound are in radians.
+    sigma and accuracy are relative fractions (0.00025 means 0.025%): for
+    μPMUs, p.u. of the 1 p.u. nominal for the magnitude, radians for the angle.
     """
 
     kind: str
     sigma: float
     accuracy: float = 0.0
-    nominal_voltage: float = 1.0
 
     def __post_init__(self):
         if self.sigma < 0 or self.accuracy < 0:
@@ -127,8 +126,7 @@ class PmuOffsets:
 def draw_pmu_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> PmuOffsets:
     """Offsets uniform within the accuracy bound, drawn bus by bus, the
     magnitude's before the angle's."""
-    bound = np.array([spec.accuracy * spec.nominal_voltage, spec.accuracy])
-    off = rng.uniform(-bound, bound, size=(len(bus_ids), 2))
+    off = rng.uniform(-spec.accuracy, spec.accuracy, size=(len(bus_ids), 2))
     return PmuOffsets(vm=off[:, 0], va_deg=np.degrees(off[:, 1]))
 
 
@@ -140,15 +138,11 @@ def draw_scada_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> n
 def _gaussian(rng: np.random.Generator, sigmas: tuple[float, float], shape) -> np.ndarray:
     """(*shape, 2) zero-mean noise, column j with std sigmas[j], from one
     `standard_normal` draw in C order: the draws of a loop of scalar
-    `rng.normal(0, sigma)` calls over `shape`, column 0 before column 1. A
-    zero std draws nothing and gives zeros."""
-    live = [j for j, sigma in enumerate(sigmas) if sigma > 0]
-    draws = rng.standard_normal((*shape, len(live)))
-    if len(live) == len(sigmas):
-        return draws * sigmas
-    noise = np.zeros((*shape, len(sigmas)))
-    noise[..., live] = draws * np.take(sigmas, live)
-    return noise
+    `rng.normal(0, sigma)` calls over `shape`, column 0 before column 1.
+    Both stds are zero (no draw, zeros) or both are positive."""
+    if sigmas[0] == 0:
+        return np.zeros((*shape, 2))
+    return rng.standard_normal((*shape, 2)) * sigmas
 
 
 def _check_kind(spec: DeviceSpec, kind: str):
@@ -162,13 +156,12 @@ def pmu_readings(vm: np.ndarray, va_deg: np.ndarray, spec: DeviceSpec,
     """Noisy (magnitude, angle) readings of (trials, buses) true states given
     by bus position, all drawn from `rng`, trial by trial.
 
-    Magnitude noise std is sigma * nominal_voltage (absolute, p.u.); angle
-    noise std is sigma in radians (reported in degrees). Noise is drawn bus
-    by bus, magnitude before angle.
+    Magnitude noise std is sigma in p.u.; angle noise std is sigma in
+    radians (reported in degrees). Noise is drawn bus by bus, magnitude
+    before angle.
     """
     _check_kind(spec, DeviceKind.MICRO_PMU)
-    noise = _gaussian(rng, (spec.sigma * spec.nominal_voltage, np.degrees(spec.sigma)),
-                      vm.shape)
+    noise = _gaussian(rng, (spec.sigma, np.degrees(spec.sigma)), vm.shape)
     if offsets is not None:
         vm, va_deg = vm + offsets.vm, va_deg + offsets.va_deg
     return vm + noise[..., 0], va_deg + noise[..., 1]

@@ -50,7 +50,6 @@ class BusKind(Enum):
 class Bus:
     id: int
     kind: BusKind
-    base_voltage: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -237,11 +236,11 @@ def load_network(path: str | Path) -> tuple[NetworkGraph, list[TopologyConfig]]:
         if len(fields) != 3:
             raise ParseError(f"{path}:{lineno}: expected 'id,kind,base_voltage'")
         try:
-            bus = Bus(id=int(fields[0]), kind=BusKind(fields[1].lower()),
-                      base_voltage=float(fields[2]))
+            bus = Bus(id=int(fields[0]), kind=BusKind(fields[1].lower()))
+            base_voltage = float(fields[2])
         except (ValueError, KeyError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if not 0 < bus.base_voltage < math.inf:
+        if not 0 < base_voltage < math.inf:  # checked, but unused: the model is per-unit
             raise ParseError(f"{path}:{lineno}: base_voltage must be finite and positive, "
                              f"got {fields[2]}")
         buses.append(bus)
@@ -286,6 +285,8 @@ def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> l
     n_slack = sum(1 for b in graph.buses if b.kind is BusKind.SLACK)
     if n_slack != 1:
         violations.append(f"exactly one slack bus required, found {n_slack}")
+    if not any(b.kind is BusKind.PQ for b in graph.buses):
+        violations.append("no PQ bus: the power flow has no unknowns")
 
     line_ids = [l.id for l in graph.lines]
     if len(set(line_ids)) != len(line_ids):

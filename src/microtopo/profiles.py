@@ -101,29 +101,33 @@ def _read_profile_rows(path: str | Path) -> tuple[dict, dict[int, int]]:
     row_line: dict[tuple[int, int], int] = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        expected = {"time_index", "bus_id", "p_pu", "q_pu"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected header columns {sorted(expected)}")
-        for row in reader:
-            line = reader.line_num
-            if None in row or None in row.values():  # extra or missing fields
-                raise ValueError(f"{path}:{line}: expected {len(reader.fieldnames)} fields")
-            try:
-                t = int(row["time_index"])
-                bus = int(row["bus_id"])
-                value = (float(row["p_pu"]), float(row["q_pu"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line}: cannot parse row: {exc}") from None
-            if not all(math.isfinite(x) for x in value):
-                raise ValueError(f"{path}:{line}: p_pu and q_pu must be finite")
-            if not 0 <= t < N_STEPS:
-                raise ValueError(f"{path}:{line}: time_index {t} is outside 0..{N_STEPS - 1}")
-            if (t, bus) in row_line:
-                raise ValueError(f"{path}:{line}: duplicate row for time_index {t}, "
-                                 f"bus {bus} (first on line {row_line[(t, bus)]})")
-            row_line[(t, bus)] = line
-            first_line.setdefault(bus, line)
-            values[t, bus] = value
+        try:
+            expected = {"time_index", "bus_id", "p_pu", "q_pu"}
+            if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+                raise ValueError(f"{path}: expected header columns {sorted(expected)}")
+            for row in reader:
+                line = reader.line_num
+                if None in row or None in row.values():  # extra or missing fields
+                    raise ValueError(f"{path}:{line}: expected {len(reader.fieldnames)} fields")
+                try:
+                    t = int(row["time_index"])
+                    bus = int(row["bus_id"])
+                    value = (float(row["p_pu"]), float(row["q_pu"]))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{line}: cannot parse row: {exc}") from None
+                if not all(math.isfinite(x) for x in value):
+                    raise ValueError(f"{path}:{line}: p_pu and q_pu must be finite")
+                if not 0 <= t < N_STEPS:
+                    raise ValueError(f"{path}:{line}: time_index {t} is outside 0..{N_STEPS - 1}")
+                if (t, bus) in row_line:
+                    raise ValueError(f"{path}:{line}: duplicate row for time_index {t}, "
+                                     f"bus {bus} (first on line {row_line[(t, bus)]})")
+                row_line[(t, bus)] = line
+                first_line.setdefault(bus, line)
+                values[t, bus] = value
+        except csv.Error as exc:  # e.g. a field longer than the csv field size limit
+            line = reader.reader.line_num  # reader.line_num stops at the last good row
+            raise ValueError(f"{path}:{line}: cannot parse row: {exc}") from None
     return values, first_line
 
 

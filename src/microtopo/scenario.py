@@ -204,8 +204,7 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
     graph, topologies = load_network(config.network)
     true_p, true_q, scada_buses = profiles.load_injections(graph, config.profile)
     pmu_spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=config.pmu_sigma,
-                          accuracy=config.pmu_accuracy,
-                          nominal_voltage=graph.slack_bus.base_voltage)
+                          accuracy=config.pmu_accuracy)
     scada_spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=config.scada_sigma,
                             accuracy=config.scada_accuracy)
     # Trial index 0 is reserved for offset draws; repetition noise streams use

@@ -80,6 +80,29 @@ def test_non_finite_or_non_positive_network_value_exits_2(tmp_path, capsys, old,
     assert err == f"error: {net}:{lineno}: {message}\n" * 2
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["powerflow", "--topo", "A", "--zero-load"], ["library"],
+    ["detect", "--topo", "A"], ["experiment", "--reps", "1"],
+], ids=["validate", "powerflow", "library", "detect", "experiment"])
+def test_slack_only_network_exits_2(tmp_path, capsys, command):
+    """A network with only its slack bus once passed `validate` and then
+    crashed every solving command with an IndexError traceback."""
+    net = tmp_path / "slack_only.net"
+    net.write_text("[buses]\n1,slack,1.0\n[lines]\n[topologies]\nA,\n")
+    args = command + ["--net", str(net)]
+    if command[0] == "experiment":
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert main(args) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    message = "no PQ bus: the power flow has no unknowns"
+    if command[0] == "validate":
+        assert f"INVALID\n  - {message}" in captured.out
+    else:
+        assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "--net", "/nonexistent.net"]) == EXIT_VALIDATION
 
@@ -143,7 +166,9 @@ def test_library_divergence_is_numerical_error(tmp_path, capsys):
     ("500,2,-0.1,0.0", "time_index 500 is outside 0..95"),
     ("0,2,-0.2,0.0", "duplicate row for time_index 0, bus 2 (first on line 2)"),
     ("0,3,abc,0.0", "cannot parse row"),
-], ids=["unknown_bus", "slack_bus", "time_outside_day", "duplicate", "not_a_number"])
+    ('0,3,"' + "1" * 200_000 + '",0.0', "cannot parse row: field larger than field limit"),
+], ids=["unknown_bus", "slack_bus", "time_outside_day", "duplicate", "not_a_number",
+        "overlong_field"])
 def test_bad_profile_row_is_rejected_with_its_line(tmp_path, capsys, bad_row, message):
     """Each malformed profile row exits 2 with path:line, never a traceback
     or a silently dropped row. The bad row is line 98, after a valid bus-2

@@ -32,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from microtopo.cli import EXIT_OK, main
+from microtopo.scenario import fixture_path
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 LIBRARY_SHA256 = "8cf92f1c5d8f9fa816c5d7eebc493bf0a3cfb096e3375f149347a4a7a032a9cf"
@@ -72,6 +73,20 @@ def test_two_word_seed_output_matches_golden_digests(tmp_path, capsys, jobs):
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     for name, digest in TWO_WORD_SEED_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_network_base_voltage_does_not_scale_the_noise(tmp_path, capsys):
+    """The model is per-unit: a copy of fivebus.net that states every bus
+    base as 12.47 (kV) gives the golden output of the bundled file, not
+    12.47 times the μPMU magnitude noise."""
+    bundled = fixture_path("fivebus.net").read_text()
+    assert bundled.count(",1.0\n") == 5
+    net = tmp_path / "kv.net"
+    net.write_text(bundled.replace(",1.0\n", ",12.47\n"))
+    assert main(["experiment", "--seed", "7", "--reps", "1", "--jobs", "1",
+                 "--net", str(net), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    for name in ("rates.csv", "confusion.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_detect_output_matches_golden_files(tmp_path, capsys):

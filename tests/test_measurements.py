@@ -72,19 +72,18 @@ def test_pmu_noise_statistics(true_solution):
         assert abs(np.mean(z ** 4) - 3.0) < 0.2  # excess kurtosis
 
 
-@pytest.mark.parametrize("sigma, nominal", [(0.00025, 1.0), (0.0, 1.0), (0.00025, 0.0)])
-def test_pmu_draws_match_scalar_sequence(true_solution, sigma, nominal):
+@pytest.mark.parametrize("sigma", [0.00025, 0.0])
+def test_pmu_draws_match_scalar_sequence(true_solution, sigma):
     """Offsets and noise equal, bit for bit, those of one scalar draw per bus
     and quantity (magnitude before angle), and a zero std draws nothing."""
-    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma, accuracy=0.00025,
-                      nominal_voltage=nominal)
+    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma, accuracy=0.00025)
     rng, ref = np.random.default_rng(1), np.random.default_rng(1)
     meas = sample_pmu(true_solution, spec, rng,
                       offsets=draw_pmu_offsets(true_solution.bus_ids, spec, rng))
-    offsets = [(ref.uniform(-spec.accuracy * nominal, spec.accuracy * nominal),
+    offsets = [(ref.uniform(-spec.accuracy, spec.accuracy),
                 float(np.degrees(ref.uniform(-spec.accuracy, spec.accuracy))))
                for _ in true_solution.bus_ids]
-    sigma_vm, sigma_va = sigma * nominal, float(np.degrees(sigma))
+    sigma_vm, sigma_va = sigma, float(np.degrees(sigma))
     for i, (off_vm, off_va) in enumerate(offsets):
         noise_vm = ref.normal(0.0, sigma_vm) if sigma_vm > 0 else 0.0
         noise_va = ref.normal(0.0, sigma_va) if sigma_va > 0 else 0.0
@@ -216,7 +215,7 @@ def test_stacked_readings_match_per_trial_samples(true_solution, true_injections
     """Readings of a stack of trials drawn from one stream equal, bit for
     bit, the scalar samples of the same trials drawn in turn from an equal
     stream; a stack of one is the scalar sample."""
-    pmu = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma, nominal_voltage=1.0)
+    pmu = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma)
     scada = DeviceSpec(kind=DeviceKind.SCADA, sigma=sigma * 100)
     pmu_offsets = PmuOffsets(vm=np.linspace(-1e-4, 1e-4, 5), va_deg=np.linspace(2e-3, -2e-3, 5))
     buses = (2, 3, 4, 5)

@@ -244,6 +244,15 @@ def test_empty_topologies_section_is_a_violation(tmp_path, capsys):
     assert "no topologies" in capsys.readouterr().out
 
 
+def test_slack_only_network_is_a_violation(tmp_path):
+    """A network with no PQ bus leaves the power flow nothing to solve; it
+    fails validation instead of crashing every solving command."""
+    path = _write(tmp_path, "[buses]\n1,slack,1.0\n[lines]\n[topologies]\nA,\n")
+    with pytest.raises(ValidationError) as err:
+        load_network(path)
+    assert err.value.violations == ["no PQ bus: the power flow has no unknowns"]
+
+
 def test_validation_collects_multiple_violations(tmp_path):
     bad = """\
 [buses]
@@ -280,8 +289,7 @@ def _network_file(draw):
     n_bus = draw(st.integers(2, 6))
     order = draw(st.permutations(range(1, n_bus + 1)))
     slack = draw(st.sampled_from(order))
-    buses = [Bus(id=b, kind=BusKind.SLACK if b == slack else BusKind.PQ,
-                 base_voltage=draw(_POSITIVE)) for b in order]
+    buses = [Bus(id=b, kind=BusKind.SLACK if b == slack else BusKind.PQ) for b in order]
     pairs = [(draw(st.integers(1, k - 1)), k) for k in range(2, n_bus + 1)]
     pairs += draw(st.lists(st.tuples(st.integers(1, n_bus), st.integers(1, n_bus))
                            .filter(lambda ab: ab[0] != ab[1]), max_size=3))
@@ -296,7 +304,7 @@ def _network_file(draw):
     space = st.sampled_from(["", " ", "  "])
     sections = {
         "buses": [[str(b.id), draw(st.sampled_from([b.kind.value, b.kind.value.upper()])),
-                   repr(b.base_voltage)] for b in buses],
+                   repr(draw(_POSITIVE))] for b in buses],
         "lines": [[l.id, str(l.from_bus), str(l.to_bus), repr(l.r_pu), repr(l.x_pu),
                    l.switch_id] for l in lines],
         "topologies": [[t.id, ";".join(sorted(t.closed_switches))] for t in topologies],
