@@ -198,10 +198,10 @@ def cmd_detect(args) -> int:
         print(f"  {crit.upper():5s} {sig:9s} -> {verdict_labels[code]}")
     vote_labels = ctx.topology_ids + ("abstain",)
     rendered = ", ".join(f"{b}:{vote_labels[v]}" for b, v in zip(
-        ctx.pmu_bus_ids, votes[index][SIGNALS.index("angle")]))
+        ctx.graph.bus_ids, votes[index][SIGNALS.index("angle")]))
     print(f"  per-bus angle votes: {rendered}")
     if args.dump_matrices:
-        dump_matrices_csv(stack[index], ctx.pmu_bus_ids, ctx.topology_ids, args.dump_matrices)
+        dump_matrices_csv(stack[index], ctx.graph.bus_ids, ctx.topology_ids, args.dump_matrices)
         print(f"wrote {args.dump_matrices}")
     return EXIT_OK
 

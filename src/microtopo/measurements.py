@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import bus_positions
 from .powerflow import InjectionSnapshot, PowerFlowSolution
 
 
@@ -199,7 +198,8 @@ def sample_scada(true_injections: InjectionSnapshot, spec: DeviceSpec,
                  time_index: int = 0, offsets: np.ndarray | None = None) -> ScadaSet:
     """Noisy net power injection per bus of `measured_buses` at one step
     (`scada_readings` of one trial); `offsets` follows `measured_buses`."""
-    rows = bus_positions(true_injections.bus_ids, measured_buses)
+    position = {bus: i for i, bus in enumerate(true_injections.bus_ids)}
+    rows = [position[bus] for bus in measured_buses]
     p, q = scada_readings(true_injections.p[rows][None], true_injections.q[rows][None], spec,
                           rng, offsets)
     return ScadaSet(bus_ids=tuple(measured_buses), p=p[0], q=q[0], time_index=time_index)

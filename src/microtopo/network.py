@@ -86,8 +86,14 @@ class ConnectivityReport:
 
 @dataclass(frozen=True)
 class NetworkGraph:
+    """Buses in id order: a bus's position is its row in every per-bus array."""
+
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
+
+    def __post_init__(self):
+        if list(self.bus_ids) != sorted(self.bus_ids):
+            raise ValueError(f"buses must be in id order, got {list(self.bus_ids)}")
 
     @property
     def n_bus(self) -> int:
@@ -123,13 +129,6 @@ class NetworkGraph:
                 f"{sorted(unknown)}"
             )
         return tuple(l for l in self.lines if l.switch_id in topo.closed_switches)
-
-
-def bus_positions(bus_ids: tuple[int, ...], wanted) -> list[int]:
-    """Position in `bus_ids` of each bus of `wanted`, in the order of
-    `wanted`; a bus missing from `bus_ids` raises KeyError with its id."""
-    position = {bus: i for i, bus in enumerate(bus_ids)}
-    return [position[bus] for bus in wanted]
 
 
 def build_incidence_matrix(graph: NetworkGraph, topo: TopologyConfig) -> np.ndarray:
@@ -195,10 +194,22 @@ def build_ybus(graph: NetworkGraph, topo: TopologyConfig) -> np.ndarray:
     return y
 
 
+def read_utf8(path: Path, error: type[Exception] = ValueError) -> str:
+    """The text of `path`, as UTF-8; a byte that is not raises `error`
+    naming path:line, the line counted as `str.splitlines` counts it."""
+    data = path.read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode() + "x").splitlines())
+        raise error(f"{path}:{line}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                    f"({exc.reason})") from None
+
+
 def _parse_sections(path: Path) -> dict[str, list[tuple[int, str]]]:
     sections: dict = dict.fromkeys(("buses", "lines", "topologies"))
     current: str | None = None
-    text = path.read_text()
+    text = read_utf8(path, ParseError)
     if not text.strip():
         raise ParseError(f"{path}: file is empty")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -222,7 +233,8 @@ def _parse_sections(path: Path) -> dict[str, list[tuple[int, str]]]:
 
 
 def load_network(path: str | Path) -> tuple[NetworkGraph, list[TopologyConfig]]:
-    """Load a network definition file and its candidate topologies.
+    """Load a network definition file and its candidate topologies. The
+    graph holds the buses in id order, whatever their order in the file.
 
     Raises ParseError on malformed rows (with line numbers) and
     ValidationError listing every violated invariant at once.
@@ -267,7 +279,7 @@ def load_network(path: str | Path) -> tuple[NetworkGraph, list[TopologyConfig]]:
         closed = frozenset(s.strip() for s in fields[1].split(";") if s.strip())
         topologies.append(TopologyConfig(id=fields[0], closed_switches=closed))
 
-    graph = NetworkGraph(buses=tuple(buses), lines=tuple(lines))
+    graph = NetworkGraph(buses=tuple(sorted(buses, key=lambda b: b.id)), lines=tuple(lines))
     violations = validate_network(graph, topologies)
     if violations:
         raise ValidationError(violations)
@@ -280,7 +292,7 @@ def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> l
     ids = [b.id for b in graph.buses]
     if len(set(ids)) != len(ids):
         violations.append("duplicate bus ids")
-    if sorted(ids) != list(range(1, len(ids) + 1)):
+    if ids != list(range(1, len(ids) + 1)):  # the graph holds them sorted
         violations.append("bus ids must be contiguous from 1")
     n_slack = sum(1 for b in graph.buses if b.kind is BusKind.SLACK)
     if n_slack != 1:

@@ -10,12 +10,13 @@ are per-unit.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .network import BusKind, NetworkGraph, bus_positions
+from .network import BusKind, NetworkGraph, read_utf8
 
 N_STEPS = 96  # one day at 15-minute resolution
 
@@ -94,40 +95,40 @@ def _default_injections(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, tu
 
 def _read_profile_rows(path: str | Path) -> tuple[dict, dict[int, int]]:
     """{(t, bus): (p, q)} from a profile CSV, and the line on which each bus
-    first appears. Malformed rows raise ValueError naming path:line."""
+    first appears. Malformed rows, and bytes that are not UTF-8, raise
+    ValueError naming path:line."""
     path = Path(path)
     values: dict[tuple[int, int], tuple[float, float]] = {}
     first_line: dict[int, int] = {}
     row_line: dict[tuple[int, int], int] = {}
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            expected = {"time_index", "bus_id", "p_pu", "q_pu"}
-            if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-                raise ValueError(f"{path}: expected header columns {sorted(expected)}")
-            for row in reader:
-                line = reader.line_num
-                if None in row or None in row.values():  # extra or missing fields
-                    raise ValueError(f"{path}:{line}: expected {len(reader.fieldnames)} fields")
-                try:
-                    t = int(row["time_index"])
-                    bus = int(row["bus_id"])
-                    value = (float(row["p_pu"]), float(row["q_pu"]))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{line}: cannot parse row: {exc}") from None
-                if not all(math.isfinite(x) for x in value):
-                    raise ValueError(f"{path}:{line}: p_pu and q_pu must be finite")
-                if not 0 <= t < N_STEPS:
-                    raise ValueError(f"{path}:{line}: time_index {t} is outside 0..{N_STEPS - 1}")
-                if (t, bus) in row_line:
-                    raise ValueError(f"{path}:{line}: duplicate row for time_index {t}, "
-                                     f"bus {bus} (first on line {row_line[(t, bus)]})")
-                row_line[(t, bus)] = line
-                first_line.setdefault(bus, line)
-                values[t, bus] = value
-        except csv.Error as exc:  # e.g. a field longer than the csv field size limit
-            line = reader.reader.line_num  # reader.line_num stops at the last good row
-            raise ValueError(f"{path}:{line}: cannot parse row: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        expected = {"time_index", "bus_id", "p_pu", "q_pu"}
+        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+            raise ValueError(f"{path}: expected header columns {sorted(expected)}")
+        for row in reader:
+            line = reader.line_num
+            if None in row or None in row.values():  # extra or missing fields
+                raise ValueError(f"{path}:{line}: expected {len(reader.fieldnames)} fields")
+            try:
+                t = int(row["time_index"])
+                bus = int(row["bus_id"])
+                value = (float(row["p_pu"]), float(row["q_pu"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line}: cannot parse row: {exc}") from None
+            if not all(math.isfinite(x) for x in value):
+                raise ValueError(f"{path}:{line}: p_pu and q_pu must be finite")
+            if not 0 <= t < N_STEPS:
+                raise ValueError(f"{path}:{line}: time_index {t} is outside 0..{N_STEPS - 1}")
+            if (t, bus) in row_line:
+                raise ValueError(f"{path}:{line}: duplicate row for time_index {t}, "
+                                 f"bus {bus} (first on line {row_line[(t, bus)]})")
+            row_line[(t, bus)] = line
+            first_line.setdefault(bus, line)
+            values[t, bus] = value
+    except csv.Error as exc:  # e.g. a field longer than the csv field size limit
+        line = reader.reader.line_num  # reader.line_num stops at the last good row
+        raise ValueError(f"{path}:{line}: cannot parse row: {exc}") from None
     return values, first_line
 
 
@@ -166,7 +167,7 @@ def load_injections(graph: NetworkGraph,
             raise ValueError(f"{source}: bus {bus} missing time steps {listed} "
                              f"({len(missing)} of {N_STEPS})")
     steps = [t for t, _ in values]
-    cols = bus_positions(graph.bus_ids, [bus for _, bus in values])
+    cols = np.searchsorted(graph.bus_ids, [bus for _, bus in values])  # the ids are sorted
     pq = np.array(list(values.values()))
     p = np.zeros((N_STEPS, graph.n_bus))
     q = np.zeros((N_STEPS, graph.n_bus))

@@ -38,7 +38,7 @@ from .measurements import (
     pmu_readings,
     scada_readings,
 )
-from .network import NetworkGraph, TopologyConfig, build_ybus, bus_positions, load_network
+from .network import NetworkGraph, TopologyConfig, build_ybus, load_network, read_utf8
 from .powerflow import TOL, InjectionSnapshot
 # Not called here since trials solve in stacks, but kept importable from this
 # module: perfbench/test_perfbench.py checks through this name that the layer
@@ -124,7 +124,7 @@ def load_config(path: str | Path, **overrides) -> ScenarioConfig:
     values: dict = {}
     lines: dict[str, int] = {}  # key -> the file line that set it
     try:
-        text = path.read_text()
+        text = read_utf8(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -193,11 +193,6 @@ class ExperimentContext:
     @property
     def topology_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.topologies)
-
-    @property
-    def pmu_bus_ids(self) -> tuple[int, ...]:
-        """The μPMU buses in ADM/MDM row order: sorted by bus id."""
-        return tuple(sorted(self.graph.bus_ids))
 
 
 def build_context(config: ScenarioConfig) -> ExperimentContext:
@@ -272,7 +267,7 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
                      ctx.pmu_offsets_by_rep[rep])
         for topology_id, vm, va in zip(true_ids, true_vm, true_va, strict=True)]).swapaxes(0, 1)
     p, q = ctx.true_p, ctx.true_q
-    rows = bus_positions(graph.bus_ids, ctx.scada_buses)
+    rows = np.searchsorted(graph.bus_ids, ctx.scada_buses)  # the ids are sorted
     scada_p, scada_q = scada_readings(
         p[:, rows], q[:, rows], ctx.scada_spec,
         derive_rng_stream(config.master_seed, 1 + rep, "scada"),
@@ -284,7 +279,7 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
                                   graph.slack_index)
     # Every true topology's readings meet the same (topologies, steps, buses) library.
-    stack = difference_stacks(pmu_vm, pmu_va, library.vm, library.va_deg, graph.bus_ids)
+    stack = difference_stacks(pmu_vm, pmu_va, library.vm, library.va_deg)
     by_criterion, votes = vote_stack(stack)
     return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
 
@@ -308,7 +303,7 @@ class DetectionRateReport:
     position in `topology_ids`, `criteria`, `signals` and `pmu_bus_ids`."""
 
     topology_ids: tuple[str, ...]
-    pmu_bus_ids: tuple[int, ...]  # sorted by bus id, like the ADM/MDM rows
+    pmu_bus_ids: tuple[int, ...]  # the graph's bus ids, one per ADM/MDM row
     criteria: ClassVar[tuple[str, ...]] = CRITERIA
     signals: ClassVar[tuple[str, ...]] = SIGNALS
     # (true, criterion, signal, detected); detected position
@@ -368,7 +363,7 @@ def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
     """Run and count each repetition of `reps`, one at a time: a
     repetition's stacks are its unit of work. The true states are solved
     once per chunk and shared by its repetitions."""
-    report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.pmu_bus_ids)
+    report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.graph.bus_ids)
     true_states = solve_true_states(ctx)
     for rep in reps:
         report.record_rep(*run_rep(ctx, rep, *true_states)[1:])

@@ -33,3 +33,16 @@ def default_day(graph):
     p, q, _ = load_injections(graph, "default")
     return tuple(InjectionSnapshot(bus_ids=graph.bus_ids, p=p_t, q=q_t)
                  for p_t, q_t in zip(p, q))
+
+
+@pytest.fixture
+def reversed_net(tmp_path):
+    """A copy of the bundled fivebus.net that lists its [buses] rows 5..1:
+    the graph holds the buses in id order, so it must give the same output."""
+    text = fixture_path("fivebus.net").read_text()
+    head, rest = text.split("[buses]\n", 1)
+    buses, tail = rest.split("\n\n", 1)
+    path = tmp_path / "reversed.net"
+    path.write_text(
+        head + "[buses]\n" + "\n".join(reversed(buses.splitlines())) + "\n\n" + tail)
+    return path

@@ -297,7 +297,7 @@ def test_detect_prints_row_t_of_the_task_the_experiment_counts(monkeypatch, caps
             for s, sig in enumerate(SIGNALS)}
         bus_votes = lines[-1].removeprefix("  per-bus angle votes: ").split(", ")
         assert bus_votes == [f"{bus}:{labels[v] if v < len(ctx.topology_ids) else 'abstain'}"
-                             for bus, v in zip(ctx.pmu_bus_ids, votes[t, angle])]
+                             for bus, v in zip(ctx.graph.bus_ids, votes[t, angle])]
 
 
 def test_detect_bad_time(capsys):

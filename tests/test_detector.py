@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -193,27 +194,23 @@ def test_difference_stacks_broadcast_like_the_flat_tiled_call():
     true topology; trial [T, t] is flat trial T * steps + t."""
     rng = np.random.default_rng(12)
     n_true, n_step, n_topo = 3, 7, 4
-    bus_ids = (3, 1, 5, 2, 4)  # not sorted: rows come out in bus-id order
     vm, va = rng.uniform(0.9, 1.1, (2, n_true, n_step, 5))
     lib_vm, lib_va = rng.uniform(0.9, 1.1, (2, n_topo, n_step, 5))
-    stacks = difference_stacks(vm, va, lib_vm, lib_va, bus_ids)
+    stacks = difference_stacks(vm, va, lib_vm, lib_va)
     flat = difference_stacks(vm.reshape(-1, 5), va.reshape(-1, 5),
-                             np.tile(lib_vm, (1, n_true, 1)), np.tile(lib_va, (1, n_true, 1)),
-                             bus_ids)
+                             np.tile(lib_vm, (1, n_true, 1)), np.tile(lib_va, (1, n_true, 1)))
     assert stacks.shape == (n_true, n_step, len(SIGNALS), 5, n_topo)
     assert stacks.tobytes() == flat.reshape(stacks.shape).tobytes()
-    order = np.argsort(bus_ids)
-    assert np.array_equal(stacks[2, 6, 0, :, 3], np.abs(va[2, 6, order] - lib_va[3, 6, order]))
+    assert np.array_equal(stacks[2, 6, 0, :, 3], np.abs(va[2, 6] - lib_va[3, 6]))
 
 
-def _loop_stack(vm, va, lib_vm, lib_va, bus_ids):
+def _loop_stack(vm, va, lib_vm, lib_va):
     """One trial's (signal, row, topology) stack, cell by cell."""
-    rows = sorted(range(len(bus_ids)), key=lambda i: bus_ids[i])
-    stack = np.zeros((2, len(rows), len(lib_vm)))
+    stack = np.zeros((2, len(vm), len(lib_vm)))
     for col in range(len(lib_vm)):
-        for row, i in enumerate(rows):
-            stack[0, row, col] = abs(va[i] - lib_va[col][i])
-            stack[1, row, col] = abs(vm[i] - lib_vm[col][i])
+        for row in range(len(vm)):
+            stack[0, row, col] = abs(va[row] - lib_va[col][row])
+            stack[1, row, col] = abs(vm[row] - lib_vm[col][row])
     return stack
 
 
@@ -224,19 +221,18 @@ def test_difference_stacks_hold_the_adm_then_the_mdm():
     buses) against (topologies, steps, buses)."""
     assert SIGNALS == ("angle", "magnitude")
     rng = np.random.default_rng(31)
-    bus_ids = (3, 1, 5, 2, 4)
     vm, va = rng.uniform(0.9, 1.1, (2, 5))
     lib_vm, lib_va = rng.uniform(0.9, 1.1, (2, 4, 5))
-    stack = difference_stacks(vm, va, lib_vm, lib_va, bus_ids)
+    stack = difference_stacks(vm, va, lib_vm, lib_va)
     assert stack.shape == (2, 5, 4)
-    assert np.array_equal(stack, _loop_stack(vm, va, lib_vm, lib_va, bus_ids))
+    assert np.array_equal(stack, _loop_stack(vm, va, lib_vm, lib_va))
     rep_vm, rep_va = rng.uniform(0.9, 1.1, (2, 3, 6, 5))
     rep_lib_vm, rep_lib_va = rng.uniform(0.9, 1.1, (2, 4, 6, 5))
-    stacks = difference_stacks(rep_vm, rep_va, rep_lib_vm, rep_lib_va, bus_ids)
+    stacks = difference_stacks(rep_vm, rep_va, rep_lib_vm, rep_lib_va)
     assert stacks.shape == (3, 6, 2, 5, 4)
     for true, t in np.ndindex(3, 6):
         assert np.array_equal(stacks[true, t], _loop_stack(
-            rep_vm[true, t], rep_va[true, t], rep_lib_vm[:, t], rep_lib_va[:, t], bus_ids))
+            rep_vm[true, t], rep_va[true, t], rep_lib_vm[:, t], rep_lib_va[:, t]))
 
 
 @pytest.mark.parametrize("shape", [(96, 5, 5), (3, 17, 2), (7, 130, 3), (2, 1000, 4),
@@ -269,6 +265,7 @@ def test_vote_stack_matches_oracles_on_a_repetition_stack():
     ctx = build_context(load_config(fixture_path("paper.cfg"), master_seed=5, repetitions=1))
     stack = run_rep(ctx, 0, *solve_true_states(ctx))[0]
     assert stack.shape == (5, 96, 2, 5, 5)
+    assert max(stack.strides) == stack.strides[3]  # rows outermost: see `_measured_stack`
     ids = ctx.topology_ids
     labels = ids + (INCONCLUSIVE,)
     oracles = {"rmv": _oracle_rmv, "armv": _oracle_armv, "ormv": _oracle_ormv}
@@ -398,15 +395,14 @@ def test_library_reports_first_failed_case_in_topology_step_order(graph, topo_by
 
 def _loop_difference_matrices(phasors, library, t):
     """Cell-by-cell ADM/MDM, independent of the broadcast path."""
-    rows = sorted(range(len(phasors.bus_ids)), key=lambda i: phasors.bus_ids[i])
-    adm = np.zeros((len(rows), len(library.topology_ids)))
+    adm = np.zeros((len(phasors.bus_ids), len(library.topology_ids)))
     mdm = np.zeros_like(adm)
     for col, q in enumerate(library.topology_ids):
         sol = library.solution(q, t)
-        for row, i in enumerate(rows):
-            k = sol.bus_ids.index(phasors.bus_ids[i])
-            adm[row, col] = abs(phasors.va_deg[i] - sol.va_deg[k])
-            mdm[row, col] = abs(phasors.vm[i] - sol.vm[k])
+        for row, bus in enumerate(phasors.bus_ids):
+            k = sol.bus_ids.index(bus)
+            adm[row, col] = abs(phasors.va_deg[row] - sol.va_deg[k])
+            mdm[row, col] = abs(phasors.vm[row] - sol.vm[k])
     return adm, mdm
 
 
@@ -422,10 +418,6 @@ def test_difference_matrices_match_cell_loop_bit_for_bit(zero_noise_setup):
     for q in library.topology_ids:
         for t in injections:
             meas = sample_pmu(library.solution(q, t), spec, rng, time_index=t)
-            # rows are sorted by bus id whatever the input order
-            perm = rng.permutation(len(meas.bus_ids))
-            meas = dataclasses.replace(meas, bus_ids=tuple(meas.bus_ids[i] for i in perm),
-                                       vm=meas.vm[perm], va_deg=meas.va_deg[perm])
             m = compute_difference_matrices(_Bag(meas), library, t)
             adm, mdm = _loop_difference_matrices(meas, library, t)
             assert m.stack.shape == (len(SIGNALS),) + adm.shape
@@ -433,17 +425,24 @@ def test_difference_matrices_match_cell_loop_bit_for_bit(zero_noise_setup):
             assert m.stack[1].tobytes() == mdm.tobytes()
 
 
-def test_pmu_bus_missing_from_library_raises(zero_noise_setup):
-    """Also on a second call: a failed lookup leaves no cache entry."""
+def test_pmu_bus_missing_from_library_raises(zero_noise_setup, graph):
+    """A stray bus, or the library's buses in another order, raises, also on
+    a second call. A failed request caches nothing: the library keeps its
+    one stack, of its own buses."""
     library, _ = zero_noise_setup
     spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
     meas = sample_pmu(library.solution("I", 48), spec, np.random.default_rng(0),
                       time_index=48)
+    cached = library._stacked
+    assert cached[0] == graph.bus_ids == (1, 2, 3, 4, 5)
     stray = dataclasses.replace(meas, bus_ids=meas.bus_ids[:-1] + (9,))
-    for _ in range(2):
-        with pytest.raises(LibraryError, match="bus 9 missing"):
-            compute_difference_matrices(_Bag(stray), library, 48)
-        assert tuple(sorted(stray.bus_ids)) not in library._stacks
+    reordered = dataclasses.replace(meas, bus_ids=meas.bus_ids[::-1])
+    for bad, listed in ((stray, "[1, 2, 3, 4, 9]"), (reordered, "[5, 4, 3, 2, 1]")):
+        for _ in range(2):
+            with pytest.raises(LibraryError, match=re.escape(
+                    f"μPMU buses {listed} are not the library's buses [1, 2, 3, 4, 5]")):
+                compute_difference_matrices(_Bag(bad), library, 48)
+            assert library._stacked is cached
 
 
 def test_step_missing_from_library_raises(zero_noise_setup):
@@ -458,30 +457,28 @@ def test_step_missing_from_library_raises(zero_noise_setup):
 def test_snapshot_stack_equals_difference_stacks_for_every_step(graph, topologies,
                                                                default_day):
     """A snapshot's stack is, byte for byte, `difference_stacks` of it
-    against the step's library states, for every step of the library. Two
-    orders of one μPMU bus set share one read-only cache entry: the second
-    reads the array the first built."""
+    against the step's library states, for every step of the library. Every
+    request reads the one read-only library stack that the first built."""
     steps = (0, 30, 47, 81, 95)
     library = build_library(graph, topologies, {t: default_day[t] for t in steps})
     rng = np.random.default_rng(8)
     entries = []
-    for bus_ids in ((4, 2, 5, 1), (1, 5, 2, 4)):
+    for _ in range(2):
         for t in steps:
             sols = [library.solution(q, t) for q in library.topology_ids]
-            cols = [sols[0].bus_ids.index(bus) for bus in bus_ids]
-            lib_vm = np.array([sol.vm[cols] for sol in sols])
-            lib_va = np.array([sol.va_deg[cols] for sol in sols])
-            vm = lib_vm[2] + rng.normal(0.0, 1e-3, len(bus_ids))
-            va = lib_va[2] + rng.normal(0.0, 1e-2, len(bus_ids))
-            phasors = PhasorSet(bus_ids=bus_ids, vm=vm, va_deg=va, time_index=t)
+            lib_vm = np.array([sol.vm for sol in sols])
+            lib_va = np.array([sol.va_deg for sol in sols])
+            vm = lib_vm[2] + rng.normal(0.0, 1e-3, graph.n_bus)
+            va = lib_va[2] + rng.normal(0.0, 1e-2, graph.n_bus)
+            phasors = PhasorSet(bus_ids=graph.bus_ids, vm=vm, va_deg=va, time_index=t)
             stack = compute_difference_matrices(_Bag(phasors), library, t).stack
-            want = difference_stacks(vm, va, lib_vm, lib_va, bus_ids)
-            assert stack.shape == want.shape == (len(SIGNALS), len(bus_ids), len(sols))
+            want = difference_stacks(vm, va, lib_vm, lib_va)
+            assert stack.shape == want.shape == (len(SIGNALS), graph.n_bus, len(sols))
             assert stack.tobytes() == want.tobytes()
-        assert list(library._stacks) == [(1, 2, 4, 5)]
-        entries.append(library._stacks[1, 2, 4, 5])
+        entries.append(library._stacked)
     assert entries[1] is entries[0]
-    step, states = entries[0]
+    bus_ids, step, states = entries[0]
+    assert bus_ids == graph.bus_ids
     assert step == {t: i for i, t in enumerate(steps)}
     assert not states.flags.writeable
 

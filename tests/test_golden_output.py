@@ -75,18 +75,34 @@ def test_two_word_seed_output_matches_golden_digests(tmp_path, capsys, jobs):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_network_base_voltage_does_not_scale_the_noise(tmp_path, capsys):
-    """The model is per-unit: a copy of fivebus.net that states every bus
-    base as 12.47 (kV) gives the golden output of the bundled file, not
-    12.47 times the μPMU magnitude noise."""
+def test_network_base_voltage_does_not_scale_the_noise(tmp_path, capsys, reversed_net):
+    """Two copies of fivebus.net give the golden experiment output of the
+    bundled file. One states every bus base as 12.47 (kV): the model is
+    per-unit, so the μPMU magnitude noise is not 12.47 times larger. The
+    other lists its [buses] 5..1: the graph holds the buses in id order, so
+    it also gives the golden detect output and the bundled file's library
+    and powerflow tables."""
     bundled = fixture_path("fivebus.net").read_text()
     assert bundled.count(",1.0\n") == 5
-    net = tmp_path / "kv.net"
-    net.write_text(bundled.replace(",1.0\n", ",12.47\n"))
-    assert main(["experiment", "--seed", "7", "--reps", "1", "--jobs", "1",
-                 "--net", str(net), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
-    for name in ("rates.csv", "confusion.csv"):
-        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    kv_net = tmp_path / "kv.net"
+    kv_net.write_text(bundled.replace(",1.0\n", ",12.47\n"))
+    for net in (kv_net, reversed_net):
+        out = tmp_path / f"out_{net.stem}"
+        assert main(["experiment", "--seed", "7", "--reps", "1", "--jobs", "1",
+                     "--net", str(net), "--out-dir", str(out)]) == EXIT_OK
+        for name in ("rates.csv", "confusion.csv"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), (net, name)
+    capsys.readouterr()
+    _check_detect_golden(tmp_path, capsys, "III", 30, "--net", str(reversed_net))
+    library = tmp_path / "library.csv"
+    assert main(["library", "--net", str(reversed_net), "--out", str(library)]) == EXIT_OK
+    assert hashlib.sha256(library.read_bytes()).hexdigest() == LIBRARY_SHA256
+    tables = []
+    for net in (fixture_path("fivebus.net"), reversed_net):
+        capsys.readouterr()
+        assert main(["powerflow", "--net", str(net), "--topo", "I", "--t", "40"]) == EXIT_OK
+        tables.append(capsys.readouterr().out)
+    assert tables[1] == tables[0]
 
 
 def test_detect_output_matches_golden_files(tmp_path, capsys):
@@ -101,10 +117,10 @@ def test_first_topology_first_step_detect_matches_golden_files(tmp_path, capsys)
     _check_detect_golden(tmp_path, capsys, "I", 0)
 
 
-def _check_detect_golden(tmp_path, capsys, topo, t):
+def _check_detect_golden(tmp_path, capsys, topo, t, *args):
     dump = tmp_path / "matrices.csv"
     assert main(["detect", "--topo", topo, "--t", str(t), "--seed", "5",
-                 "--dump-matrices", str(dump)]) == EXIT_OK
+                 "--dump-matrices", str(dump), *args]) == EXIT_OK
     golden_out = (GOLDEN / f"detect_{topo}_t{t}_seed5.txt").read_text()
     assert capsys.readouterr().out == golden_out + f"wrote {dump}\n"
     assert dump.read_bytes() == (GOLDEN / f"detect_{topo}_t{t}_seed5_matrices.csv").read_bytes()

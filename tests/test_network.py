@@ -221,6 +221,26 @@ def test_load_malformed_row_reports_line(tmp_path):
         load_network(_write(tmp_path, bad))
 
 
+def test_graph_rejects_buses_out_of_id_order():
+    """A bus's position is its row in every per-bus array, so a graph holds
+    its buses in id order and no other."""
+    with pytest.raises(ValueError, match=r"buses must be in id order, got \[2, 1\]"):
+        NetworkGraph((Bus(2, BusKind.PQ), Bus(1, BusKind.SLACK)), ())
+
+
+def test_undecodable_network_file_names_its_line(tmp_path, capsys):
+    """A byte that is not UTF-8 is reported with path:line, like every other
+    rejected row, not as a bare codec error."""
+    path = tmp_path / "bad.net"
+    path.write_bytes(GOOD.replace("2,pq", "2,p\xfcq").encode("latin-1"))
+    message = f"{path}:3: not UTF-8 text: byte 0xfc (invalid start byte)"
+    with pytest.raises(ParseError) as exc:
+        load_network(path)
+    assert str(exc.value) == message
+    assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_section_is_rejected_with_its_line(tmp_path, capsys):
     """A section other than [buses], [lines] and [topologies] is an error,
     not a block of rows that is silently ignored."""
@@ -327,7 +347,7 @@ def test_network_file_round_trip(generated):
     text, _, buses, lines, topologies = generated
     with tempfile.TemporaryDirectory() as directory:
         graph, parsed = load_network(_write(Path(directory), "\n".join(text)))
-    assert graph.buses == tuple(buses)
+    assert graph.buses == tuple(sorted(buses, key=lambda b: b.id))  # in id order
     assert graph.lines == tuple(lines)
     assert parsed == topologies
 

@@ -141,6 +141,20 @@ def test_csv_bad_header_rejected(graph, tmp_path):
         load_injections(graph, path)
 
 
+def test_undecodable_profile_names_its_line(graph, tmp_path, capsys):
+    """A byte that is not UTF-8 is reported with path:line, like every other
+    rejected row, not as a bare codec error."""
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"{t},4,-0.05,-0.01\n" for t in range(96))
+    path.write_bytes(b"time_index,bus_id,p_pu,q_pu\n" + rows.encode() + b"\xff\n")
+    message = f"{path}:98: not UTF-8 text: byte 0xff (invalid start byte)"
+    with pytest.raises(ValueError) as err:
+        load_injections(graph, path)
+    assert str(err.value) == message
+    assert main(["powerflow", "--topo", "I", "--t", "3", "--profile", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["experiment", "powerflow"])
 def test_header_only_profile_exits_2(tmp_path, capsys, command):
     """A profile CSV with a header and no rows names no bus and no step: it

@@ -120,6 +120,19 @@ def test_rejected_file_value_names_its_line(tmp_path, text, lineno, message):
         load_config(cfg)
 
 
+def test_undecodable_config_names_its_line(tmp_path, capsys):
+    """A byte that is not UTF-8 is reported with path:line, like every other
+    rejected line, not as a bare codec error."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"network = fivebus.net\n\n# caf\xe9 au lait\nrepetitions = 1\n")
+    message = f"{cfg}:3: not UTF-8 text: byte 0xe9 (invalid continuation byte)"
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == message
+    assert main(["experiment", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_rejected_override_has_no_line():
     with pytest.raises(ConfigError, match=r"^pmu_sigma must be finite"):
         load_config(PAPER_CFG, pmu_sigma=float("nan"))
@@ -754,21 +767,18 @@ def test_summary_mentions_every_criterion(small_report):
         assert crit.upper() in text
 
 
-def test_per_bus_rows_name_their_bus_whatever_the_file_order(tmp_path):
+def test_per_bus_rows_name_their_bus_whatever_the_file_order(tmp_path, reversed_net):
     """rates.csv labels the per-bus rows in bus-id order, the order of the
-    ADM/MDM rows, also when the network file lists its buses 5..1. The slack
-    bus (1) has the same calculated state under every topology, so its row
-    always abstains."""
-    text = fixture_path("fivebus.net").read_text()
-    head, rest = text.split("[buses]\n", 1)
-    buses, tail = rest.split("\n\n", 1)
-    reversed_net = tmp_path / "reversed.net"
-    reversed_net.write_text(
-        head + "[buses]\n" + "\n".join(reversed(buses.splitlines())) + "\n\n" + tail)
-    report = run_experiment(_tiny_config(network=str(reversed_net), master_seed=3))
-    assert report.pmu_bus_ids == (1, 2, 3, 4, 5)
-    write_report(report, tmp_path / "out")
-    with (tmp_path / "out" / "rates.csv").open() as fh:
+    ADM/MDM rows, also when the network file lists its buses 5..1, and its
+    bytes are the bundled file's. The slack bus (1) has the same calculated
+    state under every topology, so its row always abstains."""
+    for net in (fixture_path("fivebus.net"), reversed_net):
+        report = run_experiment(_tiny_config(network=str(net), master_seed=3))
+        assert report.pmu_bus_ids == (1, 2, 3, 4, 5)
+        write_report(report, tmp_path / net.stem)
+    rates = tmp_path / "reversed" / "rates.csv"
+    assert rates.read_bytes() == (tmp_path / "fivebus" / "rates.csv").read_bytes()
+    with rates.open() as fh:
         rows = [r for r in csv.DictReader(fh) if r["bus"] != "all"]
     assert rows[:5] == sorted(rows[:5], key=lambda r: int(r["bus"]))
     for row in rows:
