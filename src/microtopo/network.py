@@ -195,12 +195,13 @@ def build_ybus(graph: NetworkGraph, topo: TopologyConfig) -> np.ndarray:
 
 
 def read_utf8(path: Path, error: type[Exception] = ValueError) -> str:
-    """The text of `path`, as UTF-8; a byte that is not raises `error`
-    naming path:line, the line counted as `str.splitlines` counts it."""
-    data = path.read_bytes()
+    """The text of `path`, as UTF-8 without a leading byte-order mark; a byte
+    that is not UTF-8 raises `error` naming path:line, the line counted as
+    `str.splitlines` counts it."""
     try:
-        return data.decode()
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        data = exc.object  # the bytes after the byte-order mark, if any
         line = len((data[:exc.start].decode() + "x").splitlines())
         raise error(f"{path}:{line}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
                     f"({exc.reason})") from None

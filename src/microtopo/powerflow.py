@@ -159,14 +159,13 @@ FLAT_START_CACHE_SIZE = 64
 # power mismatch array, with no copy.
 
 
-def _injected_currents(y_cols: np.ndarray, v_pq: np.ndarray) -> np.ndarray:
-    """(Y v) at the PQ buses, from the columns `y_cols` (n, B, k) of the PQ
-    rows: summed column by column from the left, the slack column's voltage
-    being 1, so that a case rounds alike in any stack."""
-    i_pq = y_cols[0] + y_cols[1] * v_pq[:, None, 0]
-    for j in range(2, len(y_cols)):
-        i_pq += y_cols[j] * v_pq[:, None, j - 1]
-    return i_pq
+def _injected_currents(y_cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(Y v) at the PQ buses as (k, B), from the columns `y_cols` (n, k, B)
+    of the PQ rows and the bus voltages `weights` (n, 1, B), the slack's 1.
+    The products are laid out C-contiguous, so that `np.add.reduce` over
+    axis 0 adds them column after column from the left, ((c_0 + c_1) + c_2)
+    + ..., and a case rounds alike in any stack and any memory layout."""
+    return np.add.reduce(np.multiply(y_cols, weights, order="C"), axis=0)
 
 
 def _jacobian(ybus: np.ndarray, v_pq: np.ndarray, i_pq: np.ndarray) -> np.ndarray:
@@ -207,7 +206,7 @@ def _flat_start_inverse(ybus_bytes: bytes, n: int) -> tuple[np.ndarray, bool]:
     matrix, given by its bytes, and whether that Jacobian is singular."""
     ybus = np.frombuffer(ybus_bytes, dtype=complex).reshape(1, n, n)
     flat = np.ones((1, n - 1), dtype=complex)
-    i_flat = _injected_currents(ybus[:, 1:, :].transpose(2, 0, 1), flat)
+    i_flat = _injected_currents(ybus[:, 1:, :].transpose(2, 1, 0), np.ones((n, 1, 1))).T
     inv, singular = _inverses(_jacobian(ybus, flat, i_flat))
     inv.flags.writeable = False
     return inv[0], bool(singular[0])
@@ -221,17 +220,19 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     `ybus` is the (T, n, n) stack of the topologies' admittance matrices and
     `p`, `q` the (S, n) injections of the steps, shared by every topology;
     slack entries are ignored. Each case steps with the inverse of its
-    Jacobian at flat start, which depends on the admittance matrix only:
-    one cached lookup per topology (a chord method). A case whose max
-    mismatch did not fall below STALL_RATIO times the previous one takes a
-    full Newton step instead: its Jacobian is re-evaluated at its current
-    state and its inverse is used from then on. A case leaves the active set
-    as soon as its own mismatch is under `tol`. Every operation is per case
-    (column by column sums, one inverse and one matrix-vector product per
-    case), so a case takes the same steps, with the same arithmetic, as in a
-    1 x 1 grid; a diverging, non-finite or singular case leaves the other
-    cases' results unchanged. `vm`/`va_deg` hold the solution of converged
-    cases only.
+    Jacobian at flat start, which depends on the admittance matrix only: one
+    cached lookup per topology (a chord method). A case whose max mismatch
+    did not fall below STALL_RATIO times the previous one takes a full
+    Newton step instead: its Jacobian is re-evaluated at its current state
+    and its inverse is used from then on. A case leaves the active set when
+    its mismatch is under `tol`, its Jacobian is singular or at `max_iter`;
+    its state, iteration count and last mismatch are recorded then, once.
+    Every operation is per case (currents summed over the columns from the
+    left by `_injected_currents`, one inverse and one matrix-vector product
+    per case), so a case takes the same steps, with the same arithmetic, as
+    in a 1 x 1 grid; a diverging, non-finite or singular case leaves the
+    other cases' results unchanged. `vm`/`va_deg` hold the solution of
+    converged cases only.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -239,72 +240,71 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     order = [slack_index] + [i for i in range(n) if i != slack_index]
     ybus = np.asarray(ybus, dtype=complex)
     if slack_index:  # move the slack bus first
-        ybus = ybus[:, order][:, :, order]
+        ybus, p, q = ybus[:, order][:, :, order], p[:, order], q[:, order]
     grid = (len(ybus), n_step)
     n_case = len(ybus) * n_step  # case c is topology c // n_step at step c % n_step
     flat_inv, flat_singular = zip(*(_flat_start_inverse(y.tobytes(), n) for y in ybus))
-    j_inv = np.repeat(flat_inv, n_step, axis=0)
-    no_inverse = np.repeat(flat_singular, n_step)
-    y_cols = np.repeat(ybus[:, 1:, :].transpose(2, 0, 1), n_step, axis=1)  # (n, cases, k)
-    s_spec = np.tile((p + 1j * q)[:, order[1:]], (len(ybus), 1))
+    j_inv = np.array(flat_inv).repeat(n_step, axis=0)
+    no_inverse = np.array(flat_singular).repeat(n_step)
+    y_cols = ybus[:, 1:, :].transpose(2, 1, 0).repeat(n_step, axis=2)  # (n, k, cases)
+    # bus voltages: row 0, the slack's, stays 1; rows 1: are rewritten each step
+    weights = np.ones((n, 1, n_case), dtype=complex)
+    s_spec = np.concatenate(((p + 1j * q)[:, 1:],) * len(ybus))
     x = np.zeros((n_case, 2 * n - 2))  # interleaved (va, vm) of the PQ buses
-    x[:, 1::2] = 1.0
-    limit = np.full(n_case, np.inf)  # STALL_RATIO x the previous max mismatch
+    va, vm = x[:, 0::2], x[:, 1::2]
+    vm[...] = 1.0
+    limit = np.inf  # STALL_RATIO x the previous max mismatch
 
-    x_out = x.copy()
-    iterations = np.full(n_case, max_iter)
-    mismatch = np.full(n_case, np.inf)
+    x_out = x.copy()  # recorded once per case, when it leaves the active set
+    iterations = np.empty(n_case, dtype=int)
+    mismatch = np.empty(n_case)
     converged = np.zeros(n_case, dtype=bool)
     singular = np.zeros(n_case, dtype=bool)
     case = np.arange(n_case)  # case number of each active row
 
     for iteration in range(max_iter + 1):
-        v_pq = x[:, 1::2] * np.exp(1j * x[:, 0::2])
-        i_pq = _injected_currents(y_cols, v_pq)
-        rhs = (s_spec - v_pq * np.conj(i_pq)).view(float)
+        v_pq = vm * np.exp(1j * va)
+        weights[1:, 0] = v_pq.T
+        i_pq = _injected_currents(y_cols, weights).T
+        rhs = (s_spec - v_pq * np.conj(i_pq, order="C")).view(float)
         # reduced over the outer axis of a transposed copy: a row-wise max of
         # a few values each is several times slower on a large stack
-        mism = np.abs(rhs.T, order="C").max(axis=0)
-        mismatch[case] = mism
+        mism = np.maximum.reduce(np.abs(rhs.T, order="C"), axis=0)
         if iteration == 0:
             flat_mism = mism
         done = mism < tol
         stalled = mism >= limit
-        if done.any():
-            finished = case[done]
-            converged[finished] = True
-            iterations[finished] = iteration
-            x_out[finished] = x[done]
-            if done.all():
-                break
+        last = iteration == max_iter
+        if not last and np.count_nonzero(stalled):
             stalled &= ~done
-        if iteration == max_iter:
-            break
-
-        if stalled.any():
             j_inv[stalled], no_inverse[stalled] = _inverses(
                 _jacobian(ybus[case[stalled] // n_step], v_pq[stalled], i_pq[stalled]))
-        leave = done | no_inverse
-        if leave.any():
-            failed = no_inverse & ~done
-            # a Jacobian that turns singular once the mismatch has grown past
-            # its flat-start value marks a diverging case
-            singular[case[failed & ~(mism > flat_mism)]] = True
-            iterations[case[failed]] = iteration
+        if last or np.count_nonzero(done) or np.count_nonzero(no_inverse):
+            if not last and np.count_nonzero(no_inverse):
+                # a Jacobian that turns singular once the mismatch has grown
+                # past its flat-start value marks a diverging case
+                singular[case[no_inverse & ~done & ~(mism > flat_mism)]] = True
+            leave = done | no_inverse | last  # at max_iter every case leaves
+            gone = case[leave]
+            iterations[gone] = iteration
+            mismatch[gone] = mism[leave]
+            converged[case[done]] = True
+            x_out[case[done]] = x[done]
             stay = ~leave
-            if not stay.any():
+            if not np.count_nonzero(stay):
                 break
             case, j_inv, no_inverse, s_spec, x, rhs, mism, flat_mism = (
                 a[stay] for a in (case, j_inv, no_inverse, s_spec, x, rhs, mism, flat_mism))
-            y_cols = y_cols[:, stay]
+            y_cols, weights = y_cols.compress(stay, axis=2), weights[:, :, :len(case)]
+            va, vm = x[:, 0::2], x[:, 1::2]
         limit = STALL_RATIO * mism
         x += np.matmul(j_inv, rhs[:, :, None])[:, :, 0]
 
-    vm = np.ones((n_case, n))
-    va = np.zeros((n_case, n))
-    vm[:, order[1:]] = x_out[:, 1::2]
-    va[:, order[1:]] = x_out[:, 0::2]
-    return BatchPowerFlow(vm.reshape(*grid, n), np.degrees(va).reshape(*grid, n),
+    state = np.zeros((2, n_case, n))  # (va, vm) of every case, slack included
+    state[1] = 1.0
+    state[:, :, order[1:]] = x_out.reshape(n_case, n - 1, 2).transpose(2, 0, 1)
+    state = state.reshape(2, *grid, n)
+    return BatchPowerFlow(state[1], np.degrees(state[0]),
                           *(a.reshape(grid) for a in (iterations, mismatch, converged, singular)))
 
 

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import itertools
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microtopo.cli import EXIT_VALIDATION, main
+from microtopo.cli import EXIT_OK, EXIT_VALIDATION, main
 from microtopo.network import (
     Bus,
     BusKind,
@@ -26,6 +27,7 @@ from microtopo.network import (
     check_connectivity,
     load_network,
 )
+from microtopo.scenario import fixture_path
 
 ALL_SWITCHES = ("S12", "S13", "S24", "S34", "S35")
 
@@ -239,6 +241,22 @@ def test_undecodable_network_file_names_its_line(tmp_path, capsys):
     assert str(exc.value) == message
     assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_byte_order_mark_is_not_data(tmp_path, capsys):
+    """A network file saved with a UTF-8 byte-order mark loads like the same
+    file without one, and a later byte that is not UTF-8 is still reported
+    at its own line."""
+    path = tmp_path / "bom.net"
+    path.write_bytes(codecs.BOM_UTF8 + fixture_path("fivebus.net").read_bytes())
+    assert load_network(path) == load_network(fixture_path("fivebus.net"))
+    assert main(["validate", "--net", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"{path}: OK\n")
+    bad = tmp_path / "bad.net"
+    bad.write_bytes(codecs.BOM_UTF8 + GOOD.replace("2,pq", "2,p\xfcq").encode("latin-1"))
+    with pytest.raises(ParseError) as exc:
+        load_network(bad)
+    assert str(exc.value) == f"{bad}:3: not UTF-8 text: byte 0xfc (invalid start byte)"
 
 
 def test_unknown_section_is_rejected_with_its_line(tmp_path, capsys):

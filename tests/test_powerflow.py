@@ -132,17 +132,29 @@ def test_complex_power_balance(graph, topologies, default_day):
             assert abs(s_inj.sum() - losses) < 10 * tol
 
 
-def test_solution_invariant_under_bus_reordering(graph, topo_by_id):
-    """The same physical network with its buses relabelled, so that the
-    slack bus is bus 3 and sits at position 2, not first: the solver does
-    not need the slack bus first."""
-    label = {1: 3, 2: 1, 3: 5, 4: 2, 5: 4}  # physical bus -> new id
+# Physical bus -> new id of the fixture network relabelled so that its slack
+# bus is bus 3, at position 2.
+SLACK_THIRD = {1: 3, 2: 1, 3: 5, 4: 2, 5: 4}
+
+
+def _slack_third(graph):
+    """The fixture network with its buses relabelled by SLACK_THIRD."""
+    label = SLACK_THIRD
     buses = tuple(sorted((dataclasses.replace(b, id=label[b.id]) for b in graph.buses),
                          key=lambda b: b.id))
     lines = tuple(dataclasses.replace(line, from_bus=label[line.from_bus],
                                       to_bus=label[line.to_bus]) for line in graph.lines)
     relabelled = NetworkGraph(buses=buses, lines=lines)
     assert relabelled.slack_bus.id == 3 and relabelled.slack_index == 2
+    return relabelled
+
+
+def test_solution_invariant_under_bus_reordering(graph, topo_by_id):
+    """The same physical network with its buses relabelled, so that the
+    slack bus is bus 3 and sits at position 2, not first: the solver does
+    not need the slack bus first."""
+    label = SLACK_THIRD
+    relabelled = _slack_third(graph)
     topo = topo_by_id["V"]
     load = {2: (-0.05, -0.01), 4: (-0.08, -0.02), 5: (-0.03, 0.0)}
 
@@ -177,6 +189,35 @@ def test_injection_snapshot_validation(graph):
         InjectionSnapshot.from_bus_map(graph, {99: (1.0, 0.0)})
     with pytest.raises(ValueError):
         InjectionSnapshot(bus_ids=(1, 2), p=(0.0, float("nan")), q=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("n_bus", [2, 3, 5])
+@pytest.mark.parametrize("n_case", [1, 2, 96, 480])
+def test_currents_kernel_sums_columns_from_the_left(n_bus, n_case):
+    """The currents kernel has the bits of the column-by-column sum from the
+    left, slack column first, for any number of cases and buses and for a
+    contiguous or a transposed stack of columns: a case's bits alone and in
+    a grid rest on this summation order. Each admittance row sums to about
+    zero, as in a network without shunts, so another order rounds apart."""
+    rng = np.random.default_rng(100 * n_bus + n_case)
+    k = n_bus - 1
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    ybus = 100 * draw(n_case, n_bus, n_bus)
+    ybus -= ybus.mean(axis=2, keepdims=True)
+    v_pq = 1 + 0.05 * draw(n_case, k)
+    y_pq = ybus[:, 1:, :]  # (cases, k, n): the PQ rows
+    want = y_pq[:, :, 0] + y_pq[:, :, 1] * v_pq[:, None, 0]
+    for j in range(2, n_bus):
+        want = want + y_pq[:, :, j] * v_pq[:, None, j - 1]
+    weights = np.ones((n_bus, 1, n_case), dtype=complex)
+    weights[1:, 0] = v_pq.T
+    for y_cols in (y_pq.transpose(2, 1, 0), np.ascontiguousarray(y_pq.transpose(2, 1, 0))):
+        got = powerflow._injected_currents(y_cols, weights)
+        assert got.shape == (k, n_case)
+        assert got.T.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +290,30 @@ def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_grid, graph):
     assert not mixed.converged[:, 6].any()
     assert mixed.singular.tolist() == [[topology == 2] * 13 for topology in range(6)]
     _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q, max_iter=20)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_slack_not_first_grid_is_bit_identical_alone_and_in_stack(graph, topologies,
+                                                                  fixture_grid):
+    """The fixture grid relabelled with the slack bus at position 2, plus an
+    islanded topology, a heavy step and a NaN step: the solver moves the
+    slack bus first and puts each case's buses back in place, and every case
+    has the bits of the same case solved alone."""
+    relabelled = _slack_third(graph)
+    columns = [graph.bus_index(b) for b in sorted(graph.bus_ids, key=SLACK_THIRD.get)]
+    _, p, q = fixture_grid
+    ybus = np.stack([build_ybus(relabelled, topo) for topo in topologies])
+    p, q = p[:, columns], q[:, columns]
+    kw = dict(slack_index=relabelled.slack_index, max_iter=20)
+    _assert_cases_equal_solo(solve_newton_raphson_batch(ybus, p, q, **kw), ybus, p, q, **kw)
+    grid_y, grid_p, grid_q = _failing_grid(relabelled, ybus, p, q, 2, [0, "heavy", 37, "nan", 95])
+    mixed = solve_newton_raphson_batch(grid_y, grid_p, grid_q, **kw)
+    _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q, **kw)
+    assert mixed.singular[2].all() and not mixed.singular[[0, 1, 3, 4, 5]].any()
+    assert mixed.converged[[0, 1, 3, 4, 5]][:, [0, 2, 4]].all()
+    assert not mixed.converged[:, [1, 3]].any()
+    assert (mixed.vm[:, :, relabelled.slack_index] == 1.0).all()
+    assert (mixed.va_deg[:, :, relabelled.slack_index] == 0.0).all()
 
 
 @pytest.mark.parametrize("load, newton_converged", [

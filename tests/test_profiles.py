@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import tempfile
@@ -153,6 +154,23 @@ def test_undecodable_profile_names_its_line(graph, tmp_path, capsys):
     assert str(err.value) == message
     assert main(["powerflow", "--topo", "I", "--t", "3", "--profile", str(path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_profile_with_byte_order_mark_loads(graph, tmp_path):
+    """A profile CSV saved with a UTF-8 byte-order mark loads like the same
+    file without one (the mark is not part of the first header name), and a
+    later byte that is not UTF-8 is still reported at its own line."""
+    text = b"time_index,bus_id,p_pu,q_pu\n" + "".join(
+        f"{t},4,-0.05,-0.01\n" for t in range(96)).encode()
+    plain, bom, bad = (tmp_path / name for name in ("plain.csv", "bom.csv", "bad.csv"))
+    plain.write_bytes(text)
+    bom.write_bytes(codecs.BOM_UTF8 + text)
+    for got, want in zip(load_injections(graph, bom), load_injections(graph, plain)):
+        assert np.array_equal(got, want)
+    bad.write_bytes(codecs.BOM_UTF8 + text + b"\xff\n")
+    with pytest.raises(ValueError) as err:
+        load_injections(graph, bad)
+    assert str(err.value) == f"{bad}:98: not UTF-8 text: byte 0xff (invalid start byte)"
 
 
 @pytest.mark.parametrize("command", ["experiment", "powerflow"])

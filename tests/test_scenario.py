@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import io
@@ -131,6 +132,20 @@ def test_undecodable_config_names_its_line(tmp_path, capsys):
     assert str(err.value) == message
     assert main(["experiment", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_with_byte_order_mark_loads(tmp_path):
+    """A config saved with a UTF-8 byte-order mark loads like the same file
+    without one, and a later byte that is not UTF-8 is still reported at its
+    own line."""
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(codecs.BOM_UTF8 + PAPER_CFG.read_bytes())
+    assert load_config(cfg) == load_config(PAPER_CFG)
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(codecs.BOM_UTF8 + b"network = fivebus.net\n\n# caf\xe9 au lait\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(bad)
+    assert str(err.value) == f"{bad}:3: not UTF-8 text: byte 0xe9 (invalid continuation byte)"
 
 
 def test_rejected_override_has_no_line():
