@@ -1,7 +1,7 @@
 """Microgrid network model: buses, switched lines, candidate topologies.
 
 Builds incidence and bus-admittance matrices for any switch configuration,
-checks that a configuration keeps every bus reachable from the slack bus,
+finds the buses a configuration leaves unreachable from the slack bus,
 and loads network definition files (see `data/fivebus.net` for the format).
 """
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,12 +80,6 @@ class TopologyConfig:
 
 
 @dataclass(frozen=True)
-class ConnectivityReport:
-    connected: bool
-    unreachable: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class NetworkGraph:
     """Buses in id order: a bus's position is its row in every per-bus array."""
 
@@ -99,35 +94,38 @@ class NetworkGraph:
     def n_bus(self) -> int:
         return len(self.buses)
 
-    @property
+    @cached_property
     def bus_ids(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses)
 
-    @property
-    def slack_bus(self) -> Bus:
-        return next(b for b in self.buses if b.kind is BusKind.SLACK)
-
-    @property
+    @cached_property
     def slack_index(self) -> int:
         return next(i for i, b in enumerate(self.buses) if b.kind is BusKind.SLACK)
 
+    @property
+    def slack_bus(self) -> Bus:
+        return self.buses[self.slack_index]
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {bus_id: i for i, bus_id in enumerate(self.bus_ids)}
+
     def bus_index(self, bus_id: int) -> int:
         try:
-            return self.bus_ids.index(bus_id)
-        except ValueError:
+            return self._positions[bus_id]
+        except KeyError:
             raise KeyError(f"unknown bus id {bus_id}") from None
 
+    @cached_property
     def switch_ids(self) -> frozenset[str]:
         return frozenset(line.switch_id for line in self.lines)
 
     def closed_lines(self, topo: TopologyConfig) -> tuple[Line, ...]:
         """Lines whose switch is closed under `topo`, in file order."""
-        unknown = topo.closed_switches - self.switch_ids()
+        unknown = topo.closed_switches - self.switch_ids
         if unknown:
-            raise ConfigurationError(
-                f"topology {topo.id} references unknown switches: "
-                f"{sorted(unknown)}"
-            )
+            raise ConfigurationError(f"topology {topo.id} references unknown switches: "
+                                     f"{sorted(unknown)}")
         return tuple(l for l in self.lines if l.switch_id in topo.closed_switches)
 
 
@@ -145,53 +143,35 @@ def build_incidence_matrix(graph: NetworkGraph, topo: TopologyConfig) -> np.ndar
     return a
 
 
-def check_connectivity(graph: NetworkGraph, topo: TopologyConfig) -> ConnectivityReport:
-    """Breadth-first reachability from the slack bus over closed lines."""
-    closed = graph.closed_lines(topo)
-    adjacency: dict[int, set[int]] = {b.id: set() for b in graph.buses}
-    for line in closed:
-        adjacency[line.from_bus].add(line.to_bus)
-        adjacency[line.to_bus].add(line.from_bus)
-
-    seen = {graph.slack_bus.id}
-    frontier = [graph.slack_bus.id]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adjacency[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-
-    unreachable = tuple(sorted(set(graph.bus_ids) - seen))
-    return ConnectivityReport(connected=not unreachable, unreachable=unreachable)
+def unreachable_buses(graph: NetworkGraph, topo: TopologyConfig) -> tuple[int, ...]:
+    """Ids of the buses, in id order, that no path of closed lines joins to
+    the slack bus: a breadth-first search over bus positions."""
+    neighbours: list[list[int]] = [[] for _ in graph.buses]
+    for line in graph.closed_lines(topo):
+        i, j = graph.bus_index(line.from_bus), graph.bus_index(line.to_bus)
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    queue = [graph.slack_index]
+    reached = set(queue)
+    for i in queue:  # the queue grows while it is read
+        queue += [j for j in neighbours[i] if j not in reached]
+        reached.update(neighbours[i])
+    return tuple(b.id for i, b in enumerate(graph.buses) if i not in reached)
 
 
 def build_ybus(graph: NetworkGraph, topo: TopologyConfig) -> np.ndarray:
-    """Bus admittance matrix for the closed lines of `topo`.
-
-    Diagonal entries sum the admittances of incident closed lines; the
-    (i, j) off-diagonal is minus the line admittance when line ij is closed.
-    Raises TopologyError when the configuration islands part of the grid.
-    """
-    report = check_connectivity(graph, topo)
-    if not report.connected:
-        raise TopologyError(
-            f"topology {topo.id} leaves buses unreachable from the slack bus: "
-            f"{list(report.unreachable)}"
-        )
-    n = graph.n_bus
-    y = np.zeros((n, n), dtype=complex)
-    for line in graph.closed_lines(topo):
-        i = graph.bus_index(line.from_bus)
-        j = graph.bus_index(line.to_bus)
-        yl = line.admittance
-        y[i, i] += yl
-        y[j, j] += yl
-        y[i, j] -= yl
-        y[j, i] -= yl
-    return y
+    """Bus admittance matrix Aᵀ·diag(y)·A of the closed lines of `topo`, with A
+    their incidence matrix and y their admittances. Raises TopologyError when
+    the configuration islands part of the grid."""
+    unreachable = unreachable_buses(graph, topo)
+    if unreachable:
+        raise TopologyError(f"topology {topo.id} leaves buses unreachable from the slack bus: "
+                            f"{list(unreachable)}")
+    a = build_incidence_matrix(graph, topo)
+    y = np.array([line.admittance for line in graph.closed_lines(topo)], dtype=complex)
+    # einsum, unlike a BLAS product, adds each entry's terms in line order to
+    # a zero: the bytes of summing line by line, +0.0 for structural zeros.
+    return np.einsum("kp,k,kq->pq", a, y, a)
 
 
 def read_utf8(path: Path, error: type[Exception] = ValueError) -> str:
@@ -207,8 +187,33 @@ def read_utf8(path: Path, error: type[Exception] = ValueError) -> str:
                     f"({exc.reason})") from None
 
 
-def _parse_sections(path: Path) -> dict[str, list[tuple[int, str]]]:
-    sections: dict = dict.fromkeys(("buses", "lines", "topologies"))
+def _bus(bus_id: str, kind: str, base_voltage: str) -> Bus:
+    bus = Bus(id=int(bus_id), kind=BusKind(kind.lower()))
+    if not 0 < float(base_voltage) < math.inf:  # checked, but unused: the model is per-unit
+        raise ValueError(f"base_voltage must be finite and positive, got {base_voltage}")
+    return bus
+
+
+def _line(line_id: str, from_bus: str, to_bus: str, r_pu: str, x_pu: str, switch_id: str) -> Line:
+    line = Line(line_id, int(from_bus), int(to_bus), float(r_pu), float(x_pu), switch_id)
+    if not (math.isfinite(line.r_pu) and math.isfinite(line.x_pu)):
+        raise ValueError("r_pu and x_pu must be finite")
+    return line
+
+
+# Each section's fields, and the function that makes a row's object from them.
+_SECTIONS = {"buses": (("id", "kind", "base_voltage"), _bus),
+             "lines": (("id", "from", "to", "r_pu", "x_pu", "switch"), _line),
+             "topologies": (("id", "closed_switch_list"), lambda topo_id, closed: TopologyConfig(
+                 topo_id, frozenset(s.strip() for s in closed.split(";") if s.strip())))}
+
+
+def _read_sections(path: Path) -> dict[str, list]:
+    """The objects of each section's rows, made from their stripped comma-separated
+    fields. A wrong field count, an empty field (a topology's closed-switch list
+    may be empty) or a field the section's function rejects raises ParseError."""
+    sections: dict[str, list] = {}
+    headers: dict[str, int] = {}  # the line of each section's header
     current: str | None = None
     text = read_utf8(path, ParseError)
     if not text.strip():
@@ -219,16 +224,29 @@ def _parse_sections(path: Path) -> dict[str, list[tuple[int, str]]]:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
-            if current not in sections:
+            if current not in _SECTIONS:
                 raise ParseError(f"{path}:{lineno}: unknown section [{current}]")
-            if sections[current] is None:
-                sections[current] = []
+            if current in headers:
+                raise ParseError(f"{path}:{lineno}: section [{current}] given twice "
+                                 f"(first on line {headers[current]})")
+            headers[current] = lineno
+            names, make = _SECTIONS[current]
+            rows = sections[current] = []
             continue
         if current is None:
             raise ParseError(f"{path}:{lineno}: data before any [section] header")
-        sections[current].append((lineno, stripped))
-    for name, rows in sections.items():
-        if rows is None:
+        fields = [f.strip() for f in stripped.split(",")]
+        try:
+            if len(fields) != len(names):
+                raise ValueError(f"expected '{','.join(names)}'")
+            # Only a topology's closed-switch list, its last field, may be empty.
+            if "" in fields and names[fields.index("")] != "closed_switch_list":
+                raise ValueError(f"empty {names[fields.index('')]}")
+            rows.append(make(*fields))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for name in _SECTIONS:
+        if name not in sections:
             raise ParseError(f"{path}: missing [{name}] section")
     return sections
 
@@ -240,47 +258,10 @@ def load_network(path: str | Path) -> tuple[NetworkGraph, list[TopologyConfig]]:
     Raises ParseError on malformed rows (with line numbers) and
     ValidationError listing every violated invariant at once.
     """
-    path = Path(path)
-    sections = _parse_sections(path)
-
-    buses: list[Bus] = []
-    for lineno, row in sections["buses"]:
-        fields = [f.strip() for f in row.split(",")]
-        if len(fields) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'id,kind,base_voltage'")
-        try:
-            bus = Bus(id=int(fields[0]), kind=BusKind(fields[1].lower()))
-            base_voltage = float(fields[2])
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if not 0 < base_voltage < math.inf:  # checked, but unused: the model is per-unit
-            raise ParseError(f"{path}:{lineno}: base_voltage must be finite and positive, "
-                             f"got {fields[2]}")
-        buses.append(bus)
-
-    lines: list[Line] = []
-    for lineno, row in sections["lines"]:
-        fields = [f.strip() for f in row.split(",")]
-        if len(fields) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 'id,from,to,r_pu,x_pu,switch'")
-        try:
-            line = Line(id=fields[0], from_bus=int(fields[1]), to_bus=int(fields[2]),
-                        r_pu=float(fields[3]), x_pu=float(fields[4]), switch_id=fields[5])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if not (math.isfinite(line.r_pu) and math.isfinite(line.x_pu)):
-            raise ParseError(f"{path}:{lineno}: r_pu and x_pu must be finite")
-        lines.append(line)
-
-    topologies: list[TopologyConfig] = []
-    for lineno, row in sections["topologies"]:
-        fields = [f.strip() for f in row.split(",")]
-        if len(fields) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'id,closed_switch_list'")
-        closed = frozenset(s.strip() for s in fields[1].split(";") if s.strip())
-        topologies.append(TopologyConfig(id=fields[0], closed_switches=closed))
-
-    graph = NetworkGraph(buses=tuple(sorted(buses, key=lambda b: b.id)), lines=tuple(lines))
+    sections = _read_sections(Path(path))
+    graph = NetworkGraph(buses=tuple(sorted(sections["buses"], key=lambda b: b.id)),
+                         lines=tuple(sections["lines"]))
+    topologies = sections["topologies"]
     violations = validate_network(graph, topologies)
     if violations:
         raise ValidationError(violations)
@@ -290,10 +271,10 @@ def load_network(path: str | Path) -> tuple[NetworkGraph, list[TopologyConfig]]:
 def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> list[str]:
     """All invariant violations of a graph + topology set, empty when valid."""
     violations: list[str] = []
-    ids = [b.id for b in graph.buses]
+    ids = graph.bus_ids
     if len(set(ids)) != len(ids):
         violations.append("duplicate bus ids")
-    if ids != list(range(1, len(ids) + 1)):  # the graph holds them sorted
+    if ids != tuple(range(1, len(ids) + 1)):  # the graph holds them sorted
         violations.append("bus ids must be contiguous from 1")
     n_slack = sum(1 for b in graph.buses if b.kind is BusKind.SLACK)
     if n_slack != 1:
@@ -317,6 +298,8 @@ def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> l
             violations.append(f"line {line.id}: negative resistance {line.r_pu}")
         if abs(line.impedance) == 0:
             violations.append(f"line {line.id}: zero impedance")
+        elif not (math.isfinite((y := line.admittance).real) and math.isfinite(y.imag)):
+            violations.append(f"line {line.id}: admittance is not finite")
 
     topo_ids = [t.id for t in topologies]
     if not topo_ids:
@@ -326,16 +309,11 @@ def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> l
     if violations:
         return violations  # connectivity checks need a structurally sound graph
 
-    known_switches = graph.switch_ids()
     for topo in topologies:
-        unknown = topo.closed_switches - known_switches
+        unknown = topo.closed_switches - graph.switch_ids
         if unknown:
-            violations.append(
-                f"topology {topo.id}: unknown switches {sorted(unknown)}")
-            continue
-        report = check_connectivity(graph, topo)
-        if not report.connected:
-            violations.append(
-                f"topology {topo.id}: buses unreachable from slack: "
-                f"{list(report.unreachable)}")
+            violations.append(f"topology {topo.id}: unknown switches {sorted(unknown)}")
+        elif unreachable := unreachable_buses(graph, topo):
+            violations.append(f"topology {topo.id}: buses unreachable from slack: "
+                              f"{list(unreachable)}")
     return violations

@@ -167,7 +167,7 @@ def load_injections(graph: NetworkGraph,
             raise ValueError(f"{source}: bus {bus} missing time steps {listed} "
                              f"({len(missing)} of {N_STEPS})")
     steps = [t for t, _ in values]
-    cols = np.searchsorted(graph.bus_ids, [bus for _, bus in values])  # the ids are sorted
+    cols = [graph.bus_index(bus) for _, bus in values]
     pq = np.array(list(values.values()))
     p = np.zeros((N_STEPS, graph.n_bus))
     q = np.zeros((N_STEPS, graph.n_bus))

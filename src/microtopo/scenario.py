@@ -267,7 +267,7 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
                      ctx.pmu_offsets_by_rep[rep])
         for topology_id, vm, va in zip(true_ids, true_vm, true_va, strict=True)]).swapaxes(0, 1)
     p, q = ctx.true_p, ctx.true_q
-    rows = np.searchsorted(graph.bus_ids, ctx.scada_buses)  # the ids are sorted
+    rows = [graph.bus_index(bus) for bus in ctx.scada_buses]
     scada_p, scada_q = scada_readings(
         p[:, rows], q[:, rows], ctx.scada_spec,
         derive_rng_stream(config.master_seed, 1 + rep, "scada"),

@@ -24,8 +24,8 @@ from microtopo.network import (
     ValidationError,
     build_incidence_matrix,
     build_ybus,
-    check_connectivity,
     load_network,
+    unreachable_buses,
 )
 from microtopo.scenario import fixture_path
 
@@ -90,13 +90,43 @@ def test_ybus_single_line_value():
     assert y[2, 2] == pytest.approx(2 * y13)
 
 
-def test_ybus_matches_incidence_product(graph, topologies):
-    for topo in topologies:
-        y = build_ybus(graph, topo)
-        a = build_incidence_matrix(graph, topo)
-        y_line = np.diag([l.admittance for l in graph.closed_lines(topo)])
-        product = a.T @ y_line @ a
-        assert np.max(np.abs(y - product)) < 1e-12
+def _ybus_per_line(graph, topo):
+    """Reference Ybus, independent of the incidence matrix: each closed line,
+    in file order, adds its admittance to its two diagonal entries and
+    subtracts it from its two off-diagonal ones."""
+    n = graph.n_bus
+    y = np.zeros((n, n), dtype=complex)
+    for line in graph.closed_lines(topo):
+        i = graph.bus_index(line.from_bus)
+        j = graph.bus_index(line.to_bus)
+        yl = line.admittance
+        y[i, i] += yl
+        y[j, j] += yl
+        y[i, j] -= yl
+        y[j, i] -= yl
+    return y
+
+
+def _assert_same_bytes(y, reference):
+    """Equal dtype, shape and bytes: signed zeros count, unlike ==."""
+    assert (y.dtype, y.shape) == (reference.dtype, reference.shape)
+    assert y.tobytes() == reference.tobytes()
+
+
+def test_ybus_bytes_match_per_line_oracle(graph, topologies):
+    """The incidence product Aᵀ·diag(y)·A gives the per-line sums bit for
+    bit, on the fixture's topologies and on every connected set of its
+    closed switches."""
+    configurations = list(topologies) + [
+        TopologyConfig("t", frozenset(subset)) for k in range(6)
+        for subset in itertools.combinations(ALL_SWITCHES, k)]
+    checked = 0
+    for topo in configurations:
+        if unreachable_buses(graph, topo):
+            continue
+        _assert_same_bytes(build_ybus(graph, topo), _ybus_per_line(graph, topo))
+        checked += 1
+    assert checked == len(topologies) + 5  # the 4 spanning trees and all 5 lines
 
 
 def test_ybus_symmetric_and_zero_row_sums(graph, topologies):
@@ -134,15 +164,11 @@ def test_opening_one_line_changes_four_entries(graph, topo_by_id):
 
 def test_connectivity_fixture_topologies(graph, topologies):
     for topo in topologies:
-        report = check_connectivity(graph, topo)
-        assert report.connected
-        assert report.unreachable == ()
+        assert unreachable_buses(graph, topo) == ()
 
 
 def test_connectivity_all_open(graph):
-    report = check_connectivity(graph, TopologyConfig("t", frozenset()))
-    assert not report.connected
-    assert report.unreachable == (2, 3, 4, 5)
+    assert unreachable_buses(graph, TopologyConfig("t", frozenset())) == (2, 3, 4, 5)
 
 
 def _reachable_bruteforce(graph, closed):
@@ -163,12 +189,10 @@ def test_connectivity_matches_bruteforce_all_subsets(graph):
     for k in range(6):
         for subset in itertools.combinations(ALL_SWITCHES, k):
             closed = frozenset(subset)
-            report = check_connectivity(graph, TopologyConfig("t", closed))
             reach = _reachable_bruteforce(graph, closed)
             expected_unreachable = tuple(
                 graph.bus_ids[i] for i in range(graph.n_bus) if not reach[i])
-            assert report.unreachable == expected_unreachable
-            assert report.connected == (not expected_unreachable)
+            assert unreachable_buses(graph, TopologyConfig("t", closed)) == expected_unreachable
 
 
 def _write(tmp_path, text):
@@ -268,6 +292,30 @@ def test_unknown_section_is_rejected_with_its_line(tmp_path, capsys):
     assert str(exc.value) == f"{path}:8: unknown section [switches]"
     assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {path}:8: unknown section [switches]\n"
+
+
+def test_repeated_section_is_rejected_with_both_lines(tmp_path, capsys):
+    """A second [lines] header is an error, not more rows for the first
+    [lines] section."""
+    path = _write(tmp_path, GOOD + "[lines]\nL21,2,1,0.02,0.02,S21\n")
+    message = f"{path}:8: section [lines] given twice (first on line 4)"
+    with pytest.raises(ParseError) as exc:
+        load_network(path)
+    assert str(exc.value) == message
+    assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_non_finite_admittance_is_a_violation(tmp_path, capsys):
+    """An impedance so small that its inverse overflows is not zero, but its
+    admittance is inf: validation reports it before any solve."""
+    path = _write(tmp_path, GOOD.replace("L12,1,2,0.01,0.01,S12", "L12,1,2,1e-320,0,S12"))
+    with pytest.raises(ValidationError) as err:
+        load_network(path)
+    assert err.value.violations == ["line L12: admittance is not finite"]
+    assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+    assert "INVALID" in capsys.readouterr().out
+    assert main(["library", "--net", str(path), "--out", str(tmp_path / "lib.csv")]) == EXIT_VALIDATION
 
 
 def test_empty_topologies_section_is_a_violation(tmp_path, capsys):
@@ -370,19 +418,37 @@ def test_network_file_round_trip(generated):
     assert parsed == topologies
 
 
-# Positions of the numeric fields, and of those that must be finite, per section.
+@settings(max_examples=60, deadline=None)
+@given(_network_file())
+def test_generated_ybus_bytes_match_per_line_oracle(generated):
+    """Aᵀ·diag(y)·A gives the per-line sums bit for bit on generated
+    networks: any bus order and slack, parallel lines, zero resistances."""
+    text = generated[0]
+    with tempfile.TemporaryDirectory() as directory:
+        graph, topologies = load_network(_write(Path(directory), "\n".join(text)))
+    for topo in topologies:
+        _assert_same_bytes(build_ybus(graph, topo), _ybus_per_line(graph, topo))
+
+
+# Positions of the numeric fields, and of those that must be finite, per
+# section, and the names of the fields that may not be empty (all but a
+# topology's closed-switch list).
 _NUMBER_FIELDS = {"buses": (0, 2), "lines": (1, 2, 3, 4), "topologies": ()}
 _FINITE_FIELDS = {"buses": (2,), "lines": (3, 4), "topologies": ()}
+_NONEMPTY_FIELDS = {"buses": ("id", "kind", "base_voltage"),
+                    "lines": ("id", "from", "to", "r_pu", "x_pu", "switch"),
+                    "topologies": ("id",)}
 
 
 @st.composite
 def _broken_network_file(draw):
-    """(text lines, 1-based line): a valid file with one data row broken by
-    a bad number, a non-finite or non-positive value, a wrong field count or
-    an unknown bus kind."""
+    """(text lines, 1-based line, start of the message after path:line): a
+    valid file with one data row broken by a bad number, a non-finite or
+    non-positive value, a wrong field count, an unknown bus kind or an empty
+    field, such as a line's switch."""
     text, rows, *_ = draw(_network_file())
     section, i, fields = draw(st.sampled_from(rows))
-    faults = ["too_few", "too_many"]
+    faults = ["too_few", "too_many", "empty"]
     if _NUMBER_FIELDS[section]:
         faults.append("bad_number")
     if _FINITE_FIELDS[section]:
@@ -391,6 +457,7 @@ def _broken_network_file(draw):
         faults += ["bad_kind", "non_positive"]
     fault = draw(st.sampled_from(faults))
     fields = list(fields)
+    message = ""
     if fault == "too_few":
         fields.pop()
     elif fault == "too_many":
@@ -403,21 +470,25 @@ def _broken_network_file(draw):
             st.sampled_from(["nan", "inf", "-inf", "NaN"]))
     elif fault == "non_positive":
         fields[2] = draw(st.sampled_from(["0", "-0.0", "-2", "-1e-9"]))
+    elif fault == "empty":
+        k = draw(st.sampled_from(range(len(_NONEMPTY_FIELDS[section]))))
+        fields[k] = draw(st.sampled_from(["", " "]))
+        message = f"empty {_NONEMPTY_FIELDS[section][k]}"
     else:
         fields[1] = draw(st.sampled_from(["generator", "pv", ""]))
     text[i] = ",".join(fields)
-    return text, i + 1
+    return text, i + 1, message
 
 
 @settings(max_examples=80, deadline=None)
 @given(_broken_network_file())
 def test_broken_network_row_exits_2_with_its_line(broken):
-    text, lineno = broken
+    text, lineno, message = broken
     with tempfile.TemporaryDirectory() as directory:
         path = _write(Path(directory), "\n".join(text))
         with pytest.raises(ParseError) as exc:
             load_network(path)
-        assert str(exc.value).startswith(f"{path}:{lineno}: ")
+        assert str(exc.value).startswith(f"{path}:{lineno}: {message}")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
