@@ -223,13 +223,13 @@ def cmd_experiment(args) -> int:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    rates_path, confusion_path = write_report(report, args.out_dir)
+    *paths, last = write_report(report, args.out_dir)
     print(f"experiment: {len(report.topology_ids)} topologies x "
           f"{profiles.N_STEPS} steps x {config.repetitions} repetitions "
           f"(seed {config.master_seed})")
     for line in summarize(report):
         print(f"  {line}")
-    print(f"wrote {rates_path} and {confusion_path}")
+    print(f"wrote {', '.join(map(str, paths))} and {last}")
     return EXIT_OK
 
 

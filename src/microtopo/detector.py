@@ -62,7 +62,7 @@ class TopologyLibrary:
 @dataclass(frozen=True)
 class DifferenceMatrices:
     """One snapshot's ADM and MDM as a (signal, row, topology) stack from
-    `difference_stacks`: |measured - calculated| per μPMU row and
+    `difference_stacks`: measured minus calculated per μPMU row and
     candidate-topology column, angles in degrees, magnitudes in p.u."""
 
     stack: np.ndarray
@@ -130,17 +130,17 @@ def compute_difference_matrices(measurements, library: TopologyLibrary,
                            f"buses {list(bus_ids)}")
     if t not in step:
         raise KeyError(f"no library entry for topology {topo_ids[0]} at t={t}")
-    stack = _measured_stack(phasors.vm, phasors.va_deg)[..., None] - states[step[t]]
-    return DifferenceMatrices(np.abs(stack, out=stack), topo_ids)
+    return DifferenceMatrices(_measured_stack(phasors.vm, phasors.va_deg)[..., None]
+                              - states[step[t]], topo_ids)
 
 
 def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
                       lib_va_deg: np.ndarray) -> np.ndarray:
-    """ADM and MDM of many trials at once, as one (..., signals, rows,
-    topologies) stack: signals in `SIGNALS` order, so [..., 0, :, :] is the
-    ADM and [..., 1, :, :] the MDM, and one row per bus. Its two helpers,
-    `_measured_stack` and `_library_stack`, are the one place that decides
-    this layout; `vote_stack` votes it as it is.
+    """Signed ADM and MDM, measured minus library, of many trials at once,
+    as one (..., signals, rows, topologies) stack: signals in `SIGNALS`
+    order, so [..., 0, :, :] is the ADM and [..., 1, :, :] the MDM, and one
+    row per bus. Its helpers `_measured_stack` and `_library_stack` decide
+    this layout, in one place; `vote_stack` votes it as it is.
 
     `vm`/`va_deg` are measured (..., buses) arrays and `lib_vm`/`lib_va_deg`
     the (topologies, ..., buses) library states, all with the buses in id
@@ -148,8 +148,7 @@ def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
     (topologies, buses) library, and the (true topologies, steps, buses)
     readings of a repetition meet its (topologies, steps, buses) library.
     """
-    stack = _measured_stack(vm, va_deg)[..., None] - _library_stack(lib_vm, lib_va_deg)
-    return np.abs(stack, out=stack)
+    return _measured_stack(vm, va_deg)[..., None] - _library_stack(lib_vm, lib_va_deg)
 
 
 def _measured_stack(vm: np.ndarray, va_deg: np.ndarray) -> np.ndarray:
@@ -187,9 +186,10 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     axes are trials and signals, such as the (true topologies, steps,
     signals) of a repetition's `difference_stacks`.
 
-    Each row votes for the topology of its minimum. RMV takes the majority
-    of the row votes, ORMV a unanimous row vote, and ARMV the smallest
-    column mean. Ties:
+    Each row votes for the topology of its minimum |residual|. RMV takes the
+    majority of the row votes, ORMV a unanimous row vote, and ARMV the
+    smallest column mean of |residual|, so a stack and its negation vote
+    alike; the caller's stack is left as it is. Ties:
     - a row whose minimum is tied abstains (it cannot tell the candidates
       apart, as for the slack bus, whose state is the same in every
       topology);
@@ -205,6 +205,7 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     *cells, rows, n_topo = stack.shape
     if not rows:
         raise ValueError("a stack to vote needs at least one row")
+    stack = np.abs(stack)
     votes = _unique_argmin(stack, n_topo)
     # One bincount counts every trial's row votes: trial i owns codes
     # i * (n_topo + 1) onwards, the last of its n_topo + 1 the abstentions.

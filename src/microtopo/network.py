@@ -201,17 +201,23 @@ def _line(line_id: str, from_bus: str, to_bus: str, r_pu: str, x_pu: str, switch
     return line
 
 
+def _topology(topo_id: str, closed_switch_list: str) -> TopologyConfig:
+    switches = [s.strip() for s in closed_switch_list.split(";")] if closed_switch_list else []
+    if "" in switches or len(set(switches)) != len(switches):
+        raise ValueError(f"empty or repeated item in closed_switch_list {closed_switch_list!r}")
+    return TopologyConfig(topo_id, frozenset(switches))
+
+
 # Each section's fields, and the function that makes a row's object from them.
 _SECTIONS = {"buses": (("id", "kind", "base_voltage"), _bus),
              "lines": (("id", "from", "to", "r_pu", "x_pu", "switch"), _line),
-             "topologies": (("id", "closed_switch_list"), lambda topo_id, closed: TopologyConfig(
-                 topo_id, frozenset(s.strip() for s in closed.split(";") if s.strip())))}
+             "topologies": (("id", "closed_switch_list"), _topology)}
 
 
 def _read_sections(path: Path) -> dict[str, list]:
     """The objects of each section's rows, made from their stripped comma-separated
-    fields. A wrong field count, an empty field (a topology's closed-switch list
-    may be empty) or a field the section's function rejects raises ParseError."""
+    fields. A wrong field count, an empty field (but for an empty closed-switch list)
+    or a field or list item the section's function rejects raises ParseError."""
     sections: dict[str, list] = {}
     headers: dict[str, int] = {}  # the line of each section's header
     current: str | None = None
@@ -309,11 +315,17 @@ def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> l
     if violations:
         return violations  # connectivity checks need a structurally sound graph
 
+    closing: dict[tuple, str] = {}  # closed (endpoints, r, x) multiset -> first topology
     for topo in topologies:
-        unknown = topo.closed_switches - graph.switch_ids
-        if unknown:
+        if unknown := topo.closed_switches - graph.switch_ids:
             violations.append(f"topology {topo.id}: unknown switches {sorted(unknown)}")
-        elif unreachable := unreachable_buses(graph, topo):
+            continue
+        if unreachable := unreachable_buses(graph, topo):
             violations.append(f"topology {topo.id}: buses unreachable from slack: "
                               f"{list(unreachable)}")
+        lines = tuple(sorted((*sorted((l.from_bus, l.to_bus)), l.r_pu, l.x_pu)
+                             for l in graph.closed_lines(topo)))
+        if (first := closing.setdefault(lines, topo.id)) != topo.id:
+            violations.append(f"topologies {first} and {topo.id} close the same lines, "
+                              "so no measurement tells them apart")
     return violations

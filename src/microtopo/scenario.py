@@ -1,13 +1,14 @@
 """Monte Carlo detection-rate experiments.
 
 Plays every candidate topology as the true one across a full day of
-15-minute steps, with repeated fresh noise draws, and aggregates correct /
-incorrect / inconclusive rates per criterion, signal, and μPMU bus, plus a
-confusion matrix over (true, detected) topology pairs.
+15-minute steps, with repeated fresh noise draws, and counts the verdicts
+per criterion and signal as a confusion matrix over (true, detected)
+topology pairs, and the row votes per signal and μPMU bus the same way.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import multiprocessing
 import os
@@ -242,7 +243,7 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     experiment is [T, t] of every array the repetition returns, T a
     position in `true_ids`; the candidates are always all `topology_ids`.
 
-    Returns (stack, verdicts, votes): the ADM and MDM as one (true
+    Returns (stack, verdicts, votes): the signed ADM and MDM as one (true
     topologies, steps, signals, rows, topologies) stack, from one
     `difference_stacks` call of the readings against the library; the
     verdict codes, (true topologies, steps, criteria, signals); and the row
@@ -284,9 +285,6 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
 
 
-ROW_OUTCOMES = ("correct", "incorrect", "abstain")
-
-
 def _tally(codes: np.ndarray, n_codes: int) -> np.ndarray:
     """How often each code 0..n_codes-1 occurs in each cell of a (true
     topologies, trials, ...) code array, summed over the trials, as a (true
@@ -295,6 +293,13 @@ def _tally(codes: np.ndarray, n_codes: int) -> np.ndarray:
     cell_base = n_codes * np.arange(math.prod(cells)).reshape(cells[:1] + (1,) + cells[1:])
     return np.bincount((codes + cell_base).ravel(),
                        minlength=n_codes * math.prod(cells)).reshape(cells + (n_codes,))
+
+
+def _rates(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (true, a, b) cell of a `_tally` table whose labels are the topologies
+    then one more: the counts of the true topology, of the last label and of all."""
+    true = np.arange(len(table))
+    return table[true, :, :, true], table[..., -1], table.sum(axis=-1)
 
 
 @dataclass
@@ -306,10 +311,9 @@ class DetectionRateReport:
     pmu_bus_ids: tuple[int, ...]  # the graph's bus ids, one per ADM/MDM row
     criteria: ClassVar[tuple[str, ...]] = CRITERIA
     signals: ClassVar[tuple[str, ...]] = SIGNALS
-    # (true, criterion, signal, detected); detected position
-    # len(topology_ids) counts inconclusive verdicts
+    # (true, criterion, signal, detected) and (true, signal, row, voted) counts; the
+    # last label, position len(topology_ids), counts inconclusive verdicts or abstentions
     confusion: np.ndarray = field(init=False)
-    # (true, signal, row, outcome), outcomes in ROW_OUTCOMES order
     row_votes: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -317,18 +321,15 @@ class DetectionRateReport:
         self.confusion = np.zeros(
             (n_topo, len(self.criteria), len(self.signals), n_topo + 1), dtype=np.int64)
         self.row_votes = np.zeros(
-            (n_topo, len(self.signals), len(self.pmu_bus_ids), len(ROW_OUTCOMES)),
-            dtype=np.int64)
+            (n_topo, len(self.signals), len(self.pmu_bus_ids), n_topo + 1), dtype=np.int64)
 
     def record_rep(self, verdicts: np.ndarray, votes: np.ndarray):
-        """Count the outcome arrays of a repetition, such as `run_rep`'s:
-        verdict codes (true topologies, steps, criteria, signals) and row
-        votes (true topologies, steps, signals, rows)."""
-        n_topo = len(self.topology_ids)
-        self.confusion += _tally(verdicts, n_topo + 1)
-        truth = np.arange(n_topo)[:, None, None, None]
-        outcome = np.where(votes == truth, 0, np.where(votes == n_topo, 2, 1))
-        self.row_votes += _tally(outcome, len(ROW_OUTCOMES))
+        """Count the outcome arrays of a repetition, such as `run_rep`'s: verdict
+        codes (true topologies, steps, criteria, signals) and row votes (true
+        topologies, steps, signals, rows), both `vote_stack` codes, tallied alike."""
+        n_codes = len(self.topology_ids) + 1
+        self.confusion += _tally(verdicts, n_codes)
+        self.row_votes += _tally(votes, n_codes)
 
     def merge(self, other: "DetectionRateReport"):
         self.confusion += other.confusion
@@ -337,9 +338,7 @@ class DetectionRateReport:
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (correct, inconclusive, n) verdict counts, each a (true,
         criterion, signal) array."""
-        true = np.arange(len(self.topology_ids))
-        return (self.confusion[true, :, :, true], self.confusion[..., -1],
-                self.confusion.sum(axis=-1))
+        return _rates(self.confusion)
 
     def _at(self, true: str, criterion: str, signal: str) -> tuple[int, int, int]:
         return (self.topology_ids.index(true), self.criteria.index(criterion),
@@ -349,14 +348,13 @@ class DetectionRateReport:
         return int(self.counts()[2][self._at(true, criterion, signal)])
 
     def correct_rate(self, true: str, criterion: str, signal: str) -> float:
-        correct, _, n = self.counts()
-        at = self._at(true, criterion, signal)
-        return int(correct[at]) / max(1, int(n[at]))
+        correct, _, n = (int(a[self._at(true, criterion, signal)]) for a in self.counts())
+        return correct / max(1, n)
 
     def overall_correct_rate(self, criterion: str, signal: str) -> float:
-        correct, _, n = self.counts()
         at = (slice(None), self.criteria.index(criterion), self.signals.index(signal))
-        return int(correct[at].sum()) / max(1, int(n[at].sum()))
+        correct, _, n = (int(a[at].sum()) for a in self.counts())
+        return correct / max(1, n)
 
 
 def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
@@ -446,44 +444,32 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
 # -- reporting ----------------------------------------------------------
 
 
-def write_report(report: DetectionRateReport, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write rates.csv and confusion.csv; output is byte-stable per seed."""
+def write_report(report: DetectionRateReport, out_dir: str | Path) -> tuple[Path, Path, Path]:
+    """Write rates.csv, bus_rates.csv and confusion.csv, one row per cell of
+    the report's tables; output is byte-stable per seed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rates_path = out_dir / "rates.csv"
-    confusion_path = out_dir / "confusion.csv"
-    correct, inconclusive, n = (a.tolist() for a in report.counts())
-    row_votes = report.row_votes.tolist()
-    confusion = report.confusion.tolist()
-    cells = [(q, true, c, crit, s, sig)
-             for q, true in enumerate(report.topology_ids)
-             for c, crit in enumerate(report.criteria)
-             for s, sig in enumerate(report.signals)]
+    ids, criteria, signals = report.topology_ids, report.criteria, report.signals
 
-    def rates_row(labels, ok, undecided, total):
-        return [*labels, f"{ok / max(1, total):.6f}", f"{undecided / max(1, total):.6f}",
-                total]
+    def rate_rows(table, *axes):  # one row per (true, *axes) cell of `_rates(table)`
+        return [[*cell, f"{ok / max(1, n):.6f}", f"{last / max(1, n):.6f}", n]
+                for cell, ok, last, n in zip(itertools.product(ids, *axes),
+                                              *(a.ravel().tolist() for a in _rates(table)))]
 
-    with rates_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true_topology", "criterion", "signal", "bus",
-                         "correct_rate", "inconclusive_rate", "n"])
-        for q, true, c, crit, s, sig in cells:
-            writer.writerow(rates_row((true, crit, sig, "all"), correct[q][c][s],
-                                      inconclusive[q][c][s], n[q][c][s]))
-            for bus, (ok, wrong, abstain) in zip(report.pmu_bus_ids, row_votes[q][s]):
-                writer.writerow(rates_row((true, crit, sig, bus), ok, abstain,
-                                          ok + wrong + abstain))
-
-    with confusion_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true_topology", "criterion", "signal", "detected", "count"])
-        detected_labels = report.topology_ids + (INCONCLUSIVE,)
-        for q, true, c, crit, s, sig in cells:
-            for label, count in zip(detected_labels, confusion[q][c][s]):
-                writer.writerow([true, crit, sig, label, count])
-
-    return rates_path, confusion_path
+    tables = {
+        "rates.csv": (["criterion", "signal", "correct_rate", "inconclusive_rate", "n"],
+                      rate_rows(report.confusion, criteria, signals)),
+        "bus_rates.csv": (["signal", "bus", "correct_rate", "abstain_rate", "n"],
+                          rate_rows(report.row_votes, signals, report.pmu_bus_ids)),
+        "confusion.csv": (["criterion", "signal", "detected", "count"], [
+            [*cell, count] for cell, count in zip(
+                itertools.product(ids, criteria, signals, ids + (INCONCLUSIVE,)),
+                report.confusion.ravel().tolist())]),
+    }
+    for name, (header, rows) in tables.items():
+        with (out_dir / name).open("w", newline="") as fh:
+            csv.writer(fh).writerows([["true_topology", *header], *rows])
+    return tuple(out_dir / name for name in tables)
 
 
 def summarize(report: DetectionRateReport) -> list[str]:
@@ -497,10 +483,10 @@ def summarize(report: DetectionRateReport) -> list[str]:
 
 def dump_matrices_csv(stack: np.ndarray, pmu_bus_ids, topology_ids, path: str | Path):
     """One trial's (signals, rows, topologies) stack from `difference_stacks`
-    as CSV: one row per μPMU bus, the ADM columns then the MDM columns, one
-    per topology."""
+    as CSV of its absolute values, the sizes `vote_stack` votes on: one row
+    per μPMU bus, the ADM columns then the MDM columns, one per topology."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bus"] + [f"{m}_{q}" for m in ("adm", "mdm") for q in topology_ids])
-        for bus, row in zip(pmu_bus_ids, np.hstack(stack)):
+        for bus, row in zip(pmu_bus_ids, np.hstack(np.abs(stack))):
             writer.writerow([bus] + [f"{v:.9e}" for v in row])

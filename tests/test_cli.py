@@ -33,7 +33,7 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
     assert main(experiment + [str(tmp_path / "again")]) == EXIT_OK
-    for name in ("rates.csv", "confusion.csv"):
+    for name in ("rates.csv", "bus_rates.csv", "confusion.csv"):
         assert ((tmp_path / "again" / name).read_bytes()
                 == (tmp_path / "first" / name).read_bytes())
     capsys.readouterr()
@@ -308,7 +308,7 @@ def test_experiment_deterministic(tmp_path, capsys):
     args = ["experiment", "--seed", "7", "--reps", "1", "--jobs", "2"]
     assert main(args + ["--out-dir", str(tmp_path / "a")]) == EXIT_OK
     assert main(args + ["--out-dir", str(tmp_path / "b")]) == EXIT_OK
-    for name in ("rates.csv", "confusion.csv"):
+    for name in ("rates.csv", "bus_rates.csv", "confusion.csv"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
 
@@ -319,9 +319,16 @@ def test_experiment_zero_noise_all_correct(tmp_path, capsys):
                  "--scada-sigma", "0", "--scada-accuracy", "0",
                  "--jobs", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
     with (tmp_path / "rates.csv").open() as fh:
-        for row in csv.DictReader(fh):
-            if row["bus"] == "all":
-                assert float(row["correct_rate"]) == 1.0
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 * len(CRITERIA) * len(SIGNALS)
+    assert all(row["correct_rate"] == "1.000000" for row in rows)
+    with (tmp_path / "bus_rates.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    # Every row votes for the true topology or, the slack bus, abstains.
+    assert len(rows) == 5 * len(SIGNALS) * 5
+    assert all((row["correct_rate"], row["abstain_rate"])
+               == (("0.000000", "1.000000") if row["bus"] == "1" else ("1.000000", "0.000000"))
+               for row in rows)
 
 
 def test_experiment_config_key_given_twice_exits_2(tmp_path, capsys):

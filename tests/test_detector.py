@@ -143,8 +143,8 @@ def test_raising_a_column_never_makes_it_win(mat, col, extra):
 
 # Entries from {0, 1, 2, 3}: row-minimum ties, vote-count ties and rows (or
 # whole matrices) that all abstain are common and are kept, not assumed away.
-_STACKS = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(1, 5)),
-                 elements=st.integers(0, 3).map(float))
+_STACK_SHAPES = st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(1, 5))
+_STACKS = arrays(np.float64, _STACK_SHAPES, elements=st.integers(0, 3).map(float))
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,6 +168,21 @@ def test_vote_stack_matches_oracles(stack):
                 assert labels[verdicts[crit][i]] == oracles[crit](trials[i], ids)
             row_votes = [labels[v] if v < len(ids) else None for v in votes[i]]
             assert row_votes == _oracle_row_votes(trials[i], ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=arrays(np.float64, _STACK_SHAPES, elements=st.integers(-3, 3).map(float)))
+def test_a_stack_and_its_negation_vote_alike(stack):
+    """The criteria vote on the size of each signed residual, measured minus
+    library: a stack and its negation give the same verdicts and row votes,
+    and `vote_stack` leaves the caller's stack as it was."""
+    before = stack.tobytes()
+    verdicts, votes = vote_stack(stack)
+    negated_verdicts, negated_votes = vote_stack(-stack)
+    assert stack.tobytes() == before
+    assert np.array_equal(votes, negated_votes)
+    for crit in CRITERIA:
+        assert np.array_equal(verdicts[crit], negated_verdicts[crit])
 
 
 def test_all_six_detect_calls_share_one_vote_stack_call(monkeypatch):
@@ -201,16 +216,17 @@ def test_difference_stacks_broadcast_like_the_flat_tiled_call():
                              np.tile(lib_vm, (1, n_true, 1)), np.tile(lib_va, (1, n_true, 1)))
     assert stacks.shape == (n_true, n_step, len(SIGNALS), 5, n_topo)
     assert stacks.tobytes() == flat.reshape(stacks.shape).tobytes()
-    assert np.array_equal(stacks[2, 6, 0, :, 3], np.abs(va[2, 6] - lib_va[3, 6]))
+    assert np.array_equal(stacks[2, 6, 0, :, 3], va[2, 6] - lib_va[3, 6])
 
 
 def _loop_stack(vm, va, lib_vm, lib_va):
-    """One trial's (signal, row, topology) stack, cell by cell."""
+    """One trial's (signal, row, topology) stack, cell by cell: measured
+    minus library, signed."""
     stack = np.zeros((2, len(vm), len(lib_vm)))
     for col in range(len(lib_vm)):
         for row in range(len(vm)):
-            stack[0, row, col] = abs(va[row] - lib_va[col][row])
-            stack[1, row, col] = abs(vm[row] - lib_vm[col][row])
+            stack[0, row, col] = va[row] - lib_va[col][row]
+            stack[1, row, col] = vm[row] - lib_vm[col][row]
     return stack
 
 
@@ -271,10 +287,11 @@ def test_vote_stack_matches_oracles_on_a_repetition_stack():
     oracles = {"rmv": _oracle_rmv, "armv": _oracle_armv, "ormv": _oracle_ormv}
     verdicts, votes = vote_stack(stack)
     for i in np.ndindex(stack.shape[:3]):
+        sizes = np.abs(stack[i])  # the oracles vote on |measured - library|
         for crit in CRITERIA:
-            assert labels[verdicts[crit][i]] == oracles[crit](stack[i], ids)
+            assert labels[verdicts[crit][i]] == oracles[crit](sizes, ids)
         assert ([labels[v] if v < len(ids) else None for v in votes[i]]
-                == _oracle_row_votes(stack[i], ids))
+                == _oracle_row_votes(sizes, ids))
 
 
 def test_armv_scale_invariance():
@@ -394,15 +411,16 @@ def test_library_reports_first_failed_case_in_topology_step_order(graph, topo_by
 
 
 def _loop_difference_matrices(phasors, library, t):
-    """Cell-by-cell ADM/MDM, independent of the broadcast path."""
+    """Cell-by-cell ADM/MDM, measured minus library, independent of the
+    broadcast path."""
     adm = np.zeros((len(phasors.bus_ids), len(library.topology_ids)))
     mdm = np.zeros_like(adm)
     for col, q in enumerate(library.topology_ids):
         sol = library.solution(q, t)
         for row, bus in enumerate(phasors.bus_ids):
             k = sol.bus_ids.index(bus)
-            adm[row, col] = abs(phasors.va_deg[row] - sol.va_deg[k])
-            mdm[row, col] = abs(phasors.vm[row] - sol.vm[k])
+            adm[row, col] = phasors.va_deg[row] - sol.va_deg[k]
+            mdm[row, col] = phasors.vm[row] - sol.vm[k]
     return adm, mdm
 
 
@@ -499,8 +517,8 @@ def test_zero_noise_detection_matches_truth(zero_noise_setup, graph, topologies)
             m = compute_difference_matrices(Bag(), library, t)
             assert m.stack.shape == (2, 5, 5)
             col = m.topology_ids.index(topo.id)
-            assert np.max(m.stack[0, :, col]) < 1e-12
-            assert np.max(m.stack[1, :, col]) < 1e-12
+            assert np.max(np.abs(m.stack[0, :, col])) < 1e-12
+            assert np.max(np.abs(m.stack[1, :, col])) < 1e-12
             for criterion in CRITERIA:
                 for signal in SIGNALS:
                     assert detect(m, criterion, signal).verdict == topo.id

@@ -1,7 +1,7 @@
 """Seeded output against committed reference files.
 
 tests/data/golden/ holds:
-- rates.csv and confusion.csv of
+- rates.csv, bus_rates.csv and confusion.csv of
   `microtopo experiment --seed 7 --reps 1 --jobs 1` on the bundled paper.cfg;
 - detect_III_t30_seed5.txt, the stdout of
   `microtopo detect --topo III --t 30 --seed 5`, and
@@ -10,17 +10,24 @@ tests/data/golden/ holds:
   `microtopo detect --topo I --t 0 --seed 5`: the first topology and the
   first step, generated when detect still played all five true topologies,
   so an off-by-one in the one-topology index shows.
-MULTI_REP_SHA256 holds the digests of rates.csv and confusion.csv of
+MULTI_REP_SHA256 holds the digests of the three CSVs of
 `microtopo experiment --seed 11 --reps 3` (the same with --jobs 1 and 2);
 several repetitions pin true states reused across repetitions and the
 pool's chunking. TWO_WORD_SEED_SHA256 holds the same digests for
 `microtopo experiment --seed 4294967303 --reps 1`, whose seed SeedSequence
 hashes as 2 uint32 words.
-All of these were last regenerated when a repetition came to draw one
+All of these were regenerated when a repetition came to draw one
 set of SCADA readings, from the stream keyed (1 + rep, "scada"), for all
 five true topologies instead of one per (topology, repetition): the same
 seed now draws other SCADA noise, so counts, rates and matrices moved; the
 μPMU draws and the detect stdout did not.
+rates.csv, with its digests, was regenerated again, and bus_rates.csv
+added, when the per-bus row-vote rates moved out of rates.csv: they were
+written once per criterion, the same values three times, under a column
+named inconclusive_rate that held abstentions. rates.csv kept its
+`bus=all` rows without the bus field and bus_rates.csv holds the per-bus
+rows once per (true topology, signal, bus); no value changed, and
+confusion.csv did not move.
 LIBRARY_SHA256, the digest of the `microtopo library --out` CSV, draws no
 noise; it was regenerated by the chord power flow (the flat-start Jacobian
 inverse reused until a case stalls).
@@ -37,12 +44,14 @@ from microtopo.scenario import fixture_path
 GOLDEN = Path(__file__).parent / "data" / "golden"
 LIBRARY_SHA256 = "8cf92f1c5d8f9fa816c5d7eebc493bf0a3cfb096e3375f149347a4a7a032a9cf"
 MULTI_REP_SHA256 = {
-    "rates.csv": "f07237c0af6f30c0b82177057f95980653c12f578ef3ba4b6ab9fa41dbb0a2bb",
+    "rates.csv": "abb1572113c1abb8be5b6d6a0c22cdc6c6f56b471839d70f3f28cb6f80a1f3bf",
+    "bus_rates.csv": "2f9a5fc00bb5d0921691c6f93123464e26ca4ba24f35cbe14a0156c8218584f8",
     "confusion.csv": "80ebb07ad506872d5bb44aaf77b0095c61d62c240eaf6e1dd59993e36082a1ec",
 }
 
 TWO_WORD_SEED_SHA256 = {
-    "rates.csv": "efb840a06756af93727db8e87309826b100d8e30d59d9415530c991260baeddd",
+    "rates.csv": "99a31d081f6e0ae0dbd659ebb361a02c9d8e8b27d582d06e2a46a1ca5a70993f",
+    "bus_rates.csv": "9d5d41826c7a3295865b122c0e9f2c6719ad06cb022cac0e9fcfccdd2d9488a8",
     "confusion.csv": "71ed58707ab0415a566e49a7bb341b39b6dcbde9239795faa7f319fdaa85e77e",
 }
 
@@ -51,7 +60,7 @@ TWO_WORD_SEED_SHA256 = {
 def test_seeded_output_matches_golden_files(tmp_path, capsys, jobs):
     assert main(["experiment", "--seed", "7", "--reps", "1", "--jobs", jobs,
                  "--out-dir", str(tmp_path)]) == EXIT_OK
-    for name in ("rates.csv", "confusion.csv"):
+    for name in ("rates.csv", "bus_rates.csv", "confusion.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), (
             f"{name} differs from tests/data/golden/{name}. If the output change "
             "is intentional, regenerate the golden files with "
@@ -90,7 +99,7 @@ def test_network_base_voltage_does_not_scale_the_noise(tmp_path, capsys, reverse
         out = tmp_path / f"out_{net.stem}"
         assert main(["experiment", "--seed", "7", "--reps", "1", "--jobs", "1",
                      "--net", str(net), "--out-dir", str(out)]) == EXIT_OK
-        for name in ("rates.csv", "confusion.csv"):
+        for name in ("rates.csv", "bus_rates.csv", "confusion.csv"):
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), (net, name)
     capsys.readouterr()
     _check_detect_golden(tmp_path, capsys, "III", 30, "--net", str(reversed_net))

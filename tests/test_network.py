@@ -339,6 +339,57 @@ def test_slack_only_network_is_a_violation(tmp_path):
     assert err.value.violations == ["no PQ bus: the power flow has no unknowns"]
 
 
+@pytest.mark.parametrize("lines, closed", [
+    # the same closed switches under two names
+    ("L12,1,2,0.01,0.01,S12\n", ("S12", "S12")),
+    # two equal parallel lines, the second listed the other way round
+    ("L12,1,2,0.01,0.01,S12\nL21,2,1,0.01,0.01,S21\n", ("S12", "S21")),
+])
+def test_topologies_that_close_the_same_lines_are_a_violation(tmp_path, capsys, lines, closed):
+    """Two candidates whose closed lines are equal as a multiset of
+    (unordered endpoints, r, x) have the same states in every case, so
+    every trial of either would be inconclusive."""
+    path = _write(tmp_path, "[buses]\n1,slack,1.0\n2,pq,1.0\n[lines]\n" + lines
+                  + f"[topologies]\nA,{closed[0]}\nB,{closed[1]}\n")
+    with pytest.raises(ValidationError) as err:
+        load_network(path)
+    assert err.value.violations == [
+        "topologies A and B close the same lines, so no measurement tells them apart"]
+    assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+    assert "INVALID" in capsys.readouterr().out
+
+
+def test_copy_of_a_bundled_topology_is_a_violation(tmp_path):
+    """fivebus.net with a sixth topology that closes the switches of I."""
+    path = _write(tmp_path, fixture_path("fivebus.net").read_text() + "Ib,S35;S34;S13;S12\n")
+    with pytest.raises(ValidationError) as err:
+        load_network(path)
+    assert err.value.violations == [
+        "topologies I and Ib close the same lines, so no measurement tells them apart"]
+
+
+@pytest.mark.parametrize("closed", ["S12;;S12", "S12;", ";S12", "S12;S12", "S12 ; S12"])
+def test_empty_or_repeated_closed_switch_is_rejected_with_its_line(tmp_path, capsys, closed):
+    """An empty or repeated item of a closed-switch list is more likely a
+    typo than intent: it is rejected, not dropped or merged."""
+    path = _write(tmp_path, GOOD.replace("A,S12", f"A,{closed}"))
+    message = f"empty or repeated item in closed_switch_list {closed!r}"
+    with pytest.raises(ParseError) as exc:
+        load_network(path)
+    assert str(exc.value) == f"{path}:7: {message}"
+    assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}:7: {message}\n"
+
+
+def test_wholly_empty_closed_switch_list_parses(tmp_path):
+    """A topology may close no switch: it parses, and validation then
+    reports what it leaves unreachable."""
+    path = _write(tmp_path, GOOD + "B, \n")
+    with pytest.raises(ValidationError) as err:
+        load_network(path)
+    assert err.value.violations == ["topology B: buses unreachable from slack: [2]"]
+
+
 def test_validation_collects_multiple_violations(tmp_path):
     bad = """\
 [buses]
@@ -363,8 +414,9 @@ def test_validation_error_survives_pickle():
 
 # Generated .net files: buses in any id order, one slack, a spanning tree of
 # lines that every topology closes (so every topology is connected), extra
-# lines each topology may open, sections in any order with comments, blank
-# lines and spacing. Floats are written with repr, which parses back exactly.
+# lines each topology may open, no two topologies closing the same lines,
+# sections in any order with comments, blank lines and spacing. Floats are
+# written with repr, which parses back exactly.
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e3)
 
 
@@ -382,10 +434,13 @@ def _network_file(draw):
     lines = [Line(id=f"L{i}", from_bus=a, to_bus=b, r_pu=draw(st.floats(0.0, 1.0)),
                   x_pu=draw(_POSITIVE), switch_id=f"S{i}") for i, (a, b) in enumerate(pairs)]
     tree = frozenset(line.switch_id for line in lines[:n_bus - 1])
-    extra = [line.switch_id for line in lines[n_bus - 1:]]
-    topologies = [TopologyConfig(id=f"T{j}", closed_switches=tree | frozenset(
-        draw(st.lists(st.sampled_from(extra), unique=True)) if extra else ()))
-        for j in range(draw(st.integers(1, 3)))]
+    extra = {line.switch_id: (*sorted((line.from_bus, line.to_bus)), line.r_pu, line.x_pu)
+             for line in lines[n_bus - 1:]}  # switch -> the line it closes, as validation sees it
+    closed_extra = st.lists(st.sampled_from(list(extra)), unique=True) if extra else st.just([])
+    topologies = [TopologyConfig(id=f"T{j}", closed_switches=tree | frozenset(chosen))
+                  for j, chosen in enumerate(draw(st.lists(
+                      closed_extra, min_size=1, max_size=3,
+                      unique_by=lambda chosen: tuple(sorted(extra[s] for s in chosen)))))]
 
     space = st.sampled_from(["", " ", "  "])
     sections = {

@@ -2,6 +2,7 @@ import codecs
 import contextlib
 import csv
 import io
+import itertools
 import multiprocessing
 import os
 import re
@@ -429,7 +430,9 @@ def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
 def test_record_rep_counts_like_a_loop():
     """`record_rep` counts a repetition's outcome arrays, over all true
     topologies at once, with one `bincount` each; a loop over every true
-    topology, trial, cell and row is the reference."""
+    topology, trial, cell and row is the reference. Row votes are counted
+    per label like verdicts, and collapsing the labels to correct,
+    incorrect and abstain gives those counts."""
     rng = np.random.default_rng(8)
     report = scenario.DetectionRateReport(topology_ids=("A", "B", "C"),
                                           pmu_bus_ids=(1, 2, 3, 4))
@@ -438,6 +441,7 @@ def test_record_rep_counts_like_a_loop():
     report.record_rep(verdicts, votes)
     confusion = np.zeros_like(report.confusion)
     row_votes = np.zeros_like(report.row_votes)
+    outcomes = np.zeros((3, 2, 4, 3), dtype=np.int64)  # correct, incorrect, abstain
     for q in range(3):
         for i in range(50):
             for s in range(2):
@@ -445,9 +449,14 @@ def test_record_rep_counts_like_a_loop():
                     confusion[q, c, s, verdicts[q, i, c, s]] += 1
                 for r in range(4):
                     v = votes[q, i, s, r]
-                    row_votes[q, s, r, 0 if v == q else 2 if v == 3 else 1] += 1
+                    row_votes[q, s, r, v] += 1
+                    outcomes[q, s, r, 0 if v == q else 2 if v == 3 else 1] += 1
+    assert report.row_votes.shape == (3, 2, 4, 4)
     assert np.array_equal(report.confusion, confusion)
     assert np.array_equal(report.row_votes, row_votes)
+    correct, abstain, n = scenario._rates(report.row_votes)
+    assert np.array_equal(np.stack((correct, n - correct - abstain, abstain), axis=-1),
+                          outcomes)
 
 
 @pytest.mark.parametrize("other", [0, 3])
@@ -732,21 +741,42 @@ def test_parallel_matches_serial():
 
 
 def test_write_report_schema(small_report, tmp_path):
-    rates_path, confusion_path = write_report(small_report, tmp_path)
+    """rates.csv has one row per (true topology, criterion, signal) and
+    bus_rates.csv one per (true topology, signal, bus), each rate written
+    once: the per-bus rates do not depend on the criterion."""
+    paths = write_report(small_report, tmp_path)
+    assert [p.name for p in paths] == ["rates.csv", "bus_rates.csv", "confusion.csv"]
+    rates_path, bus_rates_path, confusion_path = paths
+    ids = small_report.topology_ids
     with rates_path.open() as fh:
         rows = list(csv.DictReader(fh))
-    n_topo = len(small_report.topology_ids)
-    n_cells = n_topo * len(small_report.criteria) * len(small_report.signals)
-    assert len(rows) == n_cells * (1 + len(small_report.pmu_bus_ids))
-    for row in rows:
-        assert 0.0 <= float(row["correct_rate"]) <= 1.0
-        assert 0.0 <= float(row["inconclusive_rate"]) <= 1.0
+    assert list(rows[0]) == ["true_topology", "criterion", "signal", "correct_rate",
+                             "inconclusive_rate", "n"]
+    assert [(r["true_topology"], r["criterion"], r["signal"]) for r in rows] == list(
+        itertools.product(ids, small_report.criteria, small_report.signals))
+    correct, inconclusive, n = small_report.counts()
+    for row, ok, undecided, total in zip(rows, correct.ravel(), inconclusive.ravel(),
+                                         n.ravel()):
+        assert row["correct_rate"] == f"{ok / total:.6f}"
+        assert row["inconclusive_rate"] == f"{undecided / total:.6f}"
+        assert row["n"] == str(total) == str(96 * 2)
+
+    with bus_rates_path.open() as fh:
+        bus_rows = list(csv.DictReader(fh))
+    assert list(bus_rows[0]) == ["true_topology", "signal", "bus", "correct_rate",
+                                 "abstain_rate", "n"]
+    assert [(r["true_topology"], r["signal"], r["bus"]) for r in bus_rows] == [
+        (q, s, str(b)) for q, s, b in itertools.product(ids, small_report.signals,
+                                                       small_report.pmu_bus_ids)]
+    for row in bus_rows:
+        assert 0.0 <= float(row["correct_rate"]) + float(row["abstain_rate"]) <= 1.0
+        assert row["n"] == str(96 * 2)
 
     with confusion_path.open() as fh:
         crows = list(csv.DictReader(fh))
     total = sum(int(r["count"]) for r in crows)
     n_cfg = len(small_report.criteria) * len(small_report.signals)
-    assert total == n_cfg * n_topo * 96 * 2
+    assert total == n_cfg * len(ids) * 96 * 2
 
 
 def test_report_byte_determinism(tmp_path):
@@ -754,8 +784,8 @@ def test_report_byte_determinism(tmp_path):
     out_b = tmp_path / "b"
     write_report(run_experiment(_tiny_config(repetitions=1, master_seed=55)), out_a)
     write_report(run_experiment(_tiny_config(repetitions=1, master_seed=55, jobs=2)), out_b)
-    assert (out_a / "rates.csv").read_bytes() == (out_b / "rates.csv").read_bytes()
-    assert (out_a / "confusion.csv").read_bytes() == (out_b / "confusion.csv").read_bytes()
+    for name in ("rates.csv", "bus_rates.csv", "confusion.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_more_noise_does_not_help():
@@ -783,7 +813,7 @@ def test_summary_mentions_every_criterion(small_report):
 
 
 def test_per_bus_rows_name_their_bus_whatever_the_file_order(tmp_path, reversed_net):
-    """rates.csv labels the per-bus rows in bus-id order, the order of the
+    """bus_rates.csv labels its rows in bus-id order, the order of the
     ADM/MDM rows, also when the network file lists its buses 5..1, and its
     bytes are the bundled file's. The slack bus (1) has the same calculated
     state under every topology, so its row always abstains."""
@@ -791,12 +821,12 @@ def test_per_bus_rows_name_their_bus_whatever_the_file_order(tmp_path, reversed_
         report = run_experiment(_tiny_config(network=str(net), master_seed=3))
         assert report.pmu_bus_ids == (1, 2, 3, 4, 5)
         write_report(report, tmp_path / net.stem)
-    rates = tmp_path / "reversed" / "rates.csv"
-    assert rates.read_bytes() == (tmp_path / "fivebus" / "rates.csv").read_bytes()
-    with rates.open() as fh:
-        rows = [r for r in csv.DictReader(fh) if r["bus"] != "all"]
-    assert rows[:5] == sorted(rows[:5], key=lambda r: int(r["bus"]))
+    bus_rates = tmp_path / "reversed" / "bus_rates.csv"
+    assert bus_rates.read_bytes() == (tmp_path / "fivebus" / "bus_rates.csv").read_bytes()
+    with bus_rates.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["bus"] for r in rows[:5]] == ["1", "2", "3", "4", "5"]
     for row in rows:
-        always_abstains = (row["correct_rate"], row["inconclusive_rate"]) == (
+        always_abstains = (row["correct_rate"], row["abstain_rate"]) == (
             "0.000000", "1.000000")
         assert always_abstains == (row["bus"] == "1"), row
