@@ -99,14 +99,14 @@ def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
                            entries=entries)
 
 
-def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps,
-                        slack_index: int, tol: float = TOL) -> BatchPowerFlow:
+def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps, slack_index: int,
+                        tol: float = TOL, work: np.ndarray | None = None) -> BatchPowerFlow:
     """Every (topology, step) case of `ybus_by_topo` and the (steps, buses)
     injections `p`, `q` as one `solve_newton_raphson_batch` grid, indexed
-    [topology, step, ...]. The first failed case in (topology, step) order
-    raises `LibraryError`."""
+    [topology, step, ...], given `work` if any. The first failed case in
+    (topology, step) order raises `LibraryError`."""
     batch = solve_newton_raphson_batch(np.stack(list(ybus_by_topo.values())), p, q,
-                                       tol=tol, slack_index=slack_index)
+                                       tol=tol, slack_index=slack_index, work=work)
     failed = np.argwhere(~batch.converged)  # in (topology, step) order
     if failed.size:
         topo, step = failed[0].tolist()
@@ -135,12 +135,12 @@ def compute_difference_matrices(measurements, library: TopologyLibrary,
 
 
 def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
-                      lib_va_deg: np.ndarray) -> np.ndarray:
+                      lib_va_deg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Signed ADM and MDM, measured minus library, of many trials at once,
-    as one (..., signals, rows, topologies) stack: signals in `SIGNALS`
-    order, so [..., 0, :, :] is the ADM and [..., 1, :, :] the MDM, and one
-    row per bus. Its helpers `_measured_stack` and `_library_stack` decide
-    this layout, in one place; `vote_stack` votes it as it is.
+    as one (..., signals, rows, topologies) stack, in `out` if given: signals
+    in `SIGNALS` order, so [..., 0, :, :] is the ADM and [..., 1, :, :] the
+    MDM, and one row per bus. Its helpers `_measured_stack` and
+    `_library_stack` decide this layout, in one place; `vote_stack` votes it.
 
     `vm`/`va_deg` are measured (..., buses) arrays and `lib_vm`/`lib_va_deg`
     the (topologies, ..., buses) library states, all with the buses in id
@@ -148,7 +148,8 @@ def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
     (topologies, buses) library, and the (true topologies, steps, buses)
     readings of a repetition meet its (topologies, steps, buses) library.
     """
-    return _measured_stack(vm, va_deg)[..., None] - _library_stack(lib_vm, lib_va_deg)
+    return np.subtract(_measured_stack(vm, va_deg)[..., None],
+                       _library_stack(lib_vm, lib_va_deg), out=out)
 
 
 def _measured_stack(vm: np.ndarray, va_deg: np.ndarray) -> np.ndarray:
@@ -180,7 +181,8 @@ def detect(matrices: DifferenceMatrices, criterion: str, signal: str) -> Detecti
     return matrices._outcomes[criterion, signal]
 
 
-def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def vote_stack(stack: np.ndarray,
+               work: np.ndarray | None = None) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """RMV, ARMV and ORMV over a (..., rows, topologies) stack of ADM or MDM
     matrices: the one place the voting and tie rules are coded. Any leading
     axes are trials and signals, such as the (true topologies, steps,
@@ -188,8 +190,8 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
 
     Each row votes for the topology of its minimum |residual|. RMV takes the
     majority of the row votes, ORMV a unanimous row vote, and ARMV the
-    smallest column mean of |residual|, so a stack and its negation vote
-    alike; the caller's stack is left as it is. Ties:
+    smallest column mean of |residual|, held in `work` if given, so a stack
+    and its negation vote alike; the caller's stack is left as it is. Ties:
     - a row whose minimum is tied abstains (it cannot tell the candidates
       apart, as for the slack bus, whose state is the same in every
       topology);
@@ -205,7 +207,7 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     *cells, rows, n_topo = stack.shape
     if not rows:
         raise ValueError("a stack to vote needs at least one row")
-    stack = np.abs(stack)
+    stack = np.abs(stack, out=work)
     votes = _unique_argmin(stack, n_topo)
     # One bincount counts every trial's row votes: trial i owns codes
     # i * (n_topo + 1) onwards, the last of its n_topo + 1 the abstentions.

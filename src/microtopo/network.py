@@ -99,6 +99,10 @@ class NetworkGraph:
         return tuple(b.id for b in self.buses)
 
     @cached_property
+    def _ybus(self) -> dict:  # `build_ybus`'s matrices by topology, built once per graph
+        return {}
+
+    @cached_property
     def slack_index(self) -> int:
         return next(i for i, b in enumerate(self.buses) if b.kind is BusKind.SLACK)
 
@@ -161,17 +165,20 @@ def unreachable_buses(graph: NetworkGraph, topo: TopologyConfig) -> tuple[int, .
 
 def build_ybus(graph: NetworkGraph, topo: TopologyConfig) -> np.ndarray:
     """Bus admittance matrix Aᵀ·diag(y)·A of the closed lines of `topo`, with A
-    their incidence matrix and y their admittances. Raises TopologyError when
-    the configuration islands part of the grid."""
-    unreachable = unreachable_buses(graph, topo)
-    if unreachable:
-        raise TopologyError(f"topology {topo.id} leaves buses unreachable from the slack bus: "
-                            f"{list(unreachable)}")
-    a = build_incidence_matrix(graph, topo)
-    y = np.array([line.admittance for line in graph.closed_lines(topo)], dtype=complex)
-    # einsum, unlike a BLAS product, adds each entry's terms in line order to
-    # a zero: the bytes of summing line by line, +0.0 for structural zeros.
-    return np.einsum("kp,k,kq->pq", a, y, a)
+    their incidence matrix and y their admittances, read-only and built once
+    per graph. Raises TopologyError when the topology islands part of it."""
+    if topo not in graph._ybus:
+        unreachable = unreachable_buses(graph, topo)
+        if unreachable:
+            raise TopologyError(f"topology {topo.id} leaves buses unreachable from the slack "
+                                f"bus: {list(unreachable)}")
+        a = build_incidence_matrix(graph, topo)
+        y = np.array([line.admittance for line in graph.closed_lines(topo)], dtype=complex)
+        # einsum, unlike a BLAS product, adds each entry's terms in line order to
+        # a zero: the bytes of summing line by line, +0.0 for structural zeros.
+        graph._ybus[topo] = np.einsum("kp,k,kq->pq", a, y, a)
+        graph._ybus[topo].flags.writeable = False
+    return graph._ybus[topo]
 
 
 def read_utf8(path: Path, error: type[Exception] = ValueError) -> str:
@@ -315,17 +322,14 @@ def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> l
     if violations:
         return violations  # connectivity checks need a structurally sound graph
 
-    closing: dict[tuple, str] = {}  # closed (endpoints, r, x) multiset -> first topology
+    seen: dict[bytes, str] = {}  # Ybus bytes -> first topology
     for topo in topologies:
         if unknown := topo.closed_switches - graph.switch_ids:
             violations.append(f"topology {topo.id}: unknown switches {sorted(unknown)}")
-            continue
-        if unreachable := unreachable_buses(graph, topo):
+        elif unreachable := unreachable_buses(graph, topo):
             violations.append(f"topology {topo.id}: buses unreachable from slack: "
                               f"{list(unreachable)}")
-        lines = tuple(sorted((*sorted((l.from_bus, l.to_bus)), l.r_pu, l.x_pu)
-                             for l in graph.closed_lines(topo)))
-        if (first := closing.setdefault(lines, topo.id)) != topo.id:
-            violations.append(f"topologies {first} and {topo.id} close the same lines, "
-                              "so no measurement tells them apart")
+        elif (first := seen.setdefault(build_ybus(graph, topo).tobytes(), topo.id)) != topo.id:
+            violations.append(f"topologies {first} and {topo.id} have the same admittance "
+                              "matrix, so no measurement tells them apart")
     return violations

@@ -159,13 +159,14 @@ FLAT_START_CACHE_SIZE = 64
 # power mismatch array, with no copy.
 
 
-def _injected_currents(y_cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(Y v) at the PQ buses as (k, B), from the columns `y_cols` (n, k, B)
-    of the PQ rows and the bus voltages `weights` (n, 1, B), the slack's 1.
-    The products are laid out C-contiguous, so that `np.add.reduce` over
-    axis 0 adds them column after column from the left, ((c_0 + c_1) + c_2)
-    + ..., and a case rounds alike in any stack and any memory layout."""
-    return np.add.reduce(np.multiply(y_cols, weights, order="C"), axis=0)
+def _injected_currents(y_cols: np.ndarray, weights: np.ndarray, work=None, out=None) -> np.ndarray:
+    """(Y v) at the PQ buses, from the columns `y_cols` of the PQ rows and
+    the bus voltages `weights` (the slack's 1), broadcast against each other
+    with the buses on axis 0: (n, k, B) and (n, 1, B) give (k, B). The
+    products are laid out C-contiguous, in `work` if given, so that
+    `np.add.reduce` over axis 0 adds them column after column from the left
+    (into `out` if given), and a case rounds alike in any grid."""
+    return np.add.reduce(np.multiply(y_cols, weights, out=work, order="C"), axis=0, out=out)
 
 
 def _jacobian(ybus: np.ndarray, v_pq: np.ndarray, i_pq: np.ndarray) -> np.ndarray:
@@ -206,33 +207,42 @@ def _flat_start_inverse(ybus_bytes: bytes, n: int) -> tuple[np.ndarray, bool]:
     matrix, given by its bytes, and whether that Jacobian is singular."""
     ybus = np.frombuffer(ybus_bytes, dtype=complex).reshape(1, n, n)
     flat = np.ones((1, n - 1), dtype=complex)
-    i_flat = _injected_currents(ybus[:, 1:, :].transpose(2, 1, 0), np.ones((n, 1, 1))).T
+    i_flat = _injected_currents(ybus[:, 1:, :].transpose(2, 0, 1), np.ones((n, 1, 1)))
     inv, singular = _inverses(_jacobian(ybus, flat, i_flat))
     inv.flags.writeable = False
     return inv[0], bool(singular[0])
 
 
+def batch_work_size(n_topo: int, n_step: int, n_bus: int) -> int:
+    """Floats in a `work` of `solve_newton_raphson_batch` for this grid size."""
+    return 2 * n_topo * n_step * ((n_bus + 7) * (n_bus - 1) + n_bus)
+
+
 def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
                                tol: float = TOL, max_iter: int = 50,
-                               slack_index: int = 0) -> BatchPowerFlow:
+                               slack_index: int = 0,
+                               work: np.ndarray | None = None) -> BatchPowerFlow:
     """Polar Newton-Raphson from a flat start over the (topology, step) grid.
 
     `ybus` is the (T, n, n) stack of the topologies' admittance matrices and
     `p`, `q` the (S, n) injections of the steps, shared by every topology;
     slack entries are ignored. Each case steps with the inverse of its
     Jacobian at flat start, which depends on the admittance matrix only: one
-    cached lookup per topology (a chord method). A case whose max mismatch
-    did not fall below STALL_RATIO times the previous one takes a full
-    Newton step instead: its Jacobian is re-evaluated at its current state
-    and its inverse is used from then on. A case leaves the active set when
-    its mismatch is under `tol`, its Jacobian is singular or at `max_iter`;
-    its state, iteration count and last mismatch are recorded then, once.
-    Every operation is per case (currents summed over the columns from the
-    left by `_injected_currents`, one inverse and one matrix-vector product
-    per case), so a case takes the same steps, with the same arithmetic, as
-    in a 1 x 1 grid; a diverging, non-finite or singular case leaves the
-    other cases' results unchanged. `vm`/`va_deg` hold the solution of
-    converged cases only.
+    cached lookup per topology, broadcast over its steps (a chord method). A
+    case whose max mismatch did not fall below STALL_RATIO times the
+    previous one takes a full Newton step instead: its Jacobian is
+    re-evaluated at its current state and its inverse is used from then on.
+    A case leaves when its mismatch is under `tol`, its Jacobian is singular
+    or at `max_iter`: its state, iteration count and last mismatch are
+    recorded then, once, and its state turns NaN, so its mismatch is never
+    again under `tol` nor stalled. Every operation is per case (currents
+    summed over the columns from the left by `_injected_currents`, one
+    inverse and one matrix-vector product per case), so a case takes the
+    same steps, with the same arithmetic, as in a 1 x 1 grid; a diverging,
+    non-finite or singular case leaves the other cases' results unchanged.
+    `vm`/`va_deg` hold the solution of converged cases only. The working
+    arrays are views of `work` if given, a flat float array of
+    `batch_work_size` elements; no result is a view of it.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -241,35 +251,43 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     ybus = np.asarray(ybus, dtype=complex)
     if slack_index:  # move the slack bus first
         ybus, p, q = ybus[:, order][:, :, order], p[:, order], q[:, order]
-    grid = (len(ybus), n_step)
-    n_case = len(ybus) * n_step  # case c is topology c // n_step at step c % n_step
+    n_topo, k = len(ybus), n - 1
+    grid = (n_topo, n_step)
     flat_inv, flat_singular = zip(*(_flat_start_inverse(y.tobytes(), n) for y in ybus))
-    j_inv = np.array(flat_inv).repeat(n_step, axis=0)
-    no_inverse = np.array(flat_singular).repeat(n_step)
-    y_cols = ybus[:, 1:, :].transpose(2, 1, 0).repeat(n_step, axis=2)  # (n, k, cases)
+    j_inv = np.array(flat_inv)[:, None]  # (T, 1, 2k, 2k) until a case stalls
+    no_inverse = np.array(flat_singular)[:, None].repeat(n_step, axis=1)
+    y_cols = ybus[:, 1:, :, None].transpose(2, 0, 1, 3)  # (n, T, k, 1)
+    s_spec = (p + 1j * q)[:, 1:]  # (S, k), shared by the topologies
+    # n + 7 rows of 2k floats per case, then the bus voltages, all in `work`
+    work = np.empty(batch_work_size(n_topo, n_step, n)) if work is None else work
+    rows = work[:2 * k * n_topo * n_step * (n + 7)].reshape(n + 7, -1)
+    products = rows[:n].view(complex).reshape(n, n_topo, k, n_step)
+    v_pq, i_pq, ds = rows[n:n + 3].view(complex).reshape(3, *grid, k)  # ds = S - v conj(i)
+    mags, step = rows[n + 3].reshape(2 * k, *grid), rows[n + 4].reshape(*grid, 2 * k, 1)
+    x, x_out = xs = rows[n + 5:].reshape(2, *grid, 2 * k)
+    rhs = ds.view(float)  # interleaved (dP, dQ) as x interleaves (va, vm) of the PQ buses
+    currents, rhs_t, rhs_col = i_pq.transpose(0, 2, 1), rhs.transpose(2, 0, 1), rhs[..., None]
+    xs.reshape(-1, 2)[...] = 0.0, 1.0  # flat start; x_out records a case when it leaves
+    va, vm = x[..., 0::2], x[..., 1::2]
     # bus voltages: row 0, the slack's, stays 1; rows 1: are rewritten each step
-    weights = np.ones((n, 1, n_case), dtype=complex)
-    s_spec = np.concatenate(((p + 1j * q)[:, 1:],) * len(ybus))
-    x = np.zeros((n_case, 2 * n - 2))  # interleaved (va, vm) of the PQ buses
-    va, vm = x[:, 0::2], x[:, 1::2]
-    vm[...] = 1.0
+    weights = work[rows.size:].view(complex).reshape(n, n_topo, 1, n_step)
+    weights[0] = 1.0
     limit = np.inf  # STALL_RATIO x the previous max mismatch
 
-    x_out = x.copy()  # recorded once per case, when it leaves the active set
-    iterations = np.empty(n_case, dtype=int)
-    mismatch = np.empty(n_case)
-    converged = np.zeros(n_case, dtype=bool)
-    singular = np.zeros(n_case, dtype=bool)
-    case = np.arange(n_case)  # case number of each active row
+    iterations = np.empty(grid, dtype=int)
+    mismatch = np.empty(grid)
+    converged = np.zeros(grid, dtype=bool)
+    singular = np.zeros(grid, dtype=bool)
+    live = np.ones(grid, dtype=bool)  # cases that have not left
 
     for iteration in range(max_iter + 1):
-        v_pq = vm * np.exp(1j * va)
-        weights[1:, 0] = v_pq.T
-        i_pq = _injected_currents(y_cols, weights).T
-        rhs = (s_spec - v_pq * np.conj(i_pq, order="C")).view(float)
+        np.multiply(vm, np.exp(np.multiply(1j, va, out=v_pq), out=v_pq), out=v_pq)
+        weights[1:, :, 0] = v_pq.transpose(2, 0, 1)
+        _injected_currents(y_cols, weights, products, out=currents)
+        np.subtract(s_spec, np.multiply(v_pq, np.conj(i_pq, out=ds), out=ds), out=ds)
         # reduced over the outer axis of a transposed copy: a row-wise max of
         # a few values each is several times slower on a large stack
-        mism = np.maximum.reduce(np.abs(rhs.T, order="C"), axis=0)
+        mism = np.maximum.reduce(np.abs(rhs_t, out=mags), axis=0)
         if iteration == 0:
             flat_mism = mism
         done = mism < tol
@@ -277,35 +295,33 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
         last = iteration == max_iter
         if not last and np.count_nonzero(stalled):
             stalled &= ~done
+            if j_inv.shape[1] < n_step:  # per-case inverses from the first stall on
+                j_inv = j_inv.repeat(n_step, axis=1)
             j_inv[stalled], no_inverse[stalled] = _inverses(
-                _jacobian(ybus[case[stalled] // n_step], v_pq[stalled], i_pq[stalled]))
+                _jacobian(ybus[stalled.nonzero()[0]], v_pq[stalled], i_pq[stalled]))
         if last or np.count_nonzero(done) or np.count_nonzero(no_inverse):
             if not last and np.count_nonzero(no_inverse):
                 # a Jacobian that turns singular once the mismatch has grown
                 # past its flat-start value marks a diverging case
-                singular[case[no_inverse & ~done & ~(mism > flat_mism)]] = True
-            leave = done | no_inverse | last  # at max_iter every case leaves
-            gone = case[leave]
-            iterations[gone] = iteration
-            mismatch[gone] = mism[leave]
-            converged[case[done]] = True
-            x_out[case[done]] = x[done]
-            stay = ~leave
-            if not np.count_nonzero(stay):
+                singular[no_inverse & ~done & ~(mism > flat_mism)] = True
+            leave = live if last else done | no_inverse  # at max_iter every case leaves
+            iterations[leave] = iteration
+            mismatch[leave] = mism[leave]
+            converged[done] = True
+            np.copyto(x_out, x, where=done[..., None])
+            live &= ~leave
+            if not np.count_nonzero(live):
                 break
-            case, j_inv, no_inverse, s_spec, x, rhs, mism, flat_mism = (
-                a[stay] for a in (case, j_inv, no_inverse, s_spec, x, rhs, mism, flat_mism))
-            y_cols, weights = y_cols.compress(stay, axis=2), weights[:, :, :len(case)]
-            va, vm = x[:, 0::2], x[:, 1::2]
+            x[leave] = np.nan
+            no_inverse &= live
         limit = STALL_RATIO * mism
-        x += np.matmul(j_inv, rhs[:, :, None])[:, :, 0]
+        x += np.matmul(j_inv, rhs_col, out=step)[..., 0]
 
-    state = np.zeros((2, n_case, n))  # (va, vm) of every case, slack included
+    state = np.zeros((2, *grid, n))  # (va, vm) of every case, slack included
     state[1] = 1.0
-    state[:, :, order[1:]] = x_out.reshape(n_case, n - 1, 2).transpose(2, 0, 1)
-    state = state.reshape(2, *grid, n)
-    return BatchPowerFlow(state[1], np.degrees(state[0]),
-                          *(a.reshape(grid) for a in (iterations, mismatch, converged, singular)))
+    state[..., order[1:]] = x_out.reshape(*grid, n - 1, 2).transpose(3, 0, 1, 2)
+    return BatchPowerFlow(state[1], np.degrees(state[0]), iterations, mismatch, converged,
+                          singular)
 
 
 def solve_newton_raphson(ybus: np.ndarray, inj: InjectionSnapshot,

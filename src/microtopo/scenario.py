@@ -40,7 +40,7 @@ from .measurements import (
     scada_readings,
 )
 from .network import NetworkGraph, TopologyConfig, build_ybus, load_network, read_utf8
-from .powerflow import TOL, InjectionSnapshot
+from .powerflow import TOL, InjectionSnapshot, batch_work_size
 # Not called here since trials solve in stacks, but kept importable from this
 # module: perfbench/test_perfbench.py checks through this name that the layer
 # tracer rebinds a function imported by another module.
@@ -221,21 +221,34 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
         pmu_offsets_by_rep=pmu_offsets, scada_offsets_by_rep=scada_offsets)
 
 
-def solve_true_states(ctx: ExperimentContext,
-                      true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def solve_true_states(ctx: ExperimentContext, true_ids: tuple[str, ...] | None = None,
+                      work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """True (vm, va_deg) of each topology of `true_ids` (default: all of
     `topology_ids`) over the day, as (true topologies, steps, buses) arrays
-    from one grid solve of the noise-free library; the first failed case
-    raises its `LibraryError`."""
+    from one grid solve of the noise-free library, given `work`; the first
+    failed case raises its `LibraryError`."""
     true_ids = ctx.topology_ids if true_ids is None else true_ids
     batch = solve_library_batch({q: ctx.ybus_by_topo[q] for q in true_ids},
                                 ctx.true_p, ctx.true_q, range(len(ctx.true_p)),
-                                ctx.graph.slack_index)
+                                ctx.graph.slack_index, work=work)
     return batch.vm, batch.va_deg
 
 
+def _rep_arrays(ctx: ExperimentContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`run_rep`'s `work` for all of `ctx`'s topologies as true: the solver's
+    `work`, a stack and its absolute values, as views of one block, since
+    glibc's malloc then keeps up to twice that block's size on its heap."""
+    n_topo, (n_step, n_bus) = len(ctx.topologies), ctx.true_p.shape
+    # laid out as a new `difference_stacks` of a repetition: steps innermost
+    stacks = (2, n_bus, len(SIGNALS), n_topo, n_topo, n_step)
+    block = np.empty(math.prod(stacks) + batch_work_size(n_topo, n_step, n_bus))
+    stack, sizes = block[:math.prod(stacks)].reshape(stacks).transpose(0, 3, 5, 2, 1, 4)
+    return block[math.prod(stacks):], stack, sizes
+
+
 def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.ndarray,
-            true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, ...]:
+            true_ids: tuple[str, ...] | None = None, *,
+            work: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """Repetition `rep`: the trials of each true topology of `true_ids`
     (default: all of `topology_ids`) at every step of the day, with true
     states (true_vm, true_va) by true topology and step, from
@@ -258,6 +271,8 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     readings from the stream keyed (1 + rep, "pmu:<topology id>"). Each
     stream makes one full-day draw, of which step t reads row t, so a
     trial's noise depends only on the seed, its topology, step and rep.
+    Given `work` from `_rep_arrays`, it returns the stack in `work`, where
+    the next repetition given `work` overwrites it.
     """
     config = ctx.config
     graph = ctx.graph
@@ -277,11 +292,13 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     lib_q = np.zeros_like(q)
     lib_p[:, rows] = scada_p
     lib_q[:, rows] = scada_q
+    solver, out, sizes = work or (None,) * 3
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
-                                  graph.slack_index)
+                                  graph.slack_index, work=solver)
     # Every true topology's readings meet the same (topologies, steps, buses) library.
-    stack = difference_stacks(pmu_vm, pmu_va, library.vm, library.va_deg)
-    by_criterion, votes = vote_stack(stack)
+    stack = difference_stacks(pmu_vm, pmu_va, library.vm, library.va_deg, out=out)
+    del library, pmu_vm, pmu_va  # in the stack now: freed before the vote's peak
+    by_criterion, votes = vote_stack(stack, work=sizes)
     return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
 
 
@@ -360,11 +377,12 @@ class DetectionRateReport:
 def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
     """Run and count each repetition of `reps`, one at a time: a
     repetition's stacks are its unit of work. The true states are solved
-    once per chunk and shared by its repetitions."""
+    once per chunk, and its repetitions fill one `_rep_arrays` in turn."""
     report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.graph.bus_ids)
-    true_states = solve_true_states(ctx)
+    work = _rep_arrays(ctx)
+    true_states = solve_true_states(ctx, work=work[0])
     for rep in reps:
-        report.record_rep(*run_rep(ctx, rep, *true_states)[1:])
+        report.record_rep(*run_rep(ctx, rep, *true_states, work=work)[1:])
     return report
 
 

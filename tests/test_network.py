@@ -347,14 +347,29 @@ def test_slack_only_network_is_a_violation(tmp_path):
 ])
 def test_topologies_that_close_the_same_lines_are_a_violation(tmp_path, capsys, lines, closed):
     """Two candidates whose closed lines are equal as a multiset of
-    (unordered endpoints, r, x) have the same states in every case, so
-    every trial of either would be inconclusive."""
+    (unordered endpoints, r, x) have the same admittance matrix, so the
+    same states in every case, and every trial of either would be
+    inconclusive."""
     path = _write(tmp_path, "[buses]\n1,slack,1.0\n2,pq,1.0\n[lines]\n" + lines
                   + f"[topologies]\nA,{closed[0]}\nB,{closed[1]}\n")
     with pytest.raises(ValidationError) as err:
         load_network(path)
     assert err.value.violations == [
-        "topologies A and B close the same lines, so no measurement tells them apart"]
+        "topologies A and B have the same admittance matrix, so no measurement tells them apart"]
+    assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
+    assert "INVALID" in capsys.readouterr().out
+
+
+def test_topologies_with_equal_admittance_but_other_lines_are_a_violation(tmp_path, capsys):
+    """One line of r = x = 0.01 and two parallel lines of r = x = 0.02 give
+    byte-equal admittance matrices although the closed lines differ."""
+    path = _write(tmp_path, "[buses]\n1,slack,1.0\n2,pq,1.0\n3,pq,1.0\n[lines]\n"
+                  "L12,1,2,0.01,0.01,S12\nL12b,1,2,0.02,0.02,S12b\nL12c,1,2,0.02,0.02,S12c\n"
+                  "L23,2,3,0.01,0.01,S23\n[topologies]\nA,S12;S23\nB,S12b;S12c;S23\n")
+    with pytest.raises(ValidationError) as err:
+        load_network(path)
+    assert err.value.violations == [
+        "topologies A and B have the same admittance matrix, so no measurement tells them apart"]
     assert main(["validate", "--net", str(path)]) == EXIT_VALIDATION
     assert "INVALID" in capsys.readouterr().out
 
@@ -365,7 +380,8 @@ def test_copy_of_a_bundled_topology_is_a_violation(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_network(path)
     assert err.value.violations == [
-        "topologies I and Ib close the same lines, so no measurement tells them apart"]
+        "topologies I and Ib have the same admittance matrix, so no measurement tells them "
+        "apart"]
 
 
 @pytest.mark.parametrize("closed", ["S12;;S12", "S12;", ";S12", "S12;S12", "S12 ; S12"])
@@ -414,9 +430,10 @@ def test_validation_error_survives_pickle():
 
 # Generated .net files: buses in any id order, one slack, a spanning tree of
 # lines that every topology closes (so every topology is connected), extra
-# lines each topology may open, no two topologies closing the same lines,
-# sections in any order with comments, blank lines and spacing. Floats are
-# written with repr, which parses back exactly.
+# lines each topology may open, no two topologies with the same admittance
+# matrix (validation rejects them), sections in any order with comments,
+# blank lines and spacing. Floats are written with repr, which parses back
+# exactly.
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e3)
 
 
@@ -434,13 +451,14 @@ def _network_file(draw):
     lines = [Line(id=f"L{i}", from_bus=a, to_bus=b, r_pu=draw(st.floats(0.0, 1.0)),
                   x_pu=draw(_POSITIVE), switch_id=f"S{i}") for i, (a, b) in enumerate(pairs)]
     tree = frozenset(line.switch_id for line in lines[:n_bus - 1])
-    extra = {line.switch_id: (*sorted((line.from_bus, line.to_bus)), line.r_pu, line.x_pu)
-             for line in lines[n_bus - 1:]}  # switch -> the line it closes, as validation sees it
-    closed_extra = st.lists(st.sampled_from(list(extra)), unique=True) if extra else st.just([])
+    extra = [line.switch_id for line in lines[n_bus - 1:]]
+    graph = NetworkGraph(buses=tuple(sorted(buses, key=lambda b: b.id)), lines=tuple(lines))
+    closed_extra = st.lists(st.sampled_from(extra), unique=True) if extra else st.just([])
     topologies = [TopologyConfig(id=f"T{j}", closed_switches=tree | frozenset(chosen))
                   for j, chosen in enumerate(draw(st.lists(
                       closed_extra, min_size=1, max_size=3,
-                      unique_by=lambda chosen: tuple(sorted(extra[s] for s in chosen)))))]
+                      unique_by=lambda chosen: build_ybus(graph, TopologyConfig(
+                          "", tree | frozenset(chosen))).tobytes())))]
 
     space = st.sampled_from(["", " ", "  "])
     sections = {

@@ -406,3 +406,21 @@ def test_failed_cases_leave_the_others_unchanged(fixture_grid, graph):
     assert err.value.last_mismatch == mixed.mismatch[0, 1]
     with pytest.raises(SingularJacobianError):
         solve_newton_raphson(grid_y[4], InjectionSnapshot(graph.bus_ids, p[0], q[0]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_work_buffer_leaves_every_field_unchanged(fixture_grid, graph):
+    """The grid of `test_failed_cases_leave_the_others_unchanged` (diverging,
+    non-finite and singular cases) gives the same bits in all six fields
+    whether the working arrays are views of a caller's buffer or of one the
+    solver allocates. What the buffer held before, NaN or an earlier solve's
+    arrays, changes nothing, and no field is a view of it."""
+    ybus, p, q = fixture_grid
+    grid_y, grid_p, grid_q = _failing_grid(graph, ybus, p, q, 4, [0, "heavy", 37, "nan", 60, 95])
+    work = np.full(powerflow.batch_work_size(len(grid_y), *grid_p.shape), np.nan)
+    fresh = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
+    for _ in range(2):
+        reused = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20, work=work)
+        for name in FIELDS:
+            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
+            assert not np.shares_memory(getattr(reused, name), work)

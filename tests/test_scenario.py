@@ -31,6 +31,7 @@ from microtopo.measurements import derive_rng_stream, sample_scada
 from microtopo.powerflow import InjectionSnapshot
 from microtopo.scenario import (
     ConfigError,
+    DetectionRateReport,
     build_context,
     fixture_path,
     load_config,
@@ -418,13 +419,40 @@ def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
     topologies) stack."""
     calls = []
 
-    def counted(stack):
+    def counted(stack, **kwargs):
         calls.append(stack.shape)
-        return detector.vote_stack(stack)
+        return detector.vote_stack(stack, **kwargs)
 
     monkeypatch.setattr(scenario, "vote_stack", counted)
     run_experiment(_tiny_config(repetitions=3, master_seed=4))
     assert calls == [(5, 96, len(SIGNALS), 5, 5)] * 3
+
+
+def test_a_chunks_repetitions_share_its_arrays_without_aliasing_their_outcomes():
+    """The repetitions of a chunk write their large arrays to one set from
+    `_rep_arrays`: the stack a repetition returns is the set's, which the
+    next repetition overwrites, but its verdicts and votes are its own. A
+    repetition's arrays have the bits of the same repetition run with fresh
+    arrays, and so the chunk's report counts what fresh runs count."""
+    ctx = build_context(_tiny_config(repetitions=2, master_seed=17))
+    true_states = solve_true_states(ctx)
+    work = scenario._rep_arrays(ctx)
+    assert solve_true_states(ctx, work=work[0])[0].tobytes() == true_states[0].tobytes()
+    first = run_rep(ctx, 0, *true_states, work=work)
+    assert first[0] is work[1]
+    kept = [a.copy() for a in first]
+    second = run_rep(ctx, 1, *true_states, work=work)
+    assert all(np.array_equal(a, b) for a, b in zip(first[1:], kept[1:]))
+    assert first[0] is second[0]
+    fresh = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.graph.bus_ids)
+    for rep, arrays in enumerate((kept, second)):
+        alone = run_rep(ctx, rep, *true_states)
+        assert not any(np.shares_memory(a, b) for a in alone for b in work)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in alone]
+        fresh.record_rep(*alone[1:])
+    chunk = scenario._run_chunk(ctx, [0, 1])
+    assert np.array_equal(chunk.confusion, fresh.confusion)
+    assert np.array_equal(chunk.row_votes, fresh.row_votes)
 
 
 def test_record_rep_counts_like_a_loop():
@@ -646,12 +674,12 @@ def test_library_error_in_a_chunk_exits_3_like_the_serial_run(tmp_path, capsys,
     parent = os.getpid()
     run_rep = scenario.run_rep
 
-    def failing_run_rep(ctx, rep, *true_states):
+    def failing_run_rep(ctx, rep, *true_states, **kwargs):
         if rep == failing_rep:
             if os.getpid() != parent:
                 (tmp_path / "failed-in-worker").touch()
             raise LibraryError("power flow failed for topology III at t=40: diverged")
-        return run_rep(ctx, rep, *true_states)
+        return run_rep(ctx, rep, *true_states, **kwargs)
 
     monkeypatch.setattr(scenario, "run_rep", failing_run_rep)
     _pin_usable_cpus(monkeypatch, 2)
@@ -680,10 +708,10 @@ def test_worker_that_exits_without_replying_is_reported(monkeypatch):
     parent = os.getpid()
     run_rep = scenario.run_rep
 
-    def dying_run_rep(ctx, rep, *true_states):
+    def dying_run_rep(ctx, rep, *true_states, **kwargs):
         if rep == 2 and os.getpid() != parent:
             os._exit(1)
-        return run_rep(ctx, rep, *true_states)
+        return run_rep(ctx, rep, *true_states, **kwargs)
 
     monkeypatch.setattr(scenario, "run_rep", dying_run_rep)
     _pin_usable_cpus(monkeypatch, 2)
