@@ -114,6 +114,19 @@ def derive_rng_stream(master_seed: int, trial_index: int, device_id: str) -> np.
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def shared_stream_key(device_ids) -> tuple[str, str] | None:
+    """The first two of `device_ids` whose `derive_rng_stream` keys are
+    equal, so that they would draw the same numbers, or None. Distinct ids
+    can share one, since the key is their crc32: "pmu:plumless" and
+    "pmu:buckeroo" do."""
+    seen: dict[int, str] = {}
+    for device in device_ids:
+        first = seen.setdefault(_device_key(device), device)
+        if first != device:
+            return first, device
+    return None
+
+
 @dataclass(frozen=True)
 class PmuOffsets:
     """Systematic offsets by bus position, drawn once per experiment run."""

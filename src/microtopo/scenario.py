@@ -38,6 +38,7 @@ from .measurements import (
     draw_scada_offsets,
     pmu_readings,
     scada_readings,
+    shared_stream_key,
 )
 from .network import NetworkGraph, TopologyConfig, build_ybus, load_network, read_utf8
 from .powerflow import TOL, InjectionSnapshot, batch_work_size
@@ -196,8 +197,20 @@ class ExperimentContext:
         return tuple(t.id for t in self.topologies)
 
 
+def _pmu_device(topology_id: str) -> str:
+    """Device id of the μPMU noise streams of true topology `topology_id`."""
+    return f"pmu:{topology_id}"
+
+
 def build_context(config: ScenarioConfig) -> ExperimentContext:
+    """Everything the trials share. A network whose topology ids would give
+    two noise streams of a repetition one key raises `ConfigError`."""
     graph, topologies = load_network(config.network)
+    shared = shared_stream_key([*(_pmu_device(t.id) for t in topologies), "scada"])
+    if shared:
+        raise ConfigError(f"{config.network}: devices {shared[0]!r} and {shared[1]!r} "
+                          "would draw the same noise, as their random stream keys are "
+                          "equal; rename a topology", "network")
     true_p, true_q, scada_buses = profiles.load_injections(graph, config.profile)
     pmu_spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=config.pmu_sigma,
                           accuracy=config.pmu_accuracy)
@@ -279,7 +292,7 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     true_ids = ctx.topology_ids if true_ids is None else true_ids
     pmu_vm, pmu_va = np.array([
         pmu_readings(vm, va, ctx.pmu_spec,
-                     derive_rng_stream(config.master_seed, 1 + rep, f"pmu:{topology_id}"),
+                     derive_rng_stream(config.master_seed, 1 + rep, _pmu_device(topology_id)),
                      ctx.pmu_offsets_by_rep[rep])
         for topology_id, vm, va in zip(true_ids, true_vm, true_va, strict=True)]).swapaxes(0, 1)
     p, q = ctx.true_p, ctx.true_q

@@ -1,4 +1,5 @@
 import csv
+import zlib
 
 import pytest
 
@@ -249,6 +250,46 @@ def test_bad_config_exits_2_before_any_trial(tmp_path, capsys, key, argv, messag
     assert main(argv) == EXIT_VALIDATION
     assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# crc32("pmu:" + _SCADA_TWIN) == crc32("scada"), found by solving the
+# (affine over GF(2)) crc32 of 40 letters, each "a" or "b", for that value.
+_SCADA_TWIN = "babaabbaabbaaabaabbaababaabaaaaaaaaaaaaa"
+
+
+@pytest.mark.parametrize("renames, devices", [
+    ({"I": "plumless", "II": "buckeroo"}, ("pmu:plumless", "pmu:buckeroo")),
+    ({"V": _SCADA_TWIN}, (f"pmu:{_SCADA_TWIN}", "scada")),
+], ids=["two_topologies", "topology_and_scada"])
+def test_noise_streams_that_share_a_key_exit_2_before_any_trial(tmp_path, monkeypatch,
+                                                                capsys, renames, devices):
+    """A noise stream is keyed by the crc32 of its device id, and distinct
+    ids can share one: with fivebus.net's I and II renamed plumless and
+    buckeroo, `experiment` once drew the same μPMU noise for both true
+    topologies in every repetition. `experiment` and `detect` now exit 2,
+    naming both devices, before any trial; `validate` still passes."""
+    assert len({zlib.crc32(device.encode()) for device in devices}) == 1
+    text = fixture_path("fivebus.net").read_text()
+    for old, new in renames.items():
+        text = text.replace(f"\n{old},", f"\n{new},")
+    net = tmp_path / "renamed.net"
+    net.write_text(text)
+    assert main(["validate", "--net", str(net)]) == EXIT_OK
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(scenario, "solve_true_states", no_trial)
+    monkeypatch.setattr(cli, "solve_true_states", no_trial)
+    out = tmp_path / "out"
+    for argv in (["experiment", "--reps", "1", "--out-dir", str(out)],
+                 ["detect", "--topo", list(renames.values())[0]]):
+        capsys.readouterr()
+        assert main(argv + ["--net", str(net)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {net}: devices {devices[0]!r} and {devices[1]!r} would draw the same "
+            "noise, as their random stream keys are equal; rename a topology\n")
+    assert not out.exists()
 
 
 def test_detect_zero_noise_and_dump(tmp_path, capsys):

@@ -154,20 +154,25 @@ _STACKS = arrays(np.float64, _STACK_SHAPES, elements=st.integers(0, 3).map(float
 def test_vote_stack_matches_oracles(stack):
     """Each (rows, topologies) matrix of the stack votes as the oracles say,
     also when the trials lie on two leading axes, (a, b, rows, topologies),
-    as a repetition's (true topologies, steps) do."""
+    as a repetition's (true topologies, steps) do, and on both routes: as
+    drawn, topologies contiguous, and copied with the topologies outermost
+    in memory, so strided, as in a repetition's stack."""
     ids = tuple(f"T{j}" for j in range(stack.shape[2]))
     labels = ids + (INCONCLUSIVE,)
     oracles = {"rmv": _oracle_rmv, "armv": _oracle_armv, "ormv": _oracle_ormv}
     a = next((d for d in (2, 3) if len(stack) % d == 0), 1)
     grid = stack.reshape(a, len(stack) // a, *stack.shape[1:])
-    for trials in (stack, grid):
-        verdicts, votes = vote_stack(trials)
-        assert verdicts.keys() == set(CRITERIA)
-        for i in np.ndindex(trials.shape[:-2]):
-            for crit in CRITERIA:
-                assert labels[verdicts[crit][i]] == oracles[crit](trials[i], ids)
-            row_votes = [labels[v] if v < len(ids) else None for v in votes[i]]
-            assert row_votes == _oracle_row_votes(trials[i], ids)
+    for drawn in (stack, grid):
+        strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(drawn, -1, 0)), 0, -1)
+        for trials in (drawn, strided):
+            verdicts, votes = vote_stack(trials)
+            assert verdicts.keys() == set(CRITERIA)
+            assert {votes.dtype, *(v.dtype for v in verdicts.values())} == {np.dtype(np.intp)}
+            for i in np.ndindex(trials.shape[:-2]):
+                for crit in CRITERIA:
+                    assert labels[verdicts[crit][i]] == oracles[crit](trials[i], ids)
+                row_votes = [labels[v] if v < len(ids) else None for v in votes[i]]
+                assert row_votes == _oracle_row_votes(trials[i], ids)
 
 
 @settings(max_examples=200, deadline=None)
