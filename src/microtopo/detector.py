@@ -100,13 +100,13 @@ def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
 
 
 def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps, slack_index: int,
-                        tol: float = TOL, work: np.ndarray | None = None) -> BatchPowerFlow:
+                        tol: float = TOL) -> BatchPowerFlow:
     """Every (topology, step) case of `ybus_by_topo` and the (steps, buses)
     injections `p`, `q` as one `solve_newton_raphson_batch` grid, indexed
-    [topology, step, ...], given `work` if any. The first failed case in
-    (topology, step) order raises `LibraryError`."""
+    [topology, step, ...]. The first failed case in (topology, step) order
+    raises `LibraryError`."""
     batch = solve_newton_raphson_batch(np.stack(list(ybus_by_topo.values())), p, q,
-                                       tol=tol, slack_index=slack_index, work=work)
+                                       tol=tol, slack_index=slack_index)
     failed = np.argwhere(~batch.converged)  # in (topology, step) order
     if failed.size:
         topo, step = failed[0].tolist()
@@ -135,12 +135,12 @@ def compute_difference_matrices(measurements, library: TopologyLibrary,
 
 
 def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
-                      lib_va_deg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                      lib_va_deg: np.ndarray) -> np.ndarray:
     """Signed ADM and MDM, measured minus library, of many trials at once,
-    as one (..., signals, rows, topologies) stack, in `out` if given: signals
-    in `SIGNALS` order, so [..., 0, :, :] is the ADM and [..., 1, :, :] the
-    MDM, and one row per bus. Its helpers `_measured_stack` and
-    `_library_stack` decide this layout, in one place; `vote_stack` votes it.
+    as one (..., signals, rows, topologies) stack: signals in `SIGNALS`
+    order, so [..., 0, :, :] is the ADM and [..., 1, :, :] the MDM, and one
+    row per bus. Its helpers `_measured_stack` and `_library_stack` decide
+    this layout, in one place; `vote_stack` votes it.
 
     `vm`/`va_deg` are measured (..., buses) arrays and `lib_vm`/`lib_va_deg`
     the (topologies, ..., buses) library states, all with the buses in id
@@ -148,8 +148,7 @@ def difference_stacks(vm: np.ndarray, va_deg: np.ndarray, lib_vm: np.ndarray,
     (topologies, buses) library, and the (true topologies, steps, buses)
     readings of a repetition meet its (topologies, steps, buses) library.
     """
-    return np.subtract(_measured_stack(vm, va_deg)[..., None],
-                       _library_stack(lib_vm, lib_va_deg), out=out)
+    return _measured_stack(vm, va_deg)[..., None] - _library_stack(lib_vm, lib_va_deg)
 
 
 def _measured_stack(vm: np.ndarray, va_deg: np.ndarray) -> np.ndarray:
@@ -181,8 +180,7 @@ def detect(matrices: DifferenceMatrices, criterion: str, signal: str) -> Detecti
     return matrices._outcomes[criterion, signal]
 
 
-def vote_stack(stack: np.ndarray,
-               work: np.ndarray | None = None) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """RMV, ARMV and ORMV over a (..., rows, topologies) stack of ADM or MDM
     matrices: the one place the voting and tie rules are coded. Any leading
     axes are trials and signals, such as the (true topologies, steps,
@@ -190,8 +188,8 @@ def vote_stack(stack: np.ndarray,
 
     Each row votes for the topology of its minimum |residual|. RMV takes the
     majority of the row votes, ORMV a unanimous row vote, and ARMV the
-    smallest column mean of |residual|, held in `work` if given, so a stack
-    and its negation vote alike; the caller's stack is left as it is. Ties:
+    smallest column mean of |residual|, so a stack and its negation vote
+    alike; the caller's stack is left as it is. Ties:
     - a row whose minimum is tied abstains (it cannot tell the candidates
       apart, as for the slack bus, whose state is the same in every
       topology);
@@ -206,7 +204,7 @@ def vote_stack(stack: np.ndarray,
 
     The stack's layout picks the route: a snapshot's stack, topologies
     contiguous, takes `_unique_argmin` and one `bincount` of the row votes;
-    a repetition's (`scenario._rep_arrays`), topologies strided, takes
+    a repetition's (`scenario.run_rep`), topologies strided, takes
     `_unique_minima`, reductions over that axis, which `argmin` would copy.
     Sizes must be finite: on NaN the routes differ (`argmin` votes a lone
     NaN, the reductions tie); a failed library case raises `LibraryError`.
@@ -214,7 +212,7 @@ def vote_stack(stack: np.ndarray,
     *cells, rows, n_topo = stack.shape
     if not rows:
         raise ValueError("a stack to vote needs at least one row")
-    stack = np.abs(stack, out=work)
+    stack = np.abs(stack)
     # Each criterion is the unique argmin of one key per topology: RMV its
     # row-vote count negated, ARMV its column mean (add.reduce / rows rounds
     # as .mean does), ORMV whether it got no row vote, unique only when one

@@ -213,15 +213,9 @@ def _flat_start_inverse(ybus_bytes: bytes, n: int) -> tuple[np.ndarray, bool]:
     return inv[0], bool(singular[0])
 
 
-def batch_work_size(n_topo: int, n_step: int, n_bus: int) -> int:
-    """Floats in a `work` of `solve_newton_raphson_batch` for this grid size."""
-    return 2 * n_topo * n_step * ((n_bus + 7) * (n_bus - 1) + n_bus)
-
-
 def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
                                tol: float = TOL, max_iter: int = 50,
-                               slack_index: int = 0,
-                               work: np.ndarray | None = None) -> BatchPowerFlow:
+                               slack_index: int = 0) -> BatchPowerFlow:
     """Polar Newton-Raphson from a flat start over the (topology, step) grid.
 
     `ybus` is the (T, n, n) stack of the topologies' admittance matrices and
@@ -240,9 +234,8 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     inverse and one matrix-vector product per case), so a case takes the
     same steps, with the same arithmetic, as in a 1 x 1 grid; a diverging,
     non-finite or singular case leaves the other cases' results unchanged.
-    `vm`/`va_deg` hold the solution of converged cases only. The working
-    arrays are views of `work` if given, a flat float array of
-    `batch_work_size` elements; no result is a view of it.
+    `vm`/`va_deg` hold the solution of converged cases only; no result is a
+    view of the solver's working arrays.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -258,8 +251,11 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     no_inverse = np.array(flat_singular)[:, None].repeat(n_step, axis=1)
     y_cols = ybus[:, 1:, :, None].transpose(2, 0, 1, 3)  # (n, T, k, 1)
     s_spec = (p + 1j * q)[:, 1:]  # (S, k), shared by the topologies
-    # n + 7 rows of 2k floats per case, then the bus voltages, all in `work`
-    work = np.empty(batch_work_size(n_topo, n_step, n)) if work is None else work
+    # The working arrays are views of one block per solve, each iteration
+    # writing into them: n + 7 rows of 2k floats per case, then the bus
+    # voltages. As separate arrays they cost an `experiment --reps 4` call
+    # 100-151 minor page faults, against under 1 as one block.
+    work = np.empty(2 * n_topo * n_step * ((n + 7) * k + n))
     rows = work[:2 * k * n_topo * n_step * (n + 7)].reshape(n + 7, -1)
     products = rows[:n].view(complex).reshape(n, n_topo, k, n_step)
     v_pq, i_pq, ds = rows[n:n + 3].view(complex).reshape(3, *grid, k)  # ds = S - v conj(i)

@@ -41,7 +41,7 @@ from .measurements import (
     shared_stream_key,
 )
 from .network import NetworkGraph, TopologyConfig, build_ybus, load_network, read_utf8
-from .powerflow import TOL, InjectionSnapshot, batch_work_size
+from .powerflow import TOL, InjectionSnapshot
 # Not called here since trials solve in stacks, but kept importable from this
 # module: perfbench/test_perfbench.py checks through this name that the layer
 # tracer rebinds a function imported by another module.
@@ -234,34 +234,21 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
         pmu_offsets_by_rep=pmu_offsets, scada_offsets_by_rep=scada_offsets)
 
 
-def solve_true_states(ctx: ExperimentContext, true_ids: tuple[str, ...] | None = None,
-                      work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def solve_true_states(ctx: ExperimentContext,
+                      true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """True (vm, va_deg) of each topology of `true_ids` (default: all of
     `topology_ids`) over the day, as (true topologies, steps, buses) arrays
-    from one grid solve of the noise-free library, given `work`; the first
-    failed case raises its `LibraryError`."""
+    from one grid solve of the noise-free library; the first failed case
+    raises its `LibraryError`."""
     true_ids = ctx.topology_ids if true_ids is None else true_ids
     batch = solve_library_batch({q: ctx.ybus_by_topo[q] for q in true_ids},
                                 ctx.true_p, ctx.true_q, range(len(ctx.true_p)),
-                                ctx.graph.slack_index, work=work)
+                                ctx.graph.slack_index)
     return batch.vm, batch.va_deg
 
 
-def _rep_arrays(ctx: ExperimentContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`run_rep`'s `work` for all of `ctx`'s topologies as true: the solver's
-    `work`, a stack and its absolute values, as views of one block, since
-    glibc's malloc then keeps up to twice that block's size on its heap."""
-    n_topo, (n_step, n_bus) = len(ctx.topologies), ctx.true_p.shape
-    # laid out as a new `difference_stacks` of a repetition: steps innermost
-    stacks = (2, n_bus, len(SIGNALS), n_topo, n_topo, n_step)
-    block = np.empty(math.prod(stacks) + batch_work_size(n_topo, n_step, n_bus))
-    stack, sizes = block[:math.prod(stacks)].reshape(stacks).transpose(0, 3, 5, 2, 1, 4)
-    return block[math.prod(stacks):], stack, sizes
-
-
 def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.ndarray,
-            true_ids: tuple[str, ...] | None = None, *,
-            work: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
+            true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, ...]:
     """Repetition `rep`: the trials of each true topology of `true_ids`
     (default: all of `topology_ids`) at every step of the day, with true
     states (true_vm, true_va) by true topology and step, from
@@ -284,8 +271,6 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     readings from the stream keyed (1 + rep, "pmu:<topology id>"). Each
     stream makes one full-day draw, of which step t reads row t, so a
     trial's noise depends only on the seed, its topology, step and rep.
-    Given `work` from `_rep_arrays`, it returns the stack in `work`, where
-    the next repetition given `work` overwrites it.
     """
     config = ctx.config
     graph = ctx.graph
@@ -305,13 +290,11 @@ def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.n
     lib_q = np.zeros_like(q)
     lib_p[:, rows] = scada_p
     lib_q[:, rows] = scada_q
-    solver, out, sizes = work or (None,) * 3
     library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
-                                  graph.slack_index, work=solver)
+                                  graph.slack_index)
     # Every true topology's readings meet the same (topologies, steps, buses) library.
-    stack = difference_stacks(pmu_vm, pmu_va, library.vm, library.va_deg, out=out)
-    del library, pmu_vm, pmu_va  # in the stack now: freed before the vote's peak
-    by_criterion, votes = vote_stack(stack, work=sizes)
+    stack = difference_stacks(pmu_vm, pmu_va, library.vm, library.va_deg)
+    by_criterion, votes = vote_stack(stack)
     return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
 
 
@@ -387,23 +370,23 @@ class DetectionRateReport:
         return correct / max(1, n)
 
 
-def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
-    """Run and count each repetition of `reps`, one at a time: a
-    repetition's stacks are its unit of work. The true states are solved
-    once per chunk, and its repetitions fill one `_rep_arrays` in turn."""
+def _run_chunk(ctx: ExperimentContext, reps: list[int],
+               true_states: tuple[np.ndarray, np.ndarray]) -> DetectionRateReport:
+    """Run and count each repetition of `reps`, one at a time, with the
+    (vm, va_deg) `true_states` of every topology: a repetition's stacks are
+    its unit of work."""
     report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.graph.bus_ids)
-    work = _rep_arrays(ctx)
-    true_states = solve_true_states(ctx, work=work[0])
     for rep in reps:
-        report.record_rep(*run_rep(ctx, rep, *true_states, work=work)[1:])
+        report.record_rep(*run_rep(ctx, rep, *true_states)[1:])
     return report
 
 
-def _chunk_child(ctx: ExperimentContext, reps: list[int], conn):
+def _chunk_child(ctx: ExperimentContext, reps: list[int],
+                 true_states: tuple[np.ndarray, np.ndarray], conn):
     """A worker process's body: run one chunk and send back (True, report)
     or (False, (the exception it raised, its formatted traceback))."""
     try:
-        reply = (True, _run_chunk(ctx, reps))
+        reply = (True, _run_chunk(ctx, reps, true_states))
     except Exception as exc:
         reply = (False, (exc, traceback.format_exc()))
     conn.send(reply)
@@ -420,23 +403,25 @@ def _usable_cpus() -> int:
 def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     """Full Monte Carlo sweep: every topology x 96 steps x R repetitions.
 
-    The repetitions split into contiguous chunks, at most one per job, per
-    repetition and per usable CPU. The calling process runs the first chunk,
-    and each other chunk runs in one `multiprocessing.Process` that sends
-    its report back over a one-way pipe, so a serial run (`jobs` = 1 or one
-    repetition) is one chunk and starts no process. An error in any chunk
-    stops the other processes and is raised here, a worker's exception with
-    the worker's traceback as its cause; a worker that exits without
-    replying raises a RuntimeError that names its repetitions and exit code.
+    The true states are solved once, before any process starts, and shared
+    by every chunk. The repetitions split into contiguous chunks, at most
+    one per job, per repetition and per usable CPU. The calling process runs
+    the first chunk, and each other chunk runs in one
+    `multiprocessing.Process` that sends its report back over a one-way
+    pipe, so a serial run (`jobs` = 1 or one repetition) is one chunk and
+    starts no process. An error in any chunk stops the other processes and
+    is raised here, a worker's exception with the worker's traceback as its
+    cause; a worker that exits without replying raises a RuntimeError that
+    names its repetitions and exit code.
 
     Deterministic for a given config (including master_seed) regardless of
     the job count, because every repetition derives its own RNG streams and
     the chunks' integer counts are summed.
     """
     ctx = build_context(config)
+    true_states = solve_true_states(ctx)
     reps = list(range(config.repetitions))
-    # One contiguous run of repetitions per process: repetitions cost alike,
-    # and each chunk solves the true states once.
+    # One contiguous run of repetitions per process: repetitions cost alike.
     n_chunks = min(config.jobs, len(reps), _usable_cpus())
     chunks = [reps[i * len(reps) // n_chunks:(i + 1) * len(reps) // n_chunks]
               for i in range(n_chunks)]
@@ -444,11 +429,12 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     try:
         for chunk in chunks[1:]:
             receiver, sender = multiprocessing.Pipe(duplex=False)
-            process = multiprocessing.Process(target=_chunk_child, args=(ctx, chunk, sender))
+            process = multiprocessing.Process(target=_chunk_child,
+                                              args=(ctx, chunk, true_states, sender))
             process.start()
             workers.append((process, receiver, chunk))
             sender.close()  # so the receiver reads EOF once the worker is gone
-        report = _run_chunk(ctx, chunks[0])
+        report = _run_chunk(ctx, chunks[0], true_states)
         for process, receiver, chunk in workers:
             try:
                 ok, payload = receiver.recv()

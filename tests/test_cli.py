@@ -323,7 +323,7 @@ def test_detect_prints_row_t_of_the_task_the_experiment_counts(monkeypatch, caps
     monkeypatch.setattr(scenario.DetectionRateReport, "record_rep",
                         lambda report, verdicts, votes: counted.update(
                             zip(ctx.topology_ids, zip(verdicts, votes))))
-    scenario._run_chunk(ctx, [0])
+    scenario._run_chunk(ctx, [0], scenario.solve_true_states(ctx))
     labels = ctx.topology_ids + (INCONCLUSIVE,)
     angle = SIGNALS.index("angle")
     for topo, t in pairs:

@@ -409,18 +409,28 @@ def test_failed_cases_leave_the_others_unchanged(fixture_grid, graph):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_a_work_buffer_leaves_every_field_unchanged(fixture_grid, graph):
+def test_every_working_array_is_written_before_it_is_read(fixture_grid, graph, monkeypatch):
     """The grid of `test_failed_cases_leave_the_others_unchanged` (diverging,
     non-finite and singular cases) gives the same bits in all six fields
-    whether the working arrays are views of a caller's buffer or of one the
-    solver allocates. What the buffer held before, NaN or an earlier solve's
-    arrays, changes nothing, and no field is a view of it."""
+    when every `np.empty` the solve makes, its block of working arrays
+    included, comes filled with NaN (or -1 for integers): no result reads
+    what an array held before the solver wrote it."""
     ybus, p, q = fixture_grid
     grid_y, grid_p, grid_q = _failing_grid(graph, ybus, p, q, 4, [0, "heavy", 37, "nan", 60, 95])
-    work = np.full(powerflow.batch_work_size(len(grid_y), *grid_p.shape), np.nan)
     fresh = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
-    for _ in range(2):
-        reused = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20, work=work)
-        for name in FIELDS:
-            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
-            assert not np.shares_memory(getattr(reused, name), work)
+    empty = np.empty
+    poisoned = []
+
+    def nan_empty(shape, dtype=float, *args, **kwargs):
+        array = empty(shape, dtype, *args, **kwargs)
+        array.fill(np.nan if array.dtype.kind in "fc" else -1)
+        poisoned.append(array.size)
+        return array
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    filled = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
+    monkeypatch.undo()
+    n_case, n = grid_y.shape[0] * len(grid_p), len(graph.bus_ids)
+    assert max(poisoned) == 2 * n_case * ((n + 7) * (n - 1) + n)  # the working block
+    for name in FIELDS:
+        assert getattr(filled, name).tobytes() == getattr(fresh, name).tobytes(), name

@@ -419,40 +419,47 @@ def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
     topologies) stack."""
     calls = []
 
-    def counted(stack, **kwargs):
+    def counted(stack):
         calls.append(stack.shape)
-        return detector.vote_stack(stack, **kwargs)
+        return detector.vote_stack(stack)
 
     monkeypatch.setattr(scenario, "vote_stack", counted)
     run_experiment(_tiny_config(repetitions=3, master_seed=4))
     assert calls == [(5, 96, len(SIGNALS), 5, 5)] * 3
 
 
-def test_a_chunks_repetitions_share_its_arrays_without_aliasing_their_outcomes():
-    """The repetitions of a chunk write their large arrays to one set from
-    `_rep_arrays`: the stack a repetition returns is the set's, which the
-    next repetition overwrites, but its verdicts and votes are its own. A
-    repetition's arrays have the bits of the same repetition run with fresh
-    arrays, and so the chunk's report counts what fresh runs count."""
+def test_a_chunk_counts_what_fresh_repetitions_count():
+    """A chunk's report counts the outcome arrays of each of its
+    repetitions, as `run_rep` returns them when called alone."""
     ctx = build_context(_tiny_config(repetitions=2, master_seed=17))
     true_states = solve_true_states(ctx)
-    work = scenario._rep_arrays(ctx)
-    assert solve_true_states(ctx, work=work[0])[0].tobytes() == true_states[0].tobytes()
-    first = run_rep(ctx, 0, *true_states, work=work)
-    assert first[0] is work[1]
-    kept = [a.copy() for a in first]
-    second = run_rep(ctx, 1, *true_states, work=work)
-    assert all(np.array_equal(a, b) for a, b in zip(first[1:], kept[1:]))
-    assert first[0] is second[0]
     fresh = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.graph.bus_ids)
-    for rep, arrays in enumerate((kept, second)):
-        alone = run_rep(ctx, rep, *true_states)
-        assert not any(np.shares_memory(a, b) for a in alone for b in work)
-        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in alone]
-        fresh.record_rep(*alone[1:])
-    chunk = scenario._run_chunk(ctx, [0, 1])
+    for rep in (0, 1):
+        fresh.record_rep(*run_rep(ctx, rep, *true_states)[1:])
+    chunk = scenario._run_chunk(ctx, [0, 1], true_states)
     assert np.array_equal(chunk.confusion, fresh.confusion)
     assert np.array_equal(chunk.row_votes, fresh.row_votes)
+
+
+def test_a_repetition_votes_its_stack_by_reductions_over_the_strided_topology_axis(
+        monkeypatch):
+    """`run_rep`'s stack and its absolute values keep the candidate axis
+    strided, with the steps innermost (96 floats apart on `paper.cfg`), so
+    `vote_stack` takes `_unique_minima` for it, never the `argmin` route
+    that would copy the stack; a C-ordered stack would take that route."""
+    ctx = build_context(_tiny_config())
+    stack = run_rep(ctx, 0, *solve_true_states(ctx))[0]
+    assert stack.strides[-1] == np.abs(stack).strides[-1] == 96 * stack.itemsize
+    routes = []
+    for name in ("_unique_argmin", "_unique_minima"):
+        route = getattr(detector, name)
+        monkeypatch.setattr(detector, name, lambda *args, route=route: (
+            routes.append(route.__name__) or route(*args)))
+    vote_stack(stack)
+    assert set(routes) == {"_unique_minima"}
+    routes.clear()
+    vote_stack(np.ascontiguousarray(stack))
+    assert set(routes) == {"_unique_argmin"}
 
 
 def test_record_rep_counts_like_a_loop():
@@ -493,11 +500,12 @@ def test_task_counts_do_not_depend_on_the_repetition_count(other):
     the repetition: repetition 1 counts the same alone under --reps 2 as in
     a chunk with repetition `other` under --reps 5, less that repetition's
     own counts."""
-    alone = scenario._run_chunk(build_context(_tiny_config(repetitions=2, master_seed=13)),
-                                [1])
+    two = build_context(_tiny_config(repetitions=2, master_seed=13))
+    alone = scenario._run_chunk(two, [1], solve_true_states(two))
     ctx = build_context(_tiny_config(repetitions=5, master_seed=13))
-    shared = scenario._run_chunk(ctx, sorted([1, other]))
-    rest = scenario._run_chunk(ctx, [other])
+    true_states = solve_true_states(ctx)
+    shared = scenario._run_chunk(ctx, sorted([1, other]), true_states)
+    rest = scenario._run_chunk(ctx, [other], true_states)
     assert (alone.confusion.sum(axis=(1, 2, 3)) == 96 * 3 * 2).all()
     assert np.array_equal(alone.confusion, shared.confusion - rest.confusion)
     assert np.array_equal(alone.row_votes, shared.row_votes - rest.row_votes)
@@ -604,8 +612,8 @@ def _run_inline_pool(monkeypatch, **overrides):
     ran = []
     run_chunk = scenario._run_chunk
     monkeypatch.setattr(scenario, "multiprocessing", inline)
-    monkeypatch.setattr(scenario, "_run_chunk",
-                        lambda ctx, reps: ran.append(reps) or run_chunk(ctx, reps))
+    monkeypatch.setattr(scenario, "_run_chunk", lambda ctx, reps, true_states: (
+        ran.append(reps) or run_chunk(ctx, reps, true_states)))
     report = run_experiment(_tiny_config(**overrides))
     return report, inline.started, [reps for reps in ran if reps not in inline.started]
 
@@ -648,6 +656,36 @@ def test_pool_forks_no_more_processes_than_usable_cpus(monkeypatch, affinity, cp
     _assert_same_counts(pooled, serial)
 
 
+def test_the_caller_solves_the_true_states_once_before_any_process_starts(monkeypatch):
+    """A pooled run solves the true states once, in the caller, and hands
+    them to every chunk; when that solve fails, no process has started."""
+    _pin_usable_cpus(monkeypatch, 2)
+    solve = scenario.solve_true_states
+    solved = []
+
+    def counted(ctx):
+        solved.append(ctx.topology_ids)
+        return solve(ctx)
+
+    monkeypatch.setattr(scenario, "solve_true_states", counted)
+    serial = run_experiment(_tiny_config(repetitions=2, master_seed=31))
+    pooled, started, caller = _run_inline_pool(monkeypatch, repetitions=2, master_seed=31,
+                                               jobs=2)
+    assert (started, caller) == ([[1]], [[0]])
+    assert len(solved) == 2  # one per run
+    _assert_same_counts(pooled, serial)
+
+    def failing(ctx):
+        raise LibraryError("power flow failed for topology III at t=40: diverged")
+
+    monkeypatch.setattr(scenario, "solve_true_states", failing)
+    inline = _InlineMultiprocessing()
+    monkeypatch.setattr(scenario, "multiprocessing", inline)
+    with pytest.raises(LibraryError):
+        run_experiment(_tiny_config(repetitions=2, jobs=2))
+    assert inline.started == []
+
+
 fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                reason="the test monkeypatches what a forked worker runs")
 
@@ -674,12 +712,12 @@ def test_library_error_in_a_chunk_exits_3_like_the_serial_run(tmp_path, capsys,
     parent = os.getpid()
     run_rep = scenario.run_rep
 
-    def failing_run_rep(ctx, rep, *true_states, **kwargs):
+    def failing_run_rep(ctx, rep, true_vm, true_va, true_ids=None):
         if rep == failing_rep:
             if os.getpid() != parent:
                 (tmp_path / "failed-in-worker").touch()
             raise LibraryError("power flow failed for topology III at t=40: diverged")
-        return run_rep(ctx, rep, *true_states, **kwargs)
+        return run_rep(ctx, rep, true_vm, true_va, true_ids)
 
     monkeypatch.setattr(scenario, "run_rep", failing_run_rep)
     _pin_usable_cpus(monkeypatch, 2)
@@ -708,10 +746,10 @@ def test_worker_that_exits_without_replying_is_reported(monkeypatch):
     parent = os.getpid()
     run_rep = scenario.run_rep
 
-    def dying_run_rep(ctx, rep, *true_states, **kwargs):
+    def dying_run_rep(ctx, rep, true_vm, true_va, true_ids=None):
         if rep == 2 and os.getpid() != parent:
             os._exit(1)
-        return run_rep(ctx, rep, *true_states, **kwargs)
+        return run_rep(ctx, rep, true_vm, true_va, true_ids)
 
     monkeypatch.setattr(scenario, "run_rep", dying_run_rep)
     _pin_usable_cpus(monkeypatch, 2)
