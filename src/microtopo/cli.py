@@ -21,12 +21,12 @@ from .powerflow import InjectionSnapshot, PowerFlowError, solve_newton_raphson
 from .scenario import (
     ConfigError,
     build_context,
+    classify,
+    draw_readings,
     dump_matrices_csv,
     fixture_path,
     load_config,
     run_experiment,
-    run_rep,
-    solve_true_states,
     summarize,
     write_report,
 )
@@ -188,9 +188,8 @@ def cmd_detect(args) -> int:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     topo = _find_topology(ctx.topologies, args.topo)
     t = args.t
-    index = (0, t)  # trial (topology, t, rep 0) of the one true topology played
-    true_ids = (topo.id,)
-    stack, verdicts, votes = run_rep(ctx, 0, *solve_true_states(ctx, true_ids), true_ids)
+    index = (ctx.topology_ids.index(topo.id), t)  # trial (topology, t, rep 0)
+    stack, verdicts, votes = classify(ctx, *draw_readings(ctx, 0))
     print(f"true topology {topo.id}, t={t}, seed={config.master_seed}")
     verdict_labels = ctx.topology_ids + (INCONCLUSIVE,)
     cells = zip(itertools.product(CRITERIA, SIGNALS), verdicts[index].ravel().tolist())

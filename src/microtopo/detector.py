@@ -204,7 +204,7 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
 
     The stack's layout picks the route: a snapshot's stack, topologies
     contiguous, takes `_unique_argmin` and one `bincount` of the row votes;
-    a repetition's (`scenario.run_rep`), topologies strided, takes
+    a repetition's (`scenario.classify`), topologies strided, takes
     `_unique_minima`, reductions over that axis, which `argmin` would copy.
     Sizes must be finite: on NaN the routes differ (`argmin` votes a lone
     NaN, the reductions tie); a failed library case raises `LibraryError`.

@@ -192,6 +192,16 @@ class ExperimentContext:
         return tuple(InjectionSnapshot(bus_ids=self.graph.bus_ids, p=p, q=q)
                      for p, q in zip(self.true_p, self.true_q))
 
+    @cached_property
+    def true_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """True (vm, va_deg) of every topology over the day, as (topologies,
+        steps, buses) arrays from one grid solve of the noise-free library,
+        solved on first read and pickled with the context; the first failed
+        case raises its `LibraryError`."""
+        batch = solve_library_batch(self.ybus_by_topo, self.true_p, self.true_q,
+                                    range(len(self.true_p)), self.graph.slack_index)
+        return batch.vm, batch.va_deg
+
     @property
     def topology_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.topologies)
@@ -234,68 +244,57 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
         pmu_offsets_by_rep=pmu_offsets, scada_offsets_by_rep=scada_offsets)
 
 
-def solve_true_states(ctx: ExperimentContext,
-                      true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """True (vm, va_deg) of each topology of `true_ids` (default: all of
-    `topology_ids`) over the day, as (true topologies, steps, buses) arrays
-    from one grid solve of the noise-free library; the first failed case
-    raises its `LibraryError`."""
-    true_ids = ctx.topology_ids if true_ids is None else true_ids
-    batch = solve_library_batch({q: ctx.ybus_by_topo[q] for q in true_ids},
-                                ctx.true_p, ctx.true_q, range(len(ctx.true_p)),
-                                ctx.graph.slack_index)
-    return batch.vm, batch.va_deg
+def draw_readings(ctx: ExperimentContext, rep: int) -> tuple[np.ndarray, ...]:
+    """Repetition `rep`'s readings of every true topology at every step:
+    μPMU (vm, va_deg) of `ctx.true_states`, (true topologies, steps, buses)
+    arrays, and SCADA (p, q) of the day's injections, (steps, SCADA buses)
+    arrays in `ctx.scada_buses` order.
 
-
-def run_rep(ctx: ExperimentContext, rep: int, true_vm: np.ndarray, true_va: np.ndarray,
-            true_ids: tuple[str, ...] | None = None) -> tuple[np.ndarray, ...]:
-    """Repetition `rep`: the trials of each true topology of `true_ids`
-    (default: all of `topology_ids`) at every step of the day, with true
-    states (true_vm, true_va) by true topology and step, from
-    `solve_true_states` of the same `true_ids`. Trial (T, t, rep) of the
-    experiment is [T, t] of every array the repetition returns, T a
-    position in `true_ids`; the candidates are always all `topology_ids`.
-
-    Returns (stack, verdicts, votes): the signed ADM and MDM as one (true
-    topologies, steps, signals, rows, topologies) stack, from one
-    `difference_stacks` call of the readings against the library; the
-    verdict codes, (true topologies, steps, criteria, signals); and the row
-    votes, (true topologies, steps, signals, rows). Criteria and signals are
-    in `CRITERIA` and `SIGNALS` order, and the codes are `vote_stack`'s, from
-    one call over the stack.
-
-    SCADA reads the loads, which do not depend on the switch state, so the
-    repetition draws one set of SCADA readings, from the stream keyed (1 +
-    rep, "scada"), and solves from them one candidate library, one grid
-    power flow for all true topologies. Each true topology draws its μPMU
-    readings from the stream keyed (1 + rep, "pmu:<topology id>"). Each
-    stream makes one full-day draw, of which step t reads row t, so a
-    trial's noise depends only on the seed, its topology, step and rep.
+    SCADA reads the loads, which do not depend on the switch state, so one
+    set of SCADA readings, from the stream keyed (1 + rep, "scada"), serves
+    all true topologies; each true topology draws its μPMU readings from the
+    stream keyed (1 + rep, "pmu:<topology id>"). Each stream makes one
+    full-day draw, of which step t reads row t, so a trial's noise depends
+    only on the seed, its topology, step and rep.
     """
-    config = ctx.config
-    graph = ctx.graph
-    true_ids = ctx.topology_ids if true_ids is None else true_ids
+    seed = ctx.config.master_seed
     pmu_vm, pmu_va = np.array([
         pmu_readings(vm, va, ctx.pmu_spec,
-                     derive_rng_stream(config.master_seed, 1 + rep, _pmu_device(topology_id)),
+                     derive_rng_stream(seed, 1 + rep, _pmu_device(topology_id)),
                      ctx.pmu_offsets_by_rep[rep])
-        for topology_id, vm, va in zip(true_ids, true_vm, true_va, strict=True)]).swapaxes(0, 1)
-    p, q = ctx.true_p, ctx.true_q
-    rows = [graph.bus_index(bus) for bus in ctx.scada_buses]
+        for topology_id, vm, va in zip(ctx.topology_ids, *ctx.true_states)]).swapaxes(0, 1)
+    rows = [ctx.graph.bus_index(bus) for bus in ctx.scada_buses]
     scada_p, scada_q = scada_readings(
-        p[:, rows], q[:, rows], ctx.scada_spec,
-        derive_rng_stream(config.master_seed, 1 + rep, "scada"),
-        ctx.scada_offsets_by_rep[rep])
-    lib_p = np.zeros_like(p)
-    lib_q = np.zeros_like(q)
+        ctx.true_p[:, rows], ctx.true_q[:, rows], ctx.scada_spec,
+        derive_rng_stream(seed, 1 + rep, "scada"), ctx.scada_offsets_by_rep[rep])
+    return pmu_vm, pmu_va, scada_p, scada_q
+
+
+def classify(ctx: ExperimentContext, pmu_vm: np.ndarray, pmu_va: np.ndarray,
+             scada_p: np.ndarray, scada_q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vote μPMU readings, (vm, va_deg) per (..., steps, buses), against the
+    candidate library solved from SCADA readings, (p, q) per (step, SCADA
+    bus) with every other injection zero: the arrays `draw_readings`
+    returns. Any leading axes of the μPMU readings are trials that meet the
+    same (topologies, steps, buses) library.
+
+    Returns (stack, verdicts, votes), each indexed first by the readings'
+    leading axes and step, so trial (T, t) of a repetition is [T, t] of
+    each: the signed ADM and MDM as one (signals, rows, topologies) stack
+    per trial, from one `difference_stacks` call; the verdict codes,
+    (criteria, signals), and the row votes, (signals, rows), in `CRITERIA`
+    and `SIGNALS` order, from one `vote_stack` call over the stack.
+    """
+    rows = [ctx.graph.bus_index(bus) for bus in ctx.scada_buses]
+    lib_p = np.zeros((len(scada_p), ctx.graph.n_bus))
+    lib_q = np.zeros_like(lib_p)
     lib_p[:, rows] = scada_p
     lib_q[:, rows] = scada_q
-    library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(p)),
-                                  graph.slack_index)
-    # Every true topology's readings meet the same (topologies, steps, buses) library.
+    library = solve_library_batch(ctx.ybus_by_topo, lib_p, lib_q, range(len(lib_p)),
+                                  ctx.graph.slack_index)
     stack = difference_stacks(pmu_vm, pmu_va, library.vm, library.va_deg)
     by_criterion, votes = vote_stack(stack)
-    return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=2), votes
+    return stack, np.stack([by_criterion[c] for c in CRITERIA], axis=-2), votes
 
 
 def _tally(codes: np.ndarray, n_codes: int) -> np.ndarray:
@@ -337,7 +336,7 @@ class DetectionRateReport:
             (n_topo, len(self.signals), len(self.pmu_bus_ids), n_topo + 1), dtype=np.int64)
 
     def record_rep(self, verdicts: np.ndarray, votes: np.ndarray):
-        """Count the outcome arrays of a repetition, such as `run_rep`'s: verdict
+        """Count the outcome arrays of a repetition, such as `classify`'s: verdict
         codes (true topologies, steps, criteria, signals) and row votes (true
         topologies, steps, signals, rows), both `vote_stack` codes, tallied alike."""
         n_codes = len(self.topology_ids) + 1
@@ -370,23 +369,20 @@ class DetectionRateReport:
         return correct / max(1, n)
 
 
-def _run_chunk(ctx: ExperimentContext, reps: list[int],
-               true_states: tuple[np.ndarray, np.ndarray]) -> DetectionRateReport:
-    """Run and count each repetition of `reps`, one at a time, with the
-    (vm, va_deg) `true_states` of every topology: a repetition's stacks are
-    its unit of work."""
+def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
+    """Draw, classify and count each repetition of `reps`, one at a time: a
+    repetition's stacks are its unit of work."""
     report = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.graph.bus_ids)
     for rep in reps:
-        report.record_rep(*run_rep(ctx, rep, *true_states)[1:])
+        report.record_rep(*classify(ctx, *draw_readings(ctx, rep))[1:])
     return report
 
 
-def _chunk_child(ctx: ExperimentContext, reps: list[int],
-                 true_states: tuple[np.ndarray, np.ndarray], conn):
+def _chunk_child(ctx: ExperimentContext, reps: list[int], conn):
     """A worker process's body: run one chunk and send back (True, report)
     or (False, (the exception it raised, its formatted traceback))."""
     try:
-        reply = (True, _run_chunk(ctx, reps, true_states))
+        reply = (True, _run_chunk(ctx, reps))
     except Exception as exc:
         reply = (False, (exc, traceback.format_exc()))
     conn.send(reply)
@@ -403,23 +399,23 @@ def _usable_cpus() -> int:
 def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     """Full Monte Carlo sweep: every topology x 96 steps x R repetitions.
 
-    The true states are solved once, before any process starts, and shared
-    by every chunk. The repetitions split into contiguous chunks, at most
-    one per job, per repetition and per usable CPU. The calling process runs
-    the first chunk, and each other chunk runs in one
-    `multiprocessing.Process` that sends its report back over a one-way
-    pipe, so a serial run (`jobs` = 1 or one repetition) is one chunk and
-    starts no process. An error in any chunk stops the other processes and
-    is raised here, a worker's exception with the worker's traceback as its
-    cause; a worker that exits without replying raises a RuntimeError that
-    names its repetitions and exit code.
+    The context's true states are solved once, before any process starts,
+    and every worker gets them with the context. The repetitions split into
+    contiguous chunks, at most one per job, per repetition and per usable
+    CPU. The calling process runs the first chunk, and each other chunk runs
+    in one `multiprocessing.Process` that sends its report back over a
+    one-way pipe, so a serial run (`jobs` = 1 or one repetition) is one
+    chunk and starts no process. An error in any chunk stops the other
+    processes and is raised here, a worker's exception with the worker's
+    traceback as its cause; a worker that exits without replying raises a
+    RuntimeError that names its repetitions and exit code.
 
     Deterministic for a given config (including master_seed) regardless of
     the job count, because every repetition derives its own RNG streams and
     the chunks' integer counts are summed.
     """
     ctx = build_context(config)
-    true_states = solve_true_states(ctx)
+    ctx.true_states  # solved here, so a failed case raises before any process starts
     reps = list(range(config.repetitions))
     # One contiguous run of repetitions per process: repetitions cost alike.
     n_chunks = min(config.jobs, len(reps), _usable_cpus())
@@ -430,11 +426,11 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
         for chunk in chunks[1:]:
             receiver, sender = multiprocessing.Pipe(duplex=False)
             process = multiprocessing.Process(target=_chunk_child,
-                                              args=(ctx, chunk, true_states, sender))
+                                              args=(ctx, chunk, sender))
             process.start()
             workers.append((process, receiver, chunk))
             sender.close()  # so the receiver reads EOF once the worker is gone
-        report = _run_chunk(ctx, chunks[0], true_states)
+        report = _run_chunk(ctx, chunks[0])
         for process, receiver, chunk in workers:
             try:
                 ok, payload = receiver.recv()

@@ -279,8 +279,9 @@ def test_noise_streams_that_share_a_key_exit_2_before_any_trial(tmp_path, monkey
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(scenario, "solve_true_states", no_trial)
-    monkeypatch.setattr(cli, "solve_true_states", no_trial)
+    monkeypatch.setattr(scenario, "solve_library_batch", no_trial)
+    monkeypatch.setattr(scenario, "draw_readings", no_trial)
+    monkeypatch.setattr(cli, "draw_readings", no_trial)
     out = tmp_path / "out"
     for argv in (["experiment", "--reps", "1", "--out-dir", str(out)],
                  ["detect", "--topo", list(renames.values())[0]]):
@@ -323,7 +324,7 @@ def test_detect_prints_row_t_of_the_task_the_experiment_counts(monkeypatch, caps
     monkeypatch.setattr(scenario.DetectionRateReport, "record_rep",
                         lambda report, verdicts, votes: counted.update(
                             zip(ctx.topology_ids, zip(verdicts, votes))))
-    scenario._run_chunk(ctx, [0], scenario.solve_true_states(ctx))
+    scenario._run_chunk(ctx, [0])
     labels = ctx.topology_ids + (INCONCLUSIVE,)
     angle = SIGNALS.index("angle")
     for topo, t in pairs:

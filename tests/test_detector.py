@@ -29,7 +29,7 @@ from microtopo.powerflow import (
     solve_fixed_point_oracle,
     solve_newton_raphson,
 )
-from microtopo.scenario import build_context, fixture_path, load_config, run_rep, solve_true_states
+from microtopo.scenario import build_context, classify, draw_readings, fixture_path, load_config
 
 
 def _vote(mat, ids=None):
@@ -284,7 +284,7 @@ def test_vote_stack_matches_oracles_on_a_repetition_stack():
     (true, step, signal) matrices votes as the oracles say, so every trial's
     offset into the one row-vote count lands on its own cells."""
     ctx = build_context(load_config(fixture_path("paper.cfg"), master_seed=5, repetitions=1))
-    stack = run_rep(ctx, 0, *solve_true_states(ctx))[0]
+    stack = classify(ctx, *draw_readings(ctx, 0))[0]
     assert stack.shape == (5, 96, 2, 5, 5)
     assert max(stack.strides) == stack.strides[3]  # rows outermost: see `_measured_stack`
     ids = ctx.topology_ids
@@ -544,7 +544,7 @@ def test_candidate_separations_dwarf_the_solver_error():
     every other pair of candidate states is apart by at least TIE_MARGIN
     times the solver error, so rounding neither makes nor hides a tie."""
     ctx = build_context(load_config(fixture_path("paper.cfg")))
-    vm, va = solve_true_states(ctx)
+    vm, va = ctx.true_states
     err = {"angle": 0.0, "magnitude": 0.0}
     for q, ybus in enumerate(ctx.ybus_by_topo.values()):
         for t, inj in enumerate(ctx.true_injections):

@@ -8,8 +8,9 @@ tests/data/golden/ holds:
   detect_III_t30_seed5_matrices.csv, the `--dump-matrices` CSV of that call;
 - detect_I_t0_seed5.txt and detect_I_t0_seed5_matrices.csv, the same for
   `microtopo detect --topo I --t 0 --seed 5`: the first topology and the
-  first step, generated when detect still played all five true topologies,
-  so an off-by-one in the one-topology index shows.
+  first step, so an off-by-one in the [topology, step] index of the
+  repetition's arrays shows. detect plays all five true topologies; it
+  played topology Q alone for a while, and printed the same bytes.
 MULTI_REP_SHA256 holds the digests of the three CSVs of
 `microtopo experiment --seed 11 --reps 3` (the same with --jobs 1 and 2);
 several repetitions pin true states reused across repetitions and the

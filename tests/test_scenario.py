@@ -5,6 +5,7 @@ import io
 import itertools
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import tempfile
@@ -33,11 +34,11 @@ from microtopo.scenario import (
     ConfigError,
     DetectionRateReport,
     build_context,
+    classify,
+    draw_readings,
     fixture_path,
     load_config,
     run_experiment,
-    run_rep,
-    solve_true_states,
     summarize,
     write_report,
 )
@@ -289,7 +290,7 @@ def _task(ctx, topology_id, rep=0):
     """The trials of one true topology in repetition `rep`: its rows of the
     repetition's arrays."""
     pos = ctx.topology_ids.index(topology_id)
-    return tuple(a[pos] for a in run_rep(ctx, rep, *solve_true_states(ctx)))
+    return tuple(a[pos] for a in classify(ctx, *draw_readings(ctx, rep)))
 
 
 def test_pmu_readings_keep_their_per_topology_streams(monkeypatch):
@@ -307,7 +308,7 @@ def test_pmu_readings_keep_their_per_topology_streams(monkeypatch):
 
     monkeypatch.setattr(scenario, "pmu_readings", recorded)
     rep = 2
-    run_rep(ctx, rep, *solve_true_states(ctx))
+    draw_readings(ctx, rep)
     assert len(readings) == len(ctx.topologies)
     for (vm, va), topo in zip(readings, ctx.topologies):
         ybus = ctx.ybus_by_topo[topo.id]
@@ -391,26 +392,54 @@ def test_detect_on_a_task_row_matches_its_outcome_arrays(topo_pos, rep, steps):
 
 
 def test_one_true_topology_plays_its_rows_of_the_full_repetition():
-    """`run_rep` over the true states of one topology alone (what `detect`
-    plays) returns, for every step t, row [T, t] of each array of the full
-    repetition-0 call, bit for bit: the μPMU streams are keyed by topology
-    id, and the candidate library is the same."""
+    """`classify` of one true topology's μPMU readings alone, with the
+    repetition's SCADA readings, returns for every step t row [T, t] of
+    each array of the full repetition-0 call, bit for bit: the candidate
+    library is the same, and each trial meets it on its own."""
     ctx = build_context(_tiny_config(master_seed=5))
-    states = solve_true_states(ctx)
-    full = run_rep(ctx, 0, *states)
-    for pos, topo_id in enumerate(ctx.topology_ids):
-        true_ids = (topo_id,)
-        true_vm, true_va = solve_true_states(ctx, true_ids)
-        assert true_vm.shape == (1, 96, 5)
-        assert true_vm[0].tobytes() == states[0][pos].tobytes()
-        assert true_va[0].tobytes() == states[1][pos].tobytes()
-        alone = run_rep(ctx, 0, true_vm, true_va, true_ids)
-        for one, every in zip(alone, full):
+    pmu_vm, pmu_va, scada_p, scada_q = draw_readings(ctx, 0)
+    assert pmu_vm.shape == pmu_va.shape == (5, 96, 5)
+    assert scada_p.shape == scada_q.shape == (96, len(ctx.scada_buses))
+    full = classify(ctx, pmu_vm, pmu_va, scada_p, scada_q)
+    for pos in range(len(ctx.topologies)):
+        alone = classify(ctx, pmu_vm[pos:pos + 1], pmu_va[pos:pos + 1], scada_p, scada_q)
+        for one, every in zip(alone, full, strict=True):
             assert one.shape == (1,) + every.shape[1:]
             assert one[0].tobytes() == every[pos].tobytes()
-    # states of one topology without its id would meet topology I's stream
-    with pytest.raises(ValueError):
-        run_rep(ctx, 0, *solve_true_states(ctx, ("III",)))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a power flow solve or noise draw where none is due")
+
+
+def test_drawing_readings_solves_nothing_and_classifying_them_draws_nothing(monkeypatch):
+    """Once the context's true states are solved, `draw_readings` solves no
+    power flow and `classify` derives no noise stream: a repetition is its
+    readings, then their classification, which needs nothing simulated."""
+    ctx = build_context(_tiny_config(repetitions=2, master_seed=5))
+    want = classify(ctx, *draw_readings(ctx, 1))  # solves the true states
+    monkeypatch.setattr(scenario, "solve_library_batch", _forbidden)
+    readings = draw_readings(ctx, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(scenario, "derive_rng_stream", _forbidden)
+    for got, expected in zip(classify(ctx, *readings), want, strict=True):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_a_pickled_context_carries_its_solved_true_states(monkeypatch):
+    """Spawned and forkserver workers get the context pickled: once read,
+    its true states travel with it, bit for bit, and are not solved again.
+    `build_context` solves no power flow, and a context whose true states
+    were never read pickles without them."""
+    monkeypatch.setattr(scenario, "solve_library_batch", _forbidden)
+    ctx = build_context(_tiny_config())
+    assert "true_states" not in vars(pickle.loads(pickle.dumps(ctx)))
+    monkeypatch.undo()
+    vm, va = ctx.true_states
+    monkeypatch.setattr(scenario, "solve_library_batch", _forbidden)
+    copy_vm, copy_va = pickle.loads(pickle.dumps(ctx)).true_states
+    assert copy_vm.tobytes() == vm.tobytes()
+    assert copy_va.tobytes() == va.tobytes()
 
 
 def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
@@ -430,25 +459,24 @@ def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
 
 def test_a_chunk_counts_what_fresh_repetitions_count():
     """A chunk's report counts the outcome arrays of each of its
-    repetitions, as `run_rep` returns them when called alone."""
+    repetitions, as `classify` returns them for its readings alone."""
     ctx = build_context(_tiny_config(repetitions=2, master_seed=17))
-    true_states = solve_true_states(ctx)
     fresh = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.graph.bus_ids)
     for rep in (0, 1):
-        fresh.record_rep(*run_rep(ctx, rep, *true_states)[1:])
-    chunk = scenario._run_chunk(ctx, [0, 1], true_states)
+        fresh.record_rep(*classify(ctx, *draw_readings(ctx, rep))[1:])
+    chunk = scenario._run_chunk(ctx, [0, 1])
     assert np.array_equal(chunk.confusion, fresh.confusion)
     assert np.array_equal(chunk.row_votes, fresh.row_votes)
 
 
 def test_a_repetition_votes_its_stack_by_reductions_over_the_strided_topology_axis(
         monkeypatch):
-    """`run_rep`'s stack and its absolute values keep the candidate axis
+    """`classify`'s stack and its absolute values keep the candidate axis
     strided, with the steps innermost (96 floats apart on `paper.cfg`), so
     `vote_stack` takes `_unique_minima` for it, never the `argmin` route
     that would copy the stack; a C-ordered stack would take that route."""
     ctx = build_context(_tiny_config())
-    stack = run_rep(ctx, 0, *solve_true_states(ctx))[0]
+    stack = classify(ctx, *draw_readings(ctx, 0))[0]
     assert stack.strides[-1] == np.abs(stack).strides[-1] == 96 * stack.itemsize
     routes = []
     for name in ("_unique_argmin", "_unique_minima"):
@@ -501,11 +529,10 @@ def test_task_counts_do_not_depend_on_the_repetition_count(other):
     a chunk with repetition `other` under --reps 5, less that repetition's
     own counts."""
     two = build_context(_tiny_config(repetitions=2, master_seed=13))
-    alone = scenario._run_chunk(two, [1], solve_true_states(two))
+    alone = scenario._run_chunk(two, [1])
     ctx = build_context(_tiny_config(repetitions=5, master_seed=13))
-    true_states = solve_true_states(ctx)
-    shared = scenario._run_chunk(ctx, sorted([1, other]), true_states)
-    rest = scenario._run_chunk(ctx, [other], true_states)
+    shared = scenario._run_chunk(ctx, sorted([1, other]))
+    rest = scenario._run_chunk(ctx, [other])
     assert (alone.confusion.sum(axis=(1, 2, 3)) == 96 * 3 * 2).all()
     assert np.array_equal(alone.confusion, shared.confusion - rest.confusion)
     assert np.array_equal(alone.row_votes, shared.row_votes - rest.row_votes)
@@ -612,8 +639,8 @@ def _run_inline_pool(monkeypatch, **overrides):
     ran = []
     run_chunk = scenario._run_chunk
     monkeypatch.setattr(scenario, "multiprocessing", inline)
-    monkeypatch.setattr(scenario, "_run_chunk", lambda ctx, reps, true_states: (
-        ran.append(reps) or run_chunk(ctx, reps, true_states)))
+    monkeypatch.setattr(scenario, "_run_chunk", lambda ctx, reps: (
+        ran.append(reps) or run_chunk(ctx, reps)))
     report = run_experiment(_tiny_config(**overrides))
     return report, inline.started, [reps for reps in ran if reps not in inline.started]
 
@@ -658,27 +685,33 @@ def test_pool_forks_no_more_processes_than_usable_cpus(monkeypatch, affinity, cp
 
 def test_the_caller_solves_the_true_states_once_before_any_process_starts(monkeypatch):
     """A pooled run solves the true states once, in the caller, and hands
-    them to every chunk; when that solve fails, no process has started."""
+    them to every chunk with the context; when that solve fails, no process
+    has started. The true-state solve is the one of the day's injections;
+    every other solve is a repetition's library, from its SCADA readings."""
     _pin_usable_cpus(monkeypatch, 2)
-    solve = scenario.solve_true_states
+    true_p = build_context(_tiny_config()).true_p
+    solve = scenario.solve_library_batch
     solved = []
 
-    def counted(ctx):
-        solved.append(ctx.topology_ids)
-        return solve(ctx)
+    def counted(ybus_by_topo, p, *args):
+        solved.append(np.array_equal(p, true_p))
+        return solve(ybus_by_topo, p, *args)
 
-    monkeypatch.setattr(scenario, "solve_true_states", counted)
+    monkeypatch.setattr(scenario, "solve_library_batch", counted)
     serial = run_experiment(_tiny_config(repetitions=2, master_seed=31))
     pooled, started, caller = _run_inline_pool(monkeypatch, repetitions=2, master_seed=31,
                                                jobs=2)
     assert (started, caller) == ([[1]], [[0]])
-    assert len(solved) == 2  # one per run
+    assert solved.count(True) == 2  # one per run
+    assert solved.count(False) == 2 * 2  # one per repetition
     _assert_same_counts(pooled, serial)
 
-    def failing(ctx):
-        raise LibraryError("power flow failed for topology III at t=40: diverged")
+    def failing(ybus_by_topo, p, *args):
+        if np.array_equal(p, true_p):
+            raise LibraryError("power flow failed for topology III at t=40: diverged")
+        return solve(ybus_by_topo, p, *args)
 
-    monkeypatch.setattr(scenario, "solve_true_states", failing)
+    monkeypatch.setattr(scenario, "solve_library_batch", failing)
     inline = _InlineMultiprocessing()
     monkeypatch.setattr(scenario, "multiprocessing", inline)
     with pytest.raises(LibraryError):
@@ -710,16 +743,16 @@ def _deadline(seconds):
 def test_library_error_in_a_chunk_exits_3_like_the_serial_run(tmp_path, capsys,
                                                                monkeypatch, failing_rep):
     parent = os.getpid()
-    run_rep = scenario.run_rep
+    draw = scenario.draw_readings
 
-    def failing_run_rep(ctx, rep, true_vm, true_va, true_ids=None):
+    def failing_draw_readings(ctx, rep):
         if rep == failing_rep:
             if os.getpid() != parent:
                 (tmp_path / "failed-in-worker").touch()
             raise LibraryError("power flow failed for topology III at t=40: diverged")
-        return run_rep(ctx, rep, true_vm, true_va, true_ids)
+        return draw(ctx, rep)
 
-    monkeypatch.setattr(scenario, "run_rep", failing_run_rep)
+    monkeypatch.setattr(scenario, "draw_readings", failing_draw_readings)
     _pin_usable_cpus(monkeypatch, 2)
     errors = []
     for jobs in ("1", "2"):
@@ -735,7 +768,7 @@ def test_library_error_in_a_chunk_exits_3_like_the_serial_run(tmp_path, capsys,
     if failing_rep == 1:
         with _deadline(30), pytest.raises(LibraryError) as raised:
             run_experiment(_tiny_config(repetitions=2, jobs=2))
-        assert "in failing_run_rep" in str(raised.value.__cause__)
+        assert "in failing_draw_readings" in str(raised.value.__cause__)
     assert multiprocessing.active_children() == []
 
 
@@ -744,14 +777,14 @@ def test_worker_that_exits_without_replying_is_reported(monkeypatch):
     """A worker that dies mid-chunk raises at once, naming its repetitions
     and exit code, and leaves no process behind."""
     parent = os.getpid()
-    run_rep = scenario.run_rep
+    draw = scenario.draw_readings
 
-    def dying_run_rep(ctx, rep, true_vm, true_va, true_ids=None):
+    def dying_draw_readings(ctx, rep):
         if rep == 2 and os.getpid() != parent:
             os._exit(1)
-        return run_rep(ctx, rep, true_vm, true_va, true_ids)
+        return draw(ctx, rep)
 
-    monkeypatch.setattr(scenario, "run_rep", dying_run_rep)
+    monkeypatch.setattr(scenario, "draw_readings", dying_draw_readings)
     _pin_usable_cpus(monkeypatch, 2)
     with _deadline(30), pytest.raises(
             RuntimeError, match=r"repetitions 1\.\.2 exited with code 1 without sending"):
