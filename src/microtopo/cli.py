@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, network, profiles
 from .detector import CRITERIA, INCONCLUSIVE, SIGNALS, solve_library_batch
 from .network import NetworkError, load_network
-from .powerflow import InjectionSnapshot, PowerFlowError, solve_newton_raphson
+from .powerflow import PowerFlowError
 from .scenario import (
     ConfigError,
     build_context,
@@ -105,15 +105,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _injections_for(graph, args) -> InjectionSnapshot:
+def _injections_for(graph, args):  # the (1, buses) p and q rows of the case
     if args.zero_load:
-        return InjectionSnapshot.from_bus_map(graph, {})
+        return [[0.0] * graph.n_bus], [[0.0] * graph.n_bus]
     if args.t is None:
         raise ConfigError("either --zero-load or --profile with --t is required")
     if not 0 <= args.t < profiles.N_STEPS:
         raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     p, q, _ = profiles.load_injections(graph, args.profile)
-    return InjectionSnapshot(bus_ids=graph.bus_ids, p=p[args.t], q=q[args.t])
+    return p[args.t:args.t + 1], q[args.t:args.t + 1]
 
 
 def _find_topology(topologies, topo_id):
@@ -141,19 +141,20 @@ def cmd_validate(args) -> int:
 def cmd_powerflow(args) -> int:
     graph, topologies = load_network(args.net)
     topo = _find_topology(topologies, args.topo)
-    inj = _injections_for(graph, args)
-    sol = solve_newton_raphson(network.build_ybus(graph, topo), inj,
-                               slack_index=graph.slack_index)
-    print(f"topology {topo.id}  converged in {sol.iterations} iterations  "
-          f"max mismatch {sol.max_mismatch:.2e} p.u.")
+    # One case, as a 1 x 1 grid of the library's solver: a failure raises LibraryError.
+    batch = solve_library_batch({topo.id: network.build_ybus(graph, topo)},
+                                *_injections_for(graph, args), [args.t], graph.slack_index)
+    rows = list(zip(graph.bus_ids, batch.vm[0, 0], batch.va_deg[0, 0]))
+    print(f"topology {topo.id}  converged in {batch.iterations[0, 0]} iterations  "
+          f"max mismatch {batch.mismatch[0, 0]:.2e} p.u.")
     print(f"{'bus':>4s} {'vm [p.u.]':>12s} {'va [deg]':>12s}")
-    for bus_id, vm, va in zip(sol.bus_ids, sol.vm, sol.va_deg):
+    for bus_id, vm, va in rows:
         print(f"{bus_id:4d} {vm:12.6f} {va:12.6f}")
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["bus", "vm_pu", "va_deg"])
-            for bus_id, vm, va in zip(sol.bus_ids, sol.vm, sol.va_deg):
+            for bus_id, vm, va in rows:
                 writer.writerow([bus_id, f"{vm:.9f}", f"{va:.9f}"])
     return EXIT_OK
 

@@ -7,7 +7,6 @@ applies three voting criteria over the row minima.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,14 +201,16 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     topologies for an inconclusive verdict or an abstaining row. A stack
     without rows has nothing to vote on and raises `ValueError`.
 
-    The stack's layout picks the route: a snapshot's stack, topologies
-    contiguous, takes `_unique_argmin` and one `bincount` of the row votes;
-    a repetition's (`scenario.classify`), topologies strided, takes
-    `_unique_minima`, reductions over that axis, which `argmin` would copy.
+    The stack's layout picks the route to the row votes and their (..., rows,
+    topologies) mask of wins, which one reduction counts: a snapshot's
+    stack, topologies contiguous, takes `_unique_argmin` and compares its
+    votes with each topology; a repetition's (`scenario.classify`),
+    topologies strided, takes `_unique_minima`, reductions over that axis,
+    which `argmin` would copy.
     Sizes must be finite: on NaN the routes differ (`argmin` votes a lone
     NaN, the reductions tie); a failed library case raises `LibraryError`.
     """
-    *cells, rows, n_topo = stack.shape
+    *_, rows, n_topo = stack.shape
     if not rows:
         raise ValueError("a stack to vote needs at least one row")
     stack = np.abs(stack)
@@ -220,19 +221,15 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     # possible with two or more topologies) every count is 0, a tie, so RMV
     # and ORMV are inconclusive.
     mean = np.add.reduce(stack, -2) / rows
-    if stack.strides[-1] == stack.itemsize:
+    if contiguous := stack.strides[-1] == stack.itemsize:
         votes = _unique_argmin(stack, n_topo)
-        # One bincount counts every trial's row votes: trial i owns codes
-        # i * (n_topo + 1) onwards, the last of its n_topo + 1 the abstentions.
-        n_codes = (n_topo + 1) * math.prod(cells)
-        offsets = np.arange(0, n_codes, n_topo + 1).reshape(*cells, 1)
-        counts = np.bincount((votes + offsets).ravel(), minlength=n_codes).reshape(
-            *cells, n_topo + 1)[..., :n_topo]
-        codes = _unique_argmin(np.array((-counts, mean, counts == 0)), n_topo)
-    else:  # the keys keep the stack's strided topology axis
+        wins = votes[..., None] == np.arange(n_topo)  # an abstention, n_topo, wins none
+    else:
         votes, wins = _unique_minima(stack, n_topo)
-        counts = np.add.reduce(wins, -2)
-        codes = [_unique_minima(key, n_topo)[0] for key in (-counts, mean, counts == 0)]
+    counts = np.add.reduce(wins, -2)  # each topology's row votes
+    keys = (-counts, mean, counts == 0)  # laid out as the stack's topology axis
+    codes = (_unique_argmin(np.array(keys), n_topo) if contiguous
+             else [_unique_minima(key, n_topo)[0] for key in keys])
     return {"rmv": codes[0], "armv": codes[1], "ormv": codes[2]}, votes
 
 

@@ -34,14 +34,6 @@ class ValidationError(NetworkError):
         return type(self), (self.violations,)
 
 
-class ConfigurationError(NetworkError):
-    """A topology references a switch that does not exist."""
-
-
-class TopologyError(NetworkError):
-    """A switch configuration islands part of the grid."""
-
-
 class BusKind(Enum):
     SLACK = "slack"
     PQ = "pq"
@@ -106,10 +98,6 @@ class NetworkGraph:
     def slack_index(self) -> int:
         return next(i for i, b in enumerate(self.buses) if b.kind is BusKind.SLACK)
 
-    @property
-    def slack_bus(self) -> Bus:
-        return self.buses[self.slack_index]
-
     @cached_property
     def _positions(self) -> dict[int, int]:
         return {bus_id: i for i, bus_id in enumerate(self.bus_ids)}
@@ -125,11 +113,9 @@ class NetworkGraph:
         return frozenset(line.switch_id for line in self.lines)
 
     def closed_lines(self, topo: TopologyConfig) -> tuple[Line, ...]:
-        """Lines whose switch is closed under `topo`, in file order."""
-        unknown = topo.closed_switches - self.switch_ids
-        if unknown:
-            raise ConfigurationError(f"topology {topo.id} references unknown switches: "
-                                     f"{sorted(unknown)}")
+        """Closed lines of `topo`, in file order; an unknown switch raises ValidationError."""
+        if unknown := topo.closed_switches - self.switch_ids:
+            raise ValidationError([f"topology {topo.id}: unknown switches {sorted(unknown)}"])
         return tuple(l for l in self.lines if l.switch_id in topo.closed_switches)
 
 
@@ -166,12 +152,11 @@ def unreachable_buses(graph: NetworkGraph, topo: TopologyConfig) -> tuple[int, .
 def build_ybus(graph: NetworkGraph, topo: TopologyConfig) -> np.ndarray:
     """Bus admittance matrix Aᵀ·diag(y)·A of the closed lines of `topo`, with A
     their incidence matrix and y their admittances, read-only and built once
-    per graph. Raises TopologyError when the topology islands part of it."""
+    per graph. Raises ValidationError when the topology islands part of it."""
     if topo not in graph._ybus:
-        unreachable = unreachable_buses(graph, topo)
-        if unreachable:
-            raise TopologyError(f"topology {topo.id} leaves buses unreachable from the slack "
-                                f"bus: {list(unreachable)}")
+        if unreachable := unreachable_buses(graph, topo):
+            raise ValidationError([f"topology {topo.id}: buses unreachable from slack: "
+                                   f"{list(unreachable)}"])
         a = build_incidence_matrix(graph, topo)
         y = np.array([line.admittance for line in graph.closed_lines(topo)], dtype=complex)
         # einsum, unlike a BLAS product, adds each entry's terms in line order to
@@ -324,12 +309,12 @@ def validate_network(graph: NetworkGraph, topologies: list[TopologyConfig]) -> l
 
     seen: dict[bytes, str] = {}  # Ybus bytes -> first topology
     for topo in topologies:
-        if unknown := topo.closed_switches - graph.switch_ids:
-            violations.append(f"topology {topo.id}: unknown switches {sorted(unknown)}")
-        elif unreachable := unreachable_buses(graph, topo):
-            violations.append(f"topology {topo.id}: buses unreachable from slack: "
-                              f"{list(unreachable)}")
-        elif (first := seen.setdefault(build_ybus(graph, topo).tobytes(), topo.id)) != topo.id:
+        try:
+            first = seen.setdefault(build_ybus(graph, topo).tobytes(), topo.id)
+        except ValidationError as exc:  # an unknown switch or an islanded bus
+            violations += exc.violations
+            continue
+        if first != topo.id:
             violations.append(f"topologies {first} and {topo.id} have the same admittance "
                               "matrix, so no measurement tells them apart")
     return violations

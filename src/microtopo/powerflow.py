@@ -253,8 +253,9 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     s_spec = (p + 1j * q)[:, 1:]  # (S, k), shared by the topologies
     # The working arrays are views of one block per solve, each iteration
     # writing into them: n + 7 rows of 2k floats per case, then the bus
-    # voltages. As separate arrays they cost an `experiment --reps 4` call
-    # 100-151 minor page faults, against under 1 as one block.
+    # voltages. One block keeps the heap: an `experiment --reps 4` call takes
+    # under 1 minor page fault, against 100-151 with separate arrays and ~1,790
+    # with arrays allocated per iteration (README, "How it works", step 2).
     work = np.empty(2 * n_topo * n_step * ((n + 7) * k + n))
     rows = work[:2 * k * n_topo * n_step * (n + 7)].reshape(n + 7, -1)
     products = rows[:n].view(complex).reshape(n, n_topo, k, n_step)

@@ -156,7 +156,7 @@ def load_injections(graph: NetworkGraph,
     for bus, line in first_line.items():
         if bus not in graph.bus_ids:
             raise ValueError(f"{source}:{line}: bus {bus} is not in the network")
-        if bus == graph.slack_bus.id:
+        if bus == graph.bus_ids[graph.slack_index]:
             raise ValueError(f"{source}:{line}: bus {bus} is the slack bus, "
                              "which takes no injection profile")
     monitored = tuple(sorted(first_line))

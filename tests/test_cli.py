@@ -150,15 +150,55 @@ def test_library_csv(tmp_path, capsys):
     assert {r["topology"] for r in rows} == {"I", "II", "III", "IV", "V"}
 
 
-def test_library_divergence_is_numerical_error(tmp_path, capsys):
+@pytest.fixture
+def heavy_profile(tmp_path):
+    """A profile whose loads no power flow can carry, at every step."""
     heavy = tmp_path / "heavy.csv"
     rows = ["time_index,bus_id,p_pu,q_pu"]
     rows += [f"{t},{bus},-9.0,0.0" for t in range(96) for bus in (2, 3, 4, 5)]
     heavy.write_text("\n".join(rows) + "\n")
-    assert main(["library", "--profile", str(heavy)]) == EXIT_NUMERICAL
+    return heavy
+
+
+def test_library_divergence_is_numerical_error(heavy_profile, capsys):
+    assert main(["library", "--profile", str(heavy_profile)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical error:" in err
     assert "power flow failed for topology" in err
+
+
+def test_powerflow_divergence_names_its_case(heavy_profile, capsys):
+    """A diverged `powerflow` reports its case as `library` does."""
+    assert main(["powerflow", "--topo", "I", "--profile", str(heavy_profile),
+                 "--t", "3"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: power flow failed for topology I at t=3: ")
+
+
+def test_powerflow_and_library_are_one_solve(tmp_path, capsys):
+    """`powerflow` solves its case as the library's grid does: its CSV rows
+    are that (topology, t) block of the library CSV, byte for byte."""
+    lib_csv, pf_csv = tmp_path / "lib.csv", tmp_path / "pf.csv"
+    assert main(["library", "--out", str(lib_csv)]) == EXIT_OK
+    lines = lib_csv.read_bytes().splitlines(keepends=True)
+    header = [b"bus,vm_pu,va_deg\r\n"]
+    topo_ids = [line.split(b",", 1)[0].decode() for line in lines[1::5 * 96]]
+    assert topo_ids == ["I", "II", "III", "IV", "V"]
+    for topo_id in topo_ids:
+        for t in (0, 47, 76, 95):
+            assert main(["powerflow", "--topo", topo_id, "--t", str(t),
+                         "--csv", str(pf_csv)]) == EXIT_OK
+            block = [line.split(b",", 2)[2] for line in lines
+                     if line.startswith(f"{topo_id},{t},".encode())]
+            assert len(block) == 5
+            assert pf_csv.read_bytes().splitlines(keepends=True) == header + block
+        capsys.readouterr()
+        assert main(["powerflow", "--topo", topo_id, "--zero-load",
+                     "--csv", str(pf_csv)]) == EXIT_OK
+        assert pf_csv.read_bytes().splitlines(keepends=True) == header + [
+            f"{bus},1.000000000,0.000000000\r\n".encode() for bus in range(1, 6)]
+        assert capsys.readouterr().out.startswith(
+            f"topology {topo_id}  converged in 0 iterations  ")
 
 
 @pytest.mark.parametrize("bad_row, message", [

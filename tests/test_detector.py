@@ -281,8 +281,10 @@ def test_vote_stack_rejects_a_stack_without_rows():
 def test_vote_stack_matches_oracles_on_a_repetition_stack():
     """Repetition 0 of paper.cfg, voted in one call over its (true
     topologies, steps, signals, rows, topologies) stack: each of the 960
-    (true, step, signal) matrices votes as the oracles say, so every trial's
-    offset into the one row-vote count lands on its own cells."""
+    (true, step, signal) matrices votes as the oracles say, so the row-vote
+    count, one reduction over the rows of every trial's mask of wins, keeps
+    each trial's votes in its own cells. A contiguous copy, which takes the
+    snapshot's route to that mask, votes alike."""
     ctx = build_context(load_config(fixture_path("paper.cfg"), master_seed=5, repetitions=1))
     stack = classify(ctx, *draw_readings(ctx, 0))[0]
     assert stack.shape == (5, 96, 2, 5, 5)
@@ -297,6 +299,10 @@ def test_vote_stack_matches_oracles_on_a_repetition_stack():
             assert labels[verdicts[crit][i]] == oracles[crit](sizes, ids)
         assert ([labels[v] if v < len(ids) else None for v in votes[i]]
                 == _oracle_row_votes(sizes, ids))
+    copy_verdicts, copy_votes = vote_stack(np.ascontiguousarray(stack))
+    for crit in CRITERIA:
+        np.testing.assert_array_equal(copy_verdicts[crit], verdicts[crit])
+    np.testing.assert_array_equal(copy_votes, votes)
 
 
 def test_armv_scale_invariance():

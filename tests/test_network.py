@@ -15,12 +15,10 @@ from microtopo.cli import EXIT_OK, EXIT_VALIDATION, main
 from microtopo.network import (
     Bus,
     BusKind,
-    ConfigurationError,
     Line,
     NetworkGraph,
     ParseError,
     TopologyConfig,
-    TopologyError,
     ValidationError,
     build_incidence_matrix,
     build_ybus,
@@ -37,7 +35,7 @@ def test_fixture_loads(graph, topologies):
     assert len(graph.lines) == 5
     assert len(topologies) == 5
     assert [t.id for t in topologies] == ["I", "II", "III", "IV", "V"]
-    assert graph.slack_bus.id == 1
+    assert graph.bus_ids[graph.slack_index] == 1
 
 
 def test_fixture_impedances(graph):
@@ -70,8 +68,10 @@ def test_incidence_topology_v_row_sums(graph, topo_by_id):
 
 
 def test_incidence_unknown_switch(graph):
-    with pytest.raises(ConfigurationError):
+    """The fault's one message, the one `validate` lists."""
+    with pytest.raises(ValidationError) as err:
         build_incidence_matrix(graph, TopologyConfig("t", frozenset({"S99"})))
+    assert err.value.violations == ["topology t: unknown switches ['S99']"]
 
 
 def test_ybus_single_line_value():
@@ -145,9 +145,10 @@ def test_ybus_topology_v_bus3_diagonal(graph, topo_by_id):
 
 def test_ybus_disconnected_raises(graph):
     topo = TopologyConfig("t", frozenset({"S12"}))
-    with pytest.raises(TopologyError) as err:
+    with pytest.raises(ValidationError) as err:
         build_ybus(graph, topo)
     assert "3" in str(err.value) and "4" in str(err.value) and "5" in str(err.value)
+    assert err.value.violations == ["topology t: buses unreachable from slack: [3, 4, 5]"]
 
 
 def test_opening_one_line_changes_four_entries(graph, topo_by_id):

@@ -145,7 +145,7 @@ def _slack_third(graph):
     lines = tuple(dataclasses.replace(line, from_bus=label[line.from_bus],
                                       to_bus=label[line.to_bus]) for line in graph.lines)
     relabelled = NetworkGraph(buses=buses, lines=lines)
-    assert relabelled.slack_bus.id == 3 and relabelled.slack_index == 2
+    assert relabelled.bus_ids[relabelled.slack_index] == 3 and relabelled.slack_index == 2
     return relabelled
 
 
