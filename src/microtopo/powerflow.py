@@ -202,15 +202,17 @@ def _inverses(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=FLAT_START_CACHE_SIZE)
-def _flat_start_inverse(ybus_bytes: bytes, n: int) -> tuple[np.ndarray, bool]:
+def _flat_start_inverse(ybus_bytes: bytes, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Inverse of the flat-start Jacobian of one slack-first admittance
-    matrix, given by its bytes, and whether that Jacobian is singular."""
+    matrix, given by its bytes, the PQ buses' currents (Y v) at 1∠0 it is
+    evaluated at, both read-only, and whether that Jacobian is singular."""
     ybus = np.frombuffer(ybus_bytes, dtype=complex).reshape(1, n, n)
     flat = np.ones((1, n - 1), dtype=complex)
-    i_flat = _injected_currents(ybus[:, 1:, :].transpose(2, 0, 1), np.ones((n, 1, 1)))
+    i_flat = _injected_currents(ybus[:, 1:, :].transpose(2, 0, 1),
+                                np.ones((n, 1, 1), dtype=complex))
     inv, singular = _inverses(_jacobian(ybus, flat, i_flat))
-    inv.flags.writeable = False
-    return inv[0], bool(singular[0])
+    inv.flags.writeable = i_flat.flags.writeable = False
+    return inv[0], i_flat[0], bool(singular[0])
 
 
 def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -220,9 +222,10 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
 
     `ybus` is the (T, n, n) stack of the topologies' admittance matrices and
     `p`, `q` the (S, n) injections of the steps, shared by every topology;
-    slack entries are ignored. Each case steps with the inverse of its
-    Jacobian at flat start, which depends on the admittance matrix only: one
-    cached lookup per topology, broadcast over its steps (a chord method). A
+    slack entries are ignored. Each case starts from its topology's currents
+    at flat start and steps with the inverse of its Jacobian there, both of
+    which depend on the admittance matrix only: one cached lookup per
+    topology, broadcast over its steps (a chord method). A
     case whose max mismatch did not fall below STALL_RATIO times the
     previous one takes a full Newton step instead: its Jacobian is
     re-evaluated at its current state and its inverse is used from then on.
@@ -246,7 +249,7 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
         ybus, p, q = ybus[:, order][:, :, order], p[:, order], q[:, order]
     n_topo, k = len(ybus), n - 1
     grid = (n_topo, n_step)
-    flat_inv, flat_singular = zip(*(_flat_start_inverse(y.tobytes(), n) for y in ybus))
+    flat_inv, flat_i, flat_singular = zip(*(_flat_start_inverse(y.tobytes(), n) for y in ybus))
     j_inv = np.array(flat_inv)[:, None]  # (T, 1, 2k, 2k) until a case stalls
     no_inverse = np.array(flat_singular)[:, None].repeat(n_step, axis=1)
     y_cols = ybus[:, 1:, :, None].transpose(2, 0, 1, 3)  # (n, T, k, 1)
@@ -266,9 +269,12 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     currents, rhs_t, rhs_col = i_pq.transpose(0, 2, 1), rhs.transpose(2, 0, 1), rhs[..., None]
     xs.reshape(-1, 2)[...] = 0.0, 1.0  # flat start; x_out records a case when it leaves
     va, vm = x[..., 0::2], x[..., 1::2]
+    v_pq[...] = 1.0  # flat start's voltages and cached currents; each step rewrites both
+    i_pq[...] = np.array(flat_i)[:, None]
     # bus voltages: row 0, the slack's, stays 1; rows 1: are rewritten each step
     weights = work[rows.size:].view(complex).reshape(n, n_topo, 1, n_step)
     weights[0] = 1.0
+    v_re, v_im = v_pq.real, v_pq.imag
     limit = np.inf  # STALL_RATIO x the previous max mismatch
 
     iterations = np.empty(grid, dtype=int)
@@ -278,9 +284,6 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     live = np.ones(grid, dtype=bool)  # cases that have not left
 
     for iteration in range(max_iter + 1):
-        np.multiply(vm, np.exp(np.multiply(1j, va, out=v_pq), out=v_pq), out=v_pq)
-        weights[1:, :, 0] = v_pq.transpose(2, 0, 1)
-        _injected_currents(y_cols, weights, products, out=currents)
         np.subtract(s_spec, np.multiply(v_pq, np.conj(i_pq, out=ds), out=ds), out=ds)
         # reduced over the outer axis of a transposed copy: a row-wise max of
         # a few values each is several times slower on a large stack
@@ -313,6 +316,14 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
             no_inverse &= live
         limit = STALL_RATIO * mism
         x += np.matmul(j_inv, rhs_col, out=step)[..., 0]
+        # vm (cos va + j sin va), at less cost than vm exp(j va) and with its
+        # bits where the C library's cexp of a purely imaginary argument is
+        # exp(0) (cos, sin), as measured on glibc (numpy 2.4, x86-64); the
+        # goldens and LIBRARY_SHA256 guard it elsewhere
+        np.multiply(vm, np.cos(va, out=v_re), out=v_re)
+        np.multiply(vm, np.sin(va, out=v_im), out=v_im)
+        weights[1:, :, 0] = v_pq.transpose(2, 0, 1)
+        _injected_currents(y_cols, weights, products, out=currents)
 
     state = np.zeros((2, *grid, n))  # (va, vm) of every case, slack included
     state[1] = 1.0

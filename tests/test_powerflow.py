@@ -292,6 +292,15 @@ def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_grid, graph):
     _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q, max_iter=20)
 
 
+def _slack_third_grid(graph, topologies, fixture_grid):
+    """The fixture grid's (Ybus stack, p, q) relabelled by SLACK_THIRD."""
+    relabelled = _slack_third(graph)
+    columns = [graph.bus_index(b) for b in sorted(graph.bus_ids, key=SLACK_THIRD.get)]
+    _, p, q = fixture_grid
+    ybus = np.stack([build_ybus(relabelled, topo) for topo in topologies])
+    return ybus, p[:, columns], q[:, columns]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_slack_not_first_grid_is_bit_identical_alone_and_in_stack(graph, topologies,
                                                                   fixture_grid):
@@ -300,10 +309,7 @@ def test_slack_not_first_grid_is_bit_identical_alone_and_in_stack(graph, topolog
     slack bus first and puts each case's buses back in place, and every case
     has the bits of the same case solved alone."""
     relabelled = _slack_third(graph)
-    columns = [graph.bus_index(b) for b in sorted(graph.bus_ids, key=SLACK_THIRD.get)]
-    _, p, q = fixture_grid
-    ybus = np.stack([build_ybus(relabelled, topo) for topo in topologies])
-    p, q = p[:, columns], q[:, columns]
+    ybus, p, q = _slack_third_grid(graph, topologies, fixture_grid)
     kw = dict(slack_index=relabelled.slack_index, max_iter=20)
     _assert_cases_equal_solo(solve_newton_raphson_batch(ybus, p, q, **kw), ybus, p, q, **kw)
     grid_y, grid_p, grid_q = _failing_grid(relabelled, ybus, p, q, 2, [0, "heavy", 37, "nan", 95])
@@ -357,19 +363,45 @@ def test_twenty_times_fixture_load_converges_in_at_most_12_steps(fixture_grid):
     assert batch.iterations.max() <= 12
 
 
-def test_cold_and_warm_flat_start_cache_give_identical_bits(fixture_grid):
-    """The flat-start inverse is looked up once per topology of the grid
-    (5 topologies x 96 steps: 5 lookups), and a cached inverse gives the
-    bits of a freshly computed one."""
+def test_cold_and_warm_flat_start_cache_give_identical_bits(fixture_grid, graph, topologies):
+    """The flat-start inverse and currents are looked up once per topology
+    of the grid (5 topologies x 96 steps: 5 lookups), and cached ones give
+    the bits of freshly computed ones: on the fixture grid, one of its
+    cases, and the grid relabelled with the slack bus at position 2."""
     ybus, p, q = fixture_grid
+    grids = [(ybus, p, q, {}), (ybus[2:3], p[40:41], q[40:41], {}),
+             (*_slack_third_grid(graph, topologies, fixture_grid),
+              dict(slack_index=_slack_third(graph).slack_index))]
     cache = powerflow._flat_start_inverse
-    cache.cache_clear()
-    cold = solve_newton_raphson_batch(ybus, p, q)
-    assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 5)
-    warm = solve_newton_raphson_batch(ybus, p, q)
-    assert (cache.cache_info().hits, cache.cache_info().misses) == (5, 5)
-    for name in FIELDS:
-        assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
+    for ybus, p, q, kw in grids:
+        cache.cache_clear()
+        cold = solve_newton_raphson_batch(ybus, p, q, **kw)
+        n_topo = len(ybus)
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (0, n_topo)
+        warm = solve_newton_raphson_batch(ybus, p, q, **kw)
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (n_topo, n_topo)
+        for name in FIELDS:
+            assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
+
+
+def test_flat_start_currents_are_the_kernels_and_read_only(fixture_grid):
+    """The cached currents of a slack-first admittance matrix are read-only
+    and have the bits `_injected_currents` gives at 1∠0 in the solver's
+    layout, (n, topologies, k, 1) columns against (n, topologies, 1, steps)
+    voltages, at every step: the currents a solve from flat start would
+    otherwise evaluate at its first iteration."""
+    ybus, _, _ = fixture_grid
+    n_topo, n, _ = ybus.shape
+    y_cols = ybus[:, 1:, :, None].transpose(2, 0, 1, 3)
+    want = powerflow._injected_currents(y_cols, np.ones((n, n_topo, 1, 3), dtype=complex))
+    for y, currents in zip(ybus, want, strict=True):
+        inverse, i_flat, singular = powerflow._flat_start_inverse(y.tobytes(), n)
+        assert not singular
+        for at_step in currents.T:
+            assert i_flat.tobytes() == at_step.tobytes()
+        for cached in (inverse, i_flat):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
