@@ -100,16 +100,21 @@ def build_library(graph: NetworkGraph, topologies: list[TopologyConfig],
 
 def solve_library_batch(ybus_by_topo: dict[str, np.ndarray], p, q, steps, slack_index: int,
                         tol: float = TOL) -> BatchPowerFlow:
-    """Every (topology, step) case of `ybus_by_topo` and the (steps, buses)
-    injections `p`, `q` as one `solve_newton_raphson_batch` grid, indexed
-    [topology, step, ...]. The first failed case in (topology, step) order
-    raises `LibraryError`."""
-    batch = solve_newton_raphson_batch(np.stack(list(ybus_by_topo.values())), p, q,
+    """Every (topology, step) case of `ybus_by_topo` and the (..., steps,
+    buses) injections `p`, `q` as one `solve_newton_raphson_batch` grid,
+    indexed [topology, step, ...], any leading axes of the injections joined
+    into its step axis, outermost first. `steps` names the steps of the last
+    step axis. The first failed case in (leading axes, topology, step) order
+    raises `LibraryError`, naming its topology and step."""
+    p, q = np.asarray(p), np.asarray(q)
+    batch = solve_newton_raphson_batch(np.stack(list(ybus_by_topo.values())),
+                                       p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]),
                                        tol=tol, slack_index=slack_index)
-    failed = np.argwhere(~batch.converged)  # in (topology, step) order
+    lead = p.shape[:-1]  # the leading axes and the steps
+    failed = np.argwhere(~np.moveaxis(batch.converged.reshape(-1, *lead), 0, -2))
     if failed.size:
-        topo, step = failed[0].tolist()
-        err = batch.error(topo, step)
+        *outer, topo, step = failed[0].tolist()
+        err = batch.error(topo, int(np.ravel_multi_index((*outer, step), lead)))
         raise LibraryError(f"power flow failed for topology {list(ybus_by_topo)[topo]} "
                            f"at t={steps[step]}: {err}") from err
     return batch
@@ -204,7 +209,7 @@ def vote_stack(stack: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     The stack's layout picks the route to the row votes and their (..., rows,
     topologies) mask of wins, which one reduction counts: a snapshot's
     stack, topologies contiguous, takes `_unique_argmin` and compares its
-    votes with each topology; a repetition's (`scenario.classify`),
+    votes with each topology; a block of repetitions' (`scenario.classify`),
     topologies strided, takes `_unique_minima`, reductions over that axis,
     which `argmin` would copy.
     Sizes must be finite: on NaN the routes differ (`argmin` votes a lone

@@ -26,6 +26,7 @@ from microtopo.network import build_ybus
 from microtopo.powerflow import (
     DivergedError,
     InjectionSnapshot,
+    SingularJacobianError,
     solve_fixed_point_oracle,
     solve_newton_raphson,
 )
@@ -419,6 +420,30 @@ def test_library_reports_first_failed_case_in_topology_step_order(graph, topo_by
         solve_newton_raphson(ybus, injections[1], slack_index=graph.slack_index)
     assert cause.last_mismatch == alone.value.last_mismatch
     assert str(cause) == str(alone.value)
+
+
+def test_library_reports_first_failed_case_of_the_outermost_leading_axis(graph, topo_by_id):
+    """With a leading (repetition) axis on the injections, the first failed
+    case is the first in (repetition, topology, step) order, named by its
+    step of `steps`: topology B is singular in repetition 0, which comes
+    before topology A's divergence in repetition 1 although A is the first
+    topology of the grid."""
+    ybus = build_ybus(graph, topo_by_id["I"])
+    isolated = ybus.copy()
+    i5 = graph.bus_index(5)
+    isolated[i5, :] = isolated[:, i5] = 0.0
+    light = InjectionSnapshot.from_bus_map(graph, {3: (-0.1, -0.05)})
+    heavy = InjectionSnapshot.from_bus_map(graph, {4: (-50.0, -20.0)})
+    p = np.array([[light.p, light.p], [light.p, heavy.p]])  # (repetitions, steps, buses)
+    q = np.array([[light.q, light.q], [light.q, heavy.q]])
+    with pytest.raises(LibraryError, match="topology B at t=10: ") as err:
+        solve_library_batch({"A": ybus, "B": isolated}, p, q, [10, 11], graph.slack_index)
+    assert isinstance(err.value.__cause__, SingularJacobianError)
+    with pytest.raises(LibraryError, match="topology A at t=11: Newton-Raphson"):
+        solve_library_batch({"A": ybus, "B": isolated}, p[1:], q[1:], [10, 11],
+                            graph.slack_index)
+    batch = solve_library_batch({"A": ybus}, p[:, :1], q[:, :1], [10], graph.slack_index)
+    assert batch.vm.shape == (1, 2, graph.n_bus)
 
 
 def _loop_difference_matrices(phasors, library, t):

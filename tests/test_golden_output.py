@@ -14,7 +14,12 @@ tests/data/golden/ holds:
 MULTI_REP_SHA256 holds the digests of the three CSVs of
 `microtopo experiment --seed 11 --reps 3` (the same with --jobs 1 and 2);
 several repetitions pin true states reused across repetitions and the
-pool's chunking. TWO_WORD_SEED_SHA256 holds the same digests for
+pool's chunking. MULTI_BLOCK_SHA256 holds those of
+`microtopo experiment --seed 11 --reps 9`, the same with --jobs 1 (a
+serial chunk classified in blocks of 4, 4 and 1 repetitions) and --jobs 2
+(chunks of 4 and 5 repetitions), generated before repetitions were
+classified in blocks: how a run blocks its repetitions must not move its
+output. TWO_WORD_SEED_SHA256 holds the same digests for
 `microtopo experiment --seed 4294967303 --reps 1`, whose seed SeedSequence
 hashes as 2 uint32 words.
 All of these were regenerated when a repetition came to draw one
@@ -39,6 +44,7 @@ from pathlib import Path
 
 import pytest
 
+from microtopo import scenario
 from microtopo.cli import EXIT_OK, main
 from microtopo.scenario import fixture_path
 
@@ -48,6 +54,12 @@ MULTI_REP_SHA256 = {
     "rates.csv": "abb1572113c1abb8be5b6d6a0c22cdc6c6f56b471839d70f3f28cb6f80a1f3bf",
     "bus_rates.csv": "2f9a5fc00bb5d0921691c6f93123464e26ca4ba24f35cbe14a0156c8218584f8",
     "confusion.csv": "80ebb07ad506872d5bb44aaf77b0095c61d62c240eaf6e1dd59993e36082a1ec",
+}
+
+MULTI_BLOCK_SHA256 = {
+    "rates.csv": "3b29d4f901406b196ecae8a4e3678f3d6ce77effa08c541bd8f8b15ae5ec32a7",
+    "bus_rates.csv": "0dba53e49e4850789e211be75eb60f1e650e8d3e84a7f749aa838a787a64e913",
+    "confusion.csv": "e0857c336be2c077f2e3f76b4c4690f86278c181433100cb47b0da1fcb1c6280",
 }
 
 TWO_WORD_SEED_SHA256 = {
@@ -74,6 +86,18 @@ def test_multi_rep_output_matches_golden_digests(tmp_path, capsys, jobs):
     assert main(["experiment", "--seed", "11", "--reps", "3", "--jobs", jobs,
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     for name, digest in MULTI_REP_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_multi_block_output_matches_golden_digests(tmp_path, capsys, monkeypatch, jobs):
+    """Nine repetitions span three serial blocks, and two pooled chunks
+    whose blocks split the repetitions otherwise."""
+    monkeypatch.setattr(scenario.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert main(["experiment", "--seed", "11", "--reps", "9", "--jobs", jobs,
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    for name, digest in MULTI_BLOCK_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 

@@ -444,8 +444,9 @@ def test_a_pickled_context_carries_its_solved_true_states(monkeypatch):
 
 def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
     """Each repetition votes all its trials, on both signals, in one
-    `vote_stack` call over its (true topologies, steps, signals, rows,
-    topologies) stack."""
+    `vote_stack` call: its block's, over the (true topologies, steps of the
+    block's repetitions, signals, rows, topologies) stack. A serial run of
+    3 repetitions is one block, so one call."""
     calls = []
 
     def counted(stack):
@@ -454,30 +455,71 @@ def test_a_repetition_votes_in_one_vote_stack_call(monkeypatch):
 
     monkeypatch.setattr(scenario, "vote_stack", counted)
     run_experiment(_tiny_config(repetitions=3, master_seed=4))
-    assert calls == [(5, 96, len(SIGNALS), 5, 5)] * 3
+    assert scenario.REPS_PER_BLOCK >= 3
+    assert calls == [(5, 3 * 96, len(SIGNALS), 5, 5)]
 
 
 def test_a_chunk_counts_what_fresh_repetitions_count():
     """A chunk's report counts the outcome arrays of each of its
-    repetitions, as `classify` returns them for its readings alone."""
-    ctx = build_context(_tiny_config(repetitions=2, master_seed=17))
-    fresh = DetectionRateReport(topology_ids=ctx.topology_ids, pmu_bus_ids=ctx.graph.bus_ids)
-    for rep in (0, 1):
-        fresh.record_rep(*classify(ctx, *draw_readings(ctx, rep))[1:])
-    chunk = scenario._run_chunk(ctx, [0, 1])
-    assert np.array_equal(chunk.confusion, fresh.confusion)
-    assert np.array_equal(chunk.row_votes, fresh.row_votes)
+    repetitions, as `classify` returns them for its readings alone, for a
+    chunk of one repetition, of one full block and of a block and one more
+    repetition."""
+    block = scenario.REPS_PER_BLOCK
+    ctx = build_context(_tiny_config(repetitions=block + 1, master_seed=17))
+    for n_reps in (1, block, block + 1):
+        reps = list(range(n_reps))
+        fresh = DetectionRateReport(topology_ids=ctx.topology_ids,
+                                    pmu_bus_ids=ctx.graph.bus_ids)
+        for rep in reps:
+            fresh.record_rep(*classify(ctx, *draw_readings(ctx, rep))[1:])
+        chunk = scenario._run_chunk(ctx, reps)
+        assert np.array_equal(chunk.confusion, fresh.confusion), n_reps
+        assert np.array_equal(chunk.row_votes, fresh.row_votes), n_reps
+
+
+def _joined(readings):
+    """Repetitions' `draw_readings` arrays joined along the step axis, as
+    `_run_chunk` joins a block's."""
+    return [np.concatenate(arrays, axis=-2) for arrays in zip(*readings)]
+
+
+def test_a_block_classifies_each_repetition_as_alone():
+    """`classify` of a two-repetition block returns, at [T, r * 96 + t] of
+    each array, row [T, t] of that repetition's own call, bit for bit."""
+    ctx = build_context(_tiny_config(repetitions=2, master_seed=23))
+    block = classify(ctx, *_joined([draw_readings(ctx, 0), draw_readings(ctx, 1)]))
+    for r in (0, 1):
+        alone = classify(ctx, *draw_readings(ctx, r))
+        for one, joined in zip(alone, block, strict=True):
+            assert joined.shape[1] == 2 * one.shape[1] == 2 * 96
+            assert joined[:, r * 96:(r + 1) * 96].tobytes() == one.tobytes()
+
+
+def test_a_diverged_block_case_names_the_days_step():
+    """A block whose second repetition's SCADA rows diverge at step 3 only
+    raises the `LibraryError` of classifying that repetition alone, which
+    names t=3, not the step's position in the block (t=99)."""
+    ctx = build_context(_tiny_config(repetitions=2, master_seed=23))
+    readings = [draw_readings(ctx, 0), draw_readings(ctx, 1)]
+    readings[1][2][3] = -50.0  # every SCADA bus draws 50 p.u. at step 3
+    with pytest.raises(LibraryError) as alone:
+        classify(ctx, *readings[1])
+    assert "power flow failed for topology I at t=3: " in str(alone.value)
+    with pytest.raises(LibraryError) as block:
+        classify(ctx, *_joined(readings))
+    assert str(block.value) == str(alone.value)
 
 
 def test_a_repetition_votes_its_stack_by_reductions_over_the_strided_topology_axis(
         monkeypatch):
-    """`classify`'s stack and its absolute values keep the candidate axis
-    strided, with the steps innermost (96 floats apart on `paper.cfg`), so
-    `vote_stack` takes `_unique_minima` for it, never the `argmin` route
-    that would copy the stack; a C-ordered stack would take that route."""
-    ctx = build_context(_tiny_config())
-    stack = classify(ctx, *draw_readings(ctx, 0))[0]
-    assert stack.strides[-1] == np.abs(stack).strides[-1] == 96 * stack.itemsize
+    """The stack `classify` builds for a block, and its absolute values,
+    keep the candidate axis strided, with the steps innermost (2 x 96 floats
+    apart for two repetitions of `paper.cfg`), so `vote_stack` takes
+    `_unique_minima` for it, never the `argmin` route that would copy the
+    stack; a C-ordered stack would take that route."""
+    ctx = build_context(_tiny_config(repetitions=2))
+    stack = classify(ctx, *_joined([draw_readings(ctx, 0), draw_readings(ctx, 1)]))[0]
+    assert stack.strides[-1] == np.abs(stack).strides[-1] == 2 * 96 * stack.itemsize
     routes = []
     for name in ("_unique_argmin", "_unique_minima"):
         route = getattr(detector, name)
@@ -540,7 +582,8 @@ def test_task_counts_do_not_depend_on_the_repetition_count(other):
 
 def test_experiment_is_array_program(monkeypatch):
     """A serial 4-repetition run solves every topology's true states in one
-    5 x 96 grid call and each repetition's library in one more (4), hashes a
+    5 x 96 grid call and its block of 4 repetitions' libraries in one more
+    5 x 384 grid, hashes a
     SeedSequence only for the 2 offset streams of each repetition, its SCADA
     stream and the μPMU streams of its 5 true topologies, and builds no
     per-trial result, verdict or power-flow objects."""
@@ -568,7 +611,8 @@ def test_experiment_is_array_program(monkeypatch):
                          (measurements, "ScadaSet")):
         monkeypatch.setattr(module, name, forbidden)
     report = run_experiment(_tiny_config(repetitions=4, master_seed=2))
-    assert calls == [(5, 96, 96)] * (1 + 4)
+    assert scenario.REPS_PER_BLOCK >= 4
+    assert calls == [(5, 96, 96), (5, 4 * 96, 4 * 96)]
     assert len(seed_sequences) == 2 * 4 + (1 + 5) * 4
     assert report.n_trials("I", "armv", "angle") == 96 * 4
 
@@ -687,7 +731,9 @@ def test_the_caller_solves_the_true_states_once_before_any_process_starts(monkey
     """A pooled run solves the true states once, in the caller, and hands
     them to every chunk with the context; when that solve fails, no process
     has started. The true-state solve is the one of the day's injections;
-    every other solve is a repetition's library, from its SCADA readings."""
+    every other solve is a block's library, from its repetitions' SCADA
+    readings: one for the serial run's block of 2, one per 1-repetition
+    chunk of the pooled run."""
     _pin_usable_cpus(monkeypatch, 2)
     true_p = build_context(_tiny_config()).true_p
     solve = scenario.solve_library_batch
@@ -703,7 +749,7 @@ def test_the_caller_solves_the_true_states_once_before_any_process_starts(monkey
                                                jobs=2)
     assert (started, caller) == ([[1]], [[0]])
     assert solved.count(True) == 2  # one per run
-    assert solved.count(False) == 2 * 2  # one per repetition
+    assert solved.count(False) == 1 + 2  # one per block
     _assert_same_counts(pooled, serial)
 
     def failing(ybus_by_topo, p, *args):
