@@ -110,8 +110,6 @@ def _injections_for(graph, args):  # the (1, buses) p and q rows of the case
         return [[0.0] * graph.n_bus], [[0.0] * graph.n_bus]
     if args.t is None:
         raise ConfigError("either --zero-load or --profile with --t is required")
-    if not 0 <= args.t < profiles.N_STEPS:
-        raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     p, q, _ = profiles.load_injections(graph, args.profile)
     return p[args.t:args.t + 1], q[args.t:args.t + 1]
 
@@ -185,8 +183,6 @@ def cmd_detect(args) -> int:
                          profile=args.profile, master_seed=args.seed, repetitions=1,
                          **{key: getattr(args, key) for key in _NOISE_KEYS})
     ctx = build_context(config)
-    if not 0 <= args.t < profiles.N_STEPS:
-        raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
     topo = _find_topology(ctx.topologies, args.topo)
     t = args.t
     index = (ctx.topology_ids.index(topo.id), t)  # trial (topology, t, rep 0)
@@ -245,6 +241,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # powerflow and detect take --t: checked before any file is read
+        if getattr(args, "t", None) is not None and not 0 <= args.t < profiles.N_STEPS:
+            raise ConfigError(f"--t must be in 0..{profiles.N_STEPS - 1}")
         return _COMMANDS[args.command](args)
     except (ConfigError, NetworkError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

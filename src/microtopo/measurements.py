@@ -7,7 +7,6 @@ multiplicative, relative to the measured power itself.
 """
 from __future__ import annotations
 
-import functools
 import zlib
 from dataclasses import dataclass
 
@@ -79,7 +78,6 @@ class MeasurementSet:
     rng_seed: int
 
 
-@functools.lru_cache(maxsize=None)
 def _device_key(device_id: str) -> int:
     return zlib.crc32(device_id.encode("utf-8"))
 
@@ -127,19 +125,13 @@ def shared_stream_key(device_ids) -> tuple[str, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class PmuOffsets:
-    """Systematic offsets by bus position, drawn once per experiment run."""
-
-    vm: np.ndarray  # p.u.
-    va_deg: np.ndarray  # degrees
-
-
-def draw_pmu_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> PmuOffsets:
-    """Offsets uniform within the accuracy bound, drawn bus by bus, the
+def draw_pmu_offsets(bus_ids, spec: DeviceSpec,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Systematic (magnitude in p.u., angle in degrees) offsets by bus
+    position, uniform within the accuracy bound, drawn bus by bus, the
     magnitude's before the angle's."""
     off = rng.uniform(-spec.accuracy, spec.accuracy, size=(len(bus_ids), 2))
-    return PmuOffsets(vm=off[:, 0], va_deg=np.degrees(off[:, 1]))
+    return off[:, 0], np.degrees(off[:, 1])
 
 
 def draw_scada_offsets(bus_ids, spec: DeviceSpec, rng: np.random.Generator) -> np.ndarray:
@@ -164,18 +156,20 @@ def _check_kind(spec: DeviceSpec, kind: str):
 
 def pmu_readings(vm: np.ndarray, va_deg: np.ndarray, spec: DeviceSpec,
                  rng: np.random.Generator,
-                 offsets: PmuOffsets | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 offsets: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Noisy (magnitude, angle) readings of (trials, buses) true states given
     by bus position, all drawn from `rng`, trial by trial.
 
     Magnitude noise std is sigma in p.u.; angle noise std is sigma in
     radians (reported in degrees). Noise is drawn bus by bus, magnitude
-    before angle.
+    before angle. `offsets` is a (vm, va_deg) pair from `draw_pmu_offsets`.
     """
     _check_kind(spec, DeviceKind.MICRO_PMU)
     noise = _gaussian(rng, (spec.sigma, np.degrees(spec.sigma)), vm.shape)
     if offsets is not None:
-        vm, va_deg = vm + offsets.vm, va_deg + offsets.va_deg
+        off_vm, off_va_deg = offsets
+        vm, va_deg = vm + off_vm, va_deg + off_va_deg
     return vm + noise[..., 0], va_deg + noise[..., 1]
 
 
@@ -197,7 +191,7 @@ def scada_readings(p: np.ndarray, q: np.ndarray, spec: DeviceSpec,
 
 def sample_pmu(true_solution: PowerFlowSolution, spec: DeviceSpec,
                rng: np.random.Generator, time_index: int = 0,
-               offsets: PmuOffsets | None = None) -> PhasorSet:
+               offsets: tuple[np.ndarray, np.ndarray] | None = None) -> PhasorSet:
     """Noisy voltage phasor per bus of one true power-flow state
     (`pmu_readings` of one trial)."""
     vm, va_deg = pmu_readings(true_solution.vm[None], true_solution.va_deg[None], spec, rng,

@@ -1,10 +1,9 @@
 """AC power flow for a slack + PQ-bus network in per-unit.
 
-The production solver is a polar Newton-Raphson with flat start that reuses
-each admittance matrix's flat-start Jacobian while it converges fast
-enough. A Gauss-Seidel-style successive-substitution solver is kept
-alongside as an independent cross-check; the test suite requires both to
-agree.
+The solver is a polar Newton-Raphson with flat start that reuses each
+admittance matrix's flat-start Jacobian while it converges fast enough. The
+test suite checks it against an independent Gauss-Seidel-style solver of
+its own.
 """
 from __future__ import annotations
 
@@ -21,6 +20,8 @@ from .network import NetworkGraph
 # `detector.vote_stack` holds only while solved states are this close to
 # the true ones (README, "How it works", step 5).
 TOL = 1e-8
+# Newton steps after which a case that has not converged has diverged.
+MAX_ITER = 50
 
 
 class PowerFlowError(Exception):
@@ -28,7 +29,7 @@ class PowerFlowError(Exception):
 
 
 class DivergedError(PowerFlowError):
-    """Solver did not reach the mismatch tolerance within max_iter."""
+    """Solver did not reach the mismatch tolerance within MAX_ITER steps."""
 
     def __init__(self, message: str, last_mismatch: float):
         super().__init__(message)
@@ -85,30 +86,13 @@ class PowerFlowSolution:
     max_mismatch: float
 
 
-def compute_mismatch(ybus: np.ndarray, inj: InjectionSnapshot,
-                     vm: np.ndarray, va_rad: np.ndarray,
-                     slack_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bus power mismatch (specified minus implied) at PQ buses.
-
-    Returns (dP, dQ) full-length arrays with zeros at the slack position,
-    where the implied injection is s_k = v_k * conj((Y v)_k).
-    """
-    v = vm * np.exp(1j * va_rad)
-    s_calc = v * np.conj(ybus @ v)
-    dp = np.asarray(inj.p) - s_calc.real
-    dq = np.asarray(inj.q) - s_calc.imag
-    dp[slack_index] = 0.0
-    dq[slack_index] = 0.0
-    return dp, dq
-
-
 @dataclass(frozen=True)
 class BatchPowerFlow:
     """Per-case outcome of `solve_newton_raphson_batch` over the grid of T
     topologies and S steps: every array is indexed [topology, step, ...].
 
     `iterations` counts the Newton steps taken: to convergence, to the
-    singular Jacobian, or max_iter for a case that diverged. A case whose
+    singular Jacobian, or MAX_ITER for a case that diverged. A case whose
     Jacobian turns singular once its mismatch has grown past its flat-start
     mismatch has diverged; it stops there and is not flagged `singular`.
     `mismatch` is the last max mismatch of each case (NaN when its state
@@ -216,8 +200,7 @@ def _flat_start_inverse(ybus_bytes: bytes, n: int) -> tuple[np.ndarray, np.ndarr
 
 
 def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
-                               tol: float = TOL, max_iter: int = 50,
-                               slack_index: int = 0) -> BatchPowerFlow:
+                               tol: float = TOL, slack_index: int = 0) -> BatchPowerFlow:
     """Polar Newton-Raphson from a flat start over the (topology, step) grid.
 
     `ybus` is the (T, n, n) stack of the topologies' admittance matrices and
@@ -230,7 +213,7 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     previous one takes a full Newton step instead: its Jacobian is
     re-evaluated at its current state and its inverse is used from then on.
     A case leaves when its mismatch is under `tol`, its Jacobian is singular
-    or at `max_iter`: its state, iteration count and last mismatch are
+    or at MAX_ITER: its state, iteration count and last mismatch are
     recorded then, once, and its state turns NaN, so its mismatch is never
     again under `tol` nor stalled. Every operation is per case (currents
     summed over the columns from the left by `_injected_currents`, one
@@ -283,7 +266,7 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
     singular = np.zeros(grid, dtype=bool)
     live = np.ones(grid, dtype=bool)  # cases that have not left
 
-    for iteration in range(max_iter + 1):
+    for iteration in range(MAX_ITER + 1):
         np.subtract(s_spec, np.multiply(v_pq, np.conj(i_pq, out=ds), out=ds), out=ds)
         # reduced over the outer axis of a transposed copy: a row-wise max of
         # a few values each is several times slower on a large stack
@@ -292,7 +275,7 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
             flat_mism = mism
         done = mism < tol
         stalled = mism >= limit
-        last = iteration == max_iter
+        last = iteration == MAX_ITER
         if not last and np.count_nonzero(stalled):
             stalled &= ~done
             if j_inv.shape[1] < n_step:  # per-case inverses from the first stall on
@@ -304,7 +287,7 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
                 # a Jacobian that turns singular once the mismatch has grown
                 # past its flat-start value marks a diverging case
                 singular[no_inverse & ~done & ~(mism > flat_mism)] = True
-            leave = live if last else done | no_inverse  # at max_iter every case leaves
+            leave = live if last else done | no_inverse  # at MAX_ITER every case leaves
             iterations[leave] = iteration
             mismatch[leave] = mism[leave]
             converged[done] = True
@@ -333,44 +316,10 @@ def solve_newton_raphson_batch(ybus: np.ndarray, p: np.ndarray, q: np.ndarray,
 
 
 def solve_newton_raphson(ybus: np.ndarray, inj: InjectionSnapshot,
-                         tol: float = TOL, max_iter: int = 50,
-                         slack_index: int = 0) -> PowerFlowSolution:
+                         tol: float = TOL, slack_index: int = 0) -> PowerFlowSolution:
     """Polar Newton-Raphson power flow from a flat start (1.0 p.u., 0 deg):
     `solve_newton_raphson_batch` over the 1 x 1 grid."""
     batch = solve_newton_raphson_batch(ybus[None], np.asarray(inj.p)[None],
                                        np.asarray(inj.q)[None], tol=tol,
-                                       max_iter=max_iter, slack_index=slack_index)
+                                       slack_index=slack_index)
     return batch.solution(0, 0, inj.bus_ids)
-
-
-def solve_fixed_point_oracle(ybus: np.ndarray, inj: InjectionSnapshot,
-                             tol: float = TOL, max_iter: int = 50000,
-                             slack_index: int = 0) -> PowerFlowSolution:
-    """Successive-substitution (Gauss-Seidel) solver, used as a cross-check.
-
-    Deliberately shares no code with the Newton-Raphson path beyond the
-    mismatch definition.
-    """
-    n = len(inj.bus_ids)
-    pq = [i for i in range(n) if i != slack_index]
-    v = np.ones(n, dtype=complex)
-    s_spec = np.asarray(inj.p) + 1j * np.asarray(inj.q)
-    if np.any(np.abs(np.diag(ybus)[pq]) == 0):
-        raise SingularJacobianError("zero diagonal admittance at a PQ bus")
-
-    mism = np.inf
-    for iteration in range(1, max_iter + 1):
-        for k in pq:
-            rest = ybus[k] @ v - ybus[k, k] * v[k]
-            v[k] = (np.conj(s_spec[k] / v[k]) - rest) / ybus[k, k]
-        s_calc = v * np.conj(ybus @ v)
-        err = s_spec - s_calc
-        mism = np.max(np.abs(np.concatenate([err.real[pq], err.imag[pq]])))
-        if mism < tol:
-            return PowerFlowSolution(bus_ids=inj.bus_ids, vm=np.abs(v),
-                                     va_deg=np.degrees(np.angle(v)), iterations=iteration,
-                                     max_mismatch=float(mism))
-
-    raise DivergedError(
-        f"fixed-point oracle did not converge in {max_iter} sweeps "
-        f"(last mismatch {mism:.3e} p.u.)", last_mismatch=float(mism))

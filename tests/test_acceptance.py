@@ -13,12 +13,9 @@ import pytest
 from microtopo.cli import EXIT_OK, main
 from microtopo.detector import INCONCLUSIVE, vote_stack
 from microtopo.network import build_incidence_matrix, build_ybus, load_network
-from microtopo.powerflow import (
-    compute_mismatch,
-    solve_fixed_point_oracle,
-    solve_newton_raphson,
-)
+from microtopo.powerflow import solve_newton_raphson
 from microtopo.scenario import fixture_path, load_config, run_experiment
+from oracles import compute_mismatch, solve_fixed_point_oracle
 
 Z_95 = 1.6448536269514722  # one-sided 5% critical value
 

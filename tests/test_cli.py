@@ -386,6 +386,13 @@ def test_detect_bad_time(capsys):
     assert main(["detect", "--topo", "I", "--t", "200"]) == EXIT_VALIDATION
 
 
+def test_powerflow_zero_load_checks_the_time_step(capsys):
+    """--t is checked whenever it is given, also with --zero-load, whose
+    injections do not depend on it."""
+    assert main(["powerflow", "--topo", "I", "--zero-load", "--t", "96"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --t must be in 0..95\n"
+
+
 def test_experiment_deterministic(tmp_path, capsys):
     args = ["experiment", "--seed", "7", "--reps", "1", "--jobs", "2"]
     assert main(args + ["--out-dir", str(tmp_path / "a")]) == EXIT_OK

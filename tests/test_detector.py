@@ -27,10 +27,10 @@ from microtopo.powerflow import (
     DivergedError,
     InjectionSnapshot,
     SingularJacobianError,
-    solve_fixed_point_oracle,
     solve_newton_raphson,
 )
 from microtopo.scenario import build_context, classify, draw_readings, fixture_path, load_config
+from oracles import solve_fixed_point_oracle
 
 
 def _vote(mat, ids=None):

@@ -6,7 +6,6 @@ import pytest
 from microtopo.measurements import (
     DeviceKind,
     DeviceSpec,
-    PmuOffsets,
     derive_rng_stream,
     draw_pmu_offsets,
     draw_scada_offsets,
@@ -134,10 +133,10 @@ def test_scada_zero_injection_measures_zero(graph):
 def test_systematic_offsets_within_bounds():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        off = draw_pmu_offsets((1, 2, 3, 4, 5), PMU, rng)
-        assert off.vm.shape == off.va_deg.shape == (5,)
-        assert np.all(np.abs(off.vm) <= PMU.accuracy)
-        assert np.all(np.abs(off.va_deg) <= np.degrees(PMU.accuracy))
+        off_vm, off_va_deg = draw_pmu_offsets((1, 2, 3, 4, 5), PMU, rng)
+        assert off_vm.shape == off_va_deg.shape == (5,)
+        assert np.all(np.abs(off_vm) <= PMU.accuracy)
+        assert np.all(np.abs(off_va_deg) <= np.degrees(PMU.accuracy))
         soff = draw_scada_offsets((2, 4), SCADA, rng)
         assert soff.shape == (2,)
         assert np.all(np.abs(soff) <= SCADA.accuracy)
@@ -146,8 +145,7 @@ def test_systematic_offsets_within_bounds():
 def test_offsets_applied_to_samples(true_solution):
     spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
     # offsets are by bus position: bus 2 is position 1
-    off = PmuOffsets(vm=np.array([0.0, 0.001, 0.0, 0.0, 0.0]),
-                     va_deg=np.array([0.0, 0.05, 0.0, 0.0, 0.0]))
+    off = np.array([0.0, 0.001, 0.0, 0.0, 0.0]), np.array([0.0, 0.05, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(0)
     meas = sample_pmu(true_solution, spec, rng, offsets=off)
     assert true_solution.bus_ids[1] == 2
@@ -217,7 +215,7 @@ def test_stacked_readings_match_per_trial_samples(true_solution, true_injections
     stream; a stack of one is the scalar sample."""
     pmu = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma)
     scada = DeviceSpec(kind=DeviceKind.SCADA, sigma=sigma * 100)
-    pmu_offsets = PmuOffsets(vm=np.linspace(-1e-4, 1e-4, 5), va_deg=np.linspace(2e-3, -2e-3, 5))
+    pmu_offsets = np.linspace(-1e-4, 1e-4, 5), np.linspace(2e-3, -2e-3, 5)
     buses = (2, 3, 4, 5)
     scada_offsets = np.array([1e-4, -2e-4, 3e-4, 0.0])
     rows = [true_injections.bus_ids.index(b) for b in buses]

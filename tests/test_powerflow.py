@@ -11,11 +11,10 @@ from microtopo.powerflow import (
     DivergedError,
     InjectionSnapshot,
     SingularJacobianError,
-    compute_mismatch,
-    solve_fixed_point_oracle,
     solve_newton_raphson,
     solve_newton_raphson_batch,
 )
+from oracles import compute_mismatch, solve_fixed_point_oracle
 
 # Oracle-derived reference for topology I with a 0.1 + j0.05 p.u. load at
 # bus 3 only (fixed-point solve to 1e-12 mismatch).
@@ -174,7 +173,7 @@ def test_solution_invariant_under_bus_reordering(graph, topo_by_id):
 def test_nr_diverges_on_impossible_load(graph, topo_by_id):
     inj = InjectionSnapshot.from_bus_map(graph, {4: (-50.0, -20.0)})
     with pytest.raises(DivergedError) as err:
-        solve_newton_raphson(_ybus(graph, topo_by_id, "I"), inj, max_iter=20)
+        solve_newton_raphson(_ybus(graph, topo_by_id, "I"), inj)
     assert err.value.last_mismatch > 0
 
 
@@ -285,11 +284,11 @@ def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_grid, graph):
     picked = rng.choice(96, 12, replace=False).tolist()
     steps = [*picked[:6], "heavy", *picked[6:]]
     grid_y, grid_p, grid_q = _failing_grid(graph, ybus, noisy_p, noisy_q, 2, steps)
-    mixed = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
+    mixed = solve_newton_raphson_batch(grid_y, grid_p, grid_q)
     assert mixed.converged.sum() == 5 * 12
     assert not mixed.converged[:, 6].any()
     assert mixed.singular.tolist() == [[topology == 2] * 13 for topology in range(6)]
-    _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q, max_iter=20)
+    _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q)
 
 
 def _slack_third_grid(graph, topologies, fixture_grid):
@@ -310,7 +309,7 @@ def test_slack_not_first_grid_is_bit_identical_alone_and_in_stack(graph, topolog
     has the bits of the same case solved alone."""
     relabelled = _slack_third(graph)
     ybus, p, q = _slack_third_grid(graph, topologies, fixture_grid)
-    kw = dict(slack_index=relabelled.slack_index, max_iter=20)
+    kw = dict(slack_index=relabelled.slack_index)
     _assert_cases_equal_solo(solve_newton_raphson_batch(ybus, p, q, **kw), ybus, p, q, **kw)
     grid_y, grid_p, grid_q = _failing_grid(relabelled, ybus, p, q, 2, [0, "heavy", 37, "nan", 95])
     mixed = solve_newton_raphson_batch(grid_y, grid_p, grid_q, **kw)
@@ -414,17 +413,17 @@ def test_failed_cases_leave_the_others_unchanged(fixture_grid, graph):
     ybus, p, q = fixture_grid
     steps = [0, "heavy", 37, "nan", 60, 95]
     grid_y, grid_p, grid_q = _failing_grid(graph, ybus, p, q, 4, steps)
-    mixed = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
+    mixed = solve_newton_raphson_batch(grid_y, grid_p, grid_q)
     good = [isinstance(t, int) for t in steps]
     assert mixed.converged.tolist() == [[ok and topology != 4 for ok in good]
                                         for topology in range(6)]
     assert mixed.singular.tolist() == [[topology == 4] * 6 for topology in range(6)]
     assert np.argwhere(~mixed.converged)[0].tolist() == [0, 1]
-    _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q, max_iter=20)
+    _assert_cases_equal_solo(mixed, grid_y, grid_p, grid_q)
     for topology in (0, 1, 2, 3, 5):
         for step in (1, 3):
             assert isinstance(mixed.error(topology, step), DivergedError)
-            assert mixed.iterations[topology, step] == 20
+            assert mixed.iterations[topology, step] == powerflow.MAX_ITER
         assert mixed.mismatch[topology, 1] > 1.0
         assert np.isnan(mixed.mismatch[topology, 3])
     for step in range(6):
@@ -434,7 +433,7 @@ def test_failed_cases_leave_the_others_unchanged(fixture_grid, graph):
     # the scalar solver is the 1 x 1 grid: the same errors and mismatch
     inj = InjectionSnapshot(bus_ids=graph.bus_ids, p=tuple(grid_p[1]), q=tuple(q[0]))
     with pytest.raises(DivergedError) as err:
-        solve_newton_raphson(ybus[0], inj, max_iter=20)
+        solve_newton_raphson(ybus[0], inj)
     assert err.value.last_mismatch == mixed.mismatch[0, 1]
     with pytest.raises(SingularJacobianError):
         solve_newton_raphson(grid_y[4], InjectionSnapshot(graph.bus_ids, p[0], q[0]))
@@ -449,7 +448,7 @@ def test_every_working_array_is_written_before_it_is_read(fixture_grid, graph, m
     what an array held before the solver wrote it."""
     ybus, p, q = fixture_grid
     grid_y, grid_p, grid_q = _failing_grid(graph, ybus, p, q, 4, [0, "heavy", 37, "nan", 60, 95])
-    fresh = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
+    fresh = solve_newton_raphson_batch(grid_y, grid_p, grid_q)
     empty = np.empty
     poisoned = []
 
@@ -460,7 +459,7 @@ def test_every_working_array_is_written_before_it_is_read(fixture_grid, graph, m
         return array
 
     monkeypatch.setattr(np, "empty", nan_empty)
-    filled = solve_newton_raphson_batch(grid_y, grid_p, grid_q, max_iter=20)
+    filled = solve_newton_raphson_batch(grid_y, grid_p, grid_q)
     monkeypatch.undo()
     n_case, n = grid_y.shape[0] * len(grid_p), len(graph.bus_ids)
     assert max(poisoned) == 2 * n_case * ((n + 7) * (n - 1) + n)  # the working block
