@@ -19,6 +19,7 @@ from .detector import CRITERIA, INCONCLUSIVE, SIGNALS, solve_library_batch
 from .network import NetworkError, load_network
 from .powerflow import PowerFlowError
 from .scenario import (
+    MIN_REPS_PER_PROCESS,
     ConfigError,
     build_context,
     classify,
@@ -99,8 +100,11 @@ def _build_parser() -> _Parser:
         p_exp.add_argument("--" + key.replace("_", "-"), type=float, default=None)
     p_exp.add_argument("--jobs", type=int, default=None,
                        help="processes that run the repetitions, this one "
-                            "included, at most one per usable CPU (default: the "
-                            "config's jobs key, else 1)")
+                            "included, at most one per usable CPU and one per "
+                            f"{MIN_REPS_PER_PROCESS} repetitions, the share below which "
+                            "a worker process was measured (2-core host) to cost "
+                            "more than it saves (default: the config's jobs key, "
+                            "else 1)")
     p_exp.add_argument("--out-dir", default="results")
     return parser
 

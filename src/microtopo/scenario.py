@@ -387,6 +387,20 @@ class DetectionRateReport:
 # repetitions: one block's arrays are live at a time.
 REPS_PER_BLOCK = 4
 
+# Repetitions per process, at least: `run_experiment` starts a worker only
+# for a share of this many or more. Beside a forked child the caller's heap
+# is copy-on-write: its own 2-repetition chunk took ~770 minor page faults
+# (0-1 without the fork) and 5.0-6.4 ms instead of 2.4-2.7 ms (quartiles of
+# 40 alternating calls, an idle child forked before each). Serial time
+# over `--jobs 2` time of an in-process `experiment` call, by share per
+# process (2-core Xeon, numpy 2.4.6, one BLAS thread; median of 8 runs of
+# 30 alternating rounds, the lowest run in brackets): 0.63 (0.46) at 2,
+# 0.88 (0.58) at 4, 0.84 (0.59) at 6, 0.95 (0.65) at 8, 1.00 (0.65) at 10,
+# 1.14 (1.04) at 12, 1.14 (1.00) at 14, 1.26 (1.18) at 16, 1.39 (1.29) at
+# 24 and 1.40 (1.37) at 50. From 12, 3 blocks, no run of the pool was
+# slower than serial.
+MIN_REPS_PER_PROCESS = 12
+
 
 def _run_chunk(ctx: ExperimentContext, reps: list[int]) -> DetectionRateReport:
     """Draw each repetition of `reps`, then classify and count them in
@@ -424,11 +438,15 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
 
     The context's true states are solved once, before any process starts,
     and every worker gets them with the context. The repetitions split into
-    contiguous chunks, at most one per job, per repetition and per usable
-    CPU. The calling process runs the first chunk, and each other chunk runs
-    in one `multiprocessing.Process` that sends its report back over a
-    one-way pipe, so a serial run (`jobs` = 1 or one repetition) is one
-    chunk and starts no process. An error in any chunk stops the other
+    `max(1, min(jobs, usable CPUs, repetitions // MIN_REPS_PER_PROCESS))`
+    contiguous chunks: at most one per job and per usable CPU, and one per
+    `MIN_REPS_PER_PROCESS` repetitions, the share below which a worker
+    costs more than it saves (measured on a 2-core host). The calling
+    process runs the first chunk, and each other chunk runs in one
+    `multiprocessing.Process` that sends its report back over a one-way
+    pipe, so a serial run (`jobs` = 1, or fewer than
+    2 x `MIN_REPS_PER_PROCESS` repetitions) is one chunk and starts no
+    process. An error in any chunk stops the other
     processes and is raised here, a worker's exception with the worker's
     traceback as its cause; a worker that exits without replying raises a
     RuntimeError that names its repetitions and exit code.
@@ -441,7 +459,7 @@ def run_experiment(config: ScenarioConfig) -> DetectionRateReport:
     ctx.true_states  # solved here, so a failed case raises before any process starts
     reps = list(range(config.repetitions))
     # One contiguous run of repetitions per process: repetitions cost alike.
-    n_chunks = min(config.jobs, len(reps), _usable_cpus())
+    n_chunks = max(1, min(config.jobs, _usable_cpus(), len(reps) // MIN_REPS_PER_PROCESS))
     chunks = [reps[i * len(reps) // n_chunks:(i + 1) * len(reps) // n_chunks]
               for i in range(n_chunks)]
     workers = []

@@ -3,6 +3,7 @@ import pytest
 from microtopo.network import load_network
 from microtopo.powerflow import InjectionSnapshot
 from microtopo.profiles import load_injections
+from microtopo import scenario
 from microtopo.scenario import fixture_path
 
 
@@ -46,3 +47,11 @@ def reversed_net(tmp_path):
     path.write_text(
         head + "[buses]\n" + "\n".join(reversed(buses.splitlines())) + "\n\n" + tail)
     return path
+
+
+@pytest.fixture
+def fork_per_repetition(monkeypatch):
+    """Let `run_experiment` start a worker for a share of one repetition, as
+    it did before `scenario.MIN_REPS_PER_PROCESS`, so that the process pool's
+    tests reach it with a few repetitions."""
+    monkeypatch.setattr(scenario, "MIN_REPS_PER_PROCESS", 1)

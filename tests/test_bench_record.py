@@ -27,16 +27,48 @@ def test_dry_run_prints_the_plan_and_writes_nothing(capsys):
     assert plan["perfbench"] == ["perfbench/run.py", "--workload", "all", "--trace", "0",
                                  "--seed", "1", "--seconds", "25"]
     assert plan["tier1"] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert plan["against"] is None
     rounds = plan["rounds"]
     assert len(rounds) == 10
-    assert rounds[0][:2] == [["-c", "pass"], ["-c", "import microtopo.cli"]]
-    experiments = [[c for c in order if "experiment" in c] for order in rounds]
-    assert all([a[-4:-2], b[-4:-2]].count(["--jobs", "2"]) == 1 for a, b in experiments)
-    jobs2_first = [first[-4:-2] == ["--jobs", "2"] for first, _ in experiments]
+    assert {tree for order in rounds for tree, _ in order} == {"this"}
+    argvs = [[argv for _, argv in order] for order in rounds]
+    assert argvs[0][:2] == [["-c", "pass"], ["-c", "import microtopo.cli"]]
+    experiments = [[argv for argv in order if "experiment" in argv] for order in argvs]
+    assert all(len(order) == 3 for order in experiments)
+    # the paper's run, then the pool's repetitions serial and with --jobs 2
+    assert [argv[4:-2] for argv in experiments[0]] == [
+        [], ["--reps", "48"], ["--reps", "48", "--jobs", "2"]]
+    jobs2_first = [order[0][-4:-2] == ["--jobs", "2"] for order in experiments]
     assert jobs2_first == [i % 2 == 1 for i in range(len(rounds))]  # the order alternates
 
 
-@pytest.mark.parametrize("argv", [[], ["no/slash"], ["../x"]])
+def test_dry_run_against_another_checkout_pairs_every_command(tmp_path, capsys):
+    """With --against, each command runs under both trees one after the
+    other, this checkout first in even rounds and the other tree first in
+    odd ones; the plan names the other tree, which must import."""
+    other = tmp_path / "other"
+    assert bench_record.main(["--dry-run", "--against", str(other)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")  # no package there
+    shutil.copytree(SCRIPT.parent.parent / "src" / "microtopo", other / "src" / "microtopo",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert bench_record.main(["--dry-run", "--against", str(other)]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan["against"] == {"path": str(other.resolve()), "code": None,
+                               "checkout": {"name": "other",
+                                            "path_chars": len(str(other.resolve()))}}
+    rounds = plan["rounds"]
+    assert len(rounds) == 10
+    for i, order in enumerate(rounds):
+        trees = [tree for tree, _ in order]
+        argvs = [argv for _, argv in order]
+        first, second = ("this", "against") if i % 2 == 0 else ("against", "this")
+        assert trees == [first, second] * 5
+        assert argvs[0::2] == argvs[1::2]  # each command twice in a row
+        assert order == (rounds[0] if i % 2 == 0 else rounds[0][::-1])
+
+
+@pytest.mark.parametrize("argv", [[], ["no/slash"], ["../x"],
+                                  ["x", "--against", str(SCRIPT.parent.parent)]])
 def test_bad_arguments_exit_2(argv):
     with pytest.raises(SystemExit) as exited:
         bench_record.main(argv)

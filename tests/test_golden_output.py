@@ -69,6 +69,7 @@ TWO_WORD_SEED_SHA256 = {
 }
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_seeded_output_matches_golden_files(tmp_path, capsys, jobs):
     assert main(["experiment", "--seed", "7", "--reps", "1", "--jobs", jobs,
@@ -81,6 +82,7 @@ def test_seeded_output_matches_golden_files(tmp_path, capsys, jobs):
             "--out-dir tests/data/golden` and explain the change in CHANGES.md.")
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_multi_rep_output_matches_golden_digests(tmp_path, capsys, jobs):
     assert main(["experiment", "--seed", "11", "--reps", "3", "--jobs", jobs,
@@ -89,6 +91,7 @@ def test_multi_rep_output_matches_golden_digests(tmp_path, capsys, jobs):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_multi_block_output_matches_golden_digests(tmp_path, capsys, monkeypatch, jobs):
     """Nine repetitions span three serial blocks, and two pooled chunks
@@ -101,6 +104,7 @@ def test_multi_block_output_matches_golden_digests(tmp_path, capsys, monkeypatch
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_two_word_seed_output_matches_golden_digests(tmp_path, capsys, jobs):
     assert main(["experiment", "--seed", str(2**32 + 7), "--reps", "1", "--jobs", jobs,

@@ -694,6 +694,7 @@ def _assert_same_counts(report, serial):
     assert np.array_equal(report.row_votes, serial.row_votes)
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 def test_pool_forks_no_more_workers_than_chunks(monkeypatch):
     """Three repetitions make 3 chunks at most, so --jobs 64 starts 2
     processes and the caller runs the first chunk itself."""
@@ -706,6 +707,7 @@ def test_pool_forks_no_more_workers_than_chunks(monkeypatch):
     _assert_same_counts(pooled, serial)
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 @pytest.mark.parametrize("affinity, cpu_count, want_started, want_caller", [
     (3, None, [[2, 3], [4, 5]], [[0, 1]]),
     (None, 2, [[3, 4, 5]], [[0, 1, 2]]),  # no affinity call: os.cpu_count() bounds it
@@ -727,6 +729,7 @@ def test_pool_forks_no_more_processes_than_usable_cpus(monkeypatch, affinity, cp
     _assert_same_counts(pooled, serial)
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 def test_the_caller_solves_the_true_states_once_before_any_process_starts(monkeypatch):
     """A pooled run solves the true states once, in the caller, and hands
     them to every chunk with the context; when that solve fails, no process
@@ -765,6 +768,34 @@ def test_the_caller_solves_the_true_states_once_before_any_process_starts(monkey
     assert inline.started == []
 
 
+@pytest.mark.parametrize("repetitions", [
+    1, scenario.MIN_REPS_PER_PROCESS - 1, 2 * scenario.MIN_REPS_PER_PROCESS - 1])
+def test_a_run_too_short_to_share_forks_nothing(monkeypatch, repetitions):
+    """Below 2 x `MIN_REPS_PER_PROCESS` repetitions no share is worth a
+    worker, so even --jobs 64 on 64 usable CPUs runs every repetition in
+    the caller, and counts what the serial run counts."""
+    _pin_usable_cpus(monkeypatch, 64)
+    serial = run_experiment(_tiny_config(repetitions=repetitions, master_seed=31))
+    pooled, started, caller = _run_inline_pool(monkeypatch, repetitions=repetitions,
+                                               master_seed=31, jobs=64)
+    assert started == []
+    assert caller == [list(range(repetitions))]
+    _assert_same_counts(pooled, serial)
+
+
+def test_a_run_of_two_shares_starts_one_worker(monkeypatch):
+    """At 2 x `MIN_REPS_PER_PROCESS` repetitions on 2 usable CPUs, --jobs 2
+    starts exactly one worker, for the second half of the repetitions."""
+    _pin_usable_cpus(monkeypatch, 2)
+    half = scenario.MIN_REPS_PER_PROCESS
+    serial = run_experiment(_tiny_config(repetitions=2 * half, master_seed=31))
+    pooled, started, caller = _run_inline_pool(monkeypatch, repetitions=2 * half,
+                                               master_seed=31, jobs=2)
+    assert started == [list(range(half, 2 * half))]
+    assert caller == [list(range(half))]
+    _assert_same_counts(pooled, serial)
+
+
 fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                reason="the test monkeypatches what a forked worker runs")
 
@@ -784,6 +815,7 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 @fork_only
 @pytest.mark.parametrize("failing_rep", [0, 1])  # the caller's chunk, the worker's
 def test_library_error_in_a_chunk_exits_3_like_the_serial_run(tmp_path, capsys,
@@ -819,6 +851,7 @@ def test_library_error_in_a_chunk_exits_3_like_the_serial_run(tmp_path, capsys,
 
 
 @fork_only
+@pytest.mark.usefixtures("fork_per_repetition")
 def test_worker_that_exits_without_replying_is_reported(monkeypatch):
     """A worker that dies mid-chunk raises at once, naming its repetitions
     and exit code, and leaves no process behind."""
@@ -838,6 +871,7 @@ def test_worker_that_exits_without_replying_is_reported(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 def test_pool_under_spawn_matches_serial(monkeypatch):
     """The pool also works where workers are spawned, not forked (the
     default on macOS, and on Linux from Python 3.14)."""
@@ -873,6 +907,7 @@ def test_confusion_counts_sum(small_report):
     assert (small_report.confusion.sum(axis=(0, 3)) == 5 * 96 * 2).all()
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 def test_parallel_matches_serial():
     serial = run_experiment(_tiny_config(repetitions=2, master_seed=31, jobs=1))
     parallel = run_experiment(_tiny_config(repetitions=2, master_seed=31, jobs=4))
@@ -924,6 +959,7 @@ def test_write_report_schema(small_report, tmp_path):
     assert total == n_cfg * len(ids) * 96 * 2
 
 
+@pytest.mark.usefixtures("fork_per_repetition")
 def test_report_byte_determinism(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
