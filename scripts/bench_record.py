@@ -31,8 +31,12 @@ checkout at DIR, in the same run: each command runs under both trees one
 after the other, the order mirrored every round, and the record's
 `against` entry holds DIR's path, code, wall times and perfbench output
 (its tier-1 suite is not run). Each tree's `python -c pass` runs, one per
-round, show how the host's load moved during the run. The script edits
-nothing under perfbench/.
+round, show how the host's load moved during the run, and the two trees'
+medians of a command can differ by more than a change does for the same
+code. So each command's wall time also gets `ratio_to_against`: the ratio
+of this tree's run to DIR's neighbouring run, round by round, as median,
+quartiles and every ratio in round order. The script edits nothing under
+perfbench/.
 
 Exit status: 0 when the record is written (or the plan printed), 1 when a
 timed command fails, 2 on bad arguments or when the package does not
@@ -113,6 +117,15 @@ def tier1_counts(output: str) -> dict:
 def summary(runs_s: list[float]) -> dict:
     return {"median_s": statistics.median(runs_s), "min_s": min(runs_s),
             "max_s": max(runs_s), "runs_s": runs_s}
+
+
+def paired_ratios(this_runs: list[float], other_runs: list[float]) -> dict:
+    """The ratio of each run of `this_runs` to the run of `other_runs` of
+    the same round, its neighbour, in round order, with their median and
+    quartiles (`statistics.quantiles`, inclusive method)."""
+    ratios = [a / b for a, b in zip(this_runs, other_runs, strict=True)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "ratios": ratios}
 
 
 def checkout(root: Path) -> dict:
@@ -209,6 +222,10 @@ def record(label: str, against: Path | None = None) -> dict:
         tier1_s = time.perf_counter() - start
     wall = {tree: {"pairs": PAIRS, **{name: summary(r) for name, r in by_name.items()}}
             for tree, by_name in runs.items()}
+    if against:
+        for name, this_runs in runs["this"].items():
+            wall["this"][name]["ratio_to_against"] = paired_ratios(
+                this_runs, runs["against"][name])
     point = {
         "label": label,
         "code": code(),

@@ -15,20 +15,14 @@ import numpy as np
 from .powerflow import InjectionSnapshot, PowerFlowSolution
 
 
-class DeviceKind:
-    MICRO_PMU = "micro_pmu"
-    SCADA = "scada"
-
-
 @dataclass(frozen=True)
 class DeviceSpec:
-    """Noise model of one measurement device class.
+    """Noise model of the μPMUs or of SCADA, which `pmu_readings` or `scada_readings` applies.
 
     sigma and accuracy are relative fractions (0.00025 means 0.025%): for
     μPMUs, p.u. of the 1 p.u. nominal for the magnitude, radians for the angle.
     """
 
-    kind: str
     sigma: float
     accuracy: float = 0.0
 
@@ -149,11 +143,6 @@ def _gaussian(rng: np.random.Generator, sigmas: tuple[float, float], shape) -> n
     return rng.standard_normal((*shape, 2)) * sigmas
 
 
-def _check_kind(spec: DeviceSpec, kind: str):
-    if spec.kind != kind:
-        raise ValueError(f"expected a {kind} spec, got {spec.kind}")
-
-
 def pmu_readings(vm: np.ndarray, va_deg: np.ndarray, spec: DeviceSpec,
                  rng: np.random.Generator,
                  offsets: tuple[np.ndarray, np.ndarray] | None = None
@@ -165,7 +154,6 @@ def pmu_readings(vm: np.ndarray, va_deg: np.ndarray, spec: DeviceSpec,
     radians (reported in degrees). Noise is drawn bus by bus, magnitude
     before angle. `offsets` is a (vm, va_deg) pair from `draw_pmu_offsets`.
     """
-    _check_kind(spec, DeviceKind.MICRO_PMU)
     noise = _gaussian(rng, (spec.sigma, np.degrees(spec.sigma)), vm.shape)
     if offsets is not None:
         off_vm, off_va_deg = offsets
@@ -183,7 +171,6 @@ def scada_readings(p: np.ndarray, q: np.ndarray, spec: DeviceSpec,
     so a zero true injection measures exactly zero. `offsets` holds one
     offset per monitored bus. Noise is drawn bus by bus, p before q.
     """
-    _check_kind(spec, DeviceKind.SCADA)
     base = 1.0 if offsets is None else 1.0 + offsets[:, None]
     factor = base + _gaussian(rng, (spec.sigma, spec.sigma), p.shape)
     return p * factor[..., 0], q * factor[..., 1]

@@ -67,10 +67,11 @@ def _default_injections(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, tu
     """Deterministic synthetic day for every load bus, as `load_injections`
     returns it.
 
-    The bundled 5-bus fixture gets households with rooftop PV at buses 2
-    and 4 (bus 4 dominant), an industrial consumer with a small PV plant
-    at bus 5, and nothing at bus 3. Any other graph gets a residential
-    load at each non-slack bus.
+    A network whose PQ bus ids are exactly {2, 3, 4, 5}, as the bundled
+    5-bus fixture's are, gets the paper's day, whatever its lines:
+    households with rooftop PV at buses 2 and 4 (bus 4 dominant), an
+    industrial consumer with a small PV plant at bus 5, and nothing at
+    bus 3. Any other gets a light residential load at each PQ bus, no PV.
     """
     pq_ids = [b.id for b in graph.buses if b.kind is BusKind.PQ]
     if set(pq_ids) == {2, 3, 4, 5}:

@@ -31,7 +31,6 @@ from .detector import (
     vote_stack,
 )
 from .measurements import (
-    DeviceKind,
     DeviceSpec,
     derive_rng_stream,
     draw_pmu_offsets,
@@ -101,11 +100,8 @@ _CONFIG_PARSERS = {f.name: {"str": _file_name, "float": float, "int": int}[f.typ
 
 def _resolve_input(key: str, name: str, base_dir: Path) -> str:
     """Resolve the file named by config key `key` against `base_dir`, then
-    the bundled data directory."""
-    candidate = Path(name)
-    if candidate.is_absolute() and candidate.exists():
-        return str(candidate)
-    local = base_dir / candidate
+    the bundled data directory; an absolute `name` resolves to itself."""
+    local = base_dir / name
     if local.exists():
         return str(local)
     bundled = fixture_path(name)
@@ -222,10 +218,8 @@ def build_context(config: ScenarioConfig) -> ExperimentContext:
                           "would draw the same noise, as their random stream keys are "
                           "equal; rename a topology", "network")
     true_p, true_q, scada_buses = profiles.load_injections(graph, config.profile)
-    pmu_spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=config.pmu_sigma,
-                          accuracy=config.pmu_accuracy)
-    scada_spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=config.scada_sigma,
-                            accuracy=config.scada_accuracy)
+    pmu_spec = DeviceSpec(sigma=config.pmu_sigma, accuracy=config.pmu_accuracy)
+    scada_spec = DeviceSpec(sigma=config.scada_sigma, accuracy=config.scada_accuracy)
     # Trial index 0 is reserved for offset draws; repetition noise streams use
     # 1 + rep.
     pmu_offsets = tuple(
@@ -323,12 +317,10 @@ def _rates(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @dataclass
 class DetectionRateReport:
     """Aggregated Monte Carlo outcome counts, as integer arrays indexed by
-    position in `topology_ids`, `criteria`, `signals` and `pmu_bus_ids`."""
+    position in `topology_ids`, `CRITERIA`, `SIGNALS` and `pmu_bus_ids`."""
 
     topology_ids: tuple[str, ...]
     pmu_bus_ids: tuple[int, ...]  # the graph's bus ids, one per ADM/MDM row
-    criteria: ClassVar[tuple[str, ...]] = CRITERIA
-    signals: ClassVar[tuple[str, ...]] = SIGNALS
     # (true, criterion, signal, detected) and (true, signal, row, voted) counts; the
     # last label, position len(topology_ids), counts inconclusive verdicts or abstentions
     confusion: np.ndarray = field(init=False)
@@ -337,9 +329,9 @@ class DetectionRateReport:
     def __post_init__(self):
         n_topo = len(self.topology_ids)
         self.confusion = np.zeros(
-            (n_topo, len(self.criteria), len(self.signals), n_topo + 1), dtype=np.int64)
+            (n_topo, len(CRITERIA), len(SIGNALS), n_topo + 1), dtype=np.int64)
         self.row_votes = np.zeros(
-            (n_topo, len(self.signals), len(self.pmu_bus_ids), n_topo + 1), dtype=np.int64)
+            (n_topo, len(SIGNALS), len(self.pmu_bus_ids), n_topo + 1), dtype=np.int64)
 
     def record_rep(self, verdicts: np.ndarray, votes: np.ndarray):
         """Count the outcome arrays of a repetition or a block of them, such as
@@ -358,22 +350,6 @@ class DetectionRateReport:
         """The (correct, inconclusive, n) verdict counts, each a (true,
         criterion, signal) array."""
         return _rates(self.confusion)
-
-    def _at(self, true: str, criterion: str, signal: str) -> tuple[int, int, int]:
-        return (self.topology_ids.index(true), self.criteria.index(criterion),
-                self.signals.index(signal))
-
-    def n_trials(self, true: str, criterion: str, signal: str) -> int:
-        return int(self.counts()[2][self._at(true, criterion, signal)])
-
-    def correct_rate(self, true: str, criterion: str, signal: str) -> float:
-        correct, _, n = (int(a[self._at(true, criterion, signal)]) for a in self.counts())
-        return correct / max(1, n)
-
-    def overall_correct_rate(self, criterion: str, signal: str) -> float:
-        at = (slice(None), self.criteria.index(criterion), self.signals.index(signal))
-        correct, _, n = (int(a[at].sum()) for a in self.counts())
-        return correct / max(1, n)
 
 
 # Repetitions per block: `_run_chunk` classifies a block's readings in one
@@ -503,7 +479,7 @@ def write_report(report: DetectionRateReport, out_dir: str | Path) -> tuple[Path
     the report's tables; output is byte-stable per seed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ids, criteria, signals = report.topology_ids, report.criteria, report.signals
+    ids = report.topology_ids
 
     def rate_rows(table, *axes):  # one row per (true, *axes) cell of `_rates(table)`
         return [[*cell, f"{ok / max(1, n):.6f}", f"{last / max(1, n):.6f}", n]
@@ -512,12 +488,12 @@ def write_report(report: DetectionRateReport, out_dir: str | Path) -> tuple[Path
 
     tables = {
         "rates.csv": (["criterion", "signal", "correct_rate", "inconclusive_rate", "n"],
-                      rate_rows(report.confusion, criteria, signals)),
+                      rate_rows(report.confusion, CRITERIA, SIGNALS)),
         "bus_rates.csv": (["signal", "bus", "correct_rate", "abstain_rate", "n"],
-                          rate_rows(report.row_votes, signals, report.pmu_bus_ids)),
+                          rate_rows(report.row_votes, SIGNALS, report.pmu_bus_ids)),
         "confusion.csv": (["criterion", "signal", "detected", "count"], [
             [*cell, count] for cell, count in zip(
-                itertools.product(ids, criteria, signals, ids + (INCONCLUSIVE,)),
+                itertools.product(ids, CRITERIA, SIGNALS, ids + (INCONCLUSIVE,)),
                 report.confusion.ravel().tolist())]),
     }
     for name, (header, rows) in tables.items():
@@ -531,8 +507,8 @@ def summarize(report: DetectionRateReport) -> list[str]:
     correct, inconclusive, n = (a.sum(axis=0).tolist() for a in report.counts())
     return [f"{crit.upper():5s} {sig:9s}  correct {correct[c][s] / max(1, n[c][s]):6.1%}  "
             f"inconclusive {inconclusive[c][s] / max(1, n[c][s]):6.1%}  n={n[c][s]}"
-            for c, crit in enumerate(report.criteria)
-            for s, sig in enumerate(report.signals)]
+            for c, crit in enumerate(CRITERIA)
+            for s, sig in enumerate(SIGNALS)]
 
 
 def dump_matrices_csv(stack: np.ndarray, pmu_bus_ids, topology_ids, path: str | Path):

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from microtopo.cli import EXIT_OK, main
-from microtopo.detector import INCONCLUSIVE, vote_stack
+from microtopo.detector import CRITERIA, INCONCLUSIVE, SIGNALS, vote_stack
 from microtopo.network import build_incidence_matrix, build_ybus, load_network
 from microtopo.powerflow import solve_newton_raphson
 from microtopo.scenario import fixture_path, load_config, run_experiment
 from oracles import compute_mismatch, solve_fixed_point_oracle
+from report_rates import correct_rate, n_trials, overall_correct_rate
 
 Z_95 = 1.6448536269514722  # one-sided 5% critical value
 
@@ -48,11 +49,11 @@ def test_zero_noise_detection_is_perfect():
     ok = elapsed < 10.0
     worst = 1.0
     for true in report.topology_ids:
-        for crit in report.criteria:
-            for sig in report.signals:
-                rate = report.correct_rate(true, crit, sig)
+        for crit in CRITERIA:
+            for sig in SIGNALS:
+                rate = correct_rate(report, true, crit, sig)
                 worst = min(worst, rate)
-                ok = ok and rate == 1.0 and report.n_trials(true, crit, sig) == 96
+                ok = ok and rate == 1.0 and n_trials(report, true, crit, sig) == 96
     _verdict("zero-noise detection 100% on all criteria and signals",
              ok, f"min rate {worst:.3f}, {elapsed:.2f} s")
 
@@ -93,8 +94,8 @@ def test_power_flow_against_independent_oracle(default_day):
 
 
 def test_reference_noise_detection_rate_band(reference_run):
-    rate = reference_run.correct_rate("I", "armv", "angle")
-    n = reference_run.n_trials("I", "armv", "angle")
+    rate = correct_rate(reference_run, "I", "armv", "angle")
+    n = n_trials(reference_run, "I", "armv", "angle")
     ok = 0.75 <= rate <= 0.95 and n >= 96 * 20
     _verdict("angle ARMV rate for topology I within [0.75, 0.95]",
              ok, f"rate {rate:.4f}, n={n}")
@@ -111,13 +112,13 @@ def _one_sided_z(p_a: float, p_b: float, n: int) -> float:
 
 def test_criterion_and_signal_ordering(reference_run):
     rep = reference_run
-    n = sum(rep.n_trials(t, "armv", "angle") for t in rep.topology_ids)
+    n = sum(n_trials(rep, t, "armv", "angle") for t in rep.topology_ids)
     assert n >= 9600
 
-    armv_angle = rep.overall_correct_rate("armv", "angle")
-    armv_mag = rep.overall_correct_rate("armv", "magnitude")
-    rmv_angle = rep.overall_correct_rate("rmv", "angle")
-    ormv_angle = rep.overall_correct_rate("ormv", "angle")
+    armv_angle = overall_correct_rate(rep, "armv", "angle")
+    armv_mag = overall_correct_rate(rep, "armv", "magnitude")
+    rmv_angle = overall_correct_rate(rep, "rmv", "angle")
+    ormv_angle = overall_correct_rate(rep, "ormv", "angle")
 
     z_signal = _one_sided_z(armv_angle, armv_mag, n)
     z_rmv = _one_sided_z(rmv_angle, armv_angle, n)  # must NOT be significant

@@ -113,6 +113,41 @@ def test_tier1_counts_read_the_summary_line():
                                              "skipped": 0, "failed_tests": []}
 
 
+def test_paired_ratios_keep_round_order():
+    """Each round's run over the other tree's run of that round, in round
+    order; the median and quartiles are those of the ratios, not a ratio of
+    the two trees' own medians (0.275 / 0.25 here)."""
+    paired = bench_record.paired_ratios([0.2, 0.3, 0.25, 0.4], [0.1, 0.3, 0.5, 0.2])
+    assert paired["ratios"] == pytest.approx([2.0, 1.0, 0.5, 2.0])
+    assert (paired["q1"], paired["median"], paired["q3"]) == pytest.approx((0.875, 1.5, 2.0))
+    with pytest.raises(ValueError):  # a run without its neighbour
+        bench_record.paired_ratios([0.2, 0.3], [0.1])
+
+
+def test_record_against_another_tree_gives_each_command_its_ratios(monkeypatch):
+    """With --against, every command's wall time in the record carries the
+    paired ratios of its runs; without it, none does."""
+    this = {"python -c pass": [0.04, 0.05, 0.04], "experiment": [0.3, 0.2, 0.25]}
+    other = {"python -c pass": [0.04, 0.04, 0.05], "experiment": [0.2, 0.25, 0.25]}
+    monkeypatch.setattr(bench_record, "time_rounds", lambda commands, trees, cwd: {
+        "this": this, **({"against": other} if "against" in trees else {})})
+    monkeypatch.setattr(bench_record, "perfbench", lambda root: {})
+    monkeypatch.setattr(bench_record, "code", lambda root=None: None)
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda *args, **kwargs:
+                        subprocess.CompletedProcess(args, 0, "3 passed in 0.1s\n", ""))
+    point = bench_record.record("x", against=Path("/elsewhere"))
+    for name, runs in this.items():
+        wall = point["wall_time"][name]
+        assert wall["runs_s"] == runs
+        assert wall["ratio_to_against"] == bench_record.paired_ratios(runs, other[name])
+        assert "ratio_to_against" not in point["against"]["wall_time"][name]
+    assert point["wall_time"]["experiment"]["ratio_to_against"]["ratios"] == pytest.approx(
+        [1.5, 0.8, 1.0])
+    alone = bench_record.record("x")
+    assert "against" not in alone
+    assert all("ratio_to_against" not in alone["wall_time"][name] for name in this)
+
+
 def test_the_script_runs_as_a_command():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--dry-run"], capture_output=True,
                           text=True, timeout=60)

@@ -21,7 +21,7 @@ from microtopo.detector import (
     solve_library_batch,
     vote_stack,
 )
-from microtopo.measurements import DeviceKind, DeviceSpec, PhasorSet, sample_pmu
+from microtopo.measurements import DeviceSpec, PhasorSet, sample_pmu
 from microtopo.network import build_ybus
 from microtopo.powerflow import (
     DivergedError,
@@ -467,7 +467,7 @@ class _Bag:
 
 def test_difference_matrices_match_cell_loop_bit_for_bit(zero_noise_setup):
     library, injections = zero_noise_setup
-    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.00025, accuracy=0.00025)
+    spec = DeviceSpec(sigma=0.00025, accuracy=0.00025)
     rng = np.random.default_rng(5)
     for q in library.topology_ids:
         for t in injections:
@@ -484,7 +484,7 @@ def test_pmu_bus_missing_from_library_raises(zero_noise_setup, graph):
     a second call. A failed request caches nothing: the library keeps its
     one stack, of its own buses."""
     library, _ = zero_noise_setup
-    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
+    spec = DeviceSpec(sigma=0.0, accuracy=0.0)
     meas = sample_pmu(library.solution("I", 48), spec, np.random.default_rng(0),
                       time_index=48)
     cached = library._stacked
@@ -501,7 +501,7 @@ def test_pmu_bus_missing_from_library_raises(zero_noise_setup, graph):
 
 def test_step_missing_from_library_raises(zero_noise_setup):
     library, _ = zero_noise_setup
-    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
+    spec = DeviceSpec(sigma=0.0, accuracy=0.0)
     meas = sample_pmu(library.solution("I", 48), spec, np.random.default_rng(0),
                       time_index=48)
     with pytest.raises(KeyError, match="no library entry for topology I at t=999"):
@@ -540,7 +540,7 @@ def test_snapshot_stack_equals_difference_stacks_for_every_step(graph, topologie
 def test_zero_noise_detection_matches_truth(zero_noise_setup, graph, topologies):
     """Exact measurements of topology q zero out exactly column q."""
     library, injections = zero_noise_setup
-    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
+    spec = DeviceSpec(sigma=0.0, accuracy=0.0)
     rng = np.random.default_rng(0)
     for topo in topologies:
         for t in injections:

@@ -3,6 +3,8 @@
 tests/data/golden/ holds:
 - rates.csv, bus_rates.csv and confusion.csv of
   `microtopo experiment --seed 7 --reps 1 --jobs 1` on the bundled paper.cfg;
+- experiment_seed7_stdout.txt, the stdout of `microtopo experiment --seed 7
+  --reps 1` but its closing `wrote ...` line: the printed summary;
 - detect_III_t30_seed5.txt, the stdout of
   `microtopo detect --topo III --t 30 --seed 5`, and
   detect_III_t30_seed5_matrices.csv, the `--dump-matrices` CSV of that call;
@@ -80,6 +82,14 @@ def test_seeded_output_matches_golden_files(tmp_path, capsys, jobs):
             "is intentional, regenerate the golden files with "
             "`microtopo experiment --seed 7 --reps 1 --jobs 1 "
             "--out-dir tests/data/golden` and explain the change in CHANGES.md.")
+
+
+def test_experiment_summary_matches_golden_file(tmp_path, capsys):
+    assert main(["experiment", "--seed", "7", "--reps", "1",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    *summary, wrote = capsys.readouterr().out.splitlines(keepends=True)
+    assert wrote.startswith("wrote ")
+    assert "".join(summary) == (GOLDEN / "experiment_seed7_stdout.txt").read_text()
 
 
 @pytest.mark.usefixtures("fork_per_repetition")

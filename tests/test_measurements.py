@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from microtopo.measurements import (
-    DeviceKind,
     DeviceSpec,
     derive_rng_stream,
     draw_pmu_offsets,
@@ -17,8 +16,8 @@ from microtopo.measurements import (
 from microtopo.network import build_ybus
 from microtopo.powerflow import InjectionSnapshot, solve_newton_raphson
 
-PMU = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.00025, accuracy=0.00025)
-SCADA = DeviceSpec(kind=DeviceKind.SCADA, sigma=0.025, accuracy=0.0005)
+PMU = DeviceSpec(sigma=0.00025, accuracy=0.00025)
+SCADA = DeviceSpec(sigma=0.025, accuracy=0.0005)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +32,7 @@ def true_injections(graph):
 
 
 def test_zero_noise_pmu_is_exact(true_solution):
-    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
+    spec = DeviceSpec(sigma=0.0, accuracy=0.0)
     rng = np.random.default_rng(0)
     meas = sample_pmu(true_solution, spec, rng)
     assert meas.bus_ids == true_solution.bus_ids
@@ -42,7 +41,7 @@ def test_zero_noise_pmu_is_exact(true_solution):
 
 
 def test_zero_noise_scada_is_exact(true_injections):
-    spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=0.0, accuracy=0.0)
+    spec = DeviceSpec(sigma=0.0, accuracy=0.0)
     rng = np.random.default_rng(0)
     for m in sample_scada(true_injections, spec, rng, measured_buses=(3, 4)):
         idx = true_injections.bus_ids.index(m.bus_id)
@@ -75,7 +74,7 @@ def test_pmu_noise_statistics(true_solution):
 def test_pmu_draws_match_scalar_sequence(true_solution, sigma):
     """Offsets and noise equal, bit for bit, those of one scalar draw per bus
     and quantity (magnitude before angle), and a zero std draws nothing."""
-    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma, accuracy=0.00025)
+    spec = DeviceSpec(sigma=sigma, accuracy=0.00025)
     rng, ref = np.random.default_rng(1), np.random.default_rng(1)
     meas = sample_pmu(true_solution, spec, rng,
                       offsets=draw_pmu_offsets(true_solution.bus_ids, spec, rng))
@@ -93,7 +92,7 @@ def test_pmu_draws_match_scalar_sequence(true_solution, sigma):
 
 @pytest.mark.parametrize("sigma", [0.025, 0.0])
 def test_scada_draws_match_scalar_sequence(true_injections, sigma):
-    spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=sigma, accuracy=0.0005)
+    spec = DeviceSpec(sigma=sigma, accuracy=0.0005)
     buses = (4, 3)
     rng, ref = np.random.default_rng(2), np.random.default_rng(2)
     meas = sample_scada(true_injections, spec, rng, buses,
@@ -143,7 +142,7 @@ def test_systematic_offsets_within_bounds():
 
 
 def test_offsets_applied_to_samples(true_solution):
-    spec = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=0.0, accuracy=0.0)
+    spec = DeviceSpec(sigma=0.0, accuracy=0.0)
     # offsets are by bus position: bus 2 is position 1
     off = np.array([0.0, 0.001, 0.0, 0.0, 0.0]), np.array([0.0, 0.05, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(0)
@@ -154,17 +153,9 @@ def test_offsets_applied_to_samples(true_solution):
     assert meas.vm[2] == true_solution.vm[2]
 
 
-def test_spec_kind_checked(true_solution, true_injections):
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_pmu(true_solution, SCADA, rng)
-    with pytest.raises(ValueError):
-        sample_scada(true_injections, PMU, rng, measured_buses=(3,))
-
-
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
-        DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=-0.1)
+        DeviceSpec(sigma=-0.1)
 
 
 def test_rng_stream_determinism_and_independence():
@@ -213,8 +204,8 @@ def test_stacked_readings_match_per_trial_samples(true_solution, true_injections
     """Readings of a stack of trials drawn from one stream equal, bit for
     bit, the scalar samples of the same trials drawn in turn from an equal
     stream; a stack of one is the scalar sample."""
-    pmu = DeviceSpec(kind=DeviceKind.MICRO_PMU, sigma=sigma)
-    scada = DeviceSpec(kind=DeviceKind.SCADA, sigma=sigma * 100)
+    pmu = DeviceSpec(sigma=sigma)
+    scada = DeviceSpec(sigma=sigma * 100)
     pmu_offsets = np.linspace(-1e-4, 1e-4, 5), np.linspace(2e-3, -2e-3, 5)
     buses = (2, 3, 4, 5)
     scada_offsets = np.array([1e-4, -2e-4, 3e-4, 0.0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from microtopo import powerflow
-from microtopo.measurements import DeviceKind, DeviceSpec, draw_scada_offsets, scada_readings
+from microtopo.measurements import DeviceSpec, draw_scada_offsets, scada_readings
 from microtopo.network import NetworkGraph, build_ybus
 from microtopo.powerflow import (
     DivergedError,
@@ -278,7 +278,7 @@ def test_batch_case_is_bit_identical_alone_and_in_stack(fixture_grid, graph):
     _assert_cases_equal_solo(solve_newton_raphson_batch(ybus, p, q), ybus, p, q)
 
     rng = np.random.default_rng(11)
-    spec = DeviceSpec(kind=DeviceKind.SCADA, sigma=0.025, accuracy=0.0005)
+    spec = DeviceSpec(sigma=0.025, accuracy=0.0005)
     noisy_p, noisy_q = scada_readings(p, q, spec, rng,
                                       draw_scada_offsets(graph.bus_ids, spec, rng))
     picked = rng.choice(96, 12, replace=False).tolist()

@@ -29,6 +29,7 @@ from microtopo.detector import (
     vote_stack,
 )
 from microtopo.measurements import derive_rng_stream, sample_scada
+from microtopo.network import load_network
 from microtopo.powerflow import InjectionSnapshot
 from microtopo.scenario import (
     ConfigError,
@@ -42,6 +43,7 @@ from microtopo.scenario import (
     summarize,
     write_report,
 )
+from report_rates import correct_rate, n_trials
 
 PAPER_CFG = fixture_path("paper.cfg")
 
@@ -154,6 +156,30 @@ def test_config_with_byte_order_mark_loads(tmp_path):
 def test_rejected_override_has_no_line():
     with pytest.raises(ConfigError, match=r"^pmu_sigma must be finite"):
         load_config(PAPER_CFG, pmu_sigma=float("nan"))
+
+
+def test_config_paths_resolve_absolute_then_local_then_bundled(tmp_path, monkeypatch):
+    """A network named by an absolute path loads, whether a .cfg or an
+    override names it; a relative name resolves next to the .cfg before the
+    bundled file of the same name."""
+    net = tmp_path / "nets" / "grid.net"
+    net.parent.mkdir()
+    net.write_text(fixture_path("fivebus.net").read_text())
+    cfg = tmp_path / "cfgs" / "exp.cfg"
+    cfg.parent.mkdir()
+    monkeypatch.chdir(tmp_path)  # neither the network's directory nor the .cfg's
+    cfg.write_text(f"network = {net}\n")
+    by_file = load_config(cfg)
+    cfg.write_text("network = fivebus.net\n")
+    by_override = load_config(cfg, network=str(net))
+    for config in (by_file, by_override):
+        assert config.network == str(net)
+        graph, topologies = load_network(config.network)
+        assert graph.bus_ids == (1, 2, 3, 4, 5) and len(topologies) == 5
+    assert load_config(cfg).network == str(fixture_path("fivebus.net"))
+    local = cfg.parent / "fivebus.net"
+    local.write_text(fixture_path("fivebus.net").read_text())
+    assert load_config(cfg).network == str(local)
 
 
 # Generated config files: every key but network is optional; floats are
@@ -614,7 +640,7 @@ def test_experiment_is_array_program(monkeypatch):
     assert scenario.REPS_PER_BLOCK >= 4
     assert calls == [(5, 96, 96), (5, 4 * 96, 4 * 96)]
     assert len(seed_sequences) == 2 * 4 + (1 + 5) * 4
-    assert report.n_trials("I", "armv", "angle") == 96 * 4
+    assert n_trials(report, "I", "armv", "angle") == 96 * 4
 
 
 def test_zero_noise_trial_always_correct():
@@ -890,16 +916,15 @@ def small_report():
 
 def test_experiment_counts(small_report):
     correct, inconclusive, n = small_report.counts()
-    assert n.shape == (len(small_report.topology_ids), len(small_report.criteria),
-                       len(small_report.signals))
+    assert n.shape == (len(small_report.topology_ids), len(CRITERIA), len(SIGNALS))
     assert (n == 96 * 2).all()
     assert (correct >= 0).all() and (inconclusive >= 0).all()
     assert (correct + inconclusive <= n).all()
     for q, true in enumerate(small_report.topology_ids):
-        for c, crit in enumerate(small_report.criteria):
-            for s, sig in enumerate(small_report.signals):
-                assert small_report.n_trials(true, crit, sig) == 96 * 2
-                assert small_report.correct_rate(true, crit, sig) == correct[q, c, s] / (96 * 2)
+        for c, crit in enumerate(CRITERIA):
+            for s, sig in enumerate(SIGNALS):
+                assert n_trials(small_report, true, crit, sig) == 96 * 2
+                assert correct_rate(small_report, true, crit, sig) == correct[q, c, s] / (96 * 2)
 
 
 def test_confusion_counts_sum(small_report):
@@ -912,10 +937,10 @@ def test_parallel_matches_serial():
     serial = run_experiment(_tiny_config(repetitions=2, master_seed=31, jobs=1))
     parallel = run_experiment(_tiny_config(repetitions=2, master_seed=31, jobs=4))
     for true in serial.topology_ids:
-        for crit in serial.criteria:
-            for sig in serial.signals:
-                assert (serial.correct_rate(true, crit, sig)
-                        == parallel.correct_rate(true, crit, sig))
+        for crit in CRITERIA:
+            for sig in SIGNALS:
+                assert (correct_rate(serial, true, crit, sig)
+                        == correct_rate(parallel, true, crit, sig))
     assert np.array_equal(serial.confusion, parallel.confusion)
     assert np.array_equal(serial.row_votes, parallel.row_votes)
 
@@ -933,7 +958,7 @@ def test_write_report_schema(small_report, tmp_path):
     assert list(rows[0]) == ["true_topology", "criterion", "signal", "correct_rate",
                              "inconclusive_rate", "n"]
     assert [(r["true_topology"], r["criterion"], r["signal"]) for r in rows] == list(
-        itertools.product(ids, small_report.criteria, small_report.signals))
+        itertools.product(ids, CRITERIA, SIGNALS))
     correct, inconclusive, n = small_report.counts()
     for row, ok, undecided, total in zip(rows, correct.ravel(), inconclusive.ravel(),
                                          n.ravel()):
@@ -946,8 +971,7 @@ def test_write_report_schema(small_report, tmp_path):
     assert list(bus_rows[0]) == ["true_topology", "signal", "bus", "correct_rate",
                                  "abstain_rate", "n"]
     assert [(r["true_topology"], r["signal"], r["bus"]) for r in bus_rows] == [
-        (q, s, str(b)) for q, s, b in itertools.product(ids, small_report.signals,
-                                                       small_report.pmu_bus_ids)]
+        (q, s, str(b)) for q, s, b in itertools.product(ids, SIGNALS, small_report.pmu_bus_ids)]
     for row in bus_rows:
         assert 0.0 <= float(row["correct_rate"]) + float(row["abstain_rate"]) <= 1.0
         assert row["n"] == str(96 * 2)
@@ -955,7 +979,7 @@ def test_write_report_schema(small_report, tmp_path):
     with confusion_path.open() as fh:
         crows = list(csv.DictReader(fh))
     total = sum(int(r["count"]) for r in crows)
-    n_cfg = len(small_report.criteria) * len(small_report.signals)
+    n_cfg = len(CRITERIA) * len(SIGNALS)
     assert total == n_cfg * len(ids) * 96 * 2
 
 
@@ -976,7 +1000,7 @@ def test_more_noise_does_not_help():
         rep = run_experiment(_tiny_config(
             repetitions=2, master_seed=77, pmu_sigma=sigma,
             pmu_accuracy=0.0, scada_sigma=0.0, scada_accuracy=0.0))
-        total = sum(rep.correct_rate(t, "armv", "angle")
+        total = sum(correct_rate(rep, t, "armv", "angle")
                     for t in rep.topology_ids) / 5
         return total
 
